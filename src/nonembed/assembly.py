@@ -18,13 +18,12 @@ Four assemblies build on the tail field and the Poisson machinery:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from nonembed.bvp import (INTERIOR, MaskedGrid, ScalarField, box_grid,
-                          laplacian_grid, solve_poisson)
+from nonembed.bvp import INTERIOR, MaskedGrid, box_grid, solve_poisson
 from nonembed.conformal import ConformalMetric, gaussian_curvature
 from nonembed.mollify import TailFunction
 
@@ -94,33 +93,19 @@ class RotationSum:
             total += self.term(x, y, i)
         return total
 
-    def value_rotated_argument(self, x: float, y: float,
-                               degrees: int) -> float:
-        """w evaluated at R(degrees) x via the exact index relabeling
-        R(i) R(k) = R(i + k) on the integer-degree lattice: the summand of
-        index i at the rotated argument is the summand of index i + k at
-        x, so the term multiset is identical and (summed in the canonical
-        order) the value agrees bitwise with w(x)."""
-        k = degrees % self.count
-        active = sorted(set(self.active_indices(x, y)))
-        total = 0.0
-        for j in active:  # j = i + k are the indices active at x
-            total += self.term(x, y, j)
-        return total
-
 
 # ---------------------------------------------------------------------------
 # bump schedule and the bump metric factor
 # ---------------------------------------------------------------------------
 
-def measured_derivative_maxima(f: ScalarField, max_order: int) -> list:
+def measured_derivative_maxima(values: np.ndarray, h: float,
+                               max_order: int) -> list:
     """max |mixed partial| of each total order 0..max_order, by repeated
-    one-sided differencing of the sampled grid (a proxy norm: the grid is
-    the resolution at which the artifact knows the field)."""
-    h = f.grid.h
+    one-sided differencing of values sampled at spacing h (a proxy norm:
+    the grid is the resolution at which the artifact knows the field)."""
     out = []
-    frontier = {(0, 0): f.values}
-    out.append(float(np.max(np.abs(f.values))))
+    frontier = {(0, 0): values}
+    out.append(float(np.max(np.abs(values))))
     for order in range(1, max_order + 1):
         new = {}
         for (ax, ay), arr in frontier.items():
@@ -154,7 +139,8 @@ def build_bump_schedule(n_max: int, w: RotationSum,
         raise AssemblyError("n_max must be >= 1")
     if max_order is None:
         max_order = n_max
-    V = measured_derivative_maxima(w.base.field, max_order)
+    V = measured_derivative_maxima(w.base.field.values, w.base.field.grid.h,
+                                   max_order)
     centers, radii, amps, bounds = [], [], [], []
     for n in range(1, n_max + 1):
         rho = 2.0 ** (-n - 3)
@@ -311,21 +297,14 @@ def measure_mu_schedule(n_max: int, r_max: float = 1.5,
     on a fine radial grid."""
     if n_max < 1:
         raise AssemblyError("n_max must be >= 1")
-    mus = []
-    for n in range(1, n_max + 1):
-        r = np.arange(1.0 / n - 10 * h, r_max, h)
-        vals = wall_cutoff(n, r)
-        worst = float(np.max(np.abs(vals)))
-        arr = vals
-        for k in range(1, max_order + 1):
-            arr = np.diff(arr) / h
-            worst = max(worst, float(np.max(np.abs(arr))))
-        mus.append(2.0 ** (-n) / (1.0 + worst))
-    return mus
+    return [2.0 ** (-n) / (1.0 + cutoff_c4_norm(n, 1.0, r_max, h, max_order))
+            for n in range(1, n_max + 1)]
 
 
 def cutoff_c4_norm(n: int, mu: float, r_max: float = 1.5,
                    h: float = 1e-4, max_order: int = 4) -> float:
+    """Largest measured magnitude of mu times the n-th wall cutoff and of
+    its differences up to the given order."""
     r = np.arange(1.0 / n - 10 * h, r_max, h)
     vals = mu * wall_cutoff(n, r)
     worst = float(np.max(np.abs(vals)))
@@ -466,18 +445,7 @@ def origin_flatness(stack: AnnulusStack, max_order: int = 4,
     n_pts = 2 * max_order + 1
     xs = step * (np.arange(n_pts) - max_order)
     vals = np.array([[stack.factor(a, b) for b in xs] for a in xs])
-    out = [float(np.max(np.abs(vals)))]
-    frontier = {(0, 0): vals}
-    for order in range(1, max_order + 1):
-        new = {}
-        for (ax, ay), arr in frontier.items():
-            if arr.shape[0] > 1:
-                new[(ax + 1, ay)] = np.diff(arr, axis=0) / step
-            if arr.shape[1] > 1:
-                new[(ax, ay + 1)] = np.diff(arr, axis=1) / step
-        frontier = new
-        out.append(max(float(np.max(np.abs(a))) for a in frontier.values()))
-    return out
+    return measured_derivative_maxima(vals, step, max_order)
 
 
 def cutoff_partial_sum_c4_distance(mu: Sequence[float], n_hi: int, n_lo: int,

@@ -73,9 +73,6 @@ class MaskedGrid:
     def shape(self):
         return self.mask.shape
 
-    def node_xy(self, i, j):
-        return (self.origin[0] + i * self.h, self.origin[1] + j * self.h)
-
     def nodes_xy(self):
         nx, ny = self.mask.shape
         xs = self.origin[0] + self.h * np.arange(nx)

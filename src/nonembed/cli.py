@@ -19,13 +19,11 @@ report; everything else is reproducible bit for bit for a fixed config.
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 import sys
-import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -34,7 +32,7 @@ import numpy as np
 from nonembed import assembly, bvp, conformal, mollify, ruled, trees
 from nonembed.fields import (laplacian_residual, radial_derivative_u,
                              u_field, u_float)
-from nonembed.gridio import convert_grid, write_grid_csv
+from nonembed.gridio import convert_grid, write_grid_csv, write_json
 from nonembed.logscale import LogScaledReal
 
 VERIFY_TARGETS = ("moon", "tail", "corollary", "g1", "annulus", "ruled", "all")
@@ -144,6 +142,8 @@ def check(name: str, anchor: str, passed: bool, **values) -> dict:
 def _jsonable(v):
     if isinstance(v, (bool, int, str)) or v is None:
         return v
+    if isinstance(v, np.bool_):
+        return bool(v)
     if isinstance(v, LogScaledReal):
         return encode_number(v)
     if isinstance(v, (float, np.floating)):
@@ -167,76 +167,86 @@ class PipelineContext:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self._k_star = None
-        self._selected = None
-        self._tail = None
 
-    @property
+    @cached_property
     def k_star(self) -> int:
-        if self._k_star is None:
-            k = trees.find_min_k(self.cfg.k_max, tol=self.cfg.quad_tol)
-            if k is None:
-                raise ConfigError(
-                    f"no K <= {self.cfg.k_max} satisfies the sign conditions")
-            self._k_star = k
-        return self._k_star
+        k = trees.find_min_k(self.cfg.k_max, tol=self.cfg.quad_tol)
+        if k is None:
+            raise ConfigError(
+                f"no K <= {self.cfg.k_max} satisfies the sign conditions")
+        return k
 
-    @property
+    @cached_property
     def selected(self) -> bvp.SelectedN:
-        if self._selected is None:
-            self._selected = bvp.select_N(
-                self.k_star, resolution=self.cfg.pentagon_resolution,
-                margin_frac=self.cfg.margin_frac)
-        return self._selected
+        return bvp.select_N(self.k_star,
+                            resolution=self.cfg.pentagon_resolution,
+                            margin_frac=self.cfg.margin_frac)
 
     @property
     def default_delta(self) -> float:
         return math.exp(-2.0 * self.k_star) / 2.0
 
-    @property
+    @cached_property
     def tail(self) -> mollify.TailFunction:
-        if self._tail is None:
-            self._tail = mollify.build_tail_v(
-                self.selected, self.default_delta,
-                grid_n=self.cfg.tail_grid_n)
-        return self._tail
+        return mollify.build_tail_v(self.selected, self.default_delta,
+                                    grid_n=self.cfg.tail_grid_n)
+
+    @cached_property
+    def g1_report(self) -> dict:  # the pocket metric itself is not kept
+        return assembly.build_g1(self.cfg.n_max, grid_n=1536).curvature_report()
+
+    @cached_property
+    def mu(self) -> list:
+        return assembly.measure_mu_schedule(self.cfg.annulus_n_max)
+
+    @cached_property
+    def annulus_stack(self) -> assembly.AnnulusStack:
+        n_max = self.cfg.annulus_n_max
+        return assembly.build_annulus_stack([1.0] * n_max, n_max, mu=self.mu,
+                                            tail=self.tail)
 
 
 # ---------------------------------------------------------------------------
-# verification pipelines
+# claims: each measures one claim and returns its report record, whose pass
+# flag is the claim as stated; tests/test_acceptance.py calls them too
 # ---------------------------------------------------------------------------
 
-def verify_moon(ctx: PipelineContext) -> list:
-    cfg = ctx.cfg
+def boundary_angles(rng: np.random.Generator, n: int = 50) -> np.ndarray:
+    """Polar angles of n unit-circle sample points clear of the slit."""
+    return rng.uniform(0.05, 2 * math.pi - 0.05, size=n)
+
+
+def claim_circle_trace(ctx: PipelineContext, thetas) -> dict:
+    worst = max(abs(u_float(math.cos(t), math.sin(t))) for t in thetas)
+    return check("field-vanishes-on-unit-circle", "circle-trace-zero",
+                 worst <= 1e-14, max_abs=worst, n_samples=len(thetas))
+
+
+def claim_radial_slope(ctx: PipelineContext, thetas, h: float = 1e-4) -> dict:
+    """One-sided difference of u at the unit circle against u_r."""
     u = u_field()
-    checks = []
-    rng = np.random.default_rng(cfg.seed)
-
-    thetas = rng.uniform(0.05, 2 * math.pi - 0.05, size=50)
-    worst_circle = max(abs(u_float(math.cos(t), math.sin(t))) for t in thetas)
-    checks.append(check("field-vanishes-on-unit-circle",
-                        "circle-trace-zero", worst_circle <= 1e-14,
-                        max_abs=worst_circle, n_samples=50))
-
     worst_rel = 0.0
     all_neg = True
     for t in thetas:
         x0, y0 = math.cos(t), math.sin(t)
-        h = 1e-4
         f1 = u.value((1 - h) * x0, (1 - h) * y0)
         f2 = u.value((1 - 2 * h) * x0, (1 - 2 * h) * y0)
         fd = (-4 * f1 + f2) / (2 * h)
         exact = radial_derivative_u(float(t))
         all_neg &= exact < 0
         worst_rel = max(worst_rel, abs(fd - exact) / abs(exact))
-    checks.append(check("radial-derivative-closed-form",
-                        "boundary-slope-negative",
-                        all_neg and worst_rel <= 1e-6,
-                        max_rel_error=worst_rel, negative_everywhere=all_neg))
+    return check("radial-derivative-closed-form", "boundary-slope-negative",
+                 all_neg and worst_rel <= 1e-6,
+                 max_rel_error=worst_rel, negative_everywhere=all_neg)
 
+
+def claim_harmonicity_ratio(ctx: PipelineContext, rng: np.random.Generator,
+                            n_points: int = 100) -> dict:
+    """Five-point residual ratio of u between h = 1/128 and 1/256."""
+    u = u_field()
     ratios = []
     tried = 0
-    while len(ratios) < 100 and tried < 10000:
+    while len(ratios) < n_points and tried < 10000:
         tried += 1
         r = rng.uniform(0.2, 0.9)
         th = rng.uniform(math.pi / 3 + 0.05, 5 * math.pi / 3 - 0.05)
@@ -247,235 +257,306 @@ def verify_moon(ctx: PipelineContext) -> list:
         if abs(r1) < 1e-8 * scale / (1.0 / 128) ** 2:
             continue  # degenerate leading term; ratio would be noise
         ratios.append(abs(r1 / r2))
-    ratio_ok = len(ratios) == 100 and all(3.5 <= q <= 4.5 for q in ratios)
-    checks.append(check("harmonicity-residual-ratio", "laplacian-ratio-4",
-                        ratio_ok, n_points=len(ratios),
-                        min_ratio=min(ratios), max_ratio=max(ratios)))
+    return check("harmonicity-residual-ratio", "laplacian-ratio-4",
+                 len(ratios) == n_points and all(3.5 <= q <= 4.5 for q in ratios),
+                 n_points=len(ratios), min_ratio=min(ratios),
+                 max_ratio=max(ratios))
 
-    aa1 = trees.aa2_integral_scaled(1, tol=cfg.quad_tol)
-    checks.append(check("axis-integral-cancels-at-K1", "axis-integral-zero",
-                        abs(aa1.float_value) <= 1e-10,
-                        value=aa1.value, est_error=aa1.est_error))
 
-    k_star = ctx.k_star
-    checks.append(check("minimal-K-scan", "minimal-K",
-                        k_star == 4, k_star=k_star, k_max=cfg.k_max))
+def claim_axis_integral(ctx: PipelineContext, tol: float) -> dict:
+    aa1 = trees.aa2_integral_scaled(1, tol=tol)
+    return check("axis-integral-cancels-at-K1", "axis-integral-zero",
+                 abs(aa1.float_value) <= 1e-10,
+                 value=aa1.value, est_error=aa1.est_error)
 
-    residuals = {}
-    for K in range(2, 7):
-        residuals[K] = trees.green_identity_residual(K, tol=cfg.quad_tol)
-    checks.append(check(
+
+def claim_minimal_k(ctx: PipelineContext) -> dict:
+    return check("minimal-K-scan", "minimal-K", ctx.k_star == 4,
+                 k_star=ctx.k_star, k_max=ctx.cfg.k_max)
+
+
+def claim_identity_residuals(ctx: PipelineContext, tol: float) -> dict:
+    """Residuals for K = 2..6, plain ds and with 1/rho leg weights."""
+    ks = range(2, 7)
+    plain = {str(K): trees.green_identity_residual(K, tol=tol) for K in ks}
+    weighted = {str(K): trees.weighted_green_identity_residual(K, tol=tol)
+                for K in ks}
+    return check(
         "legs-identity-residual", "legs-vs-axis-plus-arcs",
-        all(v <= 1e-4 for v in residuals.values()),
-        residuals={str(k): v for k, v in residuals.items()},
-        note="the displayed identity omits the 1/rho leg weights; the "
-             "corrected weighted identity verifies to 1e-9 (see tests)"))
+        all(v <= 1e-4 for v in plain.values()),
+        residuals=plain, weighted_residuals=weighted,
+        note="the displayed identity omits the 1/rho leg weights; with them "
+             f"it holds to {max(weighted.values()):.0e} (weighted_residuals)")
 
-    ti = trees.tree_integral(u_field(), trees.moon_tree(k_star),
-                             tol=cfg.quad_tol)
-    checks.append(check("tree-integral-sign", "tree-integral-negative",
-                        ti.float_value < 0.0,
-                        value=ti.value, est_error=ti.est_error, K=k_star))
 
-    tree = trees.moon_tree(k_star)
-    chords = trees.random_boundary_chords(tree, cfg.n_chords, seed=cfg.seed)
+def claim_tree_integral(ctx: PipelineContext, tol: float) -> dict:
+    K = ctx.k_star
+    ti = trees.tree_integral(u_field(), trees.moon_tree(K), tol=tol)
+    return check("tree-integral-sign", "tree-integral-negative",
+                 ti.float_value < 0.0,
+                 value=ti.value, est_error=ti.est_error, K=K)
+
+
+def claim_chord_positivity(ctx: PipelineContext, n_chords: int,
+                           seed: int) -> dict:
+    tree = trees.moon_tree(ctx.k_star)
+    chords = trees.random_boundary_chords(tree, n_chords, seed=seed)
     signs = [trees.check_segment_positivity(s, tree) for s in chords]
-    checks.append(check("chord-positivity", "chord-integrals-positive",
-                        all(s == 1 for s in signs), n_chords=len(chords),
-                        seed=cfg.seed))
-    return checks
+    return check("chord-positivity", "chord-integrals-positive",
+                 all(s == 1 for s in signs), n_chords=len(chords), seed=seed)
 
 
-def verify_tail(ctx: PipelineContext) -> list:
-    cfg = ctx.cfg
+def claim_pentagon_margins(ctx: PipelineContext) -> dict:
     sel = ctx.selected
-    checks = []
     worst = {e: float(np.min(m["margin"])) for e, m in sel.margins.items()}
-    checks.append(check("pentagon-N-selection", "edge-margins-positive",
-                        all(v > 0 for v in worst.values()),
-                        N=sel.N, worst_margins=worst,
-                        resolution=cfg.pentagon_resolution))
+    return check("pentagon-N-selection", "edge-margins-positive",
+                 all(v > 0 for v in worst.values()),
+                 N=sel.N, worst_margins=worst,
+                 resolution=ctx.cfg.pentagon_resolution)
 
-    tail = ctx.tail
-    f = tail.field
+
+def claim_tail_support(ctx: PipelineContext) -> dict:
+    f = ctx.tail.field
     X, Y = f.grid.nodes_xy()
     outside = (X**2 + Y**2 > 1.0) & (X < 0.9)
     sup = float(np.max(np.abs(f.values[outside])))
-    checks.append(check("tail-support", "tail-vanishes-left-of-0.9",
-                        sup == 0.0, max_abs=sup,
-                        n_nodes=int(outside.sum())))
-
-    rep = mollify.tail_subharmonic_report(tail)
-    checks.append(check("tail-subharmonicity", "tail-laplacian-nonnegative",
-                        rep["passes"],
-                        **{k: v for k, v in rep.items()
-                           if k not in ("worst_node_xy",)},
-                        worst_node=list(rep["worst_node_xy"])))
-
-    schedule = [ctx.default_delta / 2.0 ** k for k in range(cfg.delta_steps)]
-    selection = mollify.select_tail_delta(sel, schedule=schedule,
-                                          grid_n=min(cfg.tail_grid_n, 384),
-                                          tol=cfg.quad_tol)
-    checks.append(check(
-        "tail-tree-integral", "tail-tree-integral-negative",
-        selection.succeeded,
-        history=[{"delta": d, "value": v, "est_error": e}
-                 for (d, v, e) in selection.history],
-        selected_delta=selection.delta))
-    return checks
+    return check("tail-support", "tail-vanishes-left-of-0.9", sup == 0.0,
+                 max_abs=sup, n_nodes=int(outside.sum()))
 
 
-def verify_corollary(ctx: PipelineContext) -> list:
-    cfg = ctx.cfg
+def claim_tail_subharmonicity(ctx: PipelineContext) -> dict:
+    rep = mollify.tail_subharmonic_report(ctx.tail)
+    return check("tail-subharmonicity", "tail-laplacian-nonnegative",
+                 rep["passes"],
+                 **{k: v for k, v in rep.items() if k != "worst_node_xy"},
+                 worst_node=list(rep["worst_node_xy"]))
+
+
+def claim_tail_tree_integral(ctx: PipelineContext, schedule, grid_n: int,
+                             tol: float) -> dict:
+    sel = mollify.select_tail_delta(ctx.selected, schedule=schedule,
+                                    grid_n=grid_n, tol=tol)
+    return check("tail-tree-integral", "tail-tree-integral-negative",
+                 sel.succeeded,
+                 history=[{"delta": d, "value": v, "est_error": e}
+                          for (d, v, e) in sel.history],
+                 selected_delta=sel.delta)
+
+
+def claim_curvature_sign(ctx: PipelineContext, delta: float) -> dict:
+    rep = conformal.tail_curvature_report(ctx.tail, delta=delta)
+    return check("bump-metric-curvature-sign", "curvature-nonpositive",
+                 rep["curvature_sign_pass"],
+                 max_positive_logK=rep["max_positive_logK"],
+                 scale_logK=rep["scale_logK"])
+
+
+def claim_length_derivative(ctx: PipelineContext, step: float) -> dict:
+    """The note describes the step 1e-4 that the report uses."""
+    lhs, rhs = conformal.length_derivative_check(
+        ctx.tail, mollify.tail_tree(ctx.k_star), step=step)
+    return check(
+        "length-derivative-match", "length-slope-equals-tree-integral",
+        abs(lhs - rhs) <= 1e-6 * abs(rhs) and lhs < 0 and rhs < 0,
+        lhs=lhs, rhs=rhs,
+        note="the difference-quotient step leaves the linear regime of the "
+             "exponential on this field (step * max|v| ~ 11 on the tree)")
+
+
+def claim_shortening(ctx: PipelineContext, n_scan: int) -> dict:
     tail = ctx.tail
     tree = mollify.tail_tree(ctx.k_star)
-    checks = []
-
-    rep = conformal.tail_curvature_report(tail, delta=1e-6)
-    checks.append(check("bump-metric-curvature-sign", "curvature-nonpositive",
-                        rep["curvature_sign_pass"],
-                        max_positive_logK=rep["max_positive_logK"],
-                        scale_logK=rep["scale_logK"]))
-
-    lhs, rhs = conformal.length_derivative_check(tail, tree)
-    agree = abs(lhs - rhs) <= 1e-6 * abs(rhs)
-    checks.append(check(
-        "length-derivative-match", "length-slope-equals-tree-integral",
-        agree and lhs < 0 and rhs < 0, lhs=lhs, rhs=rhs,
-        note="the difference-quotient step leaves the linear regime of the "
-             "exponential on this field (step * max|v| ~ 11 on the tree)"))
-
-    scan = conformal.find_delta0(tail, tree, n_scan=12)
-    ok = scan.succeeded
+    scan = conformal.find_delta0(tail, tree, n_scan=n_scan)
     margin = None
-    if ok:
+    if scan.succeeded:
         g_half = conformal.ConformalMetric.tail_metric(tail, scan.delta0 / 2)
         L_half = conformal.curve_length(g_half, tree)
         L0 = conformal.curve_length(conformal.ConformalMetric.flat(), tree)
         margin = L0 - L_half
-        ok = margin > 0
-    checks.append(check("shortening-threshold", "shortening-amplitude-positive",
-                        ok, delta0=scan.delta0,
-                        history=[{"delta": d, "length": a, "flat": b,
-                                  "shortens": s}
-                                 for (d, a, b, s) in scan.history],
-                        half_margin=margin))
-    return checks
+    return check("shortening-threshold", "shortening-amplitude-positive",
+                 margin is not None and margin > 0, delta0=scan.delta0,
+                 history=[{"delta": d, "length": a, "flat": b,
+                           "shortens": s}
+                          for (d, a, b, s) in scan.history],
+                 half_margin=margin)
 
 
-def verify_g1(ctx: PipelineContext) -> list:
-    cfg = ctx.cfg
-    pm = assembly.build_g1(cfg.n_max, grid_n=1536)
-    rep = pm.curvature_report()
-    return [
-        check("pocket-curvature-negative", "pockets-negative",
-              rep["all_pockets_negative"], pockets=rep["pockets"]),
-        check("flat-outside-pockets", "flat-outside",
-              rep["flat_outside"], max_abs_outside=rep["max_abs_K_outside"],
-              scale=rep["scale"]),
-    ]
+def claim_pockets_negative(ctx: PipelineContext) -> dict:
+    rep = ctx.g1_report
+    return check("pocket-curvature-negative", "pockets-negative",
+                 rep["all_pockets_negative"], pockets=rep["pockets"])
 
 
-def verify_annulus(ctx: PipelineContext) -> list:
-    cfg = ctx.cfg
-    n_max = cfg.annulus_n_max
-    mu = assembly.measure_mu_schedule(n_max)
-    checks = []
-    bounds = [assembly.cutoff_c4_norm(n, mu[n - 1]) for n in range(1, n_max + 1)]
-    checks.append(check("cutoff-weight-bound", "weighted-c4-bound",
-                        all(b <= 2.0 ** -(i + 1) for i, b in enumerate(bounds)),
-                        mu=mu, bounds=bounds))
+def claim_flat_outside(ctx: PipelineContext) -> dict:
+    rep = ctx.g1_report
+    return check("flat-outside-pockets", "flat-outside", rep["flat_outside"],
+                 max_abs_outside=rep["max_abs_K_outside"], scale=rep["scale"])
+
+
+def claim_cutoff_bound(ctx: PipelineContext) -> dict:
+    mu = ctx.mu
+    bounds = [assembly.cutoff_c4_norm(n, mu[n - 1])
+              for n in range(1, ctx.cfg.annulus_n_max + 1)]
+    return check("cutoff-weight-bound", "weighted-c4-bound",
+                 all(b <= 2.0 ** -(i + 1) for i, b in enumerate(bounds)),
+                 mu=mu, bounds=bounds)
+
+
+def claim_cutoff_cauchy(ctx: PipelineContext) -> dict:
+    n_max = ctx.cfg.annulus_n_max
     lo = max(1, n_max // 2)
-    d = assembly.cutoff_partial_sum_c4_distance(mu, n_max, lo)
-    checks.append(check("cutoff-partial-sums-cauchy", "c4-cauchy-tail",
-                        d <= 2.0 ** (-lo + 1), distance=d,
-                        bound=2.0 ** (-lo + 1)))
-
-    stack = assembly.build_annulus_stack([1.0] * n_max, n_max, mu=mu,
-                                         tail=ctx.tail)
-    ann = {}
-    all_neg = True
-    for n in range(1, min(6, n_max - 1) + 1):
-        recs = assembly.annulus_curvature_samples(stack, n)
-        worst = max(r["K"] for r in recs)
-        ann[str(n)] = worst
-        all_neg &= worst < 0.0
-    checks.append(check("annulus-curvature-negative", "annuli-negative",
-                        all_neg, worst_K_per_annulus=ann))
-
-    mags = assembly.origin_flatness(stack)
-    checks.append(check("origin-flatness", "origin-derivatives-vanish",
-                        all(m <= 1e-8 for m in mags),
-                        derivative_magnitudes=mags))
-    return checks
+    d = assembly.cutoff_partial_sum_c4_distance(ctx.mu, n_max, lo)
+    return check("cutoff-partial-sums-cauchy", "c4-cauchy-tail",
+                 d <= 2.0 ** (-lo + 1), distance=d, bound=2.0 ** (-lo + 1))
 
 
-def verify_ruled(ctx: PipelineContext) -> list:
-    cfg = ctx.cfg
-    tau = cfg.ruled_tau
-    checks = []
+def claim_annulus_curvature(ctx: PipelineContext) -> dict:
+    worst = {}
+    for n in range(1, min(6, ctx.cfg.annulus_n_max - 1) + 1):
+        recs = assembly.annulus_curvature_samples(ctx.annulus_stack, n)
+        worst[str(n)] = max(r["K"] for r in recs)
+    return check("annulus-curvature-negative", "annuli-negative",
+                 all(k < 0.0 for k in worst.values()),
+                 worst_K_per_annulus=worst)
 
-    cyl = ruled.cylinder(tau)
-    surf, diag = ruled.extract_rulings(ruled.graph_of(cyl))
+
+def claim_origin_flatness(ctx: PipelineContext) -> dict:
+    mags = assembly.origin_flatness(ctx.annulus_stack)
+    return check("origin-flatness", "origin-derivatives-vanish",
+                 all(m <= 1e-8 for m in mags), derivative_magnitudes=mags)
+
+
+def claim_cylinder_round_trip(ctx: PipelineContext) -> dict:
+    tau = ctx.cfg.ruled_tau
+    surf, diag = ruled.extract_rulings(ruled.graph_of(ruled.cylinder(tau)))
     d_err = float(np.max(np.abs(surf.d - np.array([1.0, 0.0, 0.0]))))
     s = surf.s
     c_exact = np.stack([np.full_like(s, 2.0), -s / tau, -s * s / (2 * tau)],
                        axis=-1)
     c_err = float(np.max(np.abs(surf.c - c_exact)))
-    checks.append(check("cylinder-round-trip", "ruling-recovery-exact",
-                        max(c_err, d_err) <= 1e-10, c_error=c_err,
-                        d_error=d_err,
-                        straightness=float(np.max(diag["straightness"]))))
+    return check("cylinder-round-trip", "ruling-recovery-exact",
+                 max(c_err, d_err) <= 1e-10, c_error=c_err, d_error=d_err,
+                 straightness=float(np.max(diag["straightness"])))
 
-    gen = ruled.generate_surface(tau, cfg.ruled_eps, seed=cfg.seed)
-    ext = ruled.extend_ruled(gen.sample(n=257), -1.0, 2.0)
+
+def claim_extension_flatness(ctx: PipelineContext,
+                             ext: ruled.RuledSurface) -> dict:
+    """max |II_00|, |II_01| relative to 1 + |II_11|, and max |det II| /
+    ||II||, over nine points of the extended surface."""
     worst_offdiag = 0.0
+    worst_det = 0.0
     for i in (30, 128, 220):
         for t in (-1.0, 0.5, 2.0):
             II = ruled.second_fundamental_form(ext, t, i)
             rel = max(abs(II[0, 0]), abs(II[0, 1])) / (1 + abs(II[1, 1]))
             worst_offdiag = max(worst_offdiag, rel)
-    checks.append(check("extension-flatness", "extended-form-degenerate",
-                        worst_offdiag <= 1e-8, worst_offdiag=worst_offdiag))
+            worst_det = max(worst_det,
+                            abs(np.linalg.det(II)) / np.linalg.norm(II))
+    return check("extension-flatness", "extended-form-degenerate",
+                 worst_offdiag <= 1e-8, worst_offdiag=worst_offdiag,
+                 worst_det_ratio=worst_det)
 
+
+def claim_concavity_family(ctx: PipelineContext, seed: int) -> dict:
+    """Quadratic-model deviations for eps = 0.1, 0.05, 0.025; principal
+    curvatures at eps = 0.025 against -tau / (1 + s^2)^{3/2}."""
+    tau = ctx.cfg.ruled_tau
     devs = []
     for eps in (0.1, 0.05, 0.025):
-        g = ruled.generate_surface(tau, eps, seed=cfg.seed)
+        g = ruled.generate_surface(tau, eps, seed=seed)
         samp = ruled.extend_ruled(g.sample(n=257), -1.0, 2.0)
         cc = ruled.concavity_check(samp)
-        dev = max(float(np.max(np.abs(cc["a0"] + 1.0 / tau**2))),
-                  float(np.max(np.abs(cc["a1"]))),
-                  float(np.max(np.abs(cc["a2"]))))
-        devs.append(dev)
-        if eps == 0.025:
-            kappa_ok = True
-            for i in (64, 128, 192):
-                s0 = samp.s[i]
-                target = -tau / (1.0 + s0 * s0) ** 1.5
-                for t in (0.0, 1.0, 2.0):
-                    k = ruled.principal_curvature(samp, t, i)
-                    kappa_ok &= abs(k - target) <= 0.2 * abs(target)
-    checks.append(check("concavity-epsilon-family", "quadratic-deviation-trend",
-                        devs[0] > devs[1] > devs[2] and kappa_ok,
-                        deviations=devs, kappa_within_20pct=kappa_ok))
+        devs.append(max(float(np.max(np.abs(cc["a0"] + 1.0 / tau**2))),
+                        float(np.max(np.abs(cc["a1"]))),
+                        float(np.max(np.abs(cc["a2"])))))
+    kappa_ok = True
+    for i in (64, 128, 192):
+        s0 = samp.s[i]
+        target = -tau / (1.0 + s0 * s0) ** 1.5
+        for t in (0.0, 1.0, 2.0):
+            k = ruled.principal_curvature(samp, t, i)
+            kappa_ok &= abs(k - target) <= 0.2 * abs(target)
+    return check("concavity-epsilon-family", "quadratic-deviation-trend",
+                 devs[0] > devs[1] > devs[2] and kappa_ok,
+                 deviations=devs, kappa_within_20pct=kappa_ok)
 
-    gen05 = ruled.generate_surface(tau, 0.05, seed=cfg.seed)
-    inst = ruled.hypothesis_instances(gen05, 20, seed0=cfg.seed)
+
+def claim_comparison_margins(ctx: PipelineContext,
+                             gen: ruled.GeneratedSurface, seed0: int,
+                             count: int = 20) -> dict:
+    inst = ruled.hypothesis_instances(gen, count, seed0=seed0)
     margins = [r["margin"] for (_, _, r) in inst]
-    checks.append(check("comparison-margins", "competitor-stays-above",
-                        min(margins) >= -1e-8, n_instances=len(inst),
-                        min_margin=min(margins)))
+    return check("comparison-margins", "competitor-stays-above",
+                 min(margins) >= -1e-8, n_instances=len(inst),
+                 min_margin=min(margins))
 
+
+def claim_projection_lengths(ctx: PipelineContext, ext: ruled.RuledSurface,
+                             seed0: int, n_curves: int = 50) -> dict:
     ok = True
     worst_gap = math.inf
-    for sd in range(50):
-        curve = ruled.random_curve_above(ext, seed=cfg.seed + sd)
+    for sd in range(n_curves):
+        curve = ruled.random_curve_above(ext, seed=seed0 + sd)
         lc, lp = ruled.project_and_compare(curve, ext)
         worst_gap = min(worst_gap, lc - lp)
         ok &= lc >= lp - 1e-8
-    checks.append(check("projection-lengths", "projection-shortens",
-                        ok, n_curves=50, worst_gap=worst_gap))
-    return checks
+    return check("projection-lengths", "projection-shortens", ok,
+                 n_curves=n_curves, worst_gap=worst_gap)
+
+
+# ---------------------------------------------------------------------------
+# verification pipelines: the claims of each target, in report order
+# ---------------------------------------------------------------------------
+
+def verify_moon(ctx: PipelineContext) -> list:
+    cfg = ctx.cfg
+    rng = np.random.default_rng(cfg.seed)
+    thetas = boundary_angles(rng)
+    return [claim_circle_trace(ctx, thetas),
+            claim_radial_slope(ctx, thetas),
+            claim_harmonicity_ratio(ctx, rng),
+            claim_axis_integral(ctx, tol=cfg.quad_tol),
+            claim_minimal_k(ctx),
+            claim_identity_residuals(ctx, tol=cfg.quad_tol),
+            claim_tree_integral(ctx, tol=cfg.quad_tol),
+            claim_chord_positivity(ctx, cfg.n_chords, seed=cfg.seed)]
+
+
+def verify_tail(ctx: PipelineContext) -> list:
+    cfg = ctx.cfg
+    schedule = [ctx.default_delta / 2.0 ** k for k in range(cfg.delta_steps)]
+    return [claim_pentagon_margins(ctx),
+            claim_tail_support(ctx),
+            claim_tail_subharmonicity(ctx),
+            claim_tail_tree_integral(ctx, schedule,
+                                     grid_n=min(cfg.tail_grid_n, 384),
+                                     tol=cfg.quad_tol)]
+
+
+def verify_corollary(ctx: PipelineContext) -> list:
+    return [claim_curvature_sign(ctx, delta=1e-6),
+            claim_length_derivative(ctx, step=1e-4),
+            claim_shortening(ctx, n_scan=12)]
+
+
+def verify_g1(ctx: PipelineContext) -> list:
+    return [claim_pockets_negative(ctx), claim_flat_outside(ctx)]
+
+
+def verify_annulus(ctx: PipelineContext) -> list:
+    return [claim_cutoff_bound(ctx), claim_cutoff_cauchy(ctx),
+            claim_annulus_curvature(ctx), claim_origin_flatness(ctx)]
+
+
+def verify_ruled(ctx: PipelineContext) -> list:
+    cfg = ctx.cfg
+    gen = ruled.generate_surface(cfg.ruled_tau, cfg.ruled_eps, seed=cfg.seed)
+    ext = ruled.extend_ruled(gen.sample(n=257), -1.0, 2.0)
+    return [claim_cylinder_round_trip(ctx),
+            claim_extension_flatness(ctx, ext),
+            claim_concavity_family(ctx, seed=cfg.seed),
+            claim_comparison_margins(ctx, gen, seed0=cfg.seed),
+            claim_projection_lengths(ctx, ext, seed0=cfg.seed)]
 
 
 _PIPELINES = {
@@ -491,20 +572,6 @@ _PIPELINES = {
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-def _write_json(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
 
 def cmd_verify(target: str, cfg: RunConfig) -> int:
     cfg.validate()
@@ -524,9 +591,10 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
             status = "PASS" if rec["pass"] else "FAIL"
             print(f"[{status}] {t}:{rec['name']} ({rec['anchor']})")
         runtime[t] = time.time() - t0
-    if ctx._k_star is not None:
+    # a cached_property that has been computed sits in the instance dict
+    if "k_star" in vars(ctx):
         report["K"] = ctx.k_star
-    if ctx._tail is not None:
+    if "tail" in vars(ctx):
         write_grid_csv(ctx.tail.field, out / "tail_field.csv")
         report["artifacts"] = ["tail_field.csv", "tail_field.json"]
     n_fail = sum(1 for c in report["checks"] if not c["pass"])
@@ -535,9 +603,9 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
         "n_fail": n_fail,
         "overall_pass": n_fail == 0,
     }
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     # runtimes live apart from the reproducible report
-    _write_json(out / "runtime.json",
+    write_json(out / "runtime.json",
                 {"seconds_total": time.time() - t_total, "per_target": runtime})
     print(f"report: {out / 'report.json'} "
           f"({len(report['checks']) - n_fail}/{len(report['checks'])} passed)")
@@ -587,24 +655,21 @@ def cmd_assemble(target: str, cfg: RunConfig) -> int:
                        out / "gII_factor_ball1.csv")
         manifest["artifacts"] = ["gII_factor_ball1.csv"]
     elif target == "annulus":
-        n_max = cfg.annulus_n_max
-        mu = assembly.measure_mu_schedule(n_max)
-        eta = [1.0] * n_max
-        stack = assembly.build_annulus_stack(eta, n_max, mu=mu, tail=ctx.tail)
-        manifest["mu"] = mu
-        manifest["eta"] = eta
+        stack = ctx.annulus_stack
+        manifest["mu"] = ctx.mu
+        manifest["eta"] = [1.0] * cfg.annulus_n_max
         manifest["plantings"] = _jsonable(
             [{"center": c, "sigma": s, "amplitude": a}
              for (c, s, a) in stack.plantings])
         rs = np.linspace(1e-3, 0.999, 2000)
         doc_rows = [[repr(float(r)), repr(float(v))]
                     for r, v in zip(rs, stack.cutoff_sum(rs))]
-        _write_json(out / "annulus_cutoff_profile.json",
+        write_json(out / "annulus_cutoff_profile.json",
                     {"columns": ["r", "factor"], "rows": doc_rows})
         manifest["artifacts"] = ["annulus_cutoff_profile.json"]
     else:
         raise ConfigError(f"unknown assemble target {target!r}")
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     print(f"manifest: {out / 'manifest.json'}")
     return 0
 

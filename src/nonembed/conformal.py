@@ -11,7 +11,7 @@ double range integrate safely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -19,9 +19,10 @@ import numpy as np
 from nonembed.bvp import (EXTERIOR, INTERIOR, MaskedGrid, ScalarField,
                           laplacian_grid)
 from nonembed.logscale import LogScaledReal
-from nonembed.mollify import TailFunction, tail_subharmonic_report
+from nonembed.mollify import (TailFunction, grid_sign_sets,
+                              tail_subharmonic_report)
 from nonembed.quadrature import QuadratureResult, adaptive_log_quadrature
-from nonembed.trees import Segment, SteinerTree
+from nonembed.trees import Segment, SteinerTree, tree_integral
 
 
 class ConformalError(ValueError):
@@ -56,20 +57,10 @@ class ConformalMetric:
                                grid_factor=f, description=description)
 
     @staticmethod
-    def from_callable(fn: Callable, description: str = "") -> "ConformalMetric":
-        return ConformalMetric(factor=fn, description=description)
-
-    @staticmethod
     def tail_metric(tail: TailFunction, delta: float) -> "ConformalMetric":
         return ConformalMetric(
             factor=lambda x, y: delta * np.asarray(tail.value(x, y)),
             description=f"tail bump metric, amplitude {delta}")
-
-    def shifted(self, c: float) -> "ConformalMetric":
-        base = self.factor
-        return ConformalMetric(factor=lambda x, y: base(x, y) + c,
-                               grid_factor=None,
-                               description=self.description + f" + {c}")
 
 
 @dataclass
@@ -173,7 +164,6 @@ def length_derivative_check(tail: TailFunction, tree: SteinerTree,
     the default step (step * max|v| ~ 11) the two values disagree; the
     caller must judge the regime from the recorded values.
     """
-    from nonembed.trees import tree_integral
     log_step = math.log(step)
 
     def log_sinh_quotient(xs, ys):
@@ -238,25 +228,9 @@ def tail_curvature_report(tail: TailFunction, delta: float,
     of double-overflow territory.
     """
     sub = tail_subharmonic_report(tail, tol_factor=tol_factor)
-    f = tail.field
-    lap = laplacian_grid(f)
-    X, Y = f.grid.nodes_xy()
-    in_disc = (X * X + Y * Y) < 1.0
-    stencil_ok = np.zeros_like(in_disc)
-    stencil_ok[1:-1, 1:-1] = (in_disc[1:-1, 1:-1] & in_disc[2:, 1:-1]
-                              & in_disc[:-2, 1:-1] & in_disc[1:-1, 2:]
-                              & in_disc[1:-1, :-2])
-    YX = 10.0 * (X + 0.8)
-    YY = 10.0 * Y
-    glue = tail.mollified.glue
-    reg = glue.region_of(YX, YY)
-    ext = reg == 0
-    touches_ext = np.zeros_like(ext)
-    touches_ext[1:-1, 1:-1] = (ext[1:-1, 1:-1] | ext[2:, 1:-1] | ext[:-2, 1:-1]
-                               | ext[1:-1, 2:] | ext[1:-1, :-2])
-    vis = (stencil_ok & touches_ext & ~tail.pentagon_band_excluded
-           & ~tail.u_core_excluded)[1:-1, 1:-1]
-    phi_c = delta * f.values[1:-1, 1:-1]
+    lap = laplacian_grid(tail.field)
+    vis = grid_sign_sets(tail)[2]
+    phi_c = delta * tail.field.values[1:-1, 1:-1]
     # log |K| = -2 phi + log(delta |lap|); sign(K) = -sign(lap)
     with np.errstate(divide="ignore"):
         logK = -2.0 * phi_c + np.log(np.abs(delta * lap))

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from nonembed.logscale import LogScaledReal
+from nonembed.logscale import LogScaledReal, float_to_log
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,10 +43,6 @@ class PolarPoint:
         if not (0.0 < self.theta < TWO_PI):
             raise FieldDomainError(
                 f"theta must lie in (0, 2pi), got {self.theta}")
-
-    @property
-    def xy(self) -> Tuple[float, float]:
-        return (self.r * math.cos(self.theta), self.r * math.sin(self.theta))
 
 
 def polar_from_xy(x: float, y: float) -> PolarPoint:
@@ -82,10 +78,19 @@ class AnalyticField:
         if self.log_value is not None:
             return self.log_value(xs, ys)
         vals = np.array([self.value(x, y) for x, y in zip(np.ravel(xs), np.ravel(ys))])
-        signs = np.sign(vals).astype(int)
-        with np.errstate(divide="ignore"):
-            logmags = np.where(vals != 0.0, np.log(np.abs(vals)), -np.inf)
-        return signs.reshape(np.shape(xs)), logmags.reshape(np.shape(xs))
+        return float_to_log(vals.reshape(np.shape(xs)))
+
+
+def vectorized_field(value) -> AnalyticField:
+    """AnalyticField of a vectorized double-valued function value(xs, ys),
+    for the log-scale quadrature; it carries no gradient."""
+    return AnalyticField(value=lambda x, y: float(value(x, y)),
+                         gradient=_no_gradient,
+                         log_value=lambda xs, ys: float_to_log(value(xs, ys)))
+
+
+def _no_gradient(x, y):
+    raise NotImplementedError("this field carries no gradient")
 
 
 # ---------------------------------------------------------------------------

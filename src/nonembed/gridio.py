@@ -4,14 +4,13 @@ variant, converting losslessly in both directions.
 CSV carries `x,y,value` rows (row-major over non-exterior nodes, LF line
 endings, shortest round-trip decimals); the sidecar carries origin,
 extent, spacing and a run-length encoding of the node mask.  Writes are
-atomic (temp file + rename).
+atomic (temp file + rename), and files get mode 0666 less the umask.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Tuple, Union
 
@@ -48,7 +47,10 @@ def _mask_from_rle(runs: list, shape: Tuple[int, int]) -> np.ndarray:
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    # os.open applies the umask to 0o666, as open() does; mkstemp would
+    # leave the file at 0o600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
@@ -57,6 +59,11 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: Union[str, Path], doc) -> None:
+    """doc as JSON with sorted keys, one-space indent and a final newline."""
+    _atomic_write(Path(path), json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def sidecar_path(csv_path: Union[str, Path]) -> Path:
@@ -112,8 +119,7 @@ def write_grid_csv(f: ScalarField, path: Union[str, Path]) -> Path:
         y = float(g.origin[1] + j * g.h)
         lines.append(f"{x!r},{y!r},{float(f.values[i, j])!r}")
     _atomic_write(path, "\n".join(lines) + "\n")
-    _atomic_write(sidecar_path(path),
-                  json.dumps(_header_dict(f), sort_keys=True, indent=1) + "\n")
+    write_json(sidecar_path(path), _header_dict(f))
     return path
 
 
@@ -146,7 +152,7 @@ def write_grid_json(f: ScalarField, path: Union[str, Path]) -> Path:
         y = g.origin[1] + j * g.h
         rows.append([repr(float(x)), repr(float(y)), repr(float(f.values[i, j]))])
     doc = {"header": _header_dict(f), "nodes": rows}
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_json(path, doc)
     return path
 
 

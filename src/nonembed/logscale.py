@@ -114,6 +114,16 @@ class LogScaledReal:
         return f"LogScaledReal(sign={self.sign}, logmag={self.logmag!r})"
 
 
+def float_to_log(vals):
+    """(sign, log|value|) arrays of plain double values; a zero gets sign 0
+    and logmag -inf."""
+    vals = np.asarray(vals, dtype=float)
+    signs = np.sign(vals).astype(int)
+    with np.errstate(divide="ignore"):
+        logmags = np.where(vals != 0.0, np.log(np.abs(vals)), -np.inf)
+    return signs, logmags
+
+
 def signed_logsumexp(signs: np.ndarray, logmags: np.ndarray) -> LogScaledReal:
     """Sum an array of (sign, logmag) values exactly in log scale."""
     signs = np.asarray(signs)
@@ -133,14 +143,3 @@ def signed_logsumexp(signs: np.ndarray, logmags: np.ndarray) -> LogScaledReal:
     p = LogScaledReal(1, lp) if lp > -math.inf else LogScaledReal.zero()
     n = LogScaledReal(-1, ln) if ln > -math.inf else LogScaledReal.zero()
     return p + n
-
-
-def log_weighted_dot(signs: np.ndarray, logmags: np.ndarray,
-                     weights: np.ndarray) -> LogScaledReal:
-    """Sum of w_i * x_i for positive weights w_i and log-scaled x_i."""
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    with np.errstate(divide="ignore"):
-        lw = np.log(w)
-    return signed_logsumexp(np.asarray(signs), np.asarray(logmags) + lw)

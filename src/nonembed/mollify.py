@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad as _quad
 from scipy.integrate import trapezoid as _trapezoid
 
 from nonembed.bvp import (BOUNDARY, EXTERIOR, INTERIOR, GluedField,
-                          MaskedGrid, ScalarField, SelectedN, laplacian_grid)
-from nonembed.fields import AnalyticField
-from nonembed.logscale import LogScaledReal
-from nonembed.quadrature import QuadratureResult
+                          MaskedGrid, ScalarField, SelectedN, _edge_margins,
+                          laplacian_grid, pentagon_edge_data)
+from nonembed.fields import (AnalyticField, laplacian_residual, u_field,
+                             vectorized_field)
 from nonembed.trees import SteinerTree, build_steiner_tree, tree_integral
 
 RESCALE = 10.0
@@ -66,45 +66,6 @@ def make_mollifier(delta: float) -> Mollifier:
         raise MollifyError(f"mollifier radius must be positive, got {delta}")
     amplitude = 1.0 / (2.0 * math.pi * delta * delta * _PROFILE_MOMENT)
     return Mollifier(radius=delta, amplitude=amplitude)
-
-
-def convolve(f: ScalarField, m: Mollifier) -> ScalarField:
-    """Discrete convolution by direct summation over the kernel window.
-
-    Defined where the window stays on live nodes; the kernel weights are
-    normalized to unit sum so constants are reproduced exactly.  Requires
-    the kernel to span at least two grid cells.
-    """
-    h = f.grid.h
-    if m.radius < 2.0 * h:
-        raise MollifyError(
-            f"mollifier radius {m.radius:.3e} under-resolved by grid h={h:.3e}")
-    R = int(math.ceil(m.radius / h))
-    off = np.arange(-R, R + 1)
-    OX, OY = np.meshgrid(off, off, indexing="ij")
-    w = m.density(np.hypot(OX * h, OY * h))
-    w /= w.sum()
-
-    live = (f.grid.mask != EXTERIOR).astype(float)
-    vals = np.where(f.grid.mask != EXTERIOR, f.values, 0.0)
-    nx, ny = f.grid.shape
-    acc = np.zeros((nx, ny))
-    cover = np.zeros((nx, ny))
-    for a in range(2 * R + 1):
-        for b in range(2 * R + 1):
-            if w[a, b] == 0.0:
-                continue
-            sx = slice(max(0, R - a), nx - max(0, a - R))
-            tx = slice(max(0, a - R), nx - max(0, R - a))
-            sy = slice(max(0, R - b), ny - max(0, b - R))
-            ty = slice(max(0, b - R), ny - max(0, R - b))
-            acc[sx, sy] += w[a, b] * vals[tx, ty]
-            cover[sx, sy] += w[a, b] * live[tx, ty]
-    valid = cover > 1.0 - 1e-12
-    mask = np.where(valid, INTERIOR, EXTERIOR).astype(np.int8)
-    grid = MaskedGrid(origin=f.grid.origin, h=h, mask=mask,
-                      subgrid_boundary=True)
-    return ScalarField(grid=grid, values=np.where(valid, acc, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +142,7 @@ class TailFunction:
                                     RESCALE * (Y - RECENTER[1]))
 
     def as_analytic_field(self) -> AnalyticField:
-        def log_value(xs, ys):
-            vals = np.asarray(self.value(xs, ys))
-            signs = np.sign(vals).astype(int)
-            with np.errstate(divide="ignore"):
-                lm = np.where(vals != 0.0, np.log(np.abs(vals)), -np.inf)
-            return signs, lm
-
-        return AnalyticField(value=lambda a, b: float(self.value(a, b)),
-                             gradient=_no_gradient,
-                             log_value=log_value)
-
-
-def _no_gradient(x, y):
-    raise NotImplementedError("tail field gradient is not provided")
+        return vectorized_field(self.value)
 
 
 def tail_tree(K: int) -> SteinerTree:
@@ -273,6 +221,28 @@ def subharmonic_defect(f: ScalarField, region: Optional[np.ndarray] = None
     return float(np.min(lap[inner_live]))
 
 
+def grid_sign_sets(tail: TailFunction):
+    """Node masks of the tail grid for the grid sign check: nodes whose
+    5-point stencil lies in the unit disc, the glue region of every node,
+    and (on inner nodes) the checked set, where the stencil also touches
+    the glue exterior and misses the excluded bands."""
+    X, Y = tail.field.grid.nodes_xy()
+    in_disc = (X * X + Y * Y) < 1.0
+    stencil_ok = np.zeros_like(in_disc)
+    stencil_ok[1:-1, 1:-1] = (in_disc[1:-1, 1:-1] & in_disc[2:, 1:-1]
+                              & in_disc[:-2, 1:-1] & in_disc[1:-1, 2:]
+                              & in_disc[1:-1, :-2])
+    reg = tail.mollified.glue.region_of(RESCALE * (X - RECENTER[0]),
+                                        RESCALE * (Y - RECENTER[1]))
+    ext = reg == 0
+    touches_ext = np.zeros_like(ext)
+    touches_ext[1:-1, 1:-1] = (ext[1:-1, 1:-1] | ext[2:, 1:-1] | ext[:-2, 1:-1]
+                               | ext[1:-1, 2:] | ext[1:-1, :-2])
+    checked = (stencil_ok & touches_ext & ~tail.pentagon_band_excluded
+               & ~tail.u_core_excluded)[1:-1, 1:-1]
+    return stencil_ok, reg, checked
+
+
 def tail_subharmonic_report(tail: TailFunction,
                             tol_factor: float = 1e-8,
                             margin_samples: int = 200,
@@ -296,29 +266,14 @@ def tail_subharmonic_report(tail: TailFunction,
 
     Raw worst node over everything is reported, not asserted.
     """
-    from nonembed.bvp import _edge_margins
-    from nonembed.fields import u_field, laplacian_residual
-    f = tail.field
-    X, Y = f.grid.nodes_xy()
-    in_disc = (X * X + Y * Y) < 1.0
-    stencil_ok = np.zeros_like(in_disc)
-    stencil_ok[1:-1, 1:-1] = (in_disc[1:-1, 1:-1] & in_disc[2:, 1:-1]
-                              & in_disc[:-2, 1:-1] & in_disc[1:-1, 2:]
-                              & in_disc[1:-1, :-2])
-    lap = laplacian_grid(f)
-    sten = stencil_ok[1:-1, 1:-1]
-    scale = float(np.max(np.abs(lap[sten])))
-
+    X, Y = tail.field.grid.nodes_xy()
     YX = RESCALE * (X - RECENTER[0])
     YY = RESCALE * (Y - RECENTER[1])
     glue = tail.mollified.glue
-    reg = glue.region_of(YX, YY)
-    ext = reg == 0
-    touches_ext = np.zeros_like(ext)
-    touches_ext[1:-1, 1:-1] = (ext[1:-1, 1:-1] | ext[2:, 1:-1] | ext[:-2, 1:-1]
-                               | ext[1:-1, 2:] | ext[1:-1, :-2])
-    grid_set = (stencil_ok & touches_ext & ~tail.pentagon_band_excluded
-                & ~tail.u_core_excluded)[1:-1, 1:-1]
+    lap = laplacian_grid(tail.field)
+    stencil_ok, reg, grid_set = grid_sign_sets(tail)
+    sten = stencil_ok[1:-1, 1:-1]
+    scale = float(np.max(np.abs(lap[sten])))
     grid_min = float(np.min(lap[grid_set]))
     raw_min = float(np.min(lap[sten]))
     wi = np.unravel_index(np.argmin(np.where(sten, lap, np.inf)), lap.shape)
@@ -381,7 +336,6 @@ def tail_subharmonic_report(tail: TailFunction,
 
 
 def _combined_edge_data(sel: SelectedN):
-    from nonembed.bvp import pentagon_edge_data
     return pentagon_edge_data(sel.geom, sel.N)
 
 

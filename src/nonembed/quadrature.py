@@ -35,14 +35,6 @@ class QuadratureResult:
     def float_value(self) -> float:
         return self.value.to_float()
 
-    def rel_error(self) -> float:
-        if self.value.is_zero:
-            return math.inf if self.est_error > 0 else 0.0
-        return self.est_error / abs(self.value.to_float()) \
-            if self.value.logmag < 650 else \
-            math.exp(math.log(self.est_error) - self.value.logmag) \
-            if self.est_error > 0 else 0.0
-
 
 def _panel_sums(f_log, a: np.ndarray, b: np.ndarray):
     """G15 on each panel [a_i, b_i]: returns (signs, logmags, n_evals)."""
@@ -109,22 +101,6 @@ def _pair_add(s1, l1, s2, l2):
     return out_sign.astype(int), out_log
 
 
-def _pair_diff_logmag(s1, l1, s2, l2):
-    """log |x1 - x2| for signed-log pairs, vectorized."""
-    same = (s1 == s2) & (s1 != 0)
-    hi = np.maximum(l1, l2)
-    lo = np.minimum(l1, l2)
-    with np.errstate(invalid="ignore"):
-        d = np.where(hi > -np.inf, hi - lo, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ldiff = np.where(d > 0, hi + np.log1p(-np.exp(-d)), -np.inf)
-        lsum = hi + np.log1p(np.exp(-d))
-    out = np.where(same, ldiff, lsum)
-    out = np.where((s1 == 0) & (s2 == 0), -np.inf, out)
-    out = np.where((s1 == 0) ^ (s2 == 0), np.maximum(l1, l2), out)
-    return out
-
-
 def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float = 1e-10,
                             initial_panels: int = 16, max_depth: int = 40,
                             max_panels: int = 400_000) -> QuadratureResult:
@@ -161,7 +137,7 @@ def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float = 1e-10,
         n_evals += ne1 + ne2 + ne3
         # refined estimate per panel = left + right
         s2, l2 = _pair_add(sl, ll, sr, lr)
-        err_log = _pair_diff_logmag(s1, l1, s2, l2)
+        err_log = _pair_add(s1, l1, -s2, l2)[1]  # log |coarse - refined|
         global_mag = max(global_mag, float(np.max(l2, initial=-math.inf)))
         width_share = np.log((pb - pa) / span)
         floor = np.maximum(l2, global_mag + width_share)

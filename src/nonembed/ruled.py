@@ -20,8 +20,8 @@ the concave side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -567,22 +567,9 @@ def saddle_candidate(g: GeneratedSurface, seed: int,
         break
     else:
         raise RuledError("no admissible bump support found")
-
-    def bump(X, Y):
-        u = (np.asarray(X, dtype=float) - x1c) / rx
-        v = (np.asarray(Y, dtype=float) - x2c) / ry
-        r2 = u * u + v * v
-        out = np.zeros(np.shape(r2))
-        inside = r2 < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - r2[inside]) + 1.0)
-        return eta * out
-
-    def w(X, Y):
-        return extension_value(g, X, Y) + bump(X, Y)
-
     info = dict(center=(x1c, x2c), radii=(rx, ry), amplitude=eta, sign=sign,
                 f12_range=(c_min, c_max))
-    return w, info
+    return _bump_graph(g, info), info
 
 
 def hypothesis_instances(g: GeneratedSurface, count: int, seed0: int = 1,

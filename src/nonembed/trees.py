@@ -17,10 +17,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from nonembed.fields import (AnalyticField, FieldDomainError, TWO_PI,
+from nonembed.fields import (AnalyticField, TWO_PI,
                              eval_angle_field, u_field, u_gradient_xy,
                              u_log_xy)
-from nonembed.logscale import LogScaledReal
+from nonembed.logscale import LogScaledReal, float_to_log
 from nonembed.quadrature import (QuadratureResult, adaptive_log_quadrature)
 
 Point = Tuple[float, float]
@@ -182,18 +182,10 @@ def _arc_integral(tree: SteinerTree, weight, th_lo: float, th_hi: float,
         xs, ys = np.cos(ths), np.sin(ths)
         phi = np.array([eval_angle_field(A, A1, (x, y))
                         for x, y in zip(xs, ys)])
-        return _float_to_log(weight(phi) * 2.0 * ths * np.exp(-ths * ths))
+        return float_to_log(weight(phi) * 2.0 * ths * np.exp(-ths * ths))
 
     return adaptive_log_quadrature(f_log, th_lo, th_hi, rtol=tol,
                                    initial_panels=32)
-
-
-def _float_to_log(vals):
-    """(sign, log|value|) arrays of plain double values."""
-    signs = np.sign(vals).astype(int)
-    with np.errstate(divide="ignore"):
-        logmags = np.where(vals != 0.0, np.log(np.abs(vals)), -np.inf)
-    return signs, logmags
 
 
 def _arc_integrals(tree: SteinerTree, tol: float) -> Tuple[QuadratureResult,
@@ -289,7 +281,7 @@ def weighted_identity_sides(K: int, tol: float = 1e-10
     def axis_dtheta_log(ts):
         xs, ys = axis.at(ts)
         uy = np.array([u_gradient_xy(x, y)[1] for x, y in zip(xs, ys)])
-        return _float_to_log(-(2.0 * math.pi / 3.0) * L * uy)
+        return float_to_log(-(2.0 * math.pi / 3.0) * L * uy)
 
     dtheta = adaptive_log_quadrature(axis_dtheta_log, 0.0, 1.0, rtol=tol,
                                      initial_panels=64)

@@ -1,21 +1,24 @@
-import math
-
 import pytest
 
-from nonembed import assembly, bvp, mollify, ruled
-
-K_STAR = 4
-DELTA_DEFAULT = math.exp(-2.0 * K_STAR) / 2.0
+from nonembed import assembly, cli, ruled
 
 
 @pytest.fixture(scope="session")
-def selected4():
-    return bvp.select_N(K_STAR, resolution=192)
+def ctx():
+    """The pipeline stages of `nonembed verify` at the default config:
+    K = 4, pentagon resolution 192, margin 0.05, tail radius e^{-8}/2 at
+    grid_n = 512, mu and the annulus stack at n_max = 8."""
+    return cli.PipelineContext(cli.RunConfig())
 
 
 @pytest.fixture(scope="session")
-def tail4(selected4):
-    return mollify.build_tail_v(selected4, DELTA_DEFAULT, grid_n=512)
+def selected4(ctx):
+    return ctx.selected
+
+
+@pytest.fixture(scope="session")
+def tail4(ctx):
+    return ctx.tail
 
 
 @pytest.fixture(scope="session")
@@ -24,15 +27,20 @@ def gen_surface():
 
 
 @pytest.fixture(scope="session")
+def extended(gen_surface):
+    return ruled.extend_ruled(gen_surface.sample(n=257), -1.0, 2.0)
+
+
+@pytest.fixture(scope="session")
 def pocket3():
     return assembly.build_g1(3, grid_n=1536)
 
 
 @pytest.fixture(scope="session")
-def mu8():
-    return assembly.measure_mu_schedule(8)
+def mu8(ctx):
+    return ctx.mu
 
 
 @pytest.fixture(scope="session")
-def stack8(mu8, tail4):
-    return assembly.build_annulus_stack([1.0] * 8, 8, mu=mu8, tail=tail4)
+def stack8(ctx):
+    return ctx.annulus_stack

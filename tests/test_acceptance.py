@@ -1,16 +1,21 @@
 """Acceptance suite: each criterion runs at its stated tolerance and
 prints one pass/fail line.
 
-Where the 50-digit oracles in ``tools/`` refute a claim of the underlying
-construction, the criterion asserts the verdict the oracle supports, at
-the claim's stated tolerance, and reads the oracle value from the
+A criterion that checks a claim of `nonembed verify` calls the same claim
+function of `nonembed.cli` as the report does, with its own seeds,
+tolerances and schedules, on the session's `PipelineContext` at the
+default config.  Where it asserts what the report asserts, it reads the
+record's pass flag.  Where the 50-digit oracles in ``tools/`` refute the
+report's claim, or the criterion uses another tolerance, it applies its
+own predicate to the record's values, and reads any oracle value from the
 checked-in file:
 
 * criterion 3: the three-leg tree integral of the slit-plane field is
   +0.10761 at K = 4 and positive for every K from 1 to 10
   (tools/oracle_tree_integrals.json); the Green identity that holds is
-  the 1/rho-weighted one (tools/oracle_green_forms.py, Form A), not the
-  plain-ds legs relation, whose residuals are 0.084..1.65;
+  the 1/rho-weighted one (tools/oracle_green_forms.py, Form A, the
+  record's ``weighted_residuals``), not the plain-ds legs relation, whose
+  residuals are 0.084..1.65;
 * criterion 5: the tail's tree integral is one tenth of that value for
   every radius of the schedule, so the radius selection runs out of radii;
 * criterion 6: the first variation of the tree length is that positive
@@ -18,7 +23,10 @@ checked-in file:
   a step inside the linear regime of the exponential;
 * criterion 7: the five-point curvature estimator is second order (error
   2.48e-3 at h = 1/256 over r < 0.95, tools/oracle_misc.py), so the 1e-3
-  check applies one Richardson step from h and h/2.
+  check applies one Richardson step from h and h/2;
+* criterion 9: the second fundamental form of the extended surface has
+  |det II| <= 1e-8 ||II|| (the record's ``worst_det_ratio``), where the
+  report's verdict bounds its off-diagonal entries instead.
 """
 
 import json
@@ -26,12 +34,9 @@ import math
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from nonembed import assembly, bvp, cli, conformal, mollify, ruled, trees
-from nonembed.fields import laplacian_residual, radial_derivative_u, u_field, u_float
+from nonembed import bvp, cli, conformal, mollify, trees
 
-K_STAR = 4
 SEED = 20260809
 ORACLE_TREE_INTEGRALS = (Path(__file__).resolve().parents[1] / "tools"
                          / "oracle_tree_integrals.json")
@@ -50,116 +55,86 @@ def report(num, name, subchecks):
     assert not failed, f"criterion {num} failed subchecks: {failed}"
 
 
-def test_criterion_01_harmonicity_ratio():
-    u = u_field()
-    rng = np.random.default_rng(SEED)
-    ratios = []
-    tried = 0
-    while len(ratios) < 100 and tried < 10000:
-        tried += 1
-        r = rng.uniform(0.2, 0.9)
-        th = rng.uniform(math.pi / 3 + 0.05, 5 * math.pi / 3 - 0.05)
-        p = (r * math.cos(th), r * math.sin(th))
-        r1 = laplacian_residual(u, p, 1.0 / 128)
-        r2 = laplacian_residual(u, p, 1.0 / 256)
-        scale = abs(u.value(*p)) + 1e-30
-        if abs(r1) < 1e-8 * scale * 128.0**2:
-            continue  # leading h^2 coefficient degenerates here
-        ratios.append(abs(r1 / r2))
+def test_criterion_01_harmonicity_ratio(ctx):
+    v = cli.claim_harmonicity_ratio(ctx, np.random.default_rng(SEED),
+                                    n_points=100)["values"]
     report(1, "five-point residual ratio in [3.5, 4.5]",
-           {"n=100": len(ratios) == 100,
-            "ratios": all(3.5 <= q <= 4.5 for q in ratios)})
+           {"n=100": v["n_points"] == 100,
+            "ratios": 3.5 <= v["min_ratio"] and v["max_ratio"] <= 4.5})
 
 
-def test_criterion_02_boundary_behavior():
-    u = u_field()
-    rng = np.random.default_rng(SEED + 1)
-    thetas = rng.uniform(0.05, 2 * math.pi - 0.05, size=50)
-    circle_ok = all(abs(u_float(math.cos(t), math.sin(t))) <= 1e-14
-                    for t in thetas)
-    fd_ok = True
-    for t in thetas:
-        x0, y0 = math.cos(t), math.sin(t)
-        h = 1e-4
-        f1 = u.value((1 - h) * x0, (1 - h) * y0)
-        f2 = u.value((1 - 2 * h) * x0, (1 - 2 * h) * y0)
-        fd = (-4 * f1 + f2) / (2 * h)
-        exact = radial_derivative_u(float(t))
-        fd_ok &= abs(fd - exact) <= 1e-6 * abs(exact) and exact < 0
+def test_criterion_02_boundary_behavior(ctx):
+    thetas = cli.boundary_angles(np.random.default_rng(SEED + 1))
     report(2, "boundary trace and radial slope",
-           {"circle-trace-zero": circle_ok, "slope-matches-fd": fd_ok})
+           {"circle-trace-zero": cli.claim_circle_trace(ctx, thetas)["pass"],
+            "slope-matches-fd":
+                cli.claim_radial_slope(ctx, thetas, h=1e-4)["pass"]})
 
 
-def test_criterion_03_minimal_K_and_tree_sign():
-    k_star = trees.find_min_k(10)
-    aa1 = trees.aa2_integral_scaled(1)
-    ti = trees.tree_integral(u_field(), trees.moon_tree(k_star or K_STAR),
-                             tol=1e-10)
+def test_criterion_03_minimal_K_and_tree_sign(ctx):
+    ti = cli.claim_tree_integral(ctx, tol=1e-10)["values"]
     # the oracle value is positive: the claimed negative sign is refuted
-    oracle = oracle_tree_integral(K_STAR)
-    residuals = {K: trees.weighted_green_identity_residual(K)
-                 for K in range(2, 7)}
+    oracle = oracle_tree_integral(ti["K"])
+    weighted = cli.claim_identity_residuals(
+        ctx, tol=1e-10)["values"]["weighted_residuals"]
     report(3, "minimal-K scan, axis cancellation, tree sign, identity",
-           {"k-star-pinned-4": k_star == 4,
-            "axis-K1-zero-1e-10": abs(aa1.float_value) <= 1e-10,
+           {"k-star-pinned-4": cli.claim_minimal_k(ctx)["pass"],
+            "axis-K1-zero-1e-10": cli.claim_axis_integral(ctx, tol=1e-12)["pass"],
             "tree-integral-oracle-sign-and-value-1e-8":
-                ti.value.sign == 1
-                and abs(ti.float_value - oracle) <= 1e-8 * oracle,
-            "weighted-identity-residual-1e-4": all(v <= 1e-4
-                                                   for v in residuals.values())})
+                ti["value"] > 0.0
+                and abs(ti["value"] - oracle) <= 1e-8 * oracle,
+            "weighted-identity-residual-1e-4":
+                all(v <= 1e-4 for v in weighted.values())})
 
 
-def test_criterion_04_chord_positivity():
-    tree = trees.moon_tree(K_STAR)
-    chords = trees.random_boundary_chords(tree, 100, seed=SEED)
-    signs = [trees.check_segment_positivity(s, tree) for s in chords]
+def test_criterion_04_chord_positivity(ctx):
+    rec = cli.claim_chord_positivity(ctx, n_chords=100, seed=SEED)
     report(4, "100 seeded chords have positive integrals",
-           {"all-positive": all(s == 1 for s in signs)})
+           {"all-positive": rec["pass"]})
 
 
-def test_criterion_05_tail_pipeline(selected4, tail4):
-    margins_ok = all(float(np.min(m["margin"])) > 0.0
-                     for m in selected4.margins.values())
-    sub = mollify.tail_subharmonic_report(tail4)
-    schedule = [math.exp(-2 * K_STAR) / 2 ** k for k in range(1, 4)]
-    sel = mollify.select_tail_delta(selected4, schedule=schedule, grid_n=384)
+def test_criterion_05_tail_pipeline(ctx):
+    schedule = [ctx.default_delta / 2 ** k for k in range(3)]
+    tail = cli.claim_tail_tree_integral(ctx, schedule, grid_n=384,
+                                        tol=1e-10)["values"]
     # the tail is the glued field pulled back by x -> 10 (x - C0): its tree
     # integral is one tenth of the positive slit-field oracle value
-    expected = oracle_tree_integral(K_STAR) / 10.0
-    values = [v for (_, v, _) in sel.history]
+    expected = oracle_tree_integral(ctx.k_star) / 10.0
+    values = [h["value"] for h in tail["history"]]
     report(5, "pentagon margins, tail support/subharmonicity, tail tree sign",
-           {"N-finite": math.isfinite(selected4.N),
-            "edge-margins-positive": margins_ok,
-            "subharmonic-1e-8-scale": sub["passes"],
+           {"N-finite": math.isfinite(ctx.selected.N),
+            "edge-margins-positive": cli.claim_pentagon_margins(ctx)["pass"],
+            "subharmonic-1e-8-scale": cli.claim_tail_subharmonicity(ctx)["pass"],
             "tail-selection-exhausted":
-                not sel.succeeded and len(values) == len(schedule),
+                tail["selected_delta"] is None and len(values) == len(schedule),
             "tail-tree-integral-positive": all(v > 0.0 for v in values),
             "tail-tree-integral-oracle-1e-6":
                 all(abs(v - expected) <= 1e-6 * expected for v in values)})
 
 
-def test_criterion_06_shortening(tail4):
-    tree = mollify.tail_tree(K_STAR)
-    scan = conformal.find_delta0(tail4, tree, n_scan=12)
+def test_criterion_06_shortening(ctx):
+    scan = cli.claim_shortening(ctx, n_scan=12)["values"]
     # the first variation of the length is the tail's tree integral, one
     # tenth of the positive oracle value, and e^x >= 1 + x gives
     # L(d) - L0 >= d * (oracle / 10) > 0 at every amplitude d
-    first_variation = oracle_tree_integral(K_STAR) / 10.0
-    d, L_d, L0, shortens = scan.history[0]
-    crep = conformal.tail_curvature_report(tail4, delta=1e-6)
+    first_variation = oracle_tree_integral(ctx.k_star) / 10.0
+    first = scan["history"][0]
     # a step inside the linear regime of the exponential: step * max|v| on
     # the tree is 1e-5
     ts = np.linspace(0.0, 1.0, 200_001)
-    v_max = max(float(np.max(np.abs(tail4.value(*leg.at(ts)))))
-                for leg in tree.legs)
-    lhs, rhs = conformal.length_derivative_check(tail4, tree,
-                                                 step=1e-5 / v_max)
+    v_max = max(float(np.max(np.abs(ctx.tail.value(*leg.at(ts)))))
+                for leg in mollify.tail_tree(ctx.k_star).legs)
+    slope = cli.claim_length_derivative(ctx, step=1e-5 / v_max)["values"]
     report(6, "shortening threshold, curvature sign, slope match",
-           {"delta0-zero": scan.delta0 == 0.0 and not scan.succeeded,
+           {"delta0-zero": scan["delta0"] == 0.0,
             "smallest-amplitude-lengthens":
-                not shortens and L_d - L0 >= d * first_variation > 0.0,
-            "curvature-max-1e-8-scale": crep["curvature_sign_pass"],
-            "slope-match-1e-6": abs(lhs - rhs) <= 1e-6 * abs(rhs)})
+                not first["shortens"]
+                and first["length"] - first["flat"]
+                >= first["delta"] * first_variation > 0.0,
+            "curvature-max-1e-8-scale":
+                cli.claim_curvature_sign(ctx, delta=1e-6)["pass"],
+            "slope-match-1e-6":
+                abs(slope["lhs"] - slope["rhs"]) <= 1e-6 * abs(slope["rhs"])})
 
 
 def richardson_curvature(h):
@@ -215,76 +190,31 @@ def test_criterion_07_conformal_sanity():
             "curvature-scaling-exact": bool(curv_ok)})
 
 
-def test_criterion_08_pocket_metric(pocket3):
-    rep = pocket3.curvature_report()
+def test_criterion_08_pocket_metric(ctx):
     report(8, "pocket curvature signs",
-           {"negative-in-pockets": rep["all_pockets_negative"],
-            "flat-outside-1e-8-scale": rep["flat_outside"]})
+           {"negative-in-pockets": cli.claim_pockets_negative(ctx)["pass"],
+            "flat-outside-1e-8-scale": cli.claim_flat_outside(ctx)["pass"]})
 
 
-def test_criterion_09_ruled_surfaces(gen_surface):
-    tau = 0.5
-    cyl = ruled.cylinder(tau)
-    surf, diag = ruled.extract_rulings(ruled.graph_of(cyl))
-    s = surf.s
-    c_exact = np.stack([np.full_like(s, 2.0), -s / tau, -s * s / (2 * tau)],
-                       axis=-1)
-    round_trip = max(float(np.max(np.abs(surf.c - c_exact))),
-                     float(np.max(np.abs(surf.d - np.array([1.0, 0, 0])))))
-
-    ext = ruled.extend_ruled(gen_surface.sample(n=257), -1.0, 2.0)
-    det_ok = True
-    for i in (30, 128, 220):
-        for t in (-1.0, 0.5, 2.0):
-            II = ruled.second_fundamental_form(ext, t, i)
-            det_ok &= abs(np.linalg.det(II)) <= 1e-8 * np.linalg.norm(II)
-
-    devs = []
-    kappa_ok = True
-    for eps in (0.1, 0.05, 0.025):
-        g = ruled.generate_surface(tau, eps, seed=42)
-        samp = ruled.extend_ruled(g.sample(n=257), -1.0, 2.0)
-        cc = ruled.concavity_check(samp)
-        devs.append(max(float(np.max(np.abs(cc["a0"] + 1.0 / tau**2))),
-                        float(np.max(np.abs(cc["a1"]))),
-                        float(np.max(np.abs(cc["a2"])))))
-        if eps == 0.025:
-            for i in (64, 128, 192):
-                s0 = samp.s[i]
-                target = -tau / (1.0 + s0 * s0) ** 1.5
-                for t in (0.0, 1.0, 2.0):
-                    k = ruled.principal_curvature(samp, t, i)
-                    kappa_ok &= abs(k - target) <= 0.2 * abs(target)
-
-    inst = ruled.hypothesis_instances(gen_surface, 20, seed0=100)
-    margins = [r["margin"] for (_, _, r) in inst]
-
-    proj_ok = True
-    for sd in range(50):
-        curve = ruled.random_curve_above(ext, seed=1000 + sd)
-        lc, lp = ruled.project_and_compare(curve, ext)
-        proj_ok &= lc >= lp - 1e-8
-
+def test_criterion_09_ruled_surfaces(ctx, gen_surface, extended):
+    flat = cli.claim_extension_flatness(ctx, extended)["values"]
     report(9, "ruled round trip, flatness, curvature family, comparisons",
-           {"cylinder-round-trip-1e-10": round_trip <= 1e-10,
-            "det-II-1e-8": det_ok,
-            "kappa-20pct-and-trend": kappa_ok and devs[0] > devs[1] > devs[2],
-            "comparison-margins-1e-8": min(margins) >= -1e-8,
-            "projection-lengths-1e-8": proj_ok})
+           {"cylinder-round-trip-1e-10":
+                cli.claim_cylinder_round_trip(ctx)["pass"],
+            "det-II-1e-8": flat["worst_det_ratio"] <= 1e-8,
+            "kappa-20pct-and-trend":
+                cli.claim_concavity_family(ctx, seed=42)["pass"],
+            "comparison-margins-1e-8": cli.claim_comparison_margins(
+                ctx, gen_surface, seed0=100, count=20)["pass"],
+            "projection-lengths-1e-8": cli.claim_projection_lengths(
+                ctx, extended, seed0=1000, n_curves=50)["pass"]})
 
 
-def test_criterion_10_annulus_stack(mu8, stack8):
-    bound_ok = all(assembly.cutoff_c4_norm(n, mu8[n - 1]) <= 2.0 ** (-n)
-                   for n in range(1, 9))
-    neg_ok = True
-    for n in range(1, 7):
-        recs = assembly.annulus_curvature_samples(stack8, n)
-        neg_ok &= all(r["K"] < 0.0 for r in recs)
-    mags = assembly.origin_flatness(stack8)
+def test_criterion_10_annulus_stack(ctx):
     report(10, "cutoff weights, annulus curvature, origin flatness",
-           {"mu-c4-bound-n-le-8": bound_ok,
-            "K-negative-A1-A6": neg_ok,
-            "origin-derivatives-1e-8": all(m <= 1e-8 for m in mags)})
+           {"mu-c4-bound-n-le-8": cli.claim_cutoff_bound(ctx)["pass"],
+            "K-negative-A1-A6": cli.claim_annulus_curvature(ctx)["pass"],
+            "origin-derivatives-1e-8": cli.claim_origin_flatness(ctx)["pass"]})
 
 
 def test_criterion_11_determinism(tmp_path):

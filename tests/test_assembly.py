@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nonembed import assembly, bvp
+from nonembed import assembly, bvp, conformal
 
 
 @pytest.fixture(scope="module")
@@ -25,14 +25,6 @@ def test_rotation_sum_single_active_summand(rot):
     nonzero = [v for v in vals if v != 0.0]
     assert len(nonzero) == 1
     assert rot.value(*p) == nonzero[0]
-
-
-def test_rotation_sum_reindexing_exact(rot):
-    # the index lattice is closed under integer-degree rotation, so the
-    # relabeled sum is bitwise identical
-    p = (0.36 * math.cos(-30 * assembly.DEG), 0.36 * math.sin(-30 * assembly.DEG))
-    for deg in (1, 7, 359):
-        assert rot.value_rotated_argument(*p, deg) == rot.value(*p)
 
 
 def test_bump_schedule_disjoint_and_decaying(rot):
@@ -97,7 +89,6 @@ def test_pocket_metric_curvature_signs(pocket3):
 def test_pocket_zero_source_gives_flat_metric():
     grid = bvp.box_grid((0.0, 0.0), 1.0, 64)
     u = bvp.solve_poisson(grid, np.zeros(grid.shape))
-    from nonembed import conformal
     K = conformal.gaussian_curvature(
         conformal.ConformalMetric.from_grid(u))
     assert np.max(np.abs(K.values[K.interior_mask()])) == 0.0

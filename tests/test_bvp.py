@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nonembed import bvp
-from nonembed.fields import u_float, u_gradient_xy
+from nonembed import assembly, bvp
+from nonembed.fields import u_float
 from nonembed.trees import Segment
 
 
@@ -159,7 +159,6 @@ def test_poisson_matches_newtonian_potential_oracle():
 def test_poisson_pocket_source_sign():
     # negative source bumps force positive Laplacian of the solution
     # (Delta u = -rhs) and hence negative curvature inside the pockets
-    from nonembed import assembly
     pm = assembly.build_g1(2, grid_n=512)
     rep = pm.curvature_report()
     assert rep["all_pockets_negative"]

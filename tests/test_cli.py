@@ -1,8 +1,8 @@
 import json
-import math
+import os
+import stat
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +56,12 @@ def test_encode_number_overflow():
     assert big == {"sign": -1, "logmag": 1000.0}
 
 
+def test_check_encodes_numpy_bool_as_json_boolean():
+    rec = cli.check("x", "a", True, flag=np.bool_(True))
+    assert rec["values"] == {"flag": True}
+    assert json.loads(json.dumps(rec))["values"]["flag"] is True
+
+
 # ---------------------------------------------------------------------------
 # grid io / export
 # ---------------------------------------------------------------------------
@@ -100,6 +106,17 @@ def test_export_round_trip_byte_identical(tmp_path):
     # mask preserved: exterior nodes absent in both
     back = gridio.read_grid_csv(c2)
     assert np.array_equal(back.grid.mask, f.grid.mask)
+
+
+def test_artifacts_get_mode_from_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        cli.cmd_verify("moon", cli.RunConfig(out_dir=str(tmp_path / "o")))
+        csv = gridio.write_grid_csv(_sample_field(), tmp_path / "f.csv")
+    finally:
+        os.umask(old)
+    for p in (tmp_path / "o" / "report.json", csv, gridio.sidecar_path(csv)):
+        assert stat.S_IMODE(p.stat().st_mode) == 0o644, p
 
 
 def test_export_missing_sidecar_names_file(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nonembed import bvp, conformal, mollify
+from nonembed.fields import vectorized_field
 from nonembed.trees import Segment, build_steiner_tree
 
 K_STAR = 4
@@ -90,6 +91,17 @@ def test_curvature_requires_grid():
 # the tail-metric family
 # ---------------------------------------------------------------------------
 
+class FieldOf:
+    """Stand-in for the tail field with value fn(x, y), for the functions
+    that read only a tail's value and as_analytic_field."""
+
+    def __init__(self, fn):
+        self.value = fn
+
+    def as_analytic_field(self):
+        return vectorized_field(self.value)
+
+
 def test_length_derivative_check_values(tail4):
     """Both values are returned; their agreement fails at the stated step
     because step * max|v| ~ 11 on the tree exits the linear regime of
@@ -102,26 +114,7 @@ def test_length_derivative_check_values(tail4):
     assert abs(lhs - rhs) > abs(rhs)  # nonlinearity dominates at 1e-4
 
     # scaled-down field: the same check passes in the linear regime
-    class Scaled:
-        def __init__(self, t, c):
-            self.t, self.c = t, c
-
-        def value(self, x, y):
-            return self.c * np.asarray(self.t.value(x, y))
-
-        def as_analytic_field(self):
-            from nonembed.fields import AnalyticField
-            def log_value(xs, ys):
-                vals = np.asarray(self.value(xs, ys))
-                signs = np.sign(vals).astype(int)
-                with np.errstate(divide="ignore"):
-                    lm = np.where(vals != 0.0, np.log(np.abs(vals)), -np.inf)
-                return signs, lm
-            return AnalyticField(value=lambda a, b: float(self.value(a, b)),
-                                 gradient=lambda a, b: (0.0, 0.0),
-                                 log_value=log_value)
-
-    small = Scaled(tail4, 1e-5)
+    small = FieldOf(lambda x, y: 1e-5 * np.asarray(tail4.value(x, y)))
     lhs_s, rhs_s = conformal.length_derivative_check(small, tree)
     # at this scaling step * max|v| ~ 1.1e-4, inside the linear regime
     assert lhs_s == pytest.approx(rhs_s, rel=2e-4)
@@ -130,54 +123,22 @@ def test_length_derivative_check_values(tail4):
 def test_length_derivative_identity_on_bounded_field():
     # the first-order identity at the stated step and tolerance, on a
     # smooth bounded synthetic field (third moment comparable to first)
-    import math as _m
-    from nonembed.fields import AnalyticField
     tree = mollify.tail_tree(K_STAR)
 
-    class Bump:
-        def value(self, x, y):
-            X = np.asarray(x, dtype=float)
-            Y = np.asarray(y, dtype=float)
-            return np.sin(3 * X) * np.exp(-((X + 0.8) ** 2 + Y**2))
+    def bump(x, y):
+        X = np.asarray(x, dtype=float)
+        Y = np.asarray(y, dtype=float)
+        return np.sin(3 * X) * np.exp(-((X + 0.8) ** 2 + Y**2))
 
-        def as_analytic_field(self):
-            def log_value(xs, ys):
-                vals = np.asarray(self.value(xs, ys))
-                signs = np.sign(vals).astype(int)
-                with np.errstate(divide="ignore"):
-                    lm = np.where(vals != 0.0, np.log(np.abs(vals)), -np.inf)
-                return signs, lm
-            return AnalyticField(value=lambda a, b: float(self.value(a, b)),
-                                 gradient=lambda a, b: (0.0, 0.0),
-                                 log_value=log_value)
-
-    lhs, rhs = conformal.length_derivative_check(Bump(), tree)
+    lhs, rhs = conformal.length_derivative_check(FieldOf(bump), tree)
     assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
 def test_length_derivative_sign_flip(tail4):
     tree = mollify.tail_tree(K_STAR)
 
-    class Neg:
-        def __init__(self, t):
-            self.t = t
-
-        def value(self, x, y):
-            return -np.asarray(self.t.value(x, y)) * 1e-5
-
-        def as_analytic_field(self):
-            from nonembed.fields import AnalyticField
-            def log_value(xs, ys):
-                vals = np.asarray(self.value(xs, ys))
-                signs = np.sign(vals).astype(int)
-                with np.errstate(divide="ignore"):
-                    lm = np.where(vals != 0.0, np.log(np.abs(vals)), -np.inf)
-                return signs, lm
-            return AnalyticField(value=lambda a, b: float(self.value(a, b)),
-                                 gradient=lambda a, b: (0.0, 0.0),
-                                 log_value=log_value)
-
-    lhs, rhs = conformal.length_derivative_check(Neg(tail4), tree)
+    neg = FieldOf(lambda x, y: -np.asarray(tail4.value(x, y)) * 1e-5)
+    lhs, rhs = conformal.length_derivative_check(neg, tree)
     assert rhs < 0.0 and lhs < 0.0  # both flip with the field
 
 
@@ -197,18 +158,12 @@ def test_find_delta0_succeeds_for_negative_field(tail4):
     # threshold must be found, and half of it strictly shortens
     tree = mollify.tail_tree(K_STAR)
 
-    class Neg:
-        def __init__(self, t):
-            self.t = t
-
-        def value(self, x, y):
-            return -np.asarray(self.t.value(x, y))
-
+    neg = FieldOf(lambda x, y: -np.asarray(tail4.value(x, y)))
     # amplitudes must sit below the second-order crossover
     # 2|int v| / int v^2 ~ 3e-9 for this field
-    scan = conformal.find_delta0(Neg(tail4), tree, delta_max=1e-9, n_scan=5)
+    scan = conformal.find_delta0(neg, tree, delta_max=1e-9, n_scan=5)
     assert scan.succeeded and scan.delta0 > 0.0
-    g_half = conformal.ConformalMetric.tail_metric(Neg(tail4), scan.delta0 / 2)
+    g_half = conformal.ConformalMetric.tail_metric(neg, scan.delta0 / 2)
     L_half = conformal.curve_length(g_half, tree)
     L0 = conformal.curve_length(conformal.ConformalMetric.flat(), tree)
     assert L_half < L0
@@ -218,14 +173,8 @@ def test_find_delta0_fails_for_nonnegative_field(tail4):
     # a nonnegative factor can never shorten anything
     tree = mollify.tail_tree(K_STAR)
 
-    class Abs:
-        def __init__(self, t):
-            self.t = t
-
-        def value(self, x, y):
-            return np.abs(np.asarray(self.t.value(x, y)))
-
-    scan = conformal.find_delta0(Abs(tail4), tree, n_scan=6)
+    nonneg = FieldOf(lambda x, y: np.abs(np.asarray(tail4.value(x, y))))
+    scan = conformal.find_delta0(nonneg, tree, n_scan=6)
     assert not scan.succeeded
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nonembed.logscale import LogScaledReal, log_weighted_dot, signed_logsumexp
+from nonembed.logscale import LogScaledReal, signed_logsumexp
 
 
 def test_round_trip_ordinary_range():
@@ -76,17 +76,6 @@ def test_signed_logsumexp_matches_direct():
     logmags = np.log(np.abs(vals))
     got = signed_logsumexp(signs, logmags).to_float()
     assert got == pytest.approx(vals.sum(), rel=1e-12)
-
-
-def test_log_weighted_dot():
-    vals = np.array([2.0, -3.0, 0.5])
-    w = np.array([1.0, 0.5, 4.0])
-    signs = np.sign(vals).astype(int)
-    logmags = np.log(np.abs(vals))
-    got = log_weighted_dot(signs, logmags, w).to_float()
-    assert got == pytest.approx(float(vals @ w), rel=1e-14)
-    with pytest.raises(ValueError):
-        log_weighted_dot(signs, logmags, np.array([1.0, -1.0, 1.0]))
 
 
 def test_overflowing_to_float_saturates():

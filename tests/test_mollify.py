@@ -37,60 +37,6 @@ def _flat_box_field(n, data):
     return bvp.ScalarField(grid=g, values=data(X, Y))
 
 
-def test_convolve_preserves_linear_fields():
-    f = _flat_box_field(64, lambda X, Y: 2.0 * X - 0.5 * Y + 1.0)
-    m = mollify.make_mollifier(0.12)
-    out = mollify.convolve(f, m)
-    valid = out.grid.mask == bvp.INTERIOR
-    X, Y = f.grid.nodes_xy()
-    exact = 2.0 * X - 0.5 * Y + 1.0
-    assert np.max(np.abs((out.values - exact)[valid])) < 1e-10
-
-
-def test_convolve_mass_preservation():
-    # compactly supported field: total grid mass unchanged where defined
-    def data(X, Y):
-        R2 = (X**2 + Y**2) / 0.25
-        return np.where(R2 < 1.0, np.exp(-R2), 0.0) * (R2 < 1.0)
-
-    f = _flat_box_field(96, data)
-    m = mollify.make_mollifier(0.1)
-    out = mollify.convolve(f, m)
-    h2 = f.grid.h ** 2
-    assert np.sum(out.values) * h2 == pytest.approx(np.sum(f.values) * h2,
-                                                    rel=1e-8)
-
-
-def test_convolve_harmonic_center_unchanged():
-    f = _flat_box_field(96, lambda X, Y: np.exp(X) * np.sin(Y))
-    m = mollify.make_mollifier(0.15)
-    out = mollify.convolve(f, m)
-    center = float(out.interp(0.0, 0.0))
-    # mean value property up to the kernel's grid-discretization error
-    assert center == pytest.approx(math.exp(0.0) * math.sin(0.0), abs=5e-4)
-
-
-def test_convolve_translation_equivariance():
-    g = bvp.box_grid((0.0, 0.0), 1.0, 64)
-    X, Y = g.nodes_xy()
-    data = np.exp(-8 * ((X - 0.1) ** 2 + Y**2))
-    f = bvp.ScalarField(grid=g, values=data)
-    m = mollify.make_mollifier(0.1)
-    out = mollify.convolve(f, m)
-    shifted = bvp.ScalarField(grid=g, values=np.roll(data, 3, axis=0))
-    out_s = mollify.convolve(shifted, m)
-    # grid-aligned shift commutes exactly with the discrete kernel
-    a = np.roll(out.values, 3, axis=0)[10:-10, 10:-10]
-    b = out_s.values[10:-10, 10:-10]
-    assert np.array_equal(a, b)
-
-
-def test_convolve_under_resolved_kernel_rejected():
-    f = _flat_box_field(16, lambda X, Y: X)
-    with pytest.raises(mollify.MollifyError):
-        mollify.convolve(f, mollify.make_mollifier(0.05))
-
-
 # ---------------------------------------------------------------------------
 # the tail field
 # ---------------------------------------------------------------------------

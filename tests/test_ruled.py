@@ -13,9 +13,13 @@ def cyl():
     return ruled.cylinder(TAU)
 
 
-@pytest.fixture(scope="module")
-def extended(gen_surface):
-    return ruled.extend_ruled(gen_surface.sample(n=257), -1.0, 2.0)
+def plane(n=41):
+    """The plane z = 0 over n levels s in [-1, 1], ruled along the x-axis."""
+    return ruled.RuledSurface(
+        s=np.linspace(-1, 1, n),
+        c=np.stack([np.full(n, 2.0), np.linspace(-1, 1, n), np.zeros(n)],
+                   axis=-1),
+        d=np.tile(np.array([1.0, 0.0, 0.0]), (n, 1)), t_range=(-1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +96,7 @@ def test_cylinder_principal_curvature_exact(cyl):
 
 
 def test_plane_has_zero_form():
-    n = 41
-    plane = ruled.RuledSurface(
-        s=np.linspace(-1, 1, n),
-        c=np.stack([np.full(n, 2.0), np.linspace(-1, 1, n), np.zeros(n)],
-                   axis=-1),
-        d=np.tile(np.array([1.0, 0.0, 0.0]), (n, 1)))
-    II = ruled.second_fundamental_form(plane, 1.0, n // 2)
+    II = ruled.second_fundamental_form(plane(), 1.0, 41 // 2)
     assert np.max(np.abs(II)) < 1e-12
 
 
@@ -258,16 +256,10 @@ def test_projection_of_on_surface_curve_preserves_length(extended):
 
 
 def test_projection_plane_lift_preserves_length():
-    n = 41
-    plane = ruled.RuledSurface(
-        s=np.linspace(-1, 1, n),
-        c=np.stack([np.full(n, 2.0), np.linspace(-1, 1, n), np.zeros(n)],
-                   axis=-1),
-        d=np.tile(np.array([1.0, 0.0, 0.0]), (n, 1)), t_range=(-1.0, 2.0))
     ts = np.linspace(-0.5, 1.5, 30)
     curve = np.stack([ts, 0.3 * np.sin(3 * ts), np.full_like(ts, 0.25)],
                      axis=-1)
-    lc, lp = ruled.project_and_compare(curve, plane)
+    lc, lp = ruled.project_and_compare(curve, plane())
     assert lc == pytest.approx(lp, abs=1e-9)
 
 

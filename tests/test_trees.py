@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from nonembed.fields import AnalyticField, u_field, u_log_xy
-from nonembed.logscale import LogScaledReal
 from nonembed.trees import (GeometryError, Segment, aa2_integral_scaled,
                             build_steiner_tree, check_segment_positivity,
-                            find_min_k, green_identity_residual, line_integral,
+                            find_min_k, green_identity_residual,
+                            identity_right_side, line_integral,
                             moon_tree, random_boundary_chords,
                             segment_in_sectors, tree_integral,
                             weighted_green_identity_residual,
@@ -230,7 +230,6 @@ def test_identity_fails_for_non_harmonic_field():
     tree = moon_tree(2)
     legs = line_integral(f, tree.legs[0]).value + \
         line_integral(f, tree.legs[2]).value
-    from nonembed.trees import identity_right_side
     rhs = identity_right_side(2)
     diff = legs - rhs
     assert abs(diff.to_float()) / abs(legs.to_float()) > 0.1
