@@ -493,15 +493,12 @@ def claim_comparison_margins(ctx: PipelineContext,
 
 def claim_projection_lengths(ctx: PipelineContext, ext: ruled.RuledSurface,
                              seed0: int, n_curves: int = 50) -> dict:
-    ok = True
-    worst_gap = math.inf
-    for sd in range(n_curves):
-        curve = ruled.random_curve_above(ext, seed=seed0 + sd)
-        lc, lp = ruled.project_and_compare(curve, ext)
-        worst_gap = min(worst_gap, lc - lp)
-        ok &= lc >= lp - 1e-8
-    return check("projection-lengths", "projection-shortens", ok,
-                 n_curves=n_curves, worst_gap=worst_gap)
+    curves = np.stack([ruled.random_curve_above(ext, seed=seed0 + sd)
+                       for sd in range(n_curves)])
+    lc, lp = ruled.project_and_compare(curves, ext)
+    return check("projection-lengths", "projection-shortens",
+                 bool(np.all(lc >= lp - 1e-8)), n_curves=n_curves,
+                 worst_gap=float(np.min(lc - lp)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 PI_RECT = ((0.0, 2.0), (-2.0, 2.0))  # the strip [0,2] x [-2,2]
+CMP_GRID = 61     # nodes per axis of the comparison grid
+CMP_STEP = 1e-3   # step of the competitor's Hessian stencil
 
 
 class RuledError(ValueError):
@@ -50,21 +53,24 @@ class TrigPoly:
                         sin_coef=scale * rng.normal(size=n_modes) / k**2)
 
     def __call__(self, s, order: int = 0):
+        """The order-th s-derivative, from one phase matrix of shape
+        s.shape + (n_modes,) summed over the modes in order."""
         s = np.asarray(s, dtype=float)
+        n = len(self.cos_coef)
+        ph = s[..., None] * (np.arange(1, n + 1) * self.omega)
+        c, sn = self.cos_coef, self.sin_coef
+        if order % 4 == 0:
+            terms = c * np.cos(ph) + sn * np.sin(ph)
+        elif order % 4 == 1:
+            terms = -c * np.sin(ph) + sn * np.cos(ph)
+        elif order % 4 == 2:
+            terms = -c * np.cos(ph) - sn * np.sin(ph)
+        else:
+            terms = c * np.sin(ph) - sn * np.cos(ph)
+        terms *= np.array([(k * self.omega) ** order for k in range(1, n + 1)])
         out = np.zeros(np.shape(s))
-        for k in range(1, len(self.cos_coef) + 1):
-            a = k * self.omega
-            ph = a * s
-            ck, sk = self.cos_coef[k - 1], self.sin_coef[k - 1]
-            if order % 4 == 0:
-                term = ck * np.cos(ph) + sk * np.sin(ph)
-            elif order % 4 == 1:
-                term = -ck * np.sin(ph) + sk * np.cos(ph)
-            elif order % 4 == 2:
-                term = -ck * np.cos(ph) - sk * np.sin(ph)
-            else:
-                term = ck * np.sin(ph) - sk * np.cos(ph)
-            out = out + a**order * term
+        for k in range(n):
+            out = out + terms[..., k]
         return out
 
 
@@ -95,6 +101,13 @@ class RuledSurface:
 
     def with_t_range(self, lo: float, hi: float) -> "RuledSurface":
         return RuledSurface(s=self.s, c=self.c, d=self.d, t_range=(lo, hi))
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """Upward unit normals at t = 2 of every ruling, (n, 3); the two
+        rows at each end of the s-range are NaN."""
+        fr = _frame(self, 2.0)
+        return fr["sign"][:, None] * fr["n"] / fr["norm"][:, None]
 
 
 @dataclass
@@ -172,6 +185,23 @@ class GeneratedSurface:
     def sample(self, n: int = 257, t_range=(0.0, 2.0)) -> RuledSurface:
         s = np.linspace(-self.s_max, self.s_max, n)
         return RuledSurface(s=s, c=self.c(s), d=self.d(s), t_range=t_range)
+
+    @cached_property
+    def extension_stencil(self) -> dict:
+        """The comparison grid (inset by 2 CMP_STEP from the strip) and its
+        eight neighbors at +-CMP_STEP, keyed by the shift (i, j) in steps:
+        (X, Y, f(X, Y)) each.  Every competitor is compared on these."""
+        (a, b), (c, dd) = PI_RECT
+        h = CMP_STEP
+        xs = np.linspace(a + 2 * h, b - 2 * h, CMP_GRID)
+        ys = np.linspace(c + 2 * h, dd - 2 * h, CMP_GRID)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        nodes = {(0, 0): (X, Y),
+                 (1, 0): (X + h, Y), (-1, 0): (X - h, Y),
+                 (0, 1): (X, Y + h), (0, -1): (X, Y - h),
+                 (1, 1): (X + h, Y + h), (1, -1): (X + h, Y - h),
+                 (-1, 1): (X - h, Y + h), (-1, -1): (X - h, Y - h)}
+        return {k: (x, y, self.f(x, y)) for k, (x, y) in nodes.items()}
 
     def measured_eps(self, n: int = 33) -> float:
         """sup ||D^2 f - diag(0, -tau)|| / tau over the strip (Frobenius)."""
@@ -262,9 +292,10 @@ def legendre_coords(f: FlatGraph, n_levels: int = 21, n_cols: int = 25,
                     x2_range: Tuple[float, float] = (-1.6, 1.6)) -> dict:
     """The chart (t, s) = (x1, df/dx2) on a column family in F.
 
-    Level sets of s are recovered per column by bisection of the monotone
-    s-profile; each level's point set is fit by a straight line and the
-    straightness residual (max point-line distance) reported.
+    Level sets of s are recovered by bisection of the monotone s-profile,
+    all columns at once; each level's point set is fit by a straight line
+    (`centers` and unit `directions`) and the straightness residual (max
+    point-line distance) reported.
     """
     lo, hi = x2_range
     cols = np.linspace(col_range[0], col_range[1], n_cols)
@@ -280,16 +311,16 @@ def legendre_coords(f: FlatGraph, n_levels: int = 21, n_cols: int = 25,
     s_hi = f.f2(cols[0], lo + 1e-3)
     levels = np.linspace(s_lo + 0.1 * (s_hi - s_lo),
                          s_hi - 0.1 * (s_hi - s_lo), n_levels)
-    pts = np.empty((n_levels, n_cols, 3))
-    for j, x1 in enumerate(cols):
-        x2 = _invert_monotone_vec(
-            lambda ys: f.f2(np.full(np.shape(ys), x1), ys), levels, lo, hi)
-        pts[:, j, 0] = x1
-        pts[:, j, 1] = x2
-        pts[:, j, 2] = f.value(np.full(np.shape(x2), x1), x2)
-    residuals = np.array([_line_fit_residual(pts[i]) for i in range(n_levels)])
+    X1 = np.tile(cols, (n_levels, 1))
+    X2 = _invert_monotone_vec(lambda ys: f.f2(X1, ys),
+                              np.repeat(levels[:, None], n_cols, axis=1),
+                              lo, hi)
+    pts = np.stack([X1, X2, f.value(X1, X2)], axis=-1)
+    center = pts.mean(axis=1, keepdims=True)
+    _, _, Vt = np.linalg.svd(pts - center, full_matrices=False)
     return dict(levels=levels, points=pts, cols=cols,
-                straightness=residuals)
+                straightness=_line_fit_residuals(pts - center, Vt[:, 0]),
+                directions=Vt[:, 0], centers=center[:, 0])
 
 
 def _flatness_probe(f: FlatGraph, x1: float, h: float) -> float:
@@ -320,13 +351,12 @@ def _invert_monotone_vec(g: Callable, targets: np.ndarray, lo: float,
     return 0.5 * (a + b)
 
 
-def _line_fit_residual(P: np.ndarray) -> float:
-    center = P.mean(axis=0)
-    Q = P - center
-    _, _, Vt = np.linalg.svd(Q, full_matrices=False)
-    direction = Vt[0]
-    proj = Q - np.outer(Q @ direction, direction)
-    return float(np.max(np.linalg.norm(proj, axis=1)))
+def _line_fit_residuals(Q: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Per level: max distance of the centered points Q[i] (m, 3) from the
+    line through 0 along direction[i]."""
+    along = np.matmul(Q, direction[:, :, None])
+    proj = Q - along * direction[:, None, :]
+    return np.max(np.linalg.norm(proj, axis=2), axis=1)
 
 
 def extract_rulings(f: FlatGraph, n_levels: int = 21, n_cols: int = 25,
@@ -339,24 +369,16 @@ def extract_rulings(f: FlatGraph, n_levels: int = 21, n_cols: int = 25,
     if np.max(chart["straightness"]) > residual_tol:
         raise RuledError(
             f"level sets are not straight: {np.max(chart['straightness']):.2e}")
-    n = pts.shape[0]
-    c = np.empty((n, 3))
-    d = np.empty((n, 3))
-    spread = np.empty(n)
-    for i in range(n):
-        P = pts[i]
-        center = P.mean(axis=0)
-        _, _, Vt = np.linalg.svd(P - center, full_matrices=False)
-        direction = Vt[0]
-        if abs(direction[0]) < 1e-8:
-            raise RuledError("recovered ruling is vertical in x1")
-        direction = direction / direction[0]
-        c[i] = center + (2.0 - center[0]) * direction
-        d[i] = direction
-        h = 1e-5
-        df1 = (f.value(P[:, 0] + h, P[:, 1])
-               - f.value(P[:, 0] - h, P[:, 1])) / (2 * h)
-        spread[i] = float(np.max(df1) - np.min(df1))
+    direction = chart["directions"]
+    if np.min(np.abs(direction[:, 0])) < 1e-8:
+        raise RuledError("recovered ruling is vertical in x1")
+    d = direction / direction[:, :1]
+    center = chart["centers"]
+    c = center + (2.0 - center[:, :1]) * d
+    h = 1e-5
+    df1 = (f.value(pts[..., 0] + h, pts[..., 1])
+           - f.value(pts[..., 0] - h, pts[..., 1])) / (2 * h)
+    spread = np.max(df1, axis=1) - np.min(df1, axis=1)
     surf = RuledSurface(s=np.asarray(chart["levels"]), c=c, d=d,
                         t_range=(0.0, 2.0))
     diag = dict(straightness=chart["straightness"], df1_spread=spread)
@@ -391,60 +413,79 @@ def extend_ruled(r: RuledSurface, t_lo: float = -1.0,
     return ext
 
 
-def surface_normal(r: RuledSurface, i: int, upward: bool = True) -> np.ndarray:
-    hs = _h_s(r, i, 2.0)
-    n = np.cross(r.d[i], hs)
-    if upward and n[2] < 0:
-        n = -n
-    return n / np.linalg.norm(n)
-
-
 _FIVE_POINT = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _FIVE_POINT_2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
-def _stencil_deriv(arr: np.ndarray, i: int, ds: float, order: int) -> np.ndarray:
-    if i < 2 or i > len(arr) - 3:
-        raise RuledError("sample too close to the s-range boundary")
-    window = arr[i - 2:i + 3]
+def _stencil(arr: np.ndarray, ds: float, order: int) -> np.ndarray:
+    """Five-point s-derivative of every row of arr (n, 3); the two rows at
+    each end lack neighbors and are NaN."""
     w = _FIVE_POINT if order == 1 else _FIVE_POINT_2
-    return (w[:, None] * window).sum(axis=0) / ds**order
+    m = len(arr) - 4
+    acc = w[0] * arr[0:m]
+    for k in range(1, 5):
+        acc = acc + w[k] * arr[k:k + m]
+    out = np.full(arr.shape, np.nan)
+    out[2:-2] = acc / ds**order
+    return out
 
 
-def _h_s(r: RuledSurface, i: int, t: float) -> np.ndarray:
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products through `np.matmul`, so each row is the BLAS
+    dot that `np.dot` gives (a sum over the last axis rounds differently)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _frame(r: RuledSurface, t: float) -> dict:
+    """Per ruling at parameter t (rows 2..n-3; the end rows are NaN):
+    h_s, h_ss, d', the normal d x h_s, its length and the sign that makes
+    it point upward."""
     ds = r.s[1] - r.s[0]
-    cp = _stencil_deriv(r.c, i, ds, 1)
-    dp = _stencil_deriv(r.d, i, ds, 1)
-    return cp + (t - 2.0) * dp
+    dp = _stencil(r.d, ds, 1)
+    hs = _stencil(r.c, ds, 1) + (t - 2.0) * dp
+    hss = _stencil(r.c, ds, 2) + (t - 2.0) * _stencil(r.d, ds, 2)
+    n = np.cross(r.d, hs)
+    return dict(hs=hs, hss=hss, dp=dp, n=n,
+                norm=np.sqrt(_dot_rows(n, n)),
+                sign=np.where(n[:, 2] < 0, -1.0, 1.0))
+
+
+def _interior(r: RuledSurface, i: int) -> int:
+    if i < 2 or i > len(r.s) - 3:
+        raise RuledError("sample too close to the s-range boundary")
+    return i
+
+
+def curvature_forms(r: RuledSurface, t: float) -> np.ndarray:
+    """The unnormalized (s, s) curvature entry of every ruling,
+    <c'' + (t-2) d'', d x (c' + (t-2) d')>, with the upward-normal sign
+    convention (the cylinder gives the constant -1/tau^2); NaN at the
+    two rows at each end."""
+    fr = _frame(r, t)
+    return fr["sign"] * _dot_rows(fr["hss"], fr["n"])
 
 
 def curvature_form(r: RuledSurface, t: float, i: int) -> float:
-    """The unnormalized (s, s) curvature entry
-    <c'' + (t-2) d'', d x (c' + (t-2) d')>, with the upward-normal sign
-    convention (the cylinder gives the constant -1/tau^2)."""
-    ds = r.s[1] - r.s[0]
-    cp = _stencil_deriv(r.c, i, ds, 1)
-    dp = _stencil_deriv(r.d, i, ds, 1)
-    cpp = _stencil_deriv(r.c, i, ds, 2)
-    dpp = _stencil_deriv(r.d, i, ds, 2)
-    hs = cp + (t - 2.0) * dp
-    n = np.cross(r.d[i], hs)
-    sign = -1.0 if n[2] < 0 else 1.0
-    return float(sign * np.dot(cpp + (t - 2.0) * dpp, np.cross(r.d[i], hs)))
+    """The curvature form of ruling i (see `curvature_forms`)."""
+    return float(curvature_forms(r, t)[_interior(r, i)])
 
 
 def second_fundamental_form(r: RuledSurface, t: float, i: int) -> np.ndarray:
-    """II at (t, s_i): zero first row/column (rulings are straight), the
-    (s, s) entry is the curvature form over |h_t x h_s|."""
-    hs = _h_s(r, i, t)
-    n = np.cross(r.d[i], hs)
-    q = curvature_form(r, t, i)
-    return np.array([[0.0, 0.0], [0.0, q / np.linalg.norm(n)]])
+    """II at (t, s_i) with the upward unit normal: II_tt = 0 exactly (the
+    rulings are straight), II_ts = <d', n> / |n| and II_ss the curvature
+    form over |n|, where n = h_t x h_s.  II_ts vanishes on a developable
+    surface, so det II = -II_ts^2 measures its flatness."""
+    i = _interior(r, i)
+    fr = _frame(r, t)
+    n, sign, norm = fr["n"][i], fr["sign"][i], fr["norm"][i]
+    ts = sign * float(fr["dp"][i] @ n) / norm
+    ss = sign * float(fr["hss"][i] @ n) / norm
+    return np.array([[0.0, ts], [ts, ss]])
 
 
 def principal_curvature(r: RuledSurface, t: float, i: int) -> float:
     """The nonzero shape-operator eigenvalue: q * I_tt / det(I)^{3/2}."""
-    hs = _h_s(r, i, t)
+    hs = _frame(r, t)["hs"][_interior(r, i)]
     ht = r.d[i]
     I_tt = float(ht @ ht)
     I_ts = float(ht @ hs)
@@ -457,63 +498,44 @@ def concavity_check(r: RuledSurface, t_fit=(1.0, 1.5, 2.0),
                     t_eval_range=(-1.0, 2.0), n_eval: int = 31) -> dict:
     """Fit the t-quadratic of the curvature form on t in [1, 2] per ruling
     (three-point fit, exact for a quadratic), then test its sign over the
-    full extension range."""
-    n = len(r.s)
-    idx = range(2, n - 2)
-    coefs = []
-    verdict = True
+    full extension range; all rulings but the two at each end at once."""
+    q = [curvature_forms(r, t)[2:-2] for t in t_fit]
+    a2 = (q[0] - 2 * q[1] + q[2]) / (2 * (t_fit[1] - t_fit[0]) ** 2)
+    a1 = (q[2] - q[0]) / (t_fit[2] - t_fit[0]) - a2 * (t_fit[2] + t_fit[0])
+    a0 = q[1] - a1 * t_fit[1] - a2 * t_fit[1] ** 2
     te = np.linspace(*t_eval_range, n_eval)
-    for i in idx:
-        q = [curvature_form(r, t, i) for t in t_fit]
-        a2 = (q[0] - 2 * q[1] + q[2]) / (2 * (t_fit[1] - t_fit[0]) ** 2)
-        a1 = (q[2] - q[0]) / (t_fit[2] - t_fit[0]) - a2 * (t_fit[2] + t_fit[0])
-        a0 = q[1] - a1 * t_fit[1] - a2 * t_fit[1] ** 2
-        coefs.append((a0, a1, a2))
-        vals = a0 + a1 * te + a2 * te * te
-        if np.max(vals) >= 0.0:
-            verdict = False
-    coefs = np.array(coefs)
-    return dict(a0=coefs[:, 0], a1=coefs[:, 1], a2=coefs[:, 2],
-                verdict=verdict)
+    vals = a0[:, None] + a1[:, None] * te + a2[:, None] * te * te
+    return dict(a0=a0, a1=a1, a2=a2, verdict=bool(np.max(vals) < 0.0))
 
 
 # ---------------------------------------------------------------------------
 # comparison of competing graphs
 # ---------------------------------------------------------------------------
 
-def extension_value(g: GeneratedSurface, x1, x2):
-    """The flat extension's graph value anywhere on the extended strip
-    (same closed form; rulings cover the strip for the generator class)."""
-    return g.f(x1, x2)
-
-
-def comparison_check(g: GeneratedSurface, w_value: Callable,
-                     n_grid: int = 61, hess_step: float = 1e-3) -> dict:
-    """min over the strip of (w - flat extension), plus nodewise
-    verification of the candidate's hypotheses: w = f on the notched
-    region F, saddle condition det D^2 w <= 0, and the measured Hessian
-    deviation of w from diag(0, -tau).
+def comparison_check(g: GeneratedSurface, offset: Callable) -> dict:
+    """min over the strip of (w - flat extension) for the competitor
+    w = f + offset(X, Y), plus nodewise verification of the candidate's
+    hypotheses: w = f on the notched region F, saddle condition
+    det D^2 w <= 0, and the measured Hessian deviation of w from
+    diag(0, -tau).  The flat extension comes from `g.extension_stencil`,
+    so only the offset is evaluated per call.
 
     A hypothesis violation is reported separately; the margin is only
     meaningful for hypothesis-satisfying candidates.
     """
-    (a, b), (c, dd) = PI_RECT
-    xs = np.linspace(a + 2 * hess_step, b - 2 * hess_step, n_grid)
-    ys = np.linspace(c + 2 * hess_step, dd - 2 * hess_step, n_grid)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    W = w_value(X, Y)
-    F = extension_value(g, X, Y)
-    margin = float(np.min(W - F))
+    W = {k: F + offset(x, y)
+         for k, (x, y, F) in g.extension_stencil.items()}
+    X, Y, F = g.extension_stencil[(0, 0)]
+    margin = float(np.min(W[(0, 0)] - F))
 
-    fg = graph_of(g)
-    on_F = fg.in_F(X, Y)
-    agrees = float(np.max(np.abs((W - F)[on_F]))) if np.any(on_F) else 0.0
+    on_F = graph_of(g).in_F(X, Y)
+    agrees = float(np.max(np.abs((W[(0, 0)] - F)[on_F]))) \
+        if np.any(on_F) else 0.0
 
-    h = hess_step
-    w11 = (w_value(X + h, Y) - 2 * W + w_value(X - h, Y)) / h**2
-    w22 = (w_value(X, Y + h) - 2 * W + w_value(X, Y - h)) / h**2
-    w12 = (w_value(X + h, Y + h) - w_value(X + h, Y - h)
-           - w_value(X - h, Y + h) + w_value(X - h, Y - h)) / (4 * h * h)
+    h = CMP_STEP
+    w11 = (W[(1, 0)] - 2 * W[(0, 0)] + W[(-1, 0)]) / h**2
+    w22 = (W[(0, 1)] - 2 * W[(0, 0)] + W[(0, -1)]) / h**2
+    w12 = (W[(1, 1)] - W[(1, -1)] - W[(-1, 1)] + W[(-1, -1)]) / (4 * h * h)
     det = w11 * w22 - w12 * w12
     # the tolerance respects the estimator (inversion noise amplified by
     # 1/h^2 and O(h^2) truncation), well below any real violation scale
@@ -530,7 +552,7 @@ def saddle_candidate(g: GeneratedSurface, seed: int,
                      amplitude_scale: float = 0.4,
                      max_draws: int = 200) -> Tuple[Callable, dict]:
     """A competing graph w = flat extension + bump supported strictly in
-    the notch interior.
+    the notch interior, returned as its offset w - f (the bump).
 
     Making the bump compatible with the saddle condition det D^2 w <= 0
     requires the extension's mixed derivative f12 to stay bounded away
@@ -569,12 +591,13 @@ def saddle_candidate(g: GeneratedSurface, seed: int,
         raise RuledError("no admissible bump support found")
     info = dict(center=(x1c, x2c), radii=(rx, ry), amplitude=eta, sign=sign,
                 f12_range=(c_min, c_max))
-    return _bump_graph(g, info), info
+    return _bump_offset(info), info
 
 
 def hypothesis_instances(g: GeneratedSurface, count: int, seed0: int = 1,
                          max_halvings: int = 14) -> list:
-    """Seeded competing graphs that pass the nodewise hypothesis check.
+    """Seeded competing graphs, as (offset, info, report) triples, that
+    pass the nodewise hypothesis check.
 
     Flatness leaves no first-order room for compactly supported
     perturbations (det D^2 f = 0 forces f11 = f12^2/f22, so admissible
@@ -601,7 +624,7 @@ def hypothesis_instances(g: GeneratedSurface, count: int, seed0: int = 1,
         while not (rep["hypothesis_det"] and rep["hypothesis_boundary"]) \
                 and halved < max_halvings:
             info = dict(info, amplitude=info["amplitude"] * 0.25)
-            w = _bump_graph(g, info)
+            w = _bump_offset(info)
             rep = comparison_check(g, w)
             halved += 1
         if rep["hypothesis_det"] and rep["hypothesis_boundary"]:
@@ -609,91 +632,137 @@ def hypothesis_instances(g: GeneratedSurface, count: int, seed0: int = 1,
     return out
 
 
-def _bump_graph(g: GeneratedSurface, info: dict) -> Callable:
+def _bump_offset(info: dict) -> Callable:
     x1c, x2c = info["center"]
     rx, ry = info["radii"]
     eta = info["amplitude"]
 
-    def w(X, Y):
+    def bump(X, Y):
         u = (np.asarray(X, dtype=float) - x1c) / rx
         v = (np.asarray(Y, dtype=float) - x2c) / ry
         r2 = u * u + v * v
         out = np.zeros(np.shape(r2))
         inside = r2 < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - r2[inside]) + 1.0)
-        return extension_value(g, X, Y) + eta * out
+        return eta * out
 
-    return w
+    return bump
 
 
 # ---------------------------------------------------------------------------
 # projection of curves onto the concave side
 # ---------------------------------------------------------------------------
 
-def _surface_point_interp(r: RuledSurface, t: float, s: float) -> np.ndarray:
-    """h(t, s) with cubic interpolation of c, d in s."""
-    c = np.array([np.interp(s, r.s, r.c[:, k]) for k in range(3)])
-    d = np.array([np.interp(s, r.s, r.d[:, k]) for k in range(3)])
-    return c + (t - 2.0) * d
+def _rulings_at(r: RuledSurface, s) -> Tuple[np.ndarray, np.ndarray]:
+    """c(s) and d(s), interpolated linearly in s: shape s.shape + (3,)."""
+    c = np.stack([np.interp(s, r.s, r.c[:, k]) for k in range(3)], axis=-1)
+    d = np.stack([np.interp(s, r.s, r.d[:, k]) for k in range(3)], axis=-1)
+    return c, d
+
+
+def _surface_point_interp(r: RuledSurface, t, s) -> np.ndarray:
+    """h(t, s) with linear interpolation of c, d in s; t and s broadcast
+    against each other, the result has their shape + (3,)."""
+    c, d = _rulings_at(r, s)
+    return c + (np.asarray(t, dtype=float)[..., None] - 2.0) * d
+
+
+def _solve_rows(A: np.ndarray, b: np.ndarray):
+    """Solve each 2x2 system A[k] x = b[k]; rows whose matrix is singular
+    get no solution.  Returns (x, solved)."""
+    solved = np.ones(len(A), dtype=bool)
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], solved
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros_like(b)
+    for k in range(len(A)):
+        try:
+            x[k] = np.linalg.solve(A[k], b[k])
+        except np.linalg.LinAlgError:
+            solved[k] = False
+    return x, solved
 
 
 def project_point(r: RuledSurface, p: np.ndarray,
-                  seed_ts: Optional[Tuple[float, float]] = None,
-                  iters: int = 60) -> Tuple[np.ndarray, Tuple[float, float]]:
-    """Nearest-point projection onto the sampled surface by Gauss-Newton
-    over (t, s) with linear interpolation of the ruling family."""
+                  seed_ts: Optional[np.ndarray] = None,
+                  iters: int = 60) -> Tuple[np.ndarray, np.ndarray]:
+    """Nearest-point projections of the rows of p, shape (m, 3), onto the
+    sampled surface by Gauss-Newton over (t, s) with linear interpolation
+    of the ruling family.
+
+    Row k starts from seed_ts[k] = (t, s), shape (m, 2), or, without
+    seeds, from the first nearest node of a 16 x 16 (t, s) scan.  The rows
+    iterate in lockstep but independently: a row stops once its step is
+    below 1e-13, or when its 2x2 normal system is singular.  Returns the
+    footpoints (m, 3) and their parameters (m, 2).
+    """
+    p = np.asarray(p, dtype=float)
+    t_lo, t_hi = r.t_range
+    s_lo, s_hi = r.s[2], r.s[-3]
     if seed_ts is None:
-        # coarse scan
-        ts = np.linspace(r.t_range[0], r.t_range[1], 16)
-        ss = np.linspace(r.s[2], r.s[-3], 16)
-        best, bval = None, math.inf
-        for t in ts:
-            for s in ss:
-                q = _surface_point_interp(r, t, s)
-                v = float(np.sum((q - p) ** 2))
-                if v < bval:
-                    best, bval = (t, s), v
-        t, s = best
+        T, S = np.meshgrid(np.linspace(t_lo, t_hi, 16),
+                           np.linspace(s_lo, s_hi, 16), indexing="ij")
+        nodes = _surface_point_interp(r, T.ravel(), S.ravel())
+        dist = np.sum((nodes[None, :, :] - p[:, None, :]) ** 2, axis=-1)
+        best = np.argmin(dist, axis=1)
+        t, s = T.ravel()[best], S.ravel()[best]
     else:
-        t, s = seed_ts
+        t, s = np.array(seed_ts, dtype=float).T
     ds = r.s[1] - r.s[0]
+    live = np.arange(len(p))
     for _ in range(iters):
-        q = _surface_point_interp(r, t, s)
-        ht = np.array([np.interp(s, r.s, r.d[:, k]) for k in range(3)])
-        qs_p = _surface_point_interp(r, t, s + 0.5 * ds)
-        qs_m = _surface_point_interp(r, t, s - 0.5 * ds)
-        hs = (qs_p - qs_m) / ds
-        res = q - p
-        J = np.stack([ht, hs], axis=1)
-        JTJ = J.T @ J
-        rhs = -J.T @ res
-        try:
-            step = np.linalg.solve(JTJ, rhs)
-        except np.linalg.LinAlgError:
+        if live.size == 0:
             break
-        t = float(np.clip(t + step[0], r.t_range[0], r.t_range[1]))
-        s = float(np.clip(s + step[1], r.s[2], r.s[-3]))
-        if np.max(np.abs(step)) < 1e-13:
-            break
-    return _surface_point_interp(r, t, s), (t, s)
+        tk, sk = t[live], s[live]
+        c, ht = _rulings_at(r, sk)
+        hs = (_surface_point_interp(r, tk, sk + 0.5 * ds)
+              - _surface_point_interp(r, tk, sk - 0.5 * ds)) / ds
+        res = c + (tk[:, None] - 2.0) * ht - p[live]
+        J = np.stack([ht, hs], axis=-1)
+        JT = J.swapaxes(-1, -2)
+        step, solved = _solve_rows(JT @ J, (-JT @ res[..., None])[..., 0])
+        live = live[solved]
+        step = step[solved]
+        t[live] = np.clip(t[live] + step[:, 0], t_lo, t_hi)
+        s[live] = np.clip(s[live] + step[:, 1], s_lo, s_hi)
+        live = live[np.max(np.abs(step), axis=1) >= 1e-13]
+    return _surface_point_interp(r, t, s), np.stack([t, s], axis=-1)
 
 
-def project_and_compare(curve: np.ndarray, r: RuledSurface) -> Tuple[float, float]:
-    """Arclengths of a sampled 3-space curve and of its nearest-point
-    projection onto the surface.  Every sample must lie on the concave
-    (upper) side: signed normal offset >= 0."""
-    proj = np.empty_like(curve)
+def _arclengths(curves: np.ndarray) -> np.ndarray:
+    """Polygonal length of each curve (b, n_pts, 3), summed per curve."""
+    return np.array([np.sum(np.linalg.norm(np.diff(c, axis=0), axis=1))
+                     for c in curves])
+
+
+def project_and_compare(curves: np.ndarray, r: RuledSurface):
+    """Arclengths of sampled 3-space curves and of their nearest-point
+    projections onto the surface.
+
+    curves is one curve (n_pts, 3) or a batch (b, n_pts, 3) projected in
+    lockstep: sample k of every curve in one `project_point` call, seeded
+    by that curve's sample k - 1.  Returns two floats for one curve and
+    two arrays (b,) for a batch.  Every sample must lie on the concave
+    (upper) side: signed normal offset >= 0.
+    """
+    curves = np.asarray(curves, dtype=float)
+    batch = curves.reshape((-1,) + curves.shape[-2:])
+    proj = np.empty_like(batch)
     seed = None
-    for k, p in enumerate(curve):
+    for k in range(batch.shape[1]):
+        p = batch[:, k]
         q, seed = project_point(r, p, seed_ts=seed)
         # side check via the upward normal at the footpoint
-        i = int(np.clip(np.searchsorted(r.s, seed[1]), 2, len(r.s) - 3))
-        n = surface_normal(r, i)
-        if float((p - q) @ n) < -1e-9:
-            raise RuledError(f"curve sample {k} lies below the surface")
-        proj[k] = q
-    len_curve = float(np.sum(np.linalg.norm(np.diff(curve, axis=0), axis=1)))
-    len_proj = float(np.sum(np.linalg.norm(np.diff(proj, axis=0), axis=1)))
+        i = np.clip(np.searchsorted(r.s, seed[:, 1]), 2, len(r.s) - 3)
+        below = np.flatnonzero(_dot_rows(p - q, r.normals[i]) < -1e-9)
+        if below.size:
+            raise RuledError(
+                f"sample {k} of curve {below[0]} lies below the surface")
+        proj[:, k] = q
+    len_curve, len_proj = _arclengths(batch), _arclengths(proj)
+    if curves.ndim == 2:
+        return float(len_curve[0]), float(len_proj[0])
     return len_curve, len_proj
 
 
@@ -711,11 +780,7 @@ def random_curve_above(r: RuledSurface, seed: int, n_pts: int = 60
     ss = mid + amp * np.sin(freq * np.linspace(0, 2 * math.pi, n_pts) + ph)
     height = rng.uniform(0.02, 0.3)
     wob = rng.uniform(0.3, 1.0)
-    out = np.empty((n_pts, 3))
-    for k in range(n_pts):
-        i = int(np.clip(np.searchsorted(r.s, ss[k]), 2, len(r.s) - 3))
-        base = _surface_point_interp(r, ts[k], ss[k])
-        n = surface_normal(r, i)
-        lift = height * (1.0 + 0.5 * math.sin(wob * k))
-        out[k] = base + lift * n
-    return out
+    i = np.clip(np.searchsorted(r.s, ss), 2, len(r.s) - 3)
+    lift = height * (1.0 + 0.5 * np.array([math.sin(wob * k)
+                                           for k in range(n_pts)]))
+    return _surface_point_interp(r, ts, ss) + lift[:, None] * r.normals[i]

@@ -161,6 +161,20 @@ def test_verify_moon_exit_code_reflects_failures(tmp_path):
     assert rep["K"] == 4
 
 
+def test_verify_ruled_golden_values(ctx):
+    # report values of `verify ruled` at the default config, pinned to
+    # the digit: the batched projection and the cached comparison stencil
+    # must follow the same iterates as one point and one grid at a time
+    vals = {rec["name"]: rec["values"] for rec in cli.verify_ruled(ctx)}
+    assert vals["projection-lengths"]["worst_gap"] == 0.13643231542737766
+    assert vals["comparison-margins"]["min_margin"] == -4.450502490843666e-09
+    assert vals["concavity-epsilon-family"]["deviations"] == [
+        0.34987158164598586, 0.18074519106281173, 0.09255104905757339]
+    flat = vals["extension-flatness"]
+    assert 0.0 < flat["worst_offdiag"] <= 1e-8
+    assert 0.0 < flat["worst_det_ratio"] <= 1e-8
+
+
 @pytest.mark.slow
 def test_assemble_annulus_manifest(tmp_path):
     r = run_cli("assemble", "annulus", "--out", str(tmp_path / "a"))

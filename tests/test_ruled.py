@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nonembed import ruled
+from nonembed import cli, ruled
 
 TAU = 0.5
 
@@ -20,6 +20,27 @@ def plane(n=41):
         c=np.stack([np.full(n, 2.0), np.linspace(-1, 1, n), np.zeros(n)],
                    axis=-1),
         d=np.tile(np.array([1.0, 0.0, 0.0]), (n, 1)), t_range=(-1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# trig polynomials
+# ---------------------------------------------------------------------------
+
+def test_trig_poly_equals_per_mode_sum():
+    tp = ruled.TrigPoly.random(np.random.default_rng(3), 4, 0.7, 0.5)
+    s = np.linspace(-2.5, 2.5, 101).reshape(1, 101)
+    for order in range(5):
+        ref = np.zeros(s.shape)
+        for k in range(1, 5):
+            a = k * tp.omega
+            ck, sk = tp.cos_coef[k - 1], tp.sin_coef[k - 1]
+            term = [ck * np.cos(a * s) + sk * np.sin(a * s),
+                    -ck * np.sin(a * s) + sk * np.cos(a * s),
+                    -ck * np.cos(a * s) - sk * np.sin(a * s),
+                    ck * np.sin(a * s) - sk * np.cos(a * s)][order % 4]
+            ref = ref + a**order * term
+        assert np.array_equal(tp(s, order), ref), order
+    assert np.shape(tp(0.3)) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +100,33 @@ def test_cylinder_curvature_form(cyl):
     assert ruled.curvature_form(samp, 1.5, i) == pytest.approx(-1.0 / TAU**2,
                                                                rel=1e-9)
     II = ruled.second_fundamental_form(samp, 1.5, i)
+    # d is constant along the cylinder, so the stencil's d' is exactly 0
     assert II[0, 0] == 0.0 and II[0, 1] == 0.0 and II[1, 0] == 0.0
     assert II[1, 1] < 0.0
     # Gaussian curvature of a ruled graph vanishes: det II = 0
     assert abs(II[0, 0] * II[1, 1] - II[0, 1] ** 2) == 0.0
+
+
+def test_ruling_tables_equal_per_ruling_reference(extended):
+    # one ruling at a time: window sums of the five-point stencil, then
+    # the normal d x h_s and the curvature form as 3-vector dot products
+    ds = extended.s[1] - extended.s[0]
+
+    def deriv(arr, i, order):
+        w = ruled._FIVE_POINT if order == 1 else ruled._FIVE_POINT_2
+        return (w[:, None] * arr[i - 2:i + 3]).sum(axis=0) / ds**order
+
+    for t in (-1.0, 1.5, 2.0):
+        for i in (2, 30, 128, 254):
+            dp = deriv(extended.d, i, 1)
+            hs = deriv(extended.c, i, 1) + (t - 2.0) * dp
+            hss = deriv(extended.c, i, 2) + (t - 2.0) * deriv(extended.d, i, 2)
+            n = np.cross(extended.d[i], hs)
+            sign = -1.0 if n[2] < 0 else 1.0
+            assert ruled.curvature_form(extended, t, i) == sign * np.dot(hss, n)
+            if t == 2.0:
+                assert np.array_equal(extended.normals[i],
+                                      sign * n / np.linalg.norm(n))
 
 
 def test_cylinder_principal_curvature_exact(cyl):
@@ -180,6 +224,20 @@ def test_extension_flatness_preserved(extended):
             assert abs(II[0, 1]) <= 1e-8 * (1 + abs(II[1, 1]))
 
 
+def test_hyperbolic_paraboloid_fails_flatness():
+    # h(t, s) = (t, s, t s): ruled but not developable, II_ts = 1 / |n|
+    s = np.linspace(-1, 1, 257)
+    hp = ruled.RuledSurface(
+        s=s, c=np.stack([np.full_like(s, 2.0), s, 2 * s], axis=-1),
+        d=np.stack([np.ones_like(s), np.zeros_like(s), s], axis=-1),
+        t_range=(-1.0, 2.0))
+    rec = cli.claim_extension_flatness(None, hp)
+    assert not rec["pass"]
+    assert rec["values"]["worst_offdiag"] > 0.1
+    II = ruled.second_fundamental_form(hp, 0.5, 128)
+    assert II[0, 1] == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
+
+
 def test_extension_covers_strip_samples(gen_surface, extended):
     # every strip sample point lies on exactly one projected ruling
     xs = np.linspace(0.05, 1.95, 7)
@@ -206,8 +264,8 @@ def test_normal_stays_near_cylinder_normal():
     samp = ruled.extend_ruled(g.sample(n=257), -1.0, 2.0)
     cyln = ruled.cylinder(TAU).sample(n=257)
     for i in (64, 128, 192):
-        a = ruled.surface_normal(samp, i)
-        b = ruled.surface_normal(cyln, i)
+        a = samp.normals[i]
+        b = cyln.normals[i]
         ang = math.degrees(math.acos(max(-1.0, min(1.0, float(a @ b)))))
         assert ang < 10.0
 
@@ -217,8 +275,7 @@ def test_normal_stays_near_cylinder_normal():
 # ---------------------------------------------------------------------------
 
 def test_comparison_identity_margin_zero(gen_surface):
-    rep = ruled.comparison_check(
-        gen_surface, lambda X, Y: ruled.extension_value(gen_surface, X, Y))
+    rep = ruled.comparison_check(gen_surface, lambda X, Y: 0.0)
     assert rep["hypothesis_det"] and rep["hypothesis_boundary"]
     assert rep["margin"] == 0.0
 
@@ -236,9 +293,17 @@ def test_comparison_flags_violations(gen_surface):
     assert not rep["hypothesis_det"]
 
 
+def test_comparison_cache_gives_identical_reports():
+    g = ruled.generate_surface(TAU, 0.05, seed=5)
+    offset, _ = ruled.saddle_candidate(g, 2)
+    assert "extension_stencil" not in vars(g)
+    cold = ruled.comparison_check(g, offset)
+    assert "extension_stencil" in vars(g)
+    assert ruled.comparison_check(g, offset) == cold
+
+
 def test_comparison_flags_boundary_mismatch(gen_surface):
-    w = lambda X, Y: ruled.extension_value(gen_surface, X, Y) + 1e-6
-    rep = ruled.comparison_check(gen_surface, w)
+    rep = ruled.comparison_check(gen_surface, lambda X, Y: 1e-6)
     assert not rep["hypothesis_boundary"]
 
 
@@ -263,17 +328,66 @@ def test_projection_plane_lift_preserves_length():
     assert lc == pytest.approx(lp, abs=1e-9)
 
 
+def test_project_point_batch_equals_single_rows(extended):
+    curves = np.stack([ruled.random_curve_above(extended, seed=s)
+                       for s in range(50)])
+    p = curves[:, 7]
+    # row 0 starts on the surface at its own seed: it stops after one step
+    t0, s0 = 0.5, float(extended.s[100])
+    p[0] = ruled._surface_point_interp(extended, t0, s0)
+    seeds = np.stack([np.linspace(0.1, 1.9, 50),
+                      np.linspace(extended.s[40], extended.s[200], 50)],
+                     axis=-1)
+    seeds[0] = (t0, s0)
+    for seed_ts in (None, seeds):
+        q, ts = ruled.project_point(extended, p, seed_ts=seed_ts)
+        for k in range(50):
+            qk, tsk = ruled.project_point(
+                extended, p[k:k + 1],
+                seed_ts=None if seed_ts is None else seed_ts[k:k + 1])
+            assert np.array_equal(q[k:k + 1], qk), k
+            assert np.array_equal(ts[k:k + 1], tsk), k
+    q, ts = ruled.project_point(extended, p[:1], seed_ts=seeds[:1], iters=1)
+    assert np.array_equal(q[0], p[0]) and tuple(ts[0]) == (t0, s0)
+
+
+def test_project_point_singular_row_stops():
+    # c is constant for s < 0, so h_s = 0 there and the normal system of a
+    # row seeded in that half is singular; that row keeps its seed
+    s = np.linspace(-1, 1, 41)
+    surf = ruled.RuledSurface(
+        s=s, c=np.stack([np.full_like(s, 2.0), np.maximum(s, 0.0),
+                         np.zeros_like(s)], axis=-1),
+        d=np.tile([1.0, 0.0, 0.0], (41, 1)), t_range=(-1.0, 2.0))
+    p = np.array([[0.5, 0.3, 0.2], [0.7, 0.0, 0.1], [1.0, 0.6, -0.1]])
+    seeds = np.array([[1.0, 0.25], [1.2, -0.5], [0.8, 0.4]])
+    q, ts = ruled.project_point(surf, p, seed_ts=seeds)
+    assert tuple(ts[1]) == (1.2, -0.5)
+    assert np.allclose(ts[[0, 2]], [[0.5, 0.3], [1.0, 0.6]], atol=1e-12)
+    for k in range(3):
+        qk, tsk = ruled.project_point(surf, p[k:k + 1], seed_ts=seeds[k:k + 1])
+        assert np.array_equal(q[k:k + 1], qk) and np.array_equal(ts[k:k + 1], tsk)
+
+
+def test_project_and_compare_batch_equals_single_curves(extended):
+    curves = np.stack([ruled.random_curve_above(extended, seed=s)
+                       for s in range(5)])
+    lc, lp = ruled.project_and_compare(curves, extended)
+    for k in range(5):
+        assert (lc[k], lp[k]) == ruled.project_and_compare(curves[k], extended)
+
+
 def test_projection_shortens_50_seeded_curves(extended):
-    for s in range(50):
-        curve = ruled.random_curve_above(extended, seed=1000 + s)
-        lc, lp = ruled.project_and_compare(curve, extended)
-        assert lc >= lp - 1e-8, s
+    curves = np.stack([ruled.random_curve_above(extended, seed=1000 + s)
+                       for s in range(50)])
+    lc, lp = ruled.project_and_compare(curves, extended)
+    assert np.all(lc >= lp - 1e-8), np.flatnonzero(lc < lp - 1e-8)
 
 
 def test_projection_rejects_points_below(extended):
     i = 128
     base = ruled._surface_point_interp(extended, 1.0, float(extended.s[i]))
-    n = ruled.surface_normal(extended, i)
+    n = extended.normals[i]
     below = (base - 0.2 * n)[None, :].repeat(3, axis=0)
     below[1] += 0.01
     with pytest.raises(ruled.RuledError):
