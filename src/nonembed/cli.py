@@ -11,9 +11,10 @@ Subcommands:
 Reports are JSON with stable key order; numbers that overflow doubles are
 emitted as {"sign": s, "logmag": m} objects.  Each check carries a stable
 anchor string naming the claim it verifies.  Exit status: 0 all checks
-passed, 1 at least one verification failed, 2 invalid configuration or a
-pipeline error.  The runtime block is the only nondeterministic part of a
-report; everything else is reproducible bit for bit for a fixed config.
+passed, 1 at least one verification failed, 2 invalid configuration or
+input, or a pipeline error.  The runtime block is the only
+nondeterministic part of a report; everything else is reproducible bit
+for bit for a fixed config.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from nonembed import assembly, bvp, conformal, mollify, ruled, trees
 from nonembed.fields import (laplacian_residual, radial_derivative_u,
                              u_field, u_float)
-from nonembed.gridio import convert_grid, write_grid_csv, write_json
+from nonembed.gridio import GridIOError, convert_grid, write_grid_csv, write_json
 from nonembed.logscale import LogScaledReal
 
 VERIFY_TARGETS = ("moon", "tail", "corollary", "g1", "annulus", "ruled", "all")
@@ -730,7 +731,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.target, cfg)
         return cmd_assemble(args.target, cfg)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, GridIOError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pipeline failure

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -117,6 +119,196 @@ def test_artifacts_get_mode_from_umask(tmp_path):
         os.umask(old)
     for p in (tmp_path / "o" / "report.json", csv, gridio.sidecar_path(csv)):
         assert stat.S_IMODE(p.stat().st_mode) == 0o644, p
+
+
+def _reference_rows(f):
+    # the per-node loop the writers replaced: x, y and value of each live
+    # node, row-major, as shortest round-trip strings
+    g = f.grid
+    return [[repr(float(g.origin[0] + i * g.h)), repr(float(g.origin[1] + j * g.h)),
+             repr(float(f.values[i, j]))]
+            for i, j in np.argwhere(g.mask != bvp.EXTERIOR)]
+
+
+def _reference_rle(mask):
+    flat = mask.ravel()
+    runs, start = [], 0
+    for k in range(1, len(flat) + 1):
+        if k == len(flat) or flat[k] != flat[start]:
+            runs.append([int(flat[start]), k - start])
+            start = k
+    return runs
+
+
+def _one_node_field():
+    mask = np.zeros((3, 4), dtype=np.int8)
+    mask[1, 2] = bvp.BOUNDARY
+    return bvp.ScalarField(grid=bvp.MaskedGrid(origin=(-0.5, 0.25), h=0.1,
+                                               mask=mask),
+                           values=np.full((3, 4), -1.5e-300))
+
+
+def _no_node_field():
+    mask = np.zeros((2, 3), dtype=np.int8)
+    return bvp.ScalarField(grid=bvp.MaskedGrid(origin=(0.0, 0.0), h=1.0,
+                                               mask=mask),
+                           values=np.zeros((2, 3)))
+
+
+def test_grid_files_golden_sha256(tmp_path):
+    # the bytes the per-node writers produced for the sample field
+    f = _sample_field()
+    csv = gridio.write_grid_csv(f, tmp_path / "field.csv")
+    full = gridio.write_grid_json(f, tmp_path / "field_full.json")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (csv, gridio.sidecar_path(csv), full)}
+    assert digests == {
+        "field.csv":
+            "76dddad72f8be13ba30d1d49cb90b728139323906c6a092224bc1d501f5076f1",
+        "field.json":
+            "6291279d9fa86c9abaf6e400dc3e229cdcbfe914e8ad1ecaca6159a8a968899c",
+        "field_full.json":
+            "282b34fd042fbd857a6af12d6ad86f17a975d1a8bcab5c27ecf15ccc18a688b2",
+    }
+
+
+@pytest.mark.parametrize("make", [_sample_field, _one_node_field,
+                                  _no_node_field])
+def test_grid_writers_equal_the_per_node_reference(tmp_path, make):
+    f = make()
+    rows = _reference_rows(f)
+    header = gridio._header_dict(f)
+    assert header["mask_rle"] == _reference_rle(f.grid.mask)
+    doc = {"header": header, "nodes": rows}
+    full = gridio.write_grid_json(f, tmp_path / "full.json")
+    assert full.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    csv = gridio.write_grid_csv(f, tmp_path / "field.csv")
+    assert csv.read_text() == "".join(
+        ",".join(r) + "\n" for r in [["x", "y", "value"]] + rows)
+    for back in (gridio.read_grid_json(full), gridio.read_grid_csv(csv)):
+        assert np.array_equal(back.grid.mask, f.grid.mask)
+        live = f.grid.mask != bvp.EXTERIOR
+        assert np.array_equal(back.values[live], f.values[live])
+
+
+def _write_sample(tmp_path):
+    csv = gridio.write_grid_csv(_sample_field(), tmp_path / "field.csv")
+    return csv, gridio.sidecar_path(csv)
+
+
+def test_csv_reader_tolerates_blank_lines_and_whitespace(tmp_path):
+    p, _ = _write_sample(tmp_path)
+    lines = p.read_text().splitlines()
+    p.write_bytes("\r\n".join(["  " + lines[0] + " ", ""]
+                              + [f" {ln}\t" for ln in lines[1:5]] + ["", "   "]
+                              + lines[5:] + ["", ""]).encode())
+    assert np.array_equal(gridio.read_grid_csv(p).values, _sample_field().values)
+
+
+def test_row_count_mismatch_is_rejected(tmp_path):
+    p, _ = _write_sample(tmp_path)
+    lines = p.read_text().splitlines(keepends=True)
+    p.write_text("".join(lines[:-1]))
+    with pytest.raises(gridio.GridIOError, match="436 rows for 437 live nodes"):
+        gridio.read_grid_csv(p)
+
+
+def test_shifted_coordinate_is_rejected_naming_the_row(tmp_path):
+    p, _ = _write_sample(tmp_path)
+    lines = p.read_text().splitlines(keepends=True)
+    x, y, v = lines[10].rstrip("\n").split(",")
+    shifted = repr(float(x) + 1e-6)
+    lines[10] = f"{shifted},{y},{v}\n"
+    p.write_text("".join(lines))
+    with pytest.raises(gridio.GridIOError, match=re.escape(shifted)):
+        gridio.read_grid_csv(p)
+
+
+def test_nan_coordinate_is_rejected(tmp_path):
+    p, _ = _write_sample(tmp_path)
+    lines = p.read_text().splitlines(keepends=True)
+    _x, y, v = lines[10].split(",")
+    lines[10] = f"nan,{y},{v}"
+    p.write_text("".join(lines))
+    with pytest.raises(gridio.GridIOError, match="field.csv: row 10 coordinate"):
+        gridio.read_grid_csv(p)
+
+
+def test_missing_header_key_names_the_sidecar(tmp_path):
+    csv, side = _write_sample(tmp_path)
+    header = json.loads(side.read_text())
+    del header["shape"]
+    side.write_text(json.dumps(header))
+    with pytest.raises(gridio.GridIOError, match="field.json.*shape"):
+        gridio.read_grid_csv(csv)
+    r = run_cli("export", str(csv), "--format", "json",
+                "--dst", str(tmp_path / "o.json"))
+    assert r.returncode == 2 and str(side) in r.stderr
+
+
+def test_wrong_field_count_names_the_file(tmp_path):
+    csv, _ = _write_sample(tmp_path)
+    lines = csv.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].rstrip("\n") + ",0.5\n"
+    csv.write_text("".join(lines))
+    with pytest.raises(gridio.GridIOError, match="field.csv: row 3 has 4 fields"):
+        gridio.read_grid_csv(csv)
+
+
+def test_non_numeric_value_names_the_file(tmp_path):
+    csv, _ = _write_sample(tmp_path)
+    lines = csv.read_text().splitlines(keepends=True)
+    x, y, _v = lines[7].split(",")
+    lines[7] = f"{x},{y},abc\n"
+    csv.write_text("".join(lines))
+    with pytest.raises(gridio.GridIOError, match="field.csv: .*'abc'"):
+        gridio.read_grid_csv(csv)
+
+
+@pytest.mark.parametrize("bad_row", [["0.0", "0.0"], "0.0,0.0,1.0",
+                                     ["0.0", "0.0", None]])
+def test_ragged_json_rows_name_the_file(tmp_path, bad_row):
+    full = gridio.write_grid_json(_sample_field(), tmp_path / "full.json")
+    doc = json.loads(full.read_text())
+    doc["nodes"][5] = bad_row
+    full.write_text(json.dumps(doc))
+    with pytest.raises(gridio.GridIOError, match="full.json"):
+        gridio.read_grid_json(full)
+
+
+@pytest.mark.parametrize("runs", [
+    [[1, 630], [0, -5]],        # sums to 25 * 25, with a negative count
+    [[3, 625]],                 # code outside {0, 1, 2}
+])
+def test_mask_rle_rejects_bad_runs(tmp_path, runs):
+    csv, side = _write_sample(tmp_path)
+    header = json.loads(side.read_text())
+    header["mask_rle"] = runs
+    side.write_text(json.dumps(header))
+    with pytest.raises(gridio.GridIOError, match="field.json: mask_rle"):
+        gridio.read_grid_csv(csv)
+
+
+@pytest.mark.parametrize("src_name, fmt, dst_name, named", [
+    # onto the source's sidecar
+    ("field.csv", "json", "field.json", "field.json"),
+    # the new sidecar is the source
+    ("full.json", "csv", "full.csv", "full.json"),
+    # onto the source itself
+    ("field.csv", "csv", "field.csv", "field.csv"),
+    # the CSV and its own sidecar would be one file
+    ("field.csv", "csv", "copy.json", "copy.json"),
+])
+def test_export_refuses_to_overwrite_its_source(tmp_path, src_name, fmt,
+                                                 dst_name, named):
+    _write_sample(tmp_path)
+    gridio.write_grid_json(_sample_field(), tmp_path / "full.json")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    r = run_cli("export", str(tmp_path / src_name), "--format", fmt,
+                "--dst", str(tmp_path / dst_name))
+    assert r.returncode == 2
+    assert f"refusing to write {tmp_path / named}" in r.stderr
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_export_missing_sidecar_names_file(tmp_path):
