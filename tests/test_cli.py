@@ -11,6 +11,8 @@ import pytest
 
 from nonembed import bvp, cli, gridio
 
+from gridsolve import solve_laplace_dirichlet
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "nonembed.cli", *args],
@@ -72,7 +74,7 @@ def _sample_field():
     g = bvp.disc_grid(1.0, 24)
     X, Y = g.nodes_xy()
     g.boundary_values = np.where(g.mask == bvp.BOUNDARY, X + 0.5 * Y, 0.0)
-    return bvp.solve_laplace_dirichlet(g)
+    return solve_laplace_dirichlet(g)
 
 
 def test_grid_csv_round_trip(tmp_path):

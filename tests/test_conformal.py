@@ -7,6 +7,8 @@ from nonembed import bvp, conformal, mollify
 from nonembed.fields import vectorized_field
 from nonembed.trees import Segment, build_steiner_tree
 
+from gridsolve import solve_laplace_dirichlet
+
 K_STAR = 4
 # float64 oracle values for the hyperbolic-disc factor (max |K+1| over
 # interior nodes of r < 0.95); clean O(h^2), ratios ~0.29
@@ -25,7 +27,7 @@ def test_discrete_harmonic_factor_gives_zero_curvature():
     g = bvp.box_grid((0.0, 0.0), 1.0, 48)
     X, Y = g.nodes_xy()
     g.boundary_values = np.where(g.mask == bvp.BOUNDARY, X * Y + 0.3 * X, 0.0)
-    f = bvp.solve_laplace_dirichlet(g, tol=1e-13)
+    f = solve_laplace_dirichlet(g, tol=1e-13)
     K = conformal.gaussian_curvature(conformal.ConformalMetric.from_grid(f))
     inner = K.interior_mask()
     # 5-point Laplacian of the solved field is the solver residual
