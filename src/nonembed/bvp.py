@@ -406,11 +406,14 @@ class PolygonProblem:
         self.A, self.geom = _assemble_polygon(poly, h, origin, shape)
 
     def _cut_data(self, edge_data: Sequence[Callable]) -> np.ndarray:
-        """The edge data at each cut point, in record order."""
+        """The edge data at each cut point, in record order; edge_data[k]
+        evaluates edge k's data on arrays of points."""
         c = self.geom["cuts"]
-        return np.array([edge_data[k](x, y)
-                         for k, x, y in zip(c["edge"], c["x"], c["y"])],
-                        dtype=float)
+        data = np.empty(len(c["edge"]))
+        for k, f in enumerate(edge_data):
+            on = c["edge"] == k
+            data[on] = f(c["x"][on], c["y"][on])
+        return data
 
     def _rhs(self, data: np.ndarray) -> np.ndarray:
         c = self.geom["cuts"]
@@ -483,10 +486,11 @@ def normal_derivative(f_interp: Callable, edge: Segment, normal: Point,
                       boundary_value: Optional[Callable] = None) -> dict:
     """One-sided second-order normal derivative at sampled edge points.
 
-    f_interp(x, y) evaluates the field strictly inside the domain;
-    boundary_value(x, y), when given, supplies the exact edge value
-    (otherwise f_interp is trusted on the edge).  Offsets are 2h and 4h so
-    every interpolation cell stays interior for convex domains.
+    f_interp(xs, ys) evaluates the field on arrays of points strictly
+    inside the domain; boundary_value(xs, ys), when given, supplies the
+    exact edge values (otherwise f_interp is trusted on the edge).
+    Offsets are 2h and 4h so every interpolation cell stays interior for
+    convex domains.
 
         f_n ~ (-3 f(p) + 4 f(p + 2h n) - f(p + 4h n)) / (4h)
 
@@ -501,12 +505,9 @@ def normal_derivative(f_interp: Callable, edge: Segment, normal: Point,
         raise SolverError("edge shorter than twice the corner margin")
     ts = np.linspace(t_lo, t_hi, n_samples)
     px, py = edge.at(ts)
-    f0 = np.array([boundary_value(x, y) if boundary_value else f_interp(x, y)
-                   for x, y in zip(px, py)], dtype=float)
-    f1 = np.array([f_interp(px[i] + 2 * h * normal[0], py[i] + 2 * h * normal[1])
-                   for i in range(len(ts))], dtype=float)
-    f2 = np.array([f_interp(px[i] + 4 * h * normal[0], py[i] + 4 * h * normal[1])
-                   for i in range(len(ts))], dtype=float)
+    f0 = (boundary_value or f_interp)(px, py)
+    f1 = f_interp(px + 2 * h * normal[0], py + 2 * h * normal[1])
+    f2 = f_interp(px + 4 * h * normal[0], py + 4 * h * normal[1])
     deriv = (-3.0 * f0 + 4.0 * f1 - f2) / (4.0 * h)
     return dict(t=ts, x=px, y=py, value=deriv)
 
@@ -563,15 +564,15 @@ def pentagon_problem(geom: PentagonGeometry, resolution: int = 192) -> PolygonPr
     return PolygonProblem(geom.polygon, h, origin, shape)
 
 
-def _zero(x, y):
-    return 0.0
+def _zero(xs, ys):
+    return np.zeros(np.shape(xs))
 
 
 def pentagon_edge_data(geom: PentagonGeometry, N: float) -> list:
     data = [_zero] * 5
     data[geom.LEG_UP] = u_float
     data[geom.LEG_LO] = u_float
-    data[geom.RIGHT] = lambda x, y: float(N)
+    data[geom.RIGHT] = lambda xs, ys: np.full(np.shape(xs), float(N))
     return data
 
 
@@ -596,22 +597,15 @@ def _edge_margins(geom: PentagonGeometry, sel_w0: ScalarField, w1: ScalarField,
     """Inward normal-derivative margins on the legs and side edges for the
     combined solution w0 + N*w1."""
     poly = geom.polygon
-    combined = ScalarField(grid=sel_w0.grid,
-                           values=sel_w0.values + N * w1.values)
-
-    def interp(x, y):
-        return float(combined.interp(x, y))
-
+    interp = ScalarField(grid=sel_w0.grid,
+                         values=sel_w0.values + N * w1.values).interp
     out = {}
     for k, name in ((geom.LEG_UP, "leg_up"), (geom.LEG_LO, "leg_lo")):
-        nd = normal_derivative(interp, poly.edge(k), poly.inward_normal(k), h,
-                               n_samples=n_samples, boundary_value=u_float)
-        gvals = []
         nrm = poly.inward_normal(k)
-        for x, y in zip(nd["x"], nd["y"]):
-            gx, gy = u_gradient_xy(x, y)
-            gvals.append(gx * nrm[0] + gy * nrm[1])
-        gvals = np.array(gvals)
+        nd = normal_derivative(interp, poly.edge(k), nrm, h,
+                               n_samples=n_samples, boundary_value=u_float)
+        gx, gy = u_gradient_xy(nd["x"], nd["y"])
+        gvals = gx * nrm[0] + gy * nrm[1]
         out[name] = dict(w_gamma=nd["value"], u_gamma=gvals,
                          margin=nd["value"] - gvals,
                          scale=np.abs(gvals))
@@ -638,7 +632,7 @@ def select_N(K: int, schedule: Optional[Sequence[float]] = None,
     geom = pentagon_geometry(K)
     prob = pentagon_problem(geom, resolution)
     unit_right = [_zero] * 5
-    unit_right[geom.RIGHT] = lambda x, y: 1.0
+    unit_right[geom.RIGHT] = lambda xs, ys: np.ones(np.shape(xs))
     w0, w1 = prob.solve([pentagon_edge_data(geom, 0.0), unit_right])
     h = prob.geom["h"]
 
@@ -709,12 +703,11 @@ class GluedField:
         out = np.zeros(X.shape)
         disc = reg == 1
         if np.any(disc):
-            from nonembed.fields import u_log_xy
-            signs, logmags = u_log_xy(X[disc], Y[disc])
-            if np.any(logmags > 700.0):
+            vals = u_float(X[disc], Y[disc])
+            if np.any(np.isinf(vals)):
                 raise SolverError("slit-field value overflows a double; "
                                   "evaluation point too close to the origin")
-            out[disc] = signs * np.exp(logmags)
+            out[disc] = vals
         pent = reg == 2
         if np.any(pent):
             out[pent] = self._pentagon_interp(X[pent], Y[pent])

@@ -32,7 +32,7 @@ import numpy as np
 
 from nonembed import assembly, bvp, conformal, mollify, ruled, trees
 from nonembed.fields import (laplacian_residual, radial_derivative_u,
-                             u_field, u_float)
+                             u_float, u_log_xy)
 from nonembed.gridio import GridIOError, convert_grid, write_grid_csv, write_json
 from nonembed.logscale import LogScaledReal
 
@@ -193,6 +193,11 @@ class PipelineContext:
                                     grid_n=self.cfg.tail_grid_n)
 
     @cached_property
+    def subharmonic(self) -> dict:
+        """The tail's composed subharmonicity certificate."""
+        return mollify.tail_subharmonic_report(self.tail)
+
+    @cached_property
     def g1_report(self) -> dict:  # the pocket metric itself is not kept
         return assembly.build_g1(self.cfg.n_max, grid_n=1536).curvature_report()
 
@@ -218,24 +223,20 @@ def boundary_angles(rng: np.random.Generator, n: int = 50) -> np.ndarray:
 
 
 def claim_circle_trace(ctx: PipelineContext, thetas) -> dict:
-    worst = max(abs(u_float(math.cos(t), math.sin(t))) for t in thetas)
+    worst = float(np.max(np.abs(u_float(np.cos(thetas), np.sin(thetas)))))
     return check("field-vanishes-on-unit-circle", "circle-trace-zero",
                  worst <= 1e-14, max_abs=worst, n_samples=len(thetas))
 
 
 def claim_radial_slope(ctx: PipelineContext, thetas, h: float = 1e-4) -> dict:
     """One-sided difference of u at the unit circle against u_r."""
-    u = u_field()
-    worst_rel = 0.0
-    all_neg = True
-    for t in thetas:
-        x0, y0 = math.cos(t), math.sin(t)
-        f1 = u.value((1 - h) * x0, (1 - h) * y0)
-        f2 = u.value((1 - 2 * h) * x0, (1 - 2 * h) * y0)
-        fd = (-4 * f1 + f2) / (2 * h)
-        exact = radial_derivative_u(float(t))
-        all_neg &= exact < 0
-        worst_rel = max(worst_rel, abs(fd - exact) / abs(exact))
+    x0, y0 = np.cos(thetas), np.sin(thetas)
+    f1 = u_float((1 - h) * x0, (1 - h) * y0)
+    f2 = u_float((1 - 2 * h) * x0, (1 - 2 * h) * y0)
+    fd = (-4 * f1 + f2) / (2 * h)
+    exact = radial_derivative_u(thetas)
+    all_neg = bool(np.all(exact < 0))
+    worst_rel = float(np.max(np.abs(fd - exact) / np.abs(exact)))
     return check("radial-derivative-closed-form", "boundary-slope-negative",
                  all_neg and worst_rel <= 1e-6,
                  max_rel_error=worst_rel, negative_everywhere=all_neg)
@@ -244,7 +245,6 @@ def claim_radial_slope(ctx: PipelineContext, thetas, h: float = 1e-4) -> dict:
 def claim_harmonicity_ratio(ctx: PipelineContext, rng: np.random.Generator,
                             n_points: int = 100) -> dict:
     """Five-point residual ratio of u between h = 1/128 and 1/256."""
-    u = u_field()
     ratios = []
     tried = 0
     while len(ratios) < n_points and tried < 10000:
@@ -252,9 +252,9 @@ def claim_harmonicity_ratio(ctx: PipelineContext, rng: np.random.Generator,
         r = rng.uniform(0.2, 0.9)
         th = rng.uniform(math.pi / 3 + 0.05, 5 * math.pi / 3 - 0.05)
         p = (r * math.cos(th), r * math.sin(th))
-        r1 = laplacian_residual(u, p, 1.0 / 128)
-        r2 = laplacian_residual(u, p, 1.0 / 256)
-        scale = abs(u.value(*p)) + 1e-30
+        r1 = laplacian_residual(u_float, p, 1.0 / 128)
+        r2 = laplacian_residual(u_float, p, 1.0 / 256)
+        scale = abs(u_float(*p)) + 1e-30
         if abs(r1) < 1e-8 * scale / (1.0 / 128) ** 2:
             continue  # degenerate leading term; ratio would be noise
         ratios.append(abs(r1 / r2))
@@ -292,7 +292,7 @@ def claim_identity_residuals(ctx: PipelineContext, tol: float) -> dict:
 
 def claim_tree_integral(ctx: PipelineContext, tol: float) -> dict:
     K = ctx.k_star
-    ti = trees.tree_integral(u_field(), trees.moon_tree(K), tol=tol)
+    ti = trees.tree_integral(u_log_xy, trees.moon_tree(K), tol=tol)
     return check("tree-integral-sign", "tree-integral-negative",
                  ti.float_value < 0.0,
                  value=ti.value, est_error=ti.est_error, K=K)
@@ -326,7 +326,7 @@ def claim_tail_support(ctx: PipelineContext) -> dict:
 
 
 def claim_tail_subharmonicity(ctx: PipelineContext) -> dict:
-    rep = mollify.tail_subharmonic_report(ctx.tail)
+    rep = ctx.subharmonic
     return check("tail-subharmonicity", "tail-laplacian-nonnegative",
                  rep["passes"],
                  **{k: v for k, v in rep.items() if k != "worst_node_xy"},
@@ -347,7 +347,7 @@ def claim_tail_tree_integral(ctx: PipelineContext, schedule, grid_n: int,
 def claim_curvature_sign(ctx: PipelineContext, delta: float) -> dict:
     rep = conformal.tail_curvature_report(ctx.tail, delta=delta)
     return check("bump-metric-curvature-sign", "curvature-nonpositive",
-                 rep["curvature_sign_pass"],
+                 rep["curvature_sign_pass"] and ctx.subharmonic["passes"],
                  max_positive_logK=rep["max_positive_logK"],
                  scale_logK=rep["scale_logK"])
 

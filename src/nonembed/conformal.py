@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from nonembed.bvp import (EXTERIOR, INTERIOR, MaskedGrid, ScalarField,
                           laplacian_grid)
-from nonembed.logscale import LogScaledReal
-from nonembed.mollify import (TailFunction, grid_sign_sets,
-                              tail_subharmonic_report)
-from nonembed.quadrature import QuadratureResult, adaptive_log_quadrature
-from nonembed.trees import Segment, SteinerTree, tree_integral
+from nonembed.mollify import TailFunction, grid_sign_sets
+from nonembed.trees import Segment, SteinerTree, line_integral, tree_integral
 
 
 class ConformalError(ValueError):
@@ -100,45 +97,17 @@ def gaussian_curvature(g: ConformalMetric) -> CurvatureField:
 # lengths
 # ---------------------------------------------------------------------------
 
-def _segment_integral(seg: Segment, log_integrand, tol: float,
-                      initial_panels: int) -> QuadratureResult:
-    """Integral along seg of a function given in log scale:
-    log_integrand(xs, ys) returns (signs, logmags)."""
-    log_L = math.log(seg.length)
-
-    def f_log(ts):
-        xs, ys = seg.at(ts)
-        signs, logmags = log_integrand(np.asarray(xs), np.asarray(ys))
-        return signs, logmags + log_L
-
-    return adaptive_log_quadrature(f_log, 0.0, 1.0, rtol=tol,
-                                   initial_panels=initial_panels)
-
-
-def _segment_length(g: ConformalMetric, seg: Segment, tol: float,
-                    initial_panels: int) -> QuadratureResult:
-    def log_integrand(xs, ys):
+def curve_length(g: ConformalMetric, curve: Union[Segment, SteinerTree],
+                 tol: float = 1e-12) -> float:
+    """Length of a segment or three-leg tree under the metric: the
+    integral of e^{phi} along the curve."""
+    def log_density(xs, ys):
         phi = np.asarray(g.factor(xs, ys), dtype=float)
         return np.ones(phi.shape, dtype=int), phi
 
-    return _segment_integral(seg, log_integrand, tol, initial_panels)
-
-
-def curve_length(g: ConformalMetric,
-                 curve: Union[Segment, SteinerTree, Sequence[Segment]],
-                 tol: float = 1e-12, initial_panels: int = 64) -> float:
-    """Length of a segment, polyline, or three-leg tree under the metric:
-    the integral of e^{phi} along the curve."""
-    if isinstance(curve, Segment):
-        segs = [curve]
-    elif isinstance(curve, SteinerTree):
-        segs = list(curve.legs)
-    else:
-        segs = list(curve)
-    total = LogScaledReal.zero()
-    for s in segs:
-        total = total + _segment_length(g, s, tol, initial_panels).value
-    return total.to_float()
+    if isinstance(curve, SteinerTree):
+        return tree_integral(log_density, curve, tol=tol).float_value
+    return line_integral(log_density, curve, tol=tol).float_value
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +144,8 @@ def length_derivative_check(tail: TailFunction, tree: SteinerTree,
                 np.log(np.sinh(x)))
         return np.sign(v).astype(int), log_sinh - log_step
 
-    total = LogScaledReal.zero()
-    for seg in tree.legs:
-        total = total + _segment_integral(seg, log_sinh_quotient, tol,
-                                          64).value
-    lhs = total.to_float()
-    rhs = tree_integral(tail.as_analytic_field(), tree, tol=1e-10).float_value
+    lhs = tree_integral(log_sinh_quotient, tree, tol=tol).float_value
+    rhs = tree_integral(tail.log_value, tree, tol=1e-10).float_value
     return lhs, rhs
 
 
@@ -219,15 +184,16 @@ def find_delta0(tail: TailFunction, tree: SteinerTree,
 def tail_curvature_report(tail: TailFunction, delta: float,
                           tol_factor: float = 1e-8) -> dict:
     """Sign verification of K = -e^{-2 delta v} * delta * (Laplacian of v)
-    over the unit disc.
+    on the grid-visible set of the unit disc.
 
     The reweighting e^{-2 delta v} is positive, so K <= 0 is equivalent to
-    discrete subharmonicity of v; this reuses that composed certificate
-    and additionally reports the largest positive curvature over the
-    grid-visible set in log scale, which keeps the reweighting factor out
-    of double-overflow territory.
+    discrete subharmonicity of v.  The report gives the largest positive
+    curvature over the grid-visible set in log scale, which keeps the
+    reweighting factor out of double-overflow territory.  The curvature
+    sign over the whole disc needs the composed certificate of
+    :func:`~nonembed.mollify.tail_subharmonic_report` as well, for the
+    jumps that the grid cannot see.
     """
-    sub = tail_subharmonic_report(tail, tol_factor=tol_factor)
     lap = laplacian_grid(tail.field)
     vis = grid_sign_sets(tail)[2]
     phi_c = delta * tail.field.values[1:-1, 1:-1]
@@ -239,12 +205,8 @@ def tail_curvature_report(tail: TailFunction, delta: float,
     scale_logK = float(np.max(logK[vis & (lap != 0.0)]))
     ok = max_pos_logK <= scale_logK + math.log(tol_factor) \
         if max_pos_logK > -math.inf else True
-    return dict(
-        subharmonic=sub,
-        max_positive_logK=max_pos_logK,
-        scale_logK=scale_logK,
-        curvature_sign_pass=bool(ok and sub["passes"]),
-    )
+    return dict(max_positive_logK=max_pos_logK, scale_logK=scale_logK,
+                curvature_sign_pass=bool(ok))
 
 
 # ---------------------------------------------------------------------------

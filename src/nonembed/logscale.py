@@ -91,15 +91,6 @@ class LogScaledReal:
             other = LogScaledReal.from_float(float(other))
         return self + (-other)
 
-    def abs(self) -> "LogScaledReal":
-        return LogScaledReal(abs(self.sign), self.logmag)
-
-    def __lt__(self, other):
-        return (self - other).sign < 0
-
-    def __gt__(self, other):
-        return (self - other).sign > 0
-
     def rel_close(self, other: "LogScaledReal", rtol: float) -> bool:
         """|self - other| <= rtol * max(|self|, |other|)."""
         diff = self - other

@@ -13,18 +13,18 @@ delta << grid spacing feasible; a grid-resolved convolution would need
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad as _quad
 from scipy.integrate import trapezoid as _trapezoid
 
-from nonembed.bvp import (BOUNDARY, EXTERIOR, INTERIOR, GluedField,
-                          MaskedGrid, ScalarField, SelectedN, _edge_margins,
+from nonembed.bvp import (BOUNDARY, INTERIOR, GluedField, MaskedGrid,
+                          ScalarField, SelectedN, _edge_margins,
                           laplacian_grid, pentagon_edge_data)
-from nonembed.fields import (AnalyticField, laplacian_residual, u_field,
-                             vectorized_field)
+from nonembed.fields import laplacian_residual, u_float
+from nonembed.logscale import float_to_log
 from nonembed.trees import SteinerTree, build_steiner_tree, tree_integral
 
 RESCALE = 10.0
@@ -141,8 +141,9 @@ class TailFunction:
         return self.mollified.value(RESCALE * (X - RECENTER[0]),
                                     RESCALE * (Y - RECENTER[1]))
 
-    def as_analytic_field(self) -> AnalyticField:
-        return vectorized_field(self.value)
+    def log_value(self, xs, ys):
+        """v in log scale, (signs, logmags), for the line quadrature."""
+        return float_to_log(self.value(xs, ys))
 
 
 def tail_tree(K: int) -> SteinerTree:
@@ -208,19 +209,6 @@ def build_tail_v(selected: SelectedN, delta: float,
 # subharmonicity
 # ---------------------------------------------------------------------------
 
-def subharmonic_defect(f: ScalarField, region: Optional[np.ndarray] = None
-                       ) -> float:
-    """Minimum of the 5-point Laplacian of f over the (inner-node) region;
-    values >= -tol indicate discrete subharmonicity at that tolerance."""
-    lap = laplacian_grid(f)
-    inner_live = f.grid.mask[1:-1, 1:-1] != EXTERIOR
-    if region is not None:
-        inner_live = inner_live & np.asarray(region)[1:-1, 1:-1]
-    if not np.any(inner_live):
-        raise MollifyError("empty region for the subharmonic check")
-    return float(np.min(lap[inner_live]))
-
-
 def grid_sign_sets(tail: TailFunction):
     """Node masks of the tail grid for the grid sign check: nodes whose
     5-point stencil lies in the unit disc, the glue region of every node,
@@ -284,7 +272,6 @@ def tail_subharmonic_report(tail: TailFunction,
     rng = np.random.default_rng(seed)
     ii, jj = np.where(moon_ok)
     pick = rng.choice(len(ii), size=min(n_spot, len(ii)), replace=False)
-    u = u_field()
     eq_err = 0.0
     ratio_lo, ratio_hi = np.inf, 0.0
     for p in pick:
@@ -297,8 +284,8 @@ def tail_subharmonic_report(tail: TailFunction,
         hloc = 1e-3 * r
         if tail.mollified.glue.interface_distance(np.array([yx]),
                                                   np.array([yy]))[0] > 4 * hloc:
-            r1 = laplacian_residual(u, (yx, yy), hloc)
-            r2 = laplacian_residual(u, (yx, yy), hloc / 2.0)
+            r1 = laplacian_residual(u_float, (yx, yy), hloc)
+            r2 = laplacian_residual(u_float, (yx, yy), hloc / 2.0)
             if abs(r2) > 1e-30:
                 q = abs(r1 / r2)
                 ratio_lo, ratio_hi = min(ratio_lo, q), max(ratio_hi, q)
@@ -377,7 +364,7 @@ def select_tail_delta(selected: SelectedN,
     chosen_tail = None
     for d in schedule:
         tail = build_tail_v(selected, d, grid_n=grid_n)
-        res = tree_integral(tail.as_analytic_field(), tree, tol=tol)
+        res = tree_integral(tail.log_value, tree, tol=tol)
         val = res.float_value
         history.append((d, val, res.est_error))
         if val < 0.0 and abs(val) > margin * res.est_error:

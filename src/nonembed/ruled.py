@@ -92,9 +92,6 @@ class RuledSurface:
         if not np.allclose(self.d[:, 0], 1.0, atol=1e-9):
             raise RuledError("ruling directions must be normalized to d1 = 1")
 
-    def point(self, t, i: int):
-        return self.c[i] + (np.asarray(t)[..., None] - 2.0) * self.d[i]
-
     def points(self, t):
         """h(t, s) for scalar t over all rulings: (n, 3)."""
         return self.c + (float(t) - 2.0) * self.d
@@ -696,6 +693,12 @@ def project_point(r: RuledSurface, p: np.ndarray,
     iterate in lockstep but independently: a row stops once its step is
     below 1e-13, or when its 2x2 normal system is singular.  Returns the
     footpoints (m, 3) and their parameters (m, 2).
+
+    A one-row call pays the batch set-up (stacked arrays, a batched
+    matmul and solve): about 10% slower than the former scalar solver
+    (3,000 one-row calls took 3.37 s against 3.00 s on a 2-vCPU host).
+    `project_and_compare` on a single curve makes such calls; stack the
+    rows of many curves where possible.
     """
     p = np.asarray(p, dtype=float)
     t_lo, t_hi = r.t_range

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from nonembed.fields import (AnalyticField, TWO_PI,
-                             eval_angle_field, u_field, u_gradient_xy,
-                             u_log_xy)
+from nonembed.fields import TWO_PI, eval_angle_field, u_gradient_xy, u_log_xy
 from nonembed.logscale import LogScaledReal, float_to_log
 from nonembed.quadrature import (QuadratureResult, adaptive_log_quadrature)
 
@@ -104,31 +102,30 @@ def moon_tree(K: int) -> SteinerTree:
 # quadrature over segments and trees
 # ---------------------------------------------------------------------------
 
-def line_integral(f: AnalyticField, seg: Segment, tol: float = 1e-10,
+def line_integral(f_log_xy: Callable, seg: Segment, tol: float = 1e-10,
                   initial_panels: int = 64) -> QuadratureResult:
-    """Adaptive Gauss-Legendre integral of f along seg, accumulated in
-    log scale.  est_error <= tol * |value| on convergence; non-convergence
+    """Adaptive Gauss-Legendre integral along seg of the field given in
+    log scale by f_log_xy(xs, ys) -> (signs, logmags), accumulated in log
+    scale.  est_error <= tol * |value| on convergence; non-convergence
     raises QuadratureError with diagnostics."""
-    L = seg.length
-    log_L = math.log(L)
+    log_L = math.log(seg.length)
 
     def f_log(ts):
-        xs, ys = seg.at(ts)
-        signs, logmags = f.log_value_at(np.asarray(xs), np.asarray(ys))
+        signs, logmags = f_log_xy(*seg.at(ts))
         return signs, logmags + log_L
 
     return adaptive_log_quadrature(f_log, 0.0, 1.0, rtol=tol,
                                    initial_panels=initial_panels)
 
 
-def tree_integral(f: AnalyticField, tree: SteinerTree,
+def tree_integral(f_log_xy: Callable, tree: SteinerTree,
                   tol: float = 1e-10) -> QuadratureResult:
-    """Sum of the three leg integrals."""
+    """Sum of the three leg integrals of :func:`line_integral`."""
     total = LogScaledReal.zero()
     err = 0.0
     evals = 0
     for leg in tree.legs:
-        r = line_integral(f, leg, tol=tol)
+        r = line_integral(f_log_xy, leg, tol=tol)
         total = total + r.value
         err += r.est_error
         evals += r.n_evals
@@ -176,12 +173,8 @@ def _arc_integral(tree: SteinerTree, weight, th_lo: float, th_hi: float,
     weight(phi) * 2 theta e^{-theta^2} dtheta, where phi is the angle at
     the vertex measured from the upper leg and theta the polar angle about
     the origin (ds = dtheta on the unit circle)."""
-    A, A1 = tree.vertex, tree.a1
-
     def f_log(ths):
-        xs, ys = np.cos(ths), np.sin(ths)
-        phi = np.array([eval_angle_field(A, A1, (x, y))
-                        for x, y in zip(xs, ys)])
+        phi = eval_angle_field(tree.vertex, tree.a1, np.cos(ths), np.sin(ths))
         return float_to_log(weight(phi) * 2.0 * ths * np.exp(-ths * ths))
 
     return adaptive_log_quadrature(f_log, th_lo, th_hi, rtol=tol,
@@ -232,9 +225,8 @@ def green_identity_residual(K: int, tol: float = 1e-10) -> float:
     identity does give is :func:`weighted_green_identity_residual`.
     """
     tree = moon_tree(K)
-    u = u_field()
-    legs = line_integral(u, tree.legs[0], tol=tol).value + \
-        line_integral(u, tree.legs[2], tol=tol).value
+    legs = line_integral(u_log_xy, tree.legs[0], tol=tol).value + \
+        line_integral(u_log_xy, tree.legs[2], tol=tol).value
     rhs = identity_right_side(K, tol=tol)
     return _relative_discrepancy(legs, rhs)
 
@@ -279,8 +271,7 @@ def weighted_identity_sides(K: int, tol: float = 1e-10
     L = axis.length
 
     def axis_dtheta_log(ts):
-        xs, ys = axis.at(ts)
-        uy = np.array([u_gradient_xy(x, y)[1] for x, y in zip(xs, ys)])
+        uy = u_gradient_xy(*axis.at(ts))[1]
         return float_to_log(-(2.0 * math.pi / 3.0) * L * uy)
 
     dtheta = adaptive_log_quadrature(axis_dtheta_log, 0.0, 1.0, rtol=tol,
@@ -342,13 +333,9 @@ def segment_in_sectors(seg: Segment, tree: SteinerTree, n_check: int = 257,
     xs, ys = seg.at(ts)
     if np.any(xs * xs + ys * ys > (1.0 + pad) ** 2):
         return False
-    for x, y in zip(xs, ys):
-        if (x, y) == tree.vertex:
-            continue
-        phi = eval_angle_field(tree.vertex, tree.a1, (x, y))
-        if phi > 4.0 * math.pi / 3.0 + pad:
-            return False
-    return True
+    off = (xs != tree.vertex[0]) | (ys != tree.vertex[1])
+    phi = eval_angle_field(tree.vertex, tree.a1, xs[off], ys[off])
+    return not np.any(phi > 4.0 * math.pi / 3.0 + pad)
 
 
 def check_segment_positivity(seg: Segment, tree: SteinerTree,
@@ -362,7 +349,7 @@ def check_segment_positivity(seg: Segment, tree: SteinerTree,
             raise GeometryError(f"endpoint {p} is not on the unit circle")
     if not segment_in_sectors(seg, tree):
         raise GeometryError("segment exits the sectors")
-    res = line_integral(u_field(), seg, tol=tol)
+    res = line_integral(u_log_xy, seg, tol=tol)
     if res.value.is_zero or res.value.to_float() <= res.est_error:
         if res.value.sign < 0 and abs(res.value.to_float()) > 10 * res.est_error:
             return -1

@@ -90,7 +90,8 @@ def test_criterion_03_minimal_K_and_tree_sign(ctx):
 def test_criterion_04_chord_positivity(ctx):
     rec = cli.claim_chord_positivity(ctx, n_chords=100, seed=SEED)
     report(4, "100 seeded chords have positive integrals",
-           {"all-positive": rec["pass"]})
+           {"n=100": rec["values"]["n_chords"] == 100,
+            "all-positive": rec["pass"]})
 
 
 def test_criterion_05_tail_pipeline(ctx):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from nonembed import bvp, cli, gridio
+from nonembed import bvp, cli, conformal, gridio, mollify
 
 from gridsolve import solve_laplace_dirichlet
 
@@ -353,6 +353,26 @@ def test_verify_moon_exit_code_reflects_failures(tmp_path):
     failed = {c["name"] for c in rep["checks"] if not c["pass"]}
     assert failed == {"legs-identity-residual", "tree-integral-sign"}
     assert rep["K"] == 4
+
+
+def test_tail_certificate_computed_once_per_context(ctx, monkeypatch):
+    # the subharmonicity and curvature-sign claims share one certificate
+    calls = []
+    report = mollify.tail_subharmonic_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(mollify, "tail_subharmonic_report", counted)
+    monkeypatch.setattr(conformal, "tail_subharmonic_report", counted,
+                        raising=False)
+    fresh = cli.PipelineContext(ctx.cfg)
+    fresh.tail = ctx.tail
+    sub = cli.claim_tail_subharmonicity(fresh)
+    curv = cli.claim_curvature_sign(fresh, delta=1e-6)
+    assert len(calls) == 1
+    assert sub["pass"] and curv["pass"]
 
 
 def test_verify_ruled_golden_values(ctx):

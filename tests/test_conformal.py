@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonembed import bvp, conformal, mollify
-from nonembed.fields import vectorized_field
+from nonembed.logscale import float_to_log
 from nonembed.trees import Segment, build_steiner_tree
 
 from gridsolve import solve_laplace_dirichlet
@@ -95,13 +95,13 @@ def test_curvature_requires_grid():
 
 class FieldOf:
     """Stand-in for the tail field with value fn(x, y), for the functions
-    that read only a tail's value and as_analytic_field."""
+    that read only a tail's value and log_value."""
 
     def __init__(self, fn):
         self.value = fn
 
-    def as_analytic_field(self):
-        return vectorized_field(self.value)
+    def log_value(self, xs, ys):
+        return float_to_log(self.value(xs, ys))
 
 
 def test_length_derivative_check_values(tail4):
@@ -180,9 +180,9 @@ def test_find_delta0_fails_for_nonnegative_field(tail4):
     assert not scan.succeeded
 
 
-def test_tail_curvature_sign_certificate(tail4):
+def test_tail_curvature_sign_certificate(ctx, tail4):
     rep = conformal.tail_curvature_report(tail4, delta=1e-6)
     assert rep["curvature_sign_pass"]
-    assert rep["subharmonic"]["passes"]
+    assert ctx.subharmonic["passes"]
     # no positive curvature on the grid-visible set at all
     assert rep["max_positive_logK"] == -math.inf

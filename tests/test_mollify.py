@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nonembed import bvp, mollify
+from nonembed import mollify
 from nonembed.fields import u_float
 from nonembed.trees import tree_integral
 
@@ -29,12 +29,6 @@ def test_mollifier_peak_scaling():
     m1 = mollify.make_mollifier(0.2)
     m2 = mollify.make_mollifier(0.1)
     assert m2.density(0.0) / m1.density(0.0) == pytest.approx(4.0, rel=1e-12)
-
-
-def _flat_box_field(n, data):
-    g = bvp.box_grid((0.0, 0.0), 1.0, n)
-    X, Y = g.nodes_xy()
-    return bvp.ScalarField(grid=g, values=data(X, Y))
 
 
 # ---------------------------------------------------------------------------
@@ -97,19 +91,12 @@ def test_tail_tree_geometry():
 
 def test_tail_tree_integral_frozen_value(tail4):
     tree = mollify.tail_tree(K_STAR)
-    res = tree_integral(tail4.as_analytic_field(), tree, tol=1e-9)
+    res = tree_integral(tail4.log_value, tree, tol=1e-9)
     assert res.float_value == pytest.approx(TREE_V_EXPECTED, rel=1e-6)
 
 
-def test_subharmonic_defect_reference_fields():
-    f = _flat_box_field(64, lambda X, Y: X**2 + Y**2)
-    assert mollify.subharmonic_defect(f) == pytest.approx(4.0, abs=1e-9)
-    g = _flat_box_field(64, lambda X, Y: -(X**2 + Y**2))
-    assert mollify.subharmonic_defect(g) == pytest.approx(-4.0, abs=1e-9)
-
-
-def test_tail_subharmonic_certificates(tail4):
-    rep = mollify.tail_subharmonic_report(tail4)
+def test_tail_subharmonic_certificates(ctx):
+    rep = ctx.subharmonic
     assert rep["passes"], rep
     assert rep["grid_pass"]
     assert rep["moon_certified"]
