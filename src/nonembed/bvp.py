@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from nonembed.fields import u_float, u_gradient_xy
 from nonembed.trees import Segment, build_steiner_tree
@@ -156,6 +154,7 @@ def disc_grid(radius: float, n: int, center: Point = (0.0, 0.0)) -> MaskedGrid:
 # ---------------------------------------------------------------------------
 
 def _interior_system(grid: MaskedGrid, rhs_interior: np.ndarray):
+    from scipy.sparse import csr_matrix
     nx, ny = grid.shape
     idx = -np.ones(grid.shape, dtype=np.int64)
     ii, jj = np.where(grid.mask == INTERIOR)
@@ -172,9 +171,9 @@ def _interior_system(grid: MaskedGrid, rhs_interior: np.ndarray):
         vals.append(np.full(int(isint.sum()), -1.0))
         isb = role == BOUNDARY
         np.add.at(b, idx[ii[isb], jj[isb]], grid.boundary_values[ni[isb], nj[isb]])
-    A = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
+    A = csr_matrix((np.concatenate(vals),
+                    (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(n, n))
     return A, b, (ii, jj)
 
 
@@ -191,8 +190,9 @@ def solve_poisson(grid: MaskedGrid, rhs: np.ndarray, tol: float = 1e-10) -> Scal
     if full_box:
         values = _poisson_dst(grid, rhs)
     else:
+        from scipy.sparse.linalg import cg
         A, b, (ii, jj) = _interior_system(grid, np.asarray(rhs, dtype=float))
-        x, info = spla.cg(A, b, rtol=1e-12, atol=0.0, maxiter=1_000_000)
+        x, info = cg(A, b, rtol=1e-12, atol=0.0, maxiter=1_000_000)
         if info != 0:
             raise SolverError(f"CG did not converge (info={info})")
         values = np.array(grid.boundary_values, dtype=float)
@@ -303,6 +303,7 @@ def _cut_arms(poly: ConvexPolygon, px: np.ndarray, py: np.ndarray,
 
 def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
                       shape: Tuple[int, int], snap: float = 1e-9):
+    from scipy.sparse import csc_matrix
     nx, ny = shape
     xs = origin[0] + h * np.arange(nx)
     ys = origin[1] + h * np.arange(ny)
@@ -347,9 +348,9 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
         rows.append(sel)
         cols.append(nbr[d][sel])
         vals.append(-coefs[d][sel])
-    A = sp.csc_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
+    A = csc_matrix((np.concatenate(vals),
+                    (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(n, n))
     geom = dict(interior=interior, ii=ii, jj=jj, diag=diag, coefs=coefs,
                 nbr=nbr, cuts=cuts, origin=origin, h=h, shape=shape)
     return A, geom
@@ -380,21 +381,31 @@ def _two_product(a, b):
     return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
+# unknowns per block of the refinement residual: its ~125 elementwise
+# operations then run on cache-sized arrays
+_BLOCK = 1 << 12
+
+
 def _stencil_residual(geom: dict, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """b - A x for data sets stacked as rows, x and b of shape (m, n),
     summed over each row of A's five stencil terms as if in twice the
-    working precision and rounded once (Ogita, Rump and Oishi's Dot2)."""
-    s, err = _two_product(-geom["diag"], x)
-    s, e = _two_sum(b, s)
-    err += e
-    for d in range(4):
-        nb = geom["nbr"][d]
-        c = np.where(nb >= 0, geom["coefs"][d], 0.0)  # cut arms add 0 x 0
-        p, e = _two_product(c, x[:, np.maximum(nb, 0)])
+    working precision and rounded once (Ogita, Rump and Oishi's Dot2).
+    Rows of A are taken _BLOCK at a time; x is gathered by global index."""
+    out = np.empty_like(b)
+    for lo in range(0, b.shape[1], _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        s, err = _two_product(-geom["diag"][blk], x[:, blk])
+        s, e = _two_sum(b[:, blk], s)
         err += e
-        s, e = _two_sum(s, p)
-        err += e
-    return s + err
+        for d in range(4):
+            nb = geom["nbr"][d, blk]
+            c = np.where(nb >= 0, geom["coefs"][d, blk], 0.0)  # cut arms add 0 x 0
+            p, e = _two_product(c, x[:, np.maximum(nb, 0)])
+            err += e
+            s, e = _two_sum(s, p)
+            err += e
+        out[:, blk] = s + err
+    return out
 
 
 class PolygonProblem:
@@ -444,6 +455,9 @@ class PolygonProblem:
     def _refined_solve(self, b: np.ndarray) -> np.ndarray:
         """Solutions of A x = b for the rows of b, shape (m, n).  SuperLU
         takes column-major right-hand sides, so the transposes are free."""
+        # splu is looked up on the module at each call, so a wrapper set
+        # on scipy.sparse.linalg.splu (a profiler's, say) takes effect
+        import scipy.sparse.linalg as spla
         # MMD on A^T + A suits the structurally symmetric 5-point pattern
         lu = spla.splu(self.A, permc_spec="MMD_AT_PLUS_A")
         x = lu.solve(b.T).T

@@ -498,7 +498,7 @@ def claim_projection_lengths(ctx: PipelineContext, ext: ruled.RuledSurface,
                        for sd in range(n_curves)])
     lc, lp = ruled.project_and_compare(curves, ext)
     return check("projection-lengths", "projection-shortens",
-                 bool(np.all(lc >= lp - 1e-8)), n_curves=n_curves,
+                 bool(np.all(lc >= lp - 1e-8)), n_curves=len(lc),
                  worst_gap=float(np.min(lc - lp)))
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad as _quad
-from scipy.integrate import trapezoid as _trapezoid
 
 from nonembed.bvp import (BOUNDARY, INTERIOR, GluedField, MaskedGrid,
                           ScalarField, SelectedN, _edge_margins,
@@ -30,9 +28,10 @@ from nonembed.trees import SteinerTree, build_steiner_tree, tree_integral
 RESCALE = 10.0
 RECENTER = (-0.8, 0.0)
 
-# integral of exp(-1/(1-t^2)) t dt over [0, 1]; normalizes the 2D bump
-_PROFILE_MOMENT = _quad(lambda t: math.exp(-1.0 / (1.0 - t * t)) * t,
-                        0.0, 1.0, epsabs=1e-15, epsrel=1e-14)[0]
+# integral of exp(-1/(1-t^2)) t dt over [0, 1]; normalizes the 2D bump.
+# This is scipy.integrate.quad's result (epsabs=1e-15, epsrel=1e-14), one
+# ulp below the correctly rounded value; tests/test_mollify.py pins both.
+_PROFILE_MOMENT = 0.07424775338796101
 
 
 class MollifyError(ValueError):
@@ -56,9 +55,10 @@ class Mollifier:
 
     def mass(self, n: int = 20000) -> float:
         """2D mass by fine 1D quadrature (diagnostic)."""
+        from scipy.integrate import trapezoid
         s = np.linspace(0.0, self.radius, n + 1)
         rho = self.density(s)
-        return float(2.0 * math.pi * _trapezoid(rho * s, s))
+        return float(2.0 * math.pi * trapezoid(rho * s, s))
 
 
 def make_mollifier(delta: float) -> Mollifier:

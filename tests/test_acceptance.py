@@ -199,16 +199,20 @@ def test_criterion_08_pocket_metric(ctx):
 
 def test_criterion_09_ruled_surfaces(ctx, gen_surface, extended):
     flat = cli.claim_extension_flatness(ctx, extended)["values"]
+    margins = cli.claim_comparison_margins(ctx, gen_surface, seed0=100,
+                                           count=20)
+    lengths = cli.claim_projection_lengths(ctx, extended, seed0=1000,
+                                           n_curves=50)
     report(9, "ruled round trip, flatness, curvature family, comparisons",
            {"cylinder-round-trip-1e-10":
                 cli.claim_cylinder_round_trip(ctx)["pass"],
             "det-II-1e-8": flat["worst_det_ratio"] <= 1e-8,
             "kappa-20pct-and-trend":
                 cli.claim_concavity_family(ctx, seed=42)["pass"],
-            "comparison-margins-1e-8": cli.claim_comparison_margins(
-                ctx, gen_surface, seed0=100, count=20)["pass"],
-            "projection-lengths-1e-8": cli.claim_projection_lengths(
-                ctx, extended, seed0=1000, n_curves=50)["pass"]})
+            "n_instances=20": margins["values"]["n_instances"] == 20,
+            "comparison-margins-1e-8": margins["pass"],
+            "n_curves=50": lengths["values"]["n_curves"] == 50,
+            "projection-lengths-1e-8": lengths["pass"]})
 
 
 def test_criterion_10_annulus_stack(ctx):

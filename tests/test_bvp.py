@@ -260,6 +260,25 @@ def test_polygon_solve_pointwise_accuracy_against_discrete_oracle():
     assert worst <= 7e-14
 
 
+def test_stencil_residual_in_blocks_equals_one_block(monkeypatch):
+    """The compensated refinement residual, taken a few unknowns at a
+    time, has the bits of the same residual over all unknowns at once,
+    and it is b - A x."""
+    geom = bvp.pentagon_geometry(2)
+    origin, h, shape = bvp._pentagon_grid_params(geom, 16)
+    prob = bvp.PolygonProblem(geom.polygon, h, origin, shape)
+    n = prob.A.shape[0]
+    x, b = np.random.default_rng(3).standard_normal((2, 2, n))
+    monkeypatch.setattr(bvp, "_BLOCK", n)
+    whole = bvp._stencil_residual(prob.geom, x, b)
+    monkeypatch.setattr(bvp, "_BLOCK", 37)
+    assert n > 37 and n % 37
+    blocked = bvp._stencil_residual(prob.geom, x, b)
+    assert whole.tobytes() == blocked.tobytes()
+    plain = b - (prob.A @ x.T).T
+    assert np.allclose(blocked, plain, rtol=0.0, atol=1e-12 * np.abs(plain).max())
+
+
 def _edge_cut(poly, p, direction, h):
     """Scalar reference for the cut search: fraction alpha in (0, 1] along
     p + t*h*direction at which the boundary is crossed, and the edge

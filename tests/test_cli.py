@@ -112,6 +112,49 @@ def test_export_round_trip_byte_identical(tmp_path):
     assert np.array_equal(back.grid.mask, f.grid.mask)
 
 
+def _scipy_loaded_after(code):
+    """The scipy modules in sys.modules once `code` has run in a fresh
+    interpreter."""
+    probe = code + ("\nimport sys\nprint(sorted(m for m in sys.modules"
+                    " if m.split('.')[0] == 'scipy'))")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_loaded_after("import nonembed.cli") == "[]"
+
+
+def test_export_both_ways_loads_no_scipy(tmp_path):
+    src = gridio.write_grid_csv(_sample_field(), tmp_path / "field.csv")
+    j, c2 = tmp_path / "field_as.json", tmp_path / "back.csv"
+    code = (f"from nonembed.cli import main\n"
+            f"assert main(['export', {str(src)!r}, '--format', 'json',"
+            f" '--dst', {str(j)!r}]) == 0\n"
+            f"assert main(['export', {str(j)!r}, '--format', 'csv',"
+            f" '--dst', {str(c2)!r}]) == 0")
+    assert _scipy_loaded_after(code) == "[]"
+    assert c2.read_bytes() == src.read_bytes()
+
+
+def test_every_module_imports_without_scipy():
+    """With scipy made unimportable, every nonembed module still imports:
+    scipy is imported only inside the functions that call it."""
+    code = ("import importlib, pkgutil, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import nonembed\n"
+            "names = [m.name for m in pkgutil.iter_modules(nonembed.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('nonembed.' + name)\n"
+            "print(' '.join(names))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert {"bvp", "cli", "gridio", "mollify"} <= set(r.stdout.split())
+
+
 def test_artifacts_get_mode_from_umask(tmp_path):
     old = os.umask(0o022)
     try:

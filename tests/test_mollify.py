@@ -24,6 +24,22 @@ def test_mollifier_unit_mass_and_support():
         mollify.make_mollifier(0.0)
 
 
+def test_profile_moment_is_quads_value():
+    """The normalizing moment is the literal that scipy's quad returns for
+    it, and lies within 2 ulp of the 40-digit value (it is 1 ulp below the
+    correctly rounded double; rounding it would move the amplitude)."""
+    from mpmath import exp, mp, mpf, quad as mp_quad
+    from scipy.integrate import quad
+
+    got = mollify._PROFILE_MOMENT
+    assert got == quad(lambda t: math.exp(-1.0 / (1.0 - t * t)) * t, 0.0, 1.0,
+                       epsabs=1e-15, epsrel=1e-14)[0]
+    with mp.workdps(40):
+        exact = mp_quad(lambda t: exp(-1 / (1 - t * t)) * t, [0, 1])
+        assert abs(exact - mpf("0.0742477533879610239592")) < 1e-21
+        assert abs(mpf(got) - exact) <= 2 * math.ulp(got)
+
+
 def test_mollifier_peak_scaling():
     # halving the radius quadruples the peak (2D mass preservation)
     m1 = mollify.make_mollifier(0.2)
