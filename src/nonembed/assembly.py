@@ -13,13 +13,18 @@ Four assemblies build on the tail field and the Poisson machinery:
   C^4 weights, plus per-annulus plantings of the bump construction,
   giving a factor that vanishes identically near the origin and has
   strictly negative curvature on every sampled annulus.
+
+Every evaluator takes and returns numpy arrays.  A point lies in at most
+one ball of a bump schedule or annulus planting, and in at most one of a
+rotation sum's 360 images, so each factor is one loop over the balls and
+one tail evaluation on the points inside a support.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,60 +43,71 @@ class AssemblyError(ValueError):
 # rotation sum
 # ---------------------------------------------------------------------------
 
+# Rotation-sum geometry.  Image i is v(R(i deg)(SCALE * x) - OFFSET): a disc
+# of radius BASE_RADIUS / SCALE on the circle of radius |OFFSET| / SCALE,
+# so the whole sum lies within PLANTING_REACH (0.3611) of the origin.
+ROTATIONS = 360
+SCALE = 1000.0
+OFFSET = (360.0, 0.0)
+BASE_RADIUS = 1.1  # support radius of the tail field v
+PLANTING_REACH = math.hypot(*OFFSET) / SCALE + BASE_RADIUS / SCALE
+# R(i deg) for i = 0..360, each entry the double math.cos/math.sin give
+_COS = np.array([math.cos(i * DEG) for i in range(ROTATIONS + 1)])
+_SIN = np.array([math.sin(i * DEG) for i in range(ROTATIONS + 1)])
+
+
 @dataclass
 class RotationSum:
-    """Sum over i = 1..360 of v(R(i deg)(scale * x) - offset).
+    """Sum over i = 1..360 of v(R(i deg)(SCALE * x) - OFFSET).
 
-    Each summand's support is a radius-0.0011 disc (after the 1/scale
-    shrink) centered on the circle of radius |offset|/scale; consecutive
-    images are 1 degree apart, so the supports are pairwise disjoint and
-    at most one summand is active at any point.
+    Consecutive images are 1 degree apart and each spans 0.35 degrees, so
+    the supports are pairwise disjoint and at most one summand is active
+    at any point.
     """
 
     base: TailFunction
-    count: int = 360
-    scale: float = 1000.0
-    offset: Tuple[float, float] = (360.0, 0.0)
 
-    @property
-    def support_ring_radius(self) -> float:
-        return math.hypot(*self.offset) / self.scale
+    def value(self, x, y) -> np.ndarray:
+        """Pointwise rotation sum on arrays.
 
-    @property
-    def summand_radius(self) -> float:
-        return 1.1 / self.scale
+        The image that can hold p is the one whose rotation takes p to the
+        positive axis, index -atan2(p)/deg; the three nearest indices are
+        tried, and the tail is evaluated once, on the points that land in a
+        support.
+        """
+        px, py = np.broadcast_arrays(SCALE * np.asarray(x, dtype=float),
+                                     SCALE * np.asarray(y, dtype=float))
+        nearest = np.rint(-np.arctan2(py, px) / DEG).astype(np.int64)
+        idx, qxs, qys = [], [], []
+        for k in (-1, 0, 1):
+            i = (nearest + k - 1) % ROTATIONS + 1
+            c, s = _COS[i], _SIN[i]
+            qx = c * px - s * py - OFFSET[0]
+            qy = s * px + c * py - OFFSET[1]
+            hit = qx * qx + qy * qy < BASE_RADIUS ** 2
+            idx.append(np.flatnonzero(hit))
+            qxs.append(qx[hit])
+            qys.append(qy[hit])
+        out = np.zeros(px.shape)
+        np.add.at(out.reshape(-1), np.concatenate(idx),
+                  self.base.value(np.concatenate(qxs), np.concatenate(qys)))
+        return out
 
-    def active_indices(self, x: float, y: float):
-        """Indices i whose rotated argument can land in the base support."""
-        px, py = self.scale * x, self.scale * y
-        rho = math.hypot(px, py)
-        R = math.hypot(*self.offset)
-        if abs(rho - R) > 1.1:
-            return []
-        # R(i deg) p must have polar angle within asin(1.1/rho) of 0
-        ang = math.atan2(py, px)
-        half = math.asin(min(1.0, 1.1 / max(rho, 1e-300))) + 2e-3
-        base_i = -ang / DEG
-        lo = math.floor(base_i - half / DEG)
-        hi = math.ceil(base_i + half / DEG)
-        return [((i - 1) % self.count) + 1 for i in range(lo, hi + 1)]
 
-    def term(self, x: float, y: float, i: int) -> float:
-        a = i * DEG
-        c, s = math.cos(a), math.sin(a)
-        px, py = self.scale * x, self.scale * y
-        qx = c * px - s * py - self.offset[0]
-        qy = s * px + c * py - self.offset[1]
-        if qx * qx + qy * qy >= 1.1 ** 2:
-            return 0.0
-        return float(self.base.value(qx, qy))
-
-    def value(self, x: float, y: float) -> float:
-        """Pointwise rotation sum."""
-        total = 0.0
-        for i in sorted(set(self.active_indices(x, y))):
-            total += self.term(x, y, i)
-        return total
+def _first_ball_value(w: RotationSum, x, y, balls) -> np.ndarray:
+    """amp * w((p - c) / sigma) at each point p of the first ball
+    (c, sigma, r2, amp) with |p - c|^2 < r2 that holds it, zero outside
+    every ball."""
+    X, Y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    out = np.zeros(X.shape)
+    free = np.ones(X.shape, dtype=bool)
+    for (cx, cy), sigma, r2, amp in balls:
+        dx, dy = X - cx, Y - cy
+        hit = free & (dx * dx + dy * dy < r2)
+        out[hit] = amp * w.value(dx[hit] / sigma, dy[hit] / sigma)
+        free &= ~hit
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +160,7 @@ def build_bump_schedule(n_max: int, w: RotationSum,
     centers, radii, amps, bounds = [], [], [], []
     for n in range(1, n_max + 1):
         rho = 2.0 ** (-n - 3)
-        chain = w.scale / rho  # d/dx of the composed argument
+        chain = SCALE / rho  # d/dx of the composed argument
         D = max(chain ** k * V[k] for k in range(0, min(n, max_order) + 1))
         centers.append((2.0 ** (-n), 2.0 ** (-n - 2)))
         radii.append(rho)
@@ -165,15 +181,12 @@ def _check_disjoint(s: BumpSchedule) -> None:
 
 
 def eval_gII_factor(schedule: BumpSchedule, w: RotationSum,
-                    x: float, y: float) -> float:
-    """Conformal factor exponent of the bump metric:
+                    x, y) -> np.ndarray:
+    """Conformal factor exponent of the bump metric on arrays:
     delta_n * w((x - z_n)/rho_n) inside ball n, zero elsewhere."""
-    for (cx, cy), rho, amp in zip(schedule.centers, schedule.radii,
-                                  schedule.amplitudes):
-        dx, dy = x - cx, y - cy
-        if dx * dx + dy * dy < rho * rho:
-            return amp * w.value(dx / rho, dy / rho)
-    return 0.0
+    return _first_ball_value(w, x, y, [
+        (c, rho, rho * rho, amp) for c, rho, amp in
+        zip(schedule.centers, schedule.radii, schedule.amplitudes)])
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +278,9 @@ def build_g1(n_max: int = 3, grid_n: int = 1536) -> PocketMetric:
 # annulus stack
 # ---------------------------------------------------------------------------
 
+PLANTINGS_PER_ANNULUS = 2
+SAMPLE_ANGLES = 8  # curvature sample points per annulus
+
 def wall_cutoff(n: int, r):
     """e^{-1/(r - 1/n)} for r > 1/n, zero otherwise."""
     r = np.asarray(r, dtype=float)
@@ -325,7 +341,6 @@ class AnnulusStack:
     n_max: int
     plantings: list          # (center, sigma, amplitude) per annulus
     rotation: RotationSum
-    copies_per_annulus: int
 
     def cutoff_sum(self, r):
         out = np.zeros(np.shape(np.asarray(r, dtype=float)))
@@ -340,26 +355,20 @@ class AnnulusStack:
                 * wall_cutoff_laplacian(m, r)
         return out
 
-    def planting_value(self, x: float, y: float) -> float:
-        sup = self.rotation.support_ring_radius + self.rotation.summand_radius
-        for (cx, cy), sigma, amp in self.plantings:
-            dx, dy = x - cx, y - cy
-            if dx * dx + dy * dy < (sigma * sup) ** 2:
-                return amp * self.rotation.value(dx / sigma, dy / sigma)
-        return 0.0
+    def planting_value(self, x, y) -> np.ndarray:
+        return _first_ball_value(self.rotation, x, y, [
+            (c, sigma, (sigma * PLANTING_REACH) ** 2, amp)
+            for c, sigma, amp in self.plantings])
 
-    def factor(self, x: float, y: float) -> float:
-        r = math.hypot(x, y)
-        base = float(self.cutoff_sum(np.array([r]))[0])
-        return base + self.planting_value(x, y)
+    def factor(self, x, y) -> np.ndarray:
+        return self.cutoff_sum(np.hypot(x, y)) + self.planting_value(x, y)
 
-    def planting_clearance(self, x: float, y: float) -> float:
+    def planting_clearance(self, x, y) -> np.ndarray:
         """Distance from (x, y) to the nearest planting support."""
-        sup = self.rotation.support_ring_radius + self.rotation.summand_radius
-        best = math.inf
-        for (cx, cy), sigma, amp in self.plantings:
-            d = math.hypot(x - cx, y - cy) - sigma * sup
-            best = min(best, d)
+        best = np.inf
+        for (cx, cy), sigma, _ in self.plantings:
+            best = np.minimum(best, np.hypot(x - cx, y - cy)
+                              - sigma * PLANTING_REACH)
         return best
 
 
@@ -369,8 +378,7 @@ def annulus_mid_radius(n: int) -> float:
 
 def build_annulus_stack(eta: Sequence[float], n_max: int,
                         mu: Optional[Sequence[float]] = None,
-                        tail: Optional[TailFunction] = None,
-                        copies_per_annulus: int = 2) -> AnnulusStack:
+                        tail: Optional[TailFunction] = None) -> AnnulusStack:
     """Assemble the annulus factor for a given bounded positive weight
     sequence eta, truncated at n_max.
 
@@ -387,25 +395,22 @@ def build_annulus_stack(eta: Sequence[float], n_max: int,
                             "measure_mu_schedule first")
     if tail is None:
         raise AssemblyError("annulus plantings need the tail field")
-    w = RotationSum(base=tail)
-    sup = w.support_ring_radius + w.summand_radius  # 0.3611
     plantings = []
     for n in range(1, n_max + 1):
         r_c = annulus_mid_radius(n)
         width = 1.0 / n - 1.0 / (n + 1)
-        sigma = 0.40 * width / sup
+        sigma = 0.40 * width / PLANTING_REACH
         amp = 2.0 ** (-n) * sigma ** 2
-        for j in range(copies_per_annulus):
-            ang = 2.0 * math.pi * j / copies_per_annulus
+        for j in range(PLANTINGS_PER_ANNULUS):
+            ang = 2.0 * math.pi * j / PLANTINGS_PER_ANNULUS
             plantings.append(((r_c * math.cos(ang), r_c * math.sin(ang)),
                               sigma, amp))
     return AnnulusStack(eta=list(eta[:n_max]), mu=list(mu[:n_max]),
-                        n_max=n_max, plantings=plantings, rotation=w,
-                        copies_per_annulus=copies_per_annulus)
+                        n_max=n_max, plantings=plantings,
+                        rotation=RotationSum(base=tail))
 
 
-def annulus_curvature_samples(stack: AnnulusStack, n: int,
-                              n_angles: int = 8) -> list:
+def annulus_curvature_samples(stack: AnnulusStack, n: int) -> list:
     """Discrete curvature of the stack factor at mid-annulus sample
     points chosen between plantings, with a per-sample stencil step small
     enough for the wall cutoffs' scale.
@@ -416,23 +421,26 @@ def annulus_curvature_samples(stack: AnnulusStack, n: int,
     r_c = annulus_mid_radius(n)
     s_active = r_c - 1.0 / (n + 1)
     h_fd = 0.02 * s_active ** 2
-    out = []
-    for j in range(n_angles):
-        # between the plantings, which sit at multiples of 2pi/copies
-        ang = 2.0 * math.pi * (j + 0.5) / n_angles
-        p = (r_c * math.cos(ang), r_c * math.sin(ang))
-        if stack.planting_clearance(*p) < 3 * h_fd:
-            continue
-        f = stack.factor
-        c = f(*p)
-        lap = (f(p[0] + h_fd, p[1]) + f(p[0] - h_fd, p[1])
-               + f(p[0], p[1] + h_fd) + f(p[0], p[1] - h_fd) - 4.0 * c) / h_fd**2
-        K = -math.exp(-2.0 * c) * lap
-        lap_exact = float(stack.cutoff_sum_laplacian(np.array([math.hypot(*p)]))[0])
-        out.append(dict(point=p, K=K, laplacian=lap, laplacian_exact=lap_exact))
-    if not out:
+    # between the plantings, which sit at multiples of
+    # 2pi / PLANTINGS_PER_ANNULUS
+    angs = [2.0 * math.pi * (j + 0.5) / SAMPLE_ANGLES
+            for j in range(SAMPLE_ANGLES)]
+    px = np.array([r_c * math.cos(a) for a in angs])
+    py = np.array([r_c * math.sin(a) for a in angs])
+    clear = stack.planting_clearance(px, py) >= 3 * h_fd
+    if not np.any(clear):
         raise AssemblyError(f"no clear sample points found on annulus {n}")
-    return out
+    px, py = px[clear], py[clear]
+    # five-point stencils, one row per node: center, +x, -x, +y, -y
+    c, e, w, no, so = stack.factor(
+        np.stack([px, px + h_fd, px - h_fd, px, px]),
+        np.stack([py, py, py, py + h_fd, py - h_fd]))
+    lap = (e + w + no + so - 4.0 * c) / h_fd**2
+    lap_exact = stack.cutoff_sum_laplacian(np.hypot(px, py))
+    return [dict(point=(x, y), K=-math.exp(-2.0 * ci) * li, laplacian=li,
+                 laplacian_exact=le)
+            for x, y, ci, li, le in zip(px.tolist(), py.tolist(), c.tolist(),
+                                        lap.tolist(), lap_exact.tolist())]
 
 
 def origin_flatness(stack: AnnulusStack, max_order: int = 4,
@@ -444,8 +452,8 @@ def origin_flatness(stack: AnnulusStack, max_order: int = 4,
         raise AssemblyError("stencil escapes the flat core")
     n_pts = 2 * max_order + 1
     xs = step * (np.arange(n_pts) - max_order)
-    vals = np.array([[stack.factor(a, b) for b in xs] for a in xs])
-    return measured_derivative_maxima(vals, step, max_order)
+    return measured_derivative_maxima(
+        stack.factor(*np.meshgrid(xs, xs, indexing="ij")), step, max_order)
 
 
 def cutoff_partial_sum_c4_distance(mu: Sequence[float], n_hi: int, n_lo: int,

@@ -1,10 +1,8 @@
 """Laplace/Poisson solvers on masked grids and the pentagon pipeline.
 
-Two solver paths:
+Two solvers:
 
-* node-aligned masked grids (Dirichlet data stored on boundary nodes):
-  Poisson solves, by sine transform on full boxes and conjugate gradients
-  on the symmetric positive-definite 5-point system otherwise;
+* Poisson solves on node-aligned zero-data boxes, by sine transform;
 * convex polygon domains with non-grid-aligned edges: Shortley-Weller
   shortened arms with boundary data evaluated at the exact cut points.
   The resulting system is mildly nonsymmetric but structurally symmetric,
@@ -150,58 +148,25 @@ def disc_grid(radius: float, n: int, center: Point = (0.0, 0.0)) -> MaskedGrid:
 
 
 # ---------------------------------------------------------------------------
-# node-aligned Poisson solve (sine transform, or CG on the SPD system)
+# node-aligned Poisson solve (sine transform)
 # ---------------------------------------------------------------------------
 
-def _interior_system(grid: MaskedGrid, rhs_interior: np.ndarray):
-    from scipy.sparse import csr_matrix
-    nx, ny = grid.shape
-    idx = -np.ones(grid.shape, dtype=np.int64)
-    ii, jj = np.where(grid.mask == INTERIOR)
-    idx[ii, jj] = np.arange(len(ii))
-    n = len(ii)
-    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 4.0)]
-    b = rhs_interior[ii, jj] * grid.h**2
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ni, nj = ii + di, jj + dj
-        role = grid.mask[ni, nj]
-        isint = role == INTERIOR
-        rows.append(idx[ii[isint], jj[isint]])
-        cols.append(idx[ni[isint], nj[isint]])
-        vals.append(np.full(int(isint.sum()), -1.0))
-        isb = role == BOUNDARY
-        np.add.at(b, idx[ii[isb], jj[isb]], grid.boundary_values[ni[isb], nj[isb]])
-    A = csr_matrix((np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(n, n))
-    return A, b, (ii, jj)
-
-
 def solve_poisson(grid: MaskedGrid, rhs: np.ndarray, tol: float = 1e-10) -> ScalarField:
-    """Solution of (5-point Laplacian) u = -rhs with the grid's Dirichlet
-    data (zero on the standard box).  Regular boxes use the exact
-    sine-transform solve of the same discrete system (residual verified);
-    general masked grids fall back to CG.
+    """Solution of (5-point Laplacian) u = -rhs with zero Dirichlet data
+    on a regular box (`box_grid`), by the exact sine-transform solve of
+    the discrete system (residual verified).  Any other grid raises
+    SolverError.
     """
     full_box = np.all(grid.mask[1:-1, 1:-1] == INTERIOR) and \
         np.all(grid.mask[0, :] == BOUNDARY) and np.all(grid.mask[-1, :] == BOUNDARY) and \
         np.all(grid.mask[:, 0] == BOUNDARY) and np.all(grid.mask[:, -1] == BOUNDARY) and \
         not np.any(grid.boundary_values)
-    if full_box:
-        values = _poisson_dst(grid, rhs)
-    else:
-        from scipy.sparse.linalg import cg
-        A, b, (ii, jj) = _interior_system(grid, np.asarray(rhs, dtype=float))
-        x, info = cg(A, b, rtol=1e-12, atol=0.0, maxiter=1_000_000)
-        if info != 0:
-            raise SolverError(f"CG did not converge (info={info})")
-        values = np.array(grid.boundary_values, dtype=float)
-        values[grid.mask == EXTERIOR] = 0.0
-        values[ii, jj] = x
-    out = ScalarField(grid=grid, values=values)
+    if not full_box:
+        raise SolverError("solve_poisson needs a zero-data box grid")
+    out = ScalarField(grid=grid, values=_poisson_dst(grid, rhs))
     res = laplacian_grid(out) + np.asarray(rhs)[1:-1, 1:-1]
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    worst = float(np.max(np.abs(res[grid.mask[1:-1, 1:-1] == INTERIOR])))
+    worst = float(np.max(np.abs(res)))
     if worst > max(tol * scale, 1e-9 * scale):
         raise SolverError(f"poisson residual {worst:.3e} exceeds {tol:.1e} * {scale:.3e}")
     return out
@@ -707,12 +672,10 @@ class GluedField:
         in_disc = (X * X + Y * Y) < 1.0
         return np.where(inside_poly, 2, np.where(in_disc, 1, 0))
 
-    def value(self, x, y):
-        """Vectorized region-wise evaluation (slit field / pentagon / 0)."""
+    def value(self, x, y) -> np.ndarray:
+        """Region-wise evaluation on arrays (slit field / pentagon / 0)."""
         X = np.asarray(x, dtype=float)
         Y = np.asarray(y, dtype=float)
-        scalar = X.shape == ()
-        X, Y = np.atleast_1d(X), np.atleast_1d(Y)
         reg = self.region_of(X, Y)
         out = np.zeros(X.shape)
         disc = reg == 1
@@ -725,8 +688,6 @@ class GluedField:
         pent = reg == 2
         if np.any(pent):
             out[pent] = self._pentagon_interp(X[pent], Y[pent])
-        if scalar:
-            return float(out[0])
         return out
 
     def interface_distance(self, x, y):

@@ -642,13 +642,7 @@ def cmd_assemble(target: str, cfg: RunConfig) -> int:
         grid = bvp.box_grid((float(sched.centers[0][0]),
                              float(sched.centers[0][1])),
                             float(sched.radii[0]), 256)
-        X, Y = grid.nodes_xy()
-        vals = np.zeros(grid.shape)
-        it = np.nditer(vals, flags=["multi_index"])
-        for _ in it:
-            i, j = it.multi_index
-            vals[i, j] = assembly.eval_gII_factor(sched, w,
-                                                  float(X[i, j]), float(Y[i, j]))
+        vals = assembly.eval_gII_factor(sched, w, *grid.nodes_xy())
         write_grid_csv(bvp.ScalarField(grid=grid, values=vals),
                        out / "gII_factor_ball1.csv")
         manifest["artifacts"] = ["gII_factor_ball1.csv"]

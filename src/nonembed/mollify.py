@@ -27,6 +27,9 @@ from nonembed.trees import SteinerTree, build_steiner_tree, tree_integral
 
 RESCALE = 10.0
 RECENTER = (-0.8, 0.0)
+# polar kernel quadrature: Gauss-Legendre nodes in s, trapezoid in angle
+KERNEL_RADIAL = 24
+KERNEL_ANGULAR = 48
 
 # integral of exp(-1/(1-t^2)) t dt over [0, 1]; normalizes the 2D bump.
 # This is scipy.integrate.quad's result (epsabs=1e-15, epsrel=1e-14), one
@@ -53,13 +56,6 @@ class Mollifier:
         out[inside] = self.amplitude * np.exp(-1.0 / (1.0 - t2[inside]))
         return out
 
-    def mass(self, n: int = 20000) -> float:
-        """2D mass by fine 1D quadrature (diagnostic)."""
-        from scipy.integrate import trapezoid
-        s = np.linspace(0.0, self.radius, n + 1)
-        rho = self.density(s)
-        return float(2.0 * math.pi * trapezoid(rho * s, s))
-
 
 def make_mollifier(delta: float) -> Mollifier:
     if delta <= 0:
@@ -82,15 +78,14 @@ class MollifiedGlue:
     normalized to unit sum.
     """
 
-    def __init__(self, glue: GluedField, delta: float,
-                 n_radial: int = 24, n_angular: int = 48):
+    def __init__(self, glue: GluedField, delta: float):
         self.glue = glue
         self.delta = delta
         self.m = make_mollifier(delta)
-        gl_nodes, gl_w = np.polynomial.legendre.leggauss(n_radial)
+        gl_nodes, gl_w = np.polynomial.legendre.leggauss(KERNEL_RADIAL)
         s = 0.5 * delta * (gl_nodes + 1.0)
         ws = 0.5 * delta * gl_w
-        beta = 2.0 * math.pi * np.arange(n_angular) / n_angular
+        beta = 2.0 * math.pi * np.arange(KERNEL_ANGULAR) / KERNEL_ANGULAR
         S, B = np.meshgrid(s, beta, indexing="ij")
         self._dx = (S * np.cos(B)).ravel()
         self._dy = (S * np.sin(B)).ravel()
@@ -101,22 +96,14 @@ class MollifiedGlue:
         vals = self.glue.value(x + self._dx, y + self._dy)
         return float(np.dot(self._wgt, vals))
 
-    def value(self, x, y, force_quadrature: bool = False):
-        X = np.asarray(x, dtype=float)
-        Y = np.asarray(y, dtype=float)
-        scalar = X.shape == ()
-        X, Y = np.atleast_1d(X.ravel()), np.atleast_1d(Y.ravel())
+    def value(self, x, y) -> np.ndarray:
+        X = np.asarray(x, dtype=float).ravel()
+        Y = np.asarray(y, dtype=float).ravel()
         out = np.empty(X.shape)
-        dist = self.glue.interface_distance(X, Y)
-        fast = dist > 1.02 * self.delta
-        if force_quadrature:
-            fast = np.zeros_like(fast)
-        if np.any(fast):
-            out[fast] = self.glue.value(X[fast], Y[fast])
-        for i in np.where(~fast)[0]:
+        fast = self.glue.interface_distance(X, Y) > 1.02 * self.delta
+        out[fast] = self.glue.value(X[fast], Y[fast])
+        for i in np.flatnonzero(~fast):
             out[i] = self.kernel_average(X[i], Y[i])
-        if scalar:
-            return float(out[0])
         return out.reshape(np.shape(x))
 
 
@@ -247,7 +234,7 @@ def tail_subharmonic_report(tail: TailFunction,
       exact (circle glue and exterior zeros), against the tolerance
       -tol_factor * (max |grid Laplacian| over the whole disc);
     * slit-field region: spot certificates that the sampled field equals
-      the mollified field (forced kernel quadrature) and that it is
+      the mollified field (kernel quadrature at each spot) and that it is
       harmonic (5-point residual ratio ~4 under step halving);
     * pentagon interior: solver residual certificate;
     * pentagon edges: dense inward-margin minima.
@@ -272,18 +259,18 @@ def tail_subharmonic_report(tail: TailFunction,
     rng = np.random.default_rng(seed)
     ii, jj = np.where(moon_ok)
     pick = rng.choice(len(ii), size=min(n_spot, len(ii)), replace=False)
+    sx, sy = YX[ii[pick], jj[pick]], YY[ii[pick], jj[pick]]
+    exact = glue.value(sx, sy)
+    dist = glue.interface_distance(sx, sy)
     eq_err = 0.0
     ratio_lo, ratio_hi = np.inf, 0.0
-    for p in pick:
-        yx, yy = YX[ii[p], jj[p]], YY[ii[p], jj[p]]
-        exact = glue.value(yx, yy)
-        quadv = tail.mollified.value(yx, yy, force_quadrature=True)
-        denom = max(abs(exact), 1e-300)
-        eq_err = max(eq_err, abs(quadv - exact) / denom)
+    for yx, yy, ex, d in zip(sx, sy, exact.tolist(), dist):
+        quadv = tail.mollified.kernel_average(yx, yy)
+        denom = max(abs(ex), 1e-300)
+        eq_err = max(eq_err, abs(quadv - ex) / denom)
         r = math.hypot(yx, yy)
         hloc = 1e-3 * r
-        if tail.mollified.glue.interface_distance(np.array([yx]),
-                                                  np.array([yy]))[0] > 4 * hloc:
+        if d > 4 * hloc:
             r1 = laplacian_residual(u_float, (yx, yy), hloc)
             r2 = laplacian_residual(u_float, (yx, yy), hloc / 2.0)
             if abs(r2) > 1e-30:

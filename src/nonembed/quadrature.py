@@ -59,21 +59,8 @@ def _panel_sums(f_log, a: np.ndarray, b: np.ndarray):
 
     lpos = _masked_lse(signs > 0)
     lneg = _masked_lse(signs < 0)
-    # combine the positive and negative partial sums per panel
-    out_sign = np.zeros(len(a), dtype=int)
-    out_log = np.full(len(a), -np.inf)
-    hi = np.maximum(lpos, lneg)
-    lo = np.minimum(lpos, lneg)
-    both = (lpos > -np.inf) & (lneg > -np.inf)
-    with np.errstate(invalid="ignore"):
-        d = np.where(both, hi - lo, np.inf)
-    cancel = both & (d == 0.0)
-    live = (hi > -np.inf) & ~cancel
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mag = np.where(both, hi + np.log1p(-np.exp(-d)), hi)
-    out_log[live] = mag[live]
-    out_sign[live] = np.where(lpos[live] >= lneg[live], 1, -1)
-    out_sign[live & (d == np.inf) & (lneg > lpos)] = -1
+    out_sign, out_log = _pair_add(np.where(lpos > -np.inf, 1, 0), lpos,
+                                  np.where(lneg > -np.inf, -1, 0), lneg)
     return out_sign, out_log, ts.size
 
 

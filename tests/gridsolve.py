@@ -1,21 +1,49 @@
 """Test-side solvers on node-aligned masked grids.
 
 `solve_laplace_dirichlet` builds reference fields for the grid I/O,
-conformal and solver tests; the pipeline itself only solves Poisson
-problems (`bvp.solve_poisson`) and the pentagon (`bvp.PolygonProblem`).
+conformal and solver tests, by CG on `interior_system`; the pipeline
+itself only solves Poisson problems on boxes (`bvp.solve_poisson`) and
+the pentagon (`bvp.PolygonProblem`).
 """
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.sparse import csr_matrix
 
 from nonembed import bvp
+
+
+def interior_system(grid: bvp.MaskedGrid, rhs_interior: np.ndarray):
+    """The SPD 5-point system A x = b of (Laplacian) u = -rhs on the
+    interior nodes, boundary node data moved to b; returns (A, b, (ii, jj))
+    with x[k] the value at node (ii[k], jj[k])."""
+    ii, jj = np.where(grid.mask == bvp.INTERIOR)
+    idx = -np.ones(grid.shape, dtype=np.int64)
+    idx[ii, jj] = np.arange(len(ii))
+    n = len(ii)
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 4.0)]
+    b = rhs_interior[ii, jj] * grid.h**2
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        ni, nj = ii + di, jj + dj
+        role = grid.mask[ni, nj]
+        isint = role == bvp.INTERIOR
+        rows.append(idx[ii[isint], jj[isint]])
+        cols.append(idx[ni[isint], nj[isint]])
+        vals.append(np.full(int(isint.sum()), -1.0))
+        isb = role == bvp.BOUNDARY
+        np.add.at(b, idx[ii[isb], jj[isb]],
+                  grid.boundary_values[ni[isb], nj[isb]])
+    A = csr_matrix((np.concatenate(vals),
+                    (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(n, n))
+    return A, b, (ii, jj)
 
 
 def solve_laplace_dirichlet(grid: bvp.MaskedGrid, tol: float = 1e-12,
                             maxiter: int = 1_000_000) -> bvp.ScalarField:
     """Discrete harmonic extension of the boundary node data (CG on the
     SPD 5-point system)."""
-    A, b, (ii, jj) = bvp._interior_system(grid, np.zeros(grid.shape))
+    A, b, (ii, jj) = interior_system(grid, np.zeros(grid.shape))
     x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=maxiter)
     if info != 0:
         res = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)

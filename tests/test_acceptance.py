@@ -192,8 +192,11 @@ def test_criterion_07_conformal_sanity():
 
 
 def test_criterion_08_pocket_metric(ctx):
+    pockets = cli.claim_pockets_negative(ctx)
     report(8, "pocket curvature signs",
-           {"negative-in-pockets": cli.claim_pockets_negative(ctx)["pass"],
+           {"negative-in-pockets": pockets["pass"],
+            "every-pocket-sampled": all(
+                p["n_sampled"] > 0 for p in pockets["values"]["pockets"]),
             "flat-outside-1e-8-scale": cli.claim_flat_outside(ctx)["pass"]})
 
 
@@ -216,10 +219,14 @@ def test_criterion_09_ruled_surfaces(ctx, gen_surface, extended):
 
 
 def test_criterion_10_annulus_stack(ctx):
+    bound = cli.claim_cutoff_bound(ctx)
+    flat = cli.claim_origin_flatness(ctx)
     report(10, "cutoff weights, annulus curvature, origin flatness",
-           {"mu-c4-bound-n-le-8": cli.claim_cutoff_bound(ctx)["pass"],
+           {"n_bounds=8": len(bound["values"]["bounds"]) == 8,
+            "mu-c4-bound-n-le-8": bound["pass"],
             "K-negative-A1-A6": cli.claim_annulus_curvature(ctx)["pass"],
-            "origin-derivatives-1e-8": cli.claim_origin_flatness(ctx)["pass"]})
+            "orders-0-to-4": len(flat["values"]["derivative_magnitudes"]) == 5,
+            "origin-derivatives-1e-8": flat["pass"]})
 
 
 def test_criterion_11_determinism(tmp_path):

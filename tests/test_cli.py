@@ -432,6 +432,21 @@ def test_verify_ruled_golden_values(ctx):
     assert 0.0 < flat["worst_det_ratio"] <= 1e-8
 
 
+def test_assemble_gII_golden_sha256(ctx, tmp_path, monkeypatch):
+    # `nonembed assemble gII` at the default config, its grid written from
+    # the session's tail field
+    monkeypatch.setattr(cli, "PipelineContext", lambda cfg: ctx)
+    assert cli.cmd_assemble("gII", cli.RunConfig(out_dir=str(tmp_path))) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("gII_factor_ball1.csv", "gII_factor_ball1.json")}
+    assert digests == {
+        "gII_factor_ball1.csv":
+            "0a9c7c0a172fca394bfb03b39f6549c38d9a3700105029e5d49c5d82c22abc4b",
+        "gII_factor_ball1.json":
+            "93ae3b533125bc24cd1e80f1ace5c00db4e3d1720625b48363f2e03790fbd5d9",
+    }
+
+
 @pytest.mark.slow
 def test_assemble_annulus_manifest(tmp_path):
     r = run_cli("assemble", "annulus", "--out", str(tmp_path / "a"))
