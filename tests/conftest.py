@@ -1,6 +1,6 @@
 import pytest
 
-from nonembed import cli, ruled
+from nonembed import assembly, cli, ruled
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +29,11 @@ def gen_surface():
 @pytest.fixture(scope="session")
 def extended(gen_surface):
     return ruled.extend_ruled(gen_surface.sample(n=257), -1.0, 2.0)
+
+
+@pytest.fixture(scope="session")
+def pocket3():
+    return assembly.build_g1(3, grid_n=1536)
 
 
 @pytest.fixture(scope="session")

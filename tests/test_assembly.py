@@ -114,6 +114,13 @@ def test_bump_schedule_rejects_bad_nmax(rot):
 # negative-curvature pockets
 # ---------------------------------------------------------------------------
 
+def test_pocket_metric_curvature_signs(pocket3):
+    rep = pocket3.curvature_report()
+    assert rep["all_pockets_negative"]
+    assert rep["flat_outside"]
+    assert all(p["n_sampled"] > 0 for p in rep["pockets"])
+
+
 def test_pocket_zero_source_gives_flat_metric():
     grid = bvp.box_grid((0.0, 0.0), 1.0, 64)
     u = bvp.solve_poisson(grid, np.zeros(grid.shape))
@@ -159,6 +166,12 @@ def test_wall_cutoff_laplacian_positive_inside_disc():
         assert np.allclose(lap[sel], fd[sel], rtol=1e-4)
 
 
+def test_mu_schedule_bound(mu8):
+    for n in range(1, 9):
+        norm = assembly.cutoff_c4_norm(n, mu8[n - 1])
+        assert norm <= 2.0 ** (-n)
+
+
 def test_mu_schedule_cauchy_tail(mu8):
     d = assembly.cutoff_partial_sum_c4_distance(mu8, 8, 4)
     assert d <= 2.0 ** (-4 + 1)
@@ -185,6 +198,12 @@ def test_annulus_curvature_negative_on_sampled_annuli(stack8):
             assert r["K"] < 0.0, (n, r)
             assert r["laplacian"] == pytest.approx(r["laplacian_exact"],
                                                    rel=1e-4), n
+
+
+def test_annulus_origin_flatness(stack8):
+    mags = assembly.origin_flatness(stack8)
+    assert len(mags) == 5
+    assert all(m <= 1e-8 for m in mags)
 
 
 def test_annulus_cutoffs_vanish_inside_inner_radius(stack8):
