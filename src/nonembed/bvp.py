@@ -5,16 +5,29 @@ Two solvers:
 * Poisson solves on node-aligned zero-data boxes, by sine transform;
 * convex polygon domains with non-grid-aligned edges: Shortley-Weller
   shortened arms with boundary data evaluated at the exact cut points.
-  The resulting system is mildly nonsymmetric but structurally symmetric,
-  so it is solved by sparse LU with a minimum-degree ordering of A^T + A
-  (MMD_AT_PLUS_A), all data sets as one stacked right-hand side, then
-  one step of iterative refinement whose residual b - A x is summed in
-  compensated float64 (TwoProduct and TwoSum over the 5-point stencil).
-  Pointwise relative accuracy matters because the far-edge harmonic
-  measure decays below 1e-15 here: against the exact separated solution
-  of a discrete rectangle problem (60 digits) the refined solve is within
-  6e-17 relative at sampled nodes down to values of 3e-18, where an
-  unrefined COLAMD-ordered solve is off by 2.1e-13
+  The polygon must end on the right in a rectangle whose rows are the
+  plain 5-point stencil: top and bottom edges on node rows, the right
+  edge on a node column, as the pentagon's are right of its legs.  The
+  system is split at the rectangle's first column, the interface column
+  Γ:
+  - the tip left of Γ (5,466 unknowns for the pentagon) is factored by
+    sparse LU with a minimum-degree ordering of A^T + A (MMD_AT_PLUS_A;
+    the system is mildly nonsymmetric but structurally symmetric);
+  - the rectangle right of Γ is solved by Hockney's method (J. ACM 12,
+    1965): an orthonormal DST-I in y and one tridiagonal sweep in x per
+    mode, vectorized over the modes and the data sets;
+  - Γ is solved through its dense Schur complement, the capacitance
+    matrix of Buzbee, Dorr, George and Golub (SIAM J. Numer. Anal. 8,
+    1971).
+  All data sets go as one stacked right-hand side.  The rectangle is
+  taken as the exact 5-point stencil, so one step of iterative
+  refinement against the true A follows, whose residual b - A x is
+  summed in compensated float64 (TwoProduct and TwoSum over the 5-point
+  stencil).  Pointwise relative accuracy matters because the far-edge
+  harmonic measure decays below 1e-15 here: against the exact separated
+  solution of a discrete rectangle problem (60 digits) the refined solve
+  is within 6e-17 relative at sampled nodes down to values of 3e-18,
+  where an unrefined COLAMD-ordered LU was off by 2.1e-13
   (test_polygon_solve_pointwise_accuracy_against_discrete_oracle).
 
 The pentagon pipeline solves the mixed problem (slit-field data on the two
@@ -27,6 +40,7 @@ unit disc.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -128,30 +142,15 @@ def box_grid(center: Point, half_width: float, n: int) -> MaskedGrid:
     return MaskedGrid(origin=origin, h=h, mask=mask)
 
 
-def disc_grid(radius: float, n: int, center: Point = (0.0, 0.0)) -> MaskedGrid:
-    """Disc carved out of a box: nodes outside the radius are exterior,
-    the rim of interior nodes is marked boundary."""
-    g = box_grid(center, radius, n)
-    X, Y = g.nodes_xy()
-    r = np.hypot(X - center[0], Y - center[1])
-    mask = np.where(r < radius, INTERIOR, EXTERIOR).astype(np.int8)
-    inner = mask == INTERIOR
-    rim = inner.copy()
-    rim[1:-1, 1:-1] = inner[1:-1, 1:-1] & (
-        inner[2:, 1:-1] & inner[:-2, 1:-1] & inner[1:-1, 2:] & inner[1:-1, :-2])
-    mask[inner & ~rim] = BOUNDARY
-    mask[0, :] = np.where(mask[0, :] == INTERIOR, BOUNDARY, mask[0, :])
-    mask[-1, :] = np.where(mask[-1, :] == INTERIOR, BOUNDARY, mask[-1, :])
-    mask[:, 0] = np.where(mask[:, 0] == INTERIOR, BOUNDARY, mask[:, 0])
-    mask[:, -1] = np.where(mask[:, -1] == INTERIOR, BOUNDARY, mask[:, -1])
-    return MaskedGrid(origin=g.origin, h=g.h, mask=mask)
-
-
 # ---------------------------------------------------------------------------
 # node-aligned Poisson solve (sine transform)
 # ---------------------------------------------------------------------------
 
-def solve_poisson(grid: MaskedGrid, rhs: np.ndarray, tol: float = 1e-10) -> ScalarField:
+# largest residual of a sine-transform solve, relative to max |rhs|
+_POISSON_TOL = 1e-9
+
+
+def solve_poisson(grid: MaskedGrid, rhs: np.ndarray) -> ScalarField:
     """Solution of (5-point Laplacian) u = -rhs with zero Dirichlet data
     on a regular box (`box_grid`), by the exact sine-transform solve of
     the discrete system (residual verified).  Any other grid raises
@@ -167,8 +166,9 @@ def solve_poisson(grid: MaskedGrid, rhs: np.ndarray, tol: float = 1e-10) -> Scal
     res = laplacian_grid(out) + np.asarray(rhs)[1:-1, 1:-1]
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
     worst = float(np.max(np.abs(res)))
-    if worst > max(tol * scale, 1e-9 * scale):
-        raise SolverError(f"poisson residual {worst:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    if worst > _POISSON_TOL * scale:
+        raise SolverError(f"poisson residual {worst:.3e} exceeds "
+                          f"{_POISSON_TOL:.1e} * {scale:.3e}")
     return out
 
 
@@ -373,13 +373,117 @@ def _stencil_residual(geom: dict, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# a row is plain when its four neighbour coefficients are 1/h^2 to this
+# relative tolerance: arms cut on a node row or column get alpha = 1 only
+# to a few ulp
+_PLAIN = 1e-12
+
+
+def _plain_block(geom: dict) -> Tuple[int, int]:
+    """(s, m): the trailing block of full-height plain columns, which ends
+    next to a Dirichlet node column, starts at unknown s and holds m
+    unknowns per column.  Unknowns are numbered column by column."""
+    ii, jj = geom["ii"], geom["jj"]
+    n = len(ii)
+    plain = np.all(np.abs(geom["coefs"] * geom["h"] ** 2 - 1.0) <= _PLAIN, axis=0)
+    m = int(np.count_nonzero(ii == ii[-1]))
+    q = n // m
+    cols = ii[n - q * m:].reshape(q, m)
+    rows = jj[n - q * m:].reshape(q, m)
+    ok = (np.all(cols == (ii[-1] - np.arange(q)[::-1])[:, None], axis=1)
+          & np.all(rows == rows[-1], axis=1)
+          & np.all(plain[n - q * m:].reshape(q, m), axis=1))
+    bad = np.flatnonzero(~ok)
+    p = q - (bad[-1] + 1 if len(bad) else 0)
+    if p < 2:
+        raise SolverError("the polygon has no trailing block of plain 5-point "
+                          "columns ending at a Dirichlet node column")
+    return int(n - p * m), m
+
+
+def _block_solver(A, h: float, s: int, m: int):
+    """Direct solve of M x = b for data sets stacked as rows, where M is A
+    with the rectangle right of the interface column Γ (unknowns s to
+    s + m) taken as the exact 5-point stencil.  The tip left of Γ keeps a
+    sparse LU; Γ is solved through its dense Schur complement
+    S = A_ΓΓ - A_ΓT A_TT^-1 A_TΓ - h^-2 Q diag(rho) Q; the rectangle by an
+    orthonormal DST-I Q in y and a tridiagonal sweep in x per mode.
+    Returns (solve, L.nnz + U.nnz of the tip LU)."""
+    # splu is looked up on the module at each call, so a wrapper set on
+    # scipy.sparse.linalg.splu (a profiler's, say) takes effect
+    import scipy.sparse.linalg as spla
+    from scipy.fft import dst
+    # dense algebra stays in SciPy's BLAS, which SuperLU also calls: after a
+    # NumPy matmul, NumPy's own BLAS threads keep spinning, and on 2 cores
+    # the tip solve of the 191 columns of A_TΓ then took 0.9 s, not 0.07 s
+    from scipy.linalg import lu_factor, lu_solve
+
+    def Q(v):  # orthonormal DST-I along the last axis; Q = Q^T = Q^-1
+        return dst(v, type=1, norm="ortho", axis=-1)
+
+    p = (A.shape[0] - s) // m - 1  # rectangle columns right of Γ
+    g = slice(s, s + m)
+    # mode k of h^2 A_RR is T_k = tridiag(-1, 2 + lam_k, -1) in x;
+    # inv_piv[c] holds the reciprocal LU pivots of column c for every mode
+    lam = 4.0 * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1))) ** 2
+    inv_piv = np.empty((p, m))
+    inv_piv[0] = 1.0 / (2.0 + lam)
+    for c in range(1, p):
+        inv_piv[c] = 1.0 / (2.0 + lam - inv_piv[c - 1])
+
+    def sweep(r):
+        """T_k^-1 r for every mode (last axis), columns on axis 0."""
+        y = np.empty_like(r)
+        y[0] = r[0] * inv_piv[0]
+        for c in range(1, p):
+            y[c] = (r[c] + y[c - 1]) * inv_piv[c]
+        for c in range(p - 2, -1, -1):
+            y[c] += y[c + 1] * inv_piv[c]
+        return y
+
+    first = np.zeros((p, m))
+    first[0] = 1.0
+    G = sweep(first)  # G[c, k] = [T_k^-1]_{c,0}; rho_k = G[0, k]
+    S = A[g, g].toarray() - Q(Q(np.diag(G[0])).T) / h**2
+    fill = 0
+    if s:
+        # MMD on A^T + A suits the structurally symmetric 5-point pattern
+        lu = spla.splu(A[:s, :s], permc_spec="MMD_AT_PLUS_A")
+        fill = lu.L.nnz + lu.U.nnz
+        A_gt, A_tg = A[g, :s], A[:s, g]
+        S -= A_gt @ lu.solve(A_tg.toarray())
+    S = lu_factor(S)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        k = len(b)
+        # rectangle with zero data on Γ, columns first: z = h^2 T^-1 Q b_R
+        z = sweep(Q(b[:, s + m:].reshape(k, p, m).transpose(1, 0, 2)) * h**2)
+        rg = b[:, g] + Q(z[0]) / h**2
+        if s:
+            rg -= (A_gt @ lu.solve(b[:, :s].T)).T
+        xg = lu_solve(S, rg.T).T
+        x = np.empty_like(b)
+        x[:, g] = xg
+        if s:
+            x[:, :s] = lu.solve((b[:, :s] - (A_tg @ xg.T).T).T).T
+        z += G[:, None, :] * Q(xg)
+        x[:, s + m:] = Q(z).transpose(1, 0, 2).reshape(k, p * m)
+        return x
+
+    return solve, fill
+
+
 class PolygonProblem:
     """Shortley-Weller discretization of a convex polygon, solved for any
-    number of Dirichlet data sets at once."""
+    number of Dirichlet data sets at once.  The polygon must end on the
+    right in a block of plain 5-point columns (see `_plain_block`).
+    `stats` holds the sizes and stage times of the last solve."""
 
     def __init__(self, poly: ConvexPolygon, h: float, origin: Point,
                  shape: Tuple[int, int]):
         self.A, self.geom = _assemble_polygon(poly, h, origin, shape)
+        self._tip, self._gamma = _plain_block(self.geom)
+        self.stats: dict = {}
 
     def _cut_data(self, edge_data: Sequence[Callable]) -> np.ndarray:
         """The edge data at each cut point, in record order; edge_data[k]
@@ -400,9 +504,9 @@ class PolygonProblem:
     def solve(self, edge_data_sets: Sequence[Sequence[Callable]]
               ) -> list[ScalarField]:
         """One ScalarField per data set.  The stacked right-hand sides are
-        solved with one minimum-degree LU and one step of iterative
-        refinement whose residual is compensated; the factors are freed
-        on return."""
+        solved with one tip LU, interface and rectangle solve and one step
+        of iterative refinement whose residual is compensated; the factors
+        are freed on return."""
         g = self.geom
         data = [self._cut_data(ed) for ed in edge_data_sets]
         x = self._refined_solve(np.stack([self._rhs(v) for v in data]))
@@ -418,15 +522,24 @@ class PolygonProblem:
         return out
 
     def _refined_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solutions of A x = b for the rows of b, shape (m, n).  SuperLU
-        takes column-major right-hand sides, so the transposes are free."""
-        # splu is looked up on the module at each call, so a wrapper set
-        # on scipy.sparse.linalg.splu (a profiler's, say) takes effect
-        import scipy.sparse.linalg as spla
-        # MMD on A^T + A suits the structurally symmetric 5-point pattern
-        lu = spla.splu(self.A, permc_spec="MMD_AT_PLUS_A")
-        x = lu.solve(b.T).T
-        x += lu.solve(_stencil_residual(self.geom, x, b).T).T
+        """Solutions of A x = b for the rows of b, shape (m, n): the block
+        solve, then one refinement step against A; its sizes and stage
+        times go to `stats`."""
+        t0 = time.perf_counter()
+        solve, fill = _block_solver(self.A, self.geom["h"], self._tip, self._gamma)
+        t1 = time.perf_counter()
+        x = solve(b)
+        t2 = time.perf_counter()
+        r = _stencil_residual(self.geom, x, b)
+        t3 = time.perf_counter()
+        x += solve(r)
+        t4 = time.perf_counter()
+        n = self.A.shape[0]
+        self.stats = dict(
+            tip_unknowns=self._tip, gamma_unknowns=self._gamma,
+            rectangle_unknowns=n - self._tip - self._gamma, tip_lu_fill=fill,
+            setup_s=t1 - t0, solve_s=t2 - t1, residual_s=t3 - t2,
+            correction_s=t4 - t3)
         return x
 
     def _fill_rim(self, values: np.ndarray, x: np.ndarray,
@@ -605,7 +718,7 @@ def select_N(K: int, schedule: Optional[Sequence[float]] = None,
     gradient scale) and is positive on the top/bottom edges.
 
     The solution at N is w0 + N*w1 by linearity, so the sweep costs one
-    factorization and one stacked solve of the two basis data sets (plus
+    solver setup and one stacked solve of the two basis data sets (plus
     its refinement step); the factors are freed before the sweep.
     """
     geom = pentagon_geometry(K)

@@ -602,9 +602,11 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
         "overall_pass": n_fail == 0,
     }
     write_json(out / "report.json", report)
-    # runtimes live apart from the reproducible report
-    write_json(out / "runtime.json",
-                {"seconds_total": time.time() - t_total, "per_target": runtime})
+    # runtimes and solver sizes live apart from the reproducible report
+    timing = {"seconds_total": time.time() - t_total, "per_target": runtime}
+    if "selected" in vars(ctx):
+        timing["pentagon"] = ctx.selected.problem.stats
+    write_json(out / "runtime.json", timing)
     print(f"report: {out / 'report.json'} "
           f"({len(report['checks']) - n_fail}/{len(report['checks'])} passed)")
     return 0 if n_fail == 0 else 1

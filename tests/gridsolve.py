@@ -1,9 +1,9 @@
-"""Test-side solvers on node-aligned masked grids.
+"""Test-side grids and solvers on node-aligned masked grids.
 
 `solve_laplace_dirichlet` builds reference fields for the grid I/O,
-conformal and solver tests, by CG on `interior_system`; the pipeline
-itself only solves Poisson problems on boxes (`bvp.solve_poisson`) and
-the pentagon (`bvp.PolygonProblem`).
+conformal and solver tests, by CG on `interior_system`, on boxes and on
+`disc_grid` discs; the pipeline itself only solves Poisson problems on
+boxes (`bvp.solve_poisson`) and the pentagon (`bvp.PolygonProblem`).
 """
 
 import numpy as np
@@ -11,6 +11,25 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csr_matrix
 
 from nonembed import bvp
+
+
+def disc_grid(radius: float, n: int, center=(0.0, 0.0)) -> bvp.MaskedGrid:
+    """Disc carved out of a box: nodes outside the radius are exterior,
+    the rim of interior nodes is marked boundary."""
+    g = bvp.box_grid(center, radius, n)
+    X, Y = g.nodes_xy()
+    r = np.hypot(X - center[0], Y - center[1])
+    mask = np.where(r < radius, bvp.INTERIOR, bvp.EXTERIOR).astype(np.int8)
+    inner = mask == bvp.INTERIOR
+    rim = inner.copy()
+    rim[1:-1, 1:-1] = inner[1:-1, 1:-1] & (
+        inner[2:, 1:-1] & inner[:-2, 1:-1] & inner[1:-1, 2:] & inner[1:-1, :-2])
+    mask[inner & ~rim] = bvp.BOUNDARY
+    mask[0, :] = np.where(mask[0, :] == bvp.INTERIOR, bvp.BOUNDARY, mask[0, :])
+    mask[-1, :] = np.where(mask[-1, :] == bvp.INTERIOR, bvp.BOUNDARY, mask[-1, :])
+    mask[:, 0] = np.where(mask[:, 0] == bvp.INTERIOR, bvp.BOUNDARY, mask[:, 0])
+    mask[:, -1] = np.where(mask[:, -1] == bvp.INTERIOR, bvp.BOUNDARY, mask[:, -1])
+    return bvp.MaskedGrid(origin=g.origin, h=g.h, mask=mask)
 
 
 def interior_system(grid: bvp.MaskedGrid, rhs_interior: np.ndarray):

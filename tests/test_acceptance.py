@@ -236,5 +236,18 @@ def test_criterion_11_determinism(tmp_path):
     cli.cmd_verify("all", cfg2)
     a = json.loads((tmp_path / "r1" / "report.json").read_text())
     b = json.loads((tmp_path / "r2" / "report.json").read_text())
+    # the pentagon's sizes and stage times go to runtime.json only
+    runtime = json.loads((tmp_path / "r1" / "runtime.json").read_text())
+    pentagon = runtime.get("pentagon", {})
     report(11, "identical config gives identical reports",
-           {"reports-identical": a == b})
+           {"reports-identical": a == b,
+            "report-bytes-identical": (tmp_path / "r1" / "report.json").read_bytes()
+            == (tmp_path / "r2" / "report.json").read_bytes(),
+            "runtime-pentagon-block": set(pentagon) == {
+                "tip_unknowns", "gamma_unknowns", "rectangle_unknowns",
+                "tip_lu_fill", "setup_s", "solve_s", "residual_s",
+                "correction_s"},
+            "pentagon-unknowns-418026": pentagon.get("tip_unknowns", 0)
+            + pentagon.get("gamma_unknowns", 0)
+            + pentagon.get("rectangle_unknowns", 0) == 418_026,
+            "no-pentagon-block-in-report": "pentagon" not in a})

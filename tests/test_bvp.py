@@ -13,7 +13,7 @@ from nonembed import assembly, bvp
 from nonembed.fields import u_float
 from nonembed.trees import Segment
 
-from gridsolve import (interior_system, max_principle_violation,
+from gridsolve import (disc_grid, interior_system, max_principle_violation,
                        solve_laplace_dirichlet)
 
 
@@ -42,7 +42,7 @@ def test_harmonic_polynomial_reproduced():
 
 
 def test_max_principle_on_disc_grid():
-    g = bvp.disc_grid(1.0, 64)
+    g = disc_grid(1.0, 64)
     X, Y = g.nodes_xy()
     g.boundary_values = np.where(g.mask == bvp.BOUNDARY, np.sin(3 * X) + Y, 0.0)
     f = solve_laplace_dirichlet(g)
@@ -72,7 +72,7 @@ def test_poisson_zero_rhs_gives_zero():
 
 
 def test_poisson_rejects_grids_other_than_a_zero_data_box():
-    g = bvp.disc_grid(1.0, 32)
+    g = disc_grid(1.0, 32)
     with pytest.raises(bvp.SolverError, match="box grid"):
         bvp.solve_poisson(g, np.ones(g.shape))
     g = bvp.box_grid((0.0, 0.0), 1.0, 32)
@@ -267,6 +267,70 @@ def test_polygon_solve_pointwise_accuracy_against_discrete_oracle():
         smallest = min(smallest, float(exact))
     assert smallest < 5e-18
     assert worst <= 7e-14
+
+
+def _basis_rhs(prob, geom):
+    """Stacked right-hand sides of select_N's two basis data sets."""
+    unit_right = [bvp._zero] * 5
+    unit_right[geom.RIGHT] = lambda x, y: np.ones(np.shape(x))
+    return np.stack([prob._rhs(prob._cut_data(d))
+                     for d in (bvp.pentagon_edge_data(geom, 0.0), unit_right)])
+
+
+def test_unrefined_block_solve_is_close_to_the_refined_solve(selected4):
+    """Before its refinement step, the tip / interface / rectangle solve of
+    the K = 4 pentagon is within 1e-10 relative of the refined solution at
+    every node (measured 1.75e-11)."""
+    prob = selected4.problem
+    b = _basis_rhs(prob, selected4.geom)
+    solve, fill = bvp._block_solver(prob.A, prob.geom["h"], prob._tip,
+                                    prob._gamma)
+    assert prob._tip == 5466 and prob._gamma == 191 and fill == 162_328
+    ii, jj = prob.geom["ii"], prob.geom["jj"]
+    for x, w in zip(solve(b), (selected4.w0, selected4.w1)):
+        refined = w.values[ii, jj]
+        assert np.max(np.abs(x - refined) / np.abs(refined)) < 1e-10
+
+
+def test_block_solve_equals_whole_matrix_lu_with_the_same_refinement():
+    """On a small pentagon the refined block solve agrees with a sparse LU
+    of the whole matrix followed by the same compensated refinement step
+    to a few ulp at every node."""
+    geom = bvp.pentagon_geometry(2)
+    origin, h, shape = bvp._pentagon_grid_params(geom, 32)
+    prob = bvp.PolygonProblem(geom.polygon, h, origin, shape)
+    assert prob._tip > 0
+    b = _basis_rhs(prob, geom)
+    lu = spla.splu(prob.A, permc_spec="MMD_AT_PLUS_A")
+    ref = lu.solve(b.T).T
+    ref += lu.solve(bvp._stencil_residual(prob.geom, ref, b).T).T
+    x = prob._refined_solve(b)
+    assert np.all(np.abs(x - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+
+
+def test_polygon_without_a_trailing_plain_block_raises():
+    """A right edge half a cell off the node columns cuts the last
+    column's arms short, so no rectangle of plain 5-point rows is left."""
+    h = 0.1
+    poly = bvp.ConvexPolygon([(0.0, 0.0), (2.95, 0.0), (2.95, 1.0), (0.0, 1.0)])
+    with pytest.raises(bvp.SolverError, match="plain"):
+        bvp.PolygonProblem(poly, h, (0.0, 0.0), (31, 11))
+
+
+def test_selected_N_keeps_no_schur_matrix(selected4):
+    """No dense interface block (the Schur matrix, A_TT^-1 A_TΓ) stays
+    reachable from the SelectedN once the basis solves return."""
+    gamma = selected4.problem._gamma
+    seen, stack = set(), [selected4]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray) and obj.ndim == 2:
+            assert gamma not in obj.shape, obj.shape
+        stack.extend(gc.get_referents(obj))
 
 
 def test_stencil_residual_in_blocks_equals_one_block(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 from nonembed import bvp, cli, conformal, gridio, mollify
 
-from gridsolve import solve_laplace_dirichlet
+from gridsolve import disc_grid, solve_laplace_dirichlet
 
 
 def run_cli(*args):
@@ -71,7 +71,7 @@ def test_check_encodes_numpy_bool_as_json_boolean():
 # ---------------------------------------------------------------------------
 
 def _sample_field():
-    g = bvp.disc_grid(1.0, 24)
+    g = disc_grid(1.0, 24)
     X, Y = g.nodes_xy()
     g.boundary_values = np.where(g.mask == bvp.BOUNDARY, X + 0.5 * Y, 0.0)
     return solve_laplace_dirichlet(g)
@@ -384,6 +384,9 @@ def test_verify_g1_passes_and_reports(tmp_path):
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert rep["summary"]["overall_pass"]
     assert all("anchor" in c for c in rep["checks"])
+    # g1 solves no pentagon, so its runtime carries no pentagon block
+    runtime = json.loads((tmp_path / "o" / "runtime.json").read_text())
+    assert set(runtime) == {"seconds_total", "per_target"}
 
 
 @pytest.mark.slow
