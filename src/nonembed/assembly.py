@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from nonembed.bvp import INTERIOR, MaskedGrid, box_grid, solve_poisson
-from nonembed.conformal import ConformalMetric, gaussian_curvature
+from nonembed.conformal import ConformalMetric, CurvatureField, gaussian_curvature
 from nonembed.mollify import TailFunction
 
 DEG = math.pi / 180.0
@@ -145,23 +146,20 @@ class BumpSchedule:
         return len(self.centers)
 
 
-def build_bump_schedule(n_max: int, w: RotationSum,
-                        max_order: Optional[int] = None) -> BumpSchedule:
+def build_bump_schedule(n_max: int, w: RotationSum) -> BumpSchedule:
     """Centers (2^{-n}, 2^{-n-2}), radii 2^{-n-3}, and amplitudes
     delta_n = 2^{-n} / (1 + D_n), where D_n bounds the measured derivative
     maxima of the scaled bump up to order n (forcing the smoothness
     proxy's geometric decay)."""
     if n_max < 1:
         raise AssemblyError("n_max must be >= 1")
-    if max_order is None:
-        max_order = n_max
     V = measured_derivative_maxima(w.base.field.values, w.base.field.grid.h,
-                                   max_order)
+                                   n_max)
     centers, radii, amps, bounds = [], [], [], []
     for n in range(1, n_max + 1):
         rho = 2.0 ** (-n - 3)
         chain = SCALE / rho  # d/dx of the composed argument
-        D = max(chain ** k * V[k] for k in range(0, min(n, max_order) + 1))
+        D = max(chain ** k * V[k] for k in range(0, n + 1))
         centers.append((2.0 ** (-n), 2.0 ** (-n - 2)))
         radii.append(rho)
         amps.append(2.0 ** (-n) / (1.0 + D))
@@ -197,17 +195,36 @@ def pocket_centers_radii(n_max: int) -> list:
     return [((2.0 ** (-n), 0.0), 4.0 ** (-n)) for n in range(1, n_max + 1)]
 
 
-def curvature_pockets_rhs(X: np.ndarray, Y: np.ndarray, n_max: int) -> np.ndarray:
-    """The smooth source: -1 * sum of unit bumps on B_{4^{-n}}((2^{-n},0));
-    negative inside every pocket, identically zero elsewhere."""
-    out = np.zeros(np.shape(X))
+def _node_box(xs: np.ndarray, ys: np.ndarray, c, reach: float):
+    """Slices of the nodes xs x ys within reach of c along each axis, as
+    |x - c_x| <= reach and |y - c_y| <= reach decide in floating point."""
+    out = []
+    for t, tc in ((xs, c[0]), (ys, c[1])):
+        i = np.flatnonzero(np.abs(t - tc) <= reach)
+        out.append(slice(i[0], i[-1] + 1) if len(i) else slice(0, 0))
+    return tuple(out)
+
+
+def curvature_pockets_rhs(xs: np.ndarray, ys: np.ndarray, n_max: int) -> np.ndarray:
+    """The smooth source on the nodes xs x ys: -1 * sum of unit bumps on
+    B_{4^{-n}}((2^{-n},0)); negative inside every pocket, identically zero
+    elsewhere.  Each bump is evaluated on its box of nodes: outside it,
+    |x - c_x| > r or |y - c_y| > r, so the bump's d2 is at least 1."""
+    out = np.zeros((len(xs), len(ys)))
     for (cx, cy), r in pocket_centers_radii(n_max):
-        d2 = ((X - cx) ** 2 + (Y - cy) ** 2) / (r * r)
+        bx, by = _node_box(xs, ys, (cx, cy), r)
+        d2 = ((xs[bx, None] - cx) ** 2 + (ys[None, by] - cy) ** 2) / (r * r)
         inside = d2 < 1.0
-        vals = np.zeros(np.shape(X))
+        vals = np.zeros(d2.shape)
         vals[inside] = np.exp(-1.0 / (1.0 - d2[inside]))
-        out -= vals
+        out[bx, by] -= vals
     return out
+
+
+# Pocket samples are interior nodes where the source magnitude exceeds this
+# fraction of its maximum, and flat means max |K| outside the pockets is
+# at most this fraction of max |K|
+POCKET_TOL_FACTOR = 1e-8
 
 
 @dataclass
@@ -217,43 +234,50 @@ class PocketMetric:
     grid: MaskedGrid
     n_max: int
 
-    def curvature_report(self, tol_factor: float = 1e-8) -> dict:
+    @cached_property
+    def curvature(self) -> CurvatureField:
+        return gaussian_curvature(self.metric)
+
+    def curvature_report(self) -> dict:
         """Curvature signs: negative at every sampled pocket node, flat
         (to tolerance) two cells away from every pocket.
 
         Pocket samples are interior nodes where the source magnitude
-        exceeds tol_factor times its maximum: the bump vanishes to all
-        orders at the pocket rim, so rim nodes carry sub-roundoff source
-        values whose curvature sign is not certifiable in doubles.
+        exceeds POCKET_TOL_FACTOR times its maximum: the bump vanishes to
+        all orders at the pocket rim, so rim nodes carry sub-roundoff
+        source values whose curvature sign is not certifiable in doubles.
+        Each pocket is examined on its box of nodes within r + 3h, which
+        holds every node within r + 2h of its center.
         """
-        K = gaussian_curvature(self.metric)
-        X, Y = self.grid.nodes_xy()
-        Xc, Yc = X[1:-1, 1:-1], Y[1:-1, 1:-1]
+        src = self.source[1:-1, 1:-1]
+        floor = POCKET_TOL_FACTOR * float(np.max(np.abs(src)))
+        K = self.curvature.values
+        absK = np.abs(K)
+        xs, ys = (t[1:-1] for t in self.grid.axes())
         inner = self.grid.mask[1:-1, 1:-1] == INTERIOR
         h = self.grid.h
-        scale = float(np.max(np.abs(K.values[inner])))
-        src = self.source[1:-1, 1:-1]
-        floor = tol_factor * float(np.max(np.abs(src)))
+        scale = float(np.max(absK, where=inner, initial=0.0))
         per_pocket = []
         outside = inner.copy()
         for (cx, cy), r in pocket_centers_radii(self.n_max):
-            d = np.hypot(Xc - cx, Yc - cy)
-            ins = inner & (d < r - 1e-12)
-            sampled = ins & (np.abs(src) > floor)
+            box = _node_box(xs, ys, (cx, cy), r + 3.0 * h)
+            d = np.hypot(xs[box[0], None] - cx, ys[None, box[1]] - cy)
+            ins = inner[box] & (d < r - 1e-12)
+            sampled = ins & (np.abs(src[box]) > floor)
             per_pocket.append(dict(
                 n_nodes=int(ins.sum()),
                 n_sampled=int(sampled.sum()),
-                max_K=float(np.max(K.values[sampled])) if np.any(sampled) else None,
+                max_K=float(np.max(K[box][sampled])) if np.any(sampled) else None,
             ))
-            outside &= d > r + 2.0 * h
-        max_outside = float(np.max(np.abs(K.values[outside])))
+            outside[box] &= d > r + 2.0 * h
+        max_outside = float(np.max(absK, where=outside, initial=0.0))
         return dict(
             pockets=per_pocket,
             all_pockets_negative=all(p["n_sampled"] > 0 and p["max_K"] < 0.0
                                      for p in per_pocket),
             max_abs_K_outside=max_outside,
             scale=scale,
-            flat_outside=max_outside <= tol_factor * scale,
+            flat_outside=max_outside <= POCKET_TOL_FACTOR * scale,
         )
 
 
@@ -264,11 +288,10 @@ def build_g1(n_max: int = 3, grid_n: int = 1536) -> PocketMetric:
     support = max(abs(c[0]) + r for c, r in pocket_centers_radii(n_max))
     half_width = 4.0 * support
     grid = box_grid((0.0, 0.0), half_width, grid_n)
-    X, Y = grid.nodes_xy()
     if 4.0 ** (-n_max) < 4.0 * grid.h:
         raise AssemblyError(
             f"grid h={grid.h:.2e} cannot resolve pocket radius {4.0 ** -n_max:.2e}")
-    k_src = curvature_pockets_rhs(X, Y, n_max)
+    k_src = curvature_pockets_rhs(*grid.axes(), n_max)
     u1 = solve_poisson(grid, k_src)  # Laplacian u1 = -k_src >= 0
     metric = ConformalMetric.from_grid(u1, description="pocket metric factor")
     return PocketMetric(metric=metric, source=k_src, grid=grid, n_max=n_max)
@@ -443,17 +466,22 @@ def annulus_curvature_samples(stack: AnnulusStack, n: int) -> list:
                                         lap.tolist(), lap_exact.tolist())]
 
 
-def origin_flatness(stack: AnnulusStack, max_order: int = 4,
-                    step: float = 0.01) -> list:
+# derivative orders 0..FLATNESS_ORDER of the factor at the origin, by
+# differences at step FLATNESS_STEP
+FLATNESS_ORDER = 4
+FLATNESS_STEP = 0.01
+
+
+def origin_flatness(stack: AnnulusStack) -> list:
     """Measured derivative magnitudes of the factor at the origin, by
-    nested central differences with the given step (all stencil points
-    stay inside the identically-zero core when step*order < 1/(n_max+1))."""
-    if step * max_order >= 1.0 / (stack.n_max + 1):
+    nested central differences (all stencil points stay inside the
+    identically-zero core when step * order < 1/(n_max+1))."""
+    if FLATNESS_STEP * FLATNESS_ORDER >= 1.0 / (stack.n_max + 1):
         raise AssemblyError("stencil escapes the flat core")
-    n_pts = 2 * max_order + 1
-    xs = step * (np.arange(n_pts) - max_order)
+    xs = FLATNESS_STEP * (np.arange(2 * FLATNESS_ORDER + 1) - FLATNESS_ORDER)
     return measured_derivative_maxima(
-        stack.factor(*np.meshgrid(xs, xs, indexing="ij")), step, max_order)
+        stack.factor(*np.meshgrid(xs, xs, indexing="ij")), FLATNESS_STEP,
+        FLATNESS_ORDER)
 
 
 def cutoff_partial_sum_c4_distance(mu: Sequence[float], n_hi: int, n_lo: int,

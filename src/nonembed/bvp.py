@@ -30,11 +30,15 @@ Two solvers:
   where an unrefined COLAMD-ordered LU was off by 2.1e-13
   (test_polygon_solve_pointwise_accuracy_against_discrete_oracle).
 
+The system is kept as its 5-point stencil arrays; the only sparse matrix
+built is its tip and Γ block, which is all the split solve reads.
+
 The pentagon pipeline solves the mixed problem (slit-field data on the two
 slanted legs, zero on top/bottom, a constant N on the far right edge),
 selects N so that sampled inward normal derivatives dominate those of the
 slit field, and glues the solution to the slit field on the rest of the
-unit disc.
+unit disc.  `select_N` keeps the two basis solutions, the margins and the
+pentagon residual at the selected N, and frees the system.
 """
 
 from __future__ import annotations
@@ -91,11 +95,14 @@ class MaskedGrid:
     def shape(self):
         return self.mask.shape
 
-    def nodes_xy(self):
+    def axes(self):
+        """Node coordinates along x and along y."""
         nx, ny = self.mask.shape
-        xs = self.origin[0] + self.h * np.arange(nx)
-        ys = self.origin[1] + self.h * np.arange(ny)
-        return np.meshgrid(xs, ys, indexing="ij")
+        return (self.origin[0] + self.h * np.arange(nx),
+                self.origin[1] + self.h * np.arange(ny))
+
+    def nodes_xy(self):
+        return np.meshgrid(*self.axes(), indexing="ij")
 
     def _check_neighbors(self):
         inner = self.mask[1:-1, 1:-1] == INTERIOR
@@ -176,14 +183,13 @@ def _poisson_dst(grid: MaskedGrid, rhs: np.ndarray) -> np.ndarray:
     from scipy.fft import dstn, idstn
     f = np.asarray(rhs, dtype=float)[1:-1, 1:-1] * grid.h**2
     m, n = f.shape
-    F = dstn(f, type=1)
+    F = dstn(f, type=1, overwrite_x=True)
     i = np.arange(1, m + 1)[:, None]
     j = np.arange(1, n + 1)[None, :]
-    eig = (4.0 * np.sin(i * np.pi / (2 * (m + 1))) ** 2
-           + 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2)
-    U = idstn(F / eig, type=1)
+    F /= (4.0 * np.sin(i * np.pi / (2 * (m + 1))) ** 2
+          + 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2)
     values = np.zeros(grid.shape)
-    values[1:-1, 1:-1] = U
+    values[1:-1, 1:-1] = idstn(F, type=1, overwrite_x=True)
     return values
 
 
@@ -267,8 +273,11 @@ def _cut_arms(poly: ConvexPolygon, px: np.ndarray, py: np.ndarray,
 
 
 def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
-                      shape: Tuple[int, int], snap: float = 1e-9):
-    from scipy.sparse import csc_matrix
+                      shape: Tuple[int, int], snap: float = 1e-9) -> dict:
+    """The Shortley-Weller system as 5-point stencil arrays: per unknown,
+    `diag` and the four neighbour coefficients `coefs` (E, W, N, S; A holds
+    their negatives) with the neighbours' unknowns `nbr`, -1 for a cut arm.
+    Unknowns are numbered column by column."""
     nx, ny = shape
     xs = origin[0] + h * np.arange(nx)
     ys = origin[1] + h * np.arange(ny)
@@ -282,7 +291,6 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
     idx[ii, jj] = np.arange(len(ii))
     n = len(ii)
 
-    # nbr[d] is the neighbour's unknown along direction d, -1 for a cut arm
     nbr = np.stack([idx[ii + di, jj + dj] for di, dj in _DIRS])
     alphas = np.ones((4, n))
     per_dir = []
@@ -300,25 +308,49 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
 
     aE, aW, aN, aS = alphas
     diag = (2.0 / (aE * aW) + 2.0 / (aN * aS)) / h**2
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [diag]
     coefs = np.empty((4, n))
     coefs[0] = 2.0 / (aE * (aE + aW)) / h**2
     coefs[1] = 2.0 / (aW * (aE + aW)) / h**2
     coefs[2] = 2.0 / (aN * (aN + aS)) / h**2
     coefs[3] = 2.0 / (aS * (aN + aS)) / h**2
+    return dict(interior=interior, ii=ii, jj=jj, diag=diag, coefs=coefs,
+                nbr=nbr, cuts=cuts, origin=origin, h=h, shape=shape)
+
+
+def _leading_block(geom: dict, k: int):
+    """A[:k, :k] of the stencil system as a CSC matrix."""
+    from scipy.sparse import csc_matrix
+    nbr = geom["nbr"][:, :k]
+    rows, cols, vals = [np.arange(k)], [np.arange(k)], [geom["diag"][:k]]
     for d in range(4):
-        sel = np.flatnonzero(nbr[d] >= 0)
+        sel = np.flatnonzero((nbr[d] >= 0) & (nbr[d] < k))
         rows.append(sel)
         cols.append(nbr[d][sel])
-        vals.append(-coefs[d][sel])
-    A = csc_matrix((np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(n, n))
-    geom = dict(interior=interior, ii=ii, jj=jj, diag=diag, coefs=coefs,
-                nbr=nbr, cuts=cuts, origin=origin, h=h, shape=shape)
-    return A, geom
+        vals.append(-geom["coefs"][d][sel])
+    return csc_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(k, k))
+
+
+# the W, S, centre, N and E terms of a row (d = 1, 3, centre, 2, 0) in the
+# order of their unknowns, which is the order a CSC matvec adds them in
+_MATVEC_ORDER = (1, 3, None, 2, 0)
+
+
+def _stencil_matvec(geom: dict, x: np.ndarray) -> np.ndarray:
+    """A x over the whole system from the stencil arrays, each row summed
+    from +0.0 in the order of a CSC matvec, so its bits are those of
+    `A @ x` with A assembled.  A cut arm adds 0.0 * x, a signed zero,
+    which leaves the partial sum unchanged: a sum that starts from +0.0
+    is never -0.0."""
+    y = np.zeros(len(x))
+    for d in _MATVEC_ORDER:
+        if d is None:
+            y += geom["diag"] * x
+        else:
+            nb = geom["nbr"][d]
+            y += np.where(nb >= 0, -geom["coefs"][d], 0.0) * x[np.maximum(nb, 0)]
+    return y
 
 
 # Compensated float64 arithmetic: Knuth's TwoSum and Dekker's TwoProduct
@@ -401,10 +433,12 @@ def _plain_block(geom: dict) -> Tuple[int, int]:
     return int(n - p * m), m
 
 
-def _block_solver(A, h: float, s: int, m: int):
-    """Direct solve of M x = b for data sets stacked as rows, where M is A
-    with the rectangle right of the interface column Γ (unknowns s to
-    s + m) taken as the exact 5-point stencil.  The tip left of Γ keeps a
+def _block_solver(A, h: float, m: int, n: int):
+    """Direct solve of M x = b for data sets stacked as rows, where M is
+    the system of n unknowns with the rectangle right of the interface
+    column Γ taken as the exact 5-point stencil.  A holds the rows and
+    columns of the tip and of Γ (the last m of A's unknowns), which is all
+    of the system the solve reads.  The tip left of Γ keeps a
     sparse LU; Γ is solved through its dense Schur complement
     S = A_ΓΓ - A_ΓT A_TT^-1 A_TΓ - h^-2 Q diag(rho) Q; the rectangle by an
     orthonormal DST-I Q in y and a tridiagonal sweep in x per mode.
@@ -421,7 +455,8 @@ def _block_solver(A, h: float, s: int, m: int):
     def Q(v):  # orthonormal DST-I along the last axis; Q = Q^T = Q^-1
         return dst(v, type=1, norm="ortho", axis=-1)
 
-    p = (A.shape[0] - s) // m - 1  # rectangle columns right of Γ
+    s = A.shape[0] - m
+    p = (n - s) // m - 1  # rectangle columns right of Γ
     g = slice(s, s + m)
     # mode k of h^2 A_RR is T_k = tridiag(-1, 2 + lam_k, -1) in x;
     # inv_piv[c] holds the reciprocal LU pivots of column c for every mode
@@ -477,12 +512,16 @@ class PolygonProblem:
     """Shortley-Weller discretization of a convex polygon, solved for any
     number of Dirichlet data sets at once.  The polygon must end on the
     right in a block of plain 5-point columns (see `_plain_block`).
-    `stats` holds the sizes and stage times of the last solve."""
+    The system is kept as its stencil arrays in `geom`; `A` is a sparse
+    matrix of its tip and Γ rows and columns only, A[:s+m, :s+m], which is
+    all that the block solver reads.  `stats` holds the sizes and stage
+    times of the last solve."""
 
     def __init__(self, poly: ConvexPolygon, h: float, origin: Point,
                  shape: Tuple[int, int]):
-        self.A, self.geom = _assemble_polygon(poly, h, origin, shape)
+        self.geom = _assemble_polygon(poly, h, origin, shape)
         self._tip, self._gamma = _plain_block(self.geom)
+        self.A = _leading_block(self.geom, self._tip + self._gamma)
         self.stats: dict = {}
 
     def _cut_data(self, edge_data: Sequence[Callable]) -> np.ndarray:
@@ -526,7 +565,8 @@ class PolygonProblem:
         solve, then one refinement step against A; its sizes and stage
         times go to `stats`."""
         t0 = time.perf_counter()
-        solve, fill = _block_solver(self.A, self.geom["h"], self._tip, self._gamma)
+        n = len(self.geom["ii"])
+        solve, fill = _block_solver(self.A, self.geom["h"], self._gamma, n)
         t1 = time.perf_counter()
         x = solve(b)
         t2 = time.perf_counter()
@@ -534,7 +574,6 @@ class PolygonProblem:
         t3 = time.perf_counter()
         x += solve(r)
         t4 = time.perf_counter()
-        n = self.A.shape[0]
         self.stats = dict(
             tip_unknowns=self._tip, gamma_unknowns=self._gamma,
             rectangle_unknowns=n - self._tip - self._gamma, tip_lu_fill=fill,
@@ -562,9 +601,10 @@ class PolygonProblem:
         values.flat[hit] = total[hit] / count[hit]
 
     def residual(self, f: ScalarField, edge_data: Sequence[Callable]) -> float:
+        """max |A x - b| / max |b| for the values of f at the unknowns."""
         b = self._rhs(self._cut_data(edge_data))
         x = f.values[self.geom["ii"], self.geom["jj"]]
-        r = self.A @ x - b
+        r = _stencil_matvec(self.geom, x) - b
         return float(np.max(np.abs(r)) / max(np.max(np.abs(b)), 1e-300))
 
 
@@ -670,12 +710,19 @@ def pentagon_edge_data(geom: PentagonGeometry, N: float) -> list:
 
 @dataclass
 class SelectedN:
+    """The selected N with its edge margins and the two basis solutions
+    w0, w1 (data 0 on the right edge, and 1 there alone).  `h` is the grid
+    spacing, `residual` the pentagon residual of w0 + N w1 against the
+    data at N (`PolygonProblem.residual`) and `stats` the solver's sizes
+    and stage times.  The system itself is not kept."""
     N: float
     margins: dict
     w0: ScalarField
     w1: ScalarField
-    problem: PolygonProblem
     geom: PentagonGeometry
+    h: float
+    residual: float
+    stats: dict
 
     def w_values(self) -> np.ndarray:
         return self.w0.values + self.N * self.w1.values
@@ -719,7 +766,8 @@ def select_N(K: int, schedule: Optional[Sequence[float]] = None,
 
     The solution at N is w0 + N*w1 by linearity, so the sweep costs one
     solver setup and one stacked solve of the two basis data sets (plus
-    its refinement step); the factors are freed before the sweep.
+    its refinement step); the factors are freed before the sweep, and the
+    system once the residual at the selected N is taken.
     """
     geom = pentagon_geometry(K)
     prob = pentagon_problem(geom, resolution)
@@ -730,7 +778,6 @@ def select_N(K: int, schedule: Optional[Sequence[float]] = None,
 
     if schedule is None:
         schedule = [float(2 ** k) for k in range(0, 260)]
-    best = None
     for N in schedule:
         m = _edge_margins(geom, w0, w1, N, h, n_samples)
         ok_legs = all(
@@ -738,14 +785,14 @@ def select_N(K: int, schedule: Optional[Sequence[float]] = None,
             for e in ("leg_up", "leg_lo"))
         ok_sides = all(np.all(m[e]["w_gamma"] > 0.0) for e in ("bottom", "top"))
         if ok_legs and ok_sides:
-            best = SelectedN(N=N, margins=m, w0=w0, w1=w1, problem=prob,
-                             geom=geom)
             break
-    if best is None:
-        last = _edge_margins(geom, w0, w1, schedule[-1], h, n_samples)
-        worst = {e: float(np.min(v["margin"])) for e, v in last.items()}
+    else:
+        worst = {e: float(np.min(v["margin"])) for e, v in m.items()}
         raise SolverError(f"N sweep exhausted; best margins {worst}")
-    return best
+    w = ScalarField(grid=w0.grid, values=w0.values + N * w1.values)
+    return SelectedN(N=N, margins=m, w0=w0, w1=w1, geom=geom, h=h,
+                     residual=prob.residual(w, pentagon_edge_data(geom, N)),
+                     stats=prob.stats)
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,11 @@ def gaussian_curvature(g: ConformalMetric) -> CurvatureField:
         raise ConformalError("curvature needs a grid-resolved factor")
     f = g.grid_factor
     lap = laplacian_grid(f)
-    phi_c = f.values[1:-1, 1:-1]
     with np.errstate(over="ignore", under="ignore"):
-        K = -np.exp(-2.0 * phi_c) * lap
+        K = np.multiply(f.values[1:-1, 1:-1], -2.0)  # -2 phi, then K in place
+        np.exp(K, out=K)
+        np.negative(K, out=K)
+        K *= lap
     return CurvatureField(values=K, grid=f.grid, h=f.grid.h)
 
 

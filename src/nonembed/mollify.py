@@ -20,7 +20,7 @@ import numpy as np
 
 from nonembed.bvp import (BOUNDARY, INTERIOR, GluedField, MaskedGrid,
                           ScalarField, SelectedN, _edge_margins,
-                          laplacian_grid, pentagon_edge_data)
+                          laplacian_grid)
 from nonembed.fields import laplacian_residual, u_float
 from nonembed.logscale import float_to_log
 from nonembed.trees import SteinerTree, build_steiner_tree, tree_integral
@@ -179,7 +179,7 @@ def build_tail_v(selected: SelectedN, delta: float,
     # nodes whose stencil touches the pentagon region: the grid Laplacian
     # there reads interpolation error, not the field; those interfaces are
     # certified by the edge-margin and solver-residual checks instead
-    h_pent = selected.problem.geom["h"]
+    h_pent = selected.h
     reg = glue.region_of(YX, YY)
     pent = reg == 2
     touches = pent.copy()
@@ -279,9 +279,9 @@ def tail_subharmonic_report(tail: TailFunction,
     moon_certified = eq_err < 1e-8 and 3.0 <= ratio_lo and ratio_hi <= 5.0
 
     sel = tail.mollified.glue.selected
-    pent_resid = sel.problem.residual(sel.w_field(), _combined_edge_data(sel))
-    dense = _edge_margins(sel.geom, sel.w0, sel.w1, sel.N,
-                          sel.problem.geom["h"], margin_samples)
+    pent_resid = sel.residual
+    dense = _edge_margins(sel.geom, sel.w0, sel.w1, sel.N, sel.h,
+                          margin_samples)
     worst_margin = min(float(np.min(m["margin"])) for m in dense.values())
 
     grid_pass = grid_min >= -tol_factor * scale
@@ -307,10 +307,6 @@ def tail_subharmonic_report(tail: TailFunction,
         passes=bool(grid_pass and moon_certified and pent_resid < 1e-10
                     and worst_margin > 0.0),
     )
-
-
-def _combined_edge_data(sel: SelectedN):
-    return pentagon_edge_data(sel.geom, sel.N)
 
 
 # ---------------------------------------------------------------------------

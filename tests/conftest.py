@@ -1,6 +1,6 @@
 import pytest
 
-from nonembed import assembly, cli, ruled
+from nonembed import bvp, cli, ruled
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +17,12 @@ def selected4(ctx):
 
 
 @pytest.fixture(scope="session")
+def pentagon4(selected4):
+    """The system `select_N` solved for `selected4`, which it does not keep."""
+    return bvp.pentagon_problem(selected4.geom)
+
+
+@pytest.fixture(scope="session")
 def tail4(ctx):
     return ctx.tail
 
@@ -29,11 +35,6 @@ def gen_surface():
 @pytest.fixture(scope="session")
 def extended(gen_surface):
     return ruled.extend_ruled(gen_surface.sample(n=257), -1.0, 2.0)
-
-
-@pytest.fixture(scope="session")
-def pocket3():
-    return assembly.build_g1(3, grid_n=1536)
 
 
 @pytest.fixture(scope="session")

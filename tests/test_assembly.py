@@ -114,8 +114,8 @@ def test_bump_schedule_rejects_bad_nmax(rot):
 # negative-curvature pockets
 # ---------------------------------------------------------------------------
 
-def test_pocket_metric_curvature_signs(pocket3):
-    rep = pocket3.curvature_report()
+def test_pocket_metric_curvature_signs(ctx):
+    rep = ctx.g1_report
     assert rep["all_pockets_negative"]
     assert rep["flat_outside"]
     assert all(p["n_sampled"] > 0 for p in rep["pockets"])

@@ -217,13 +217,15 @@ def test_pentagon_geometry():
         bvp.pentagon_geometry(14)
 
 
-def test_pentagon_solver_residual_and_superposition(selected4):
+def test_pentagon_solver_residual_and_superposition(selected4, pentagon4):
     geom = selected4.geom
-    prob = selected4.problem
-    # residual of the combined solution against the combined data
+    prob = pentagon4
+    # residual of the combined solution against the combined data, which
+    # select_N took before it freed the system
     data = bvp.pentagon_edge_data(geom, selected4.N)
     res = prob.residual(selected4.w_field(), data)
     assert res < 1e-12
+    assert selected4.residual == res
     # superposition: w0, w1 and w at N, solved in one call; w = w0 + N*w1
     N = 8.0
     unit_right = [bvp._zero] * 5
@@ -256,7 +258,7 @@ def test_polygon_solve_pointwise_accuracy_against_discrete_oracle():
     nx = round(Lx / h)
     poly = bvp.ConvexPolygon([(0.0, 0.0), (nx * h, 0.0), (nx * h, Ly), (0.0, Ly)])
     prob = bvp.PolygonProblem(poly, h, (0.0, 0.0), (nx + 1, ny + 1))
-    assert prob.A.shape[0] == 17_979
+    assert len(prob.geom["ii"]) == 17_979
     far_edge = [bvp._zero, lambda x, y: 1.0, bvp._zero, bvp._zero]
     (f,) = prob.solve([far_edge])
     worst, smallest = 0.0, math.inf
@@ -277,15 +279,18 @@ def _basis_rhs(prob, geom):
                      for d in (bvp.pentagon_edge_data(geom, 0.0), unit_right)])
 
 
-def test_unrefined_block_solve_is_close_to_the_refined_solve(selected4):
+def test_unrefined_block_solve_is_close_to_the_refined_solve(selected4,
+                                                            pentagon4):
     """Before its refinement step, the tip / interface / rectangle solve of
     the K = 4 pentagon is within 1e-10 relative of the refined solution at
-    every node (measured 1.75e-11)."""
-    prob = selected4.problem
+    every node (measured 1.75e-11).  The solver's matrix holds only the tip
+    and Γ rows and columns."""
+    prob = pentagon4
     b = _basis_rhs(prob, selected4.geom)
-    solve, fill = bvp._block_solver(prob.A, prob.geom["h"], prob._tip,
-                                    prob._gamma)
+    solve, fill = bvp._block_solver(prob.A, prob.geom["h"], prob._gamma,
+                                    len(prob.geom["ii"]))
     assert prob._tip == 5466 and prob._gamma == 191 and fill == 162_328
+    assert prob.A.shape == (5657, 5657)
     ii, jj = prob.geom["ii"], prob.geom["jj"]
     for x, w in zip(solve(b), (selected4.w0, selected4.w1)):
         refined = w.values[ii, jj]
@@ -301,7 +306,8 @@ def test_block_solve_equals_whole_matrix_lu_with_the_same_refinement():
     prob = bvp.PolygonProblem(geom.polygon, h, origin, shape)
     assert prob._tip > 0
     b = _basis_rhs(prob, geom)
-    lu = spla.splu(prob.A, permc_spec="MMD_AT_PLUS_A")
+    A = _assemble_per_node(geom.polygon, h, origin, shape)[0]
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     ref = lu.solve(b.T).T
     ref += lu.solve(bvp._stencil_residual(prob.geom, ref, b).T).T
     x = prob._refined_solve(b)
@@ -320,7 +326,7 @@ def test_polygon_without_a_trailing_plain_block_raises():
 def test_selected_N_keeps_no_schur_matrix(selected4):
     """No dense interface block (the Schur matrix, A_TT^-1 A_TΓ) stays
     reachable from the SelectedN once the basis solves return."""
-    gamma = selected4.problem._gamma
+    gamma = selected4.stats["gamma_unknowns"]
     seen, stack = set(), [selected4]
     while stack:
         obj = stack.pop()
@@ -340,7 +346,7 @@ def test_stencil_residual_in_blocks_equals_one_block(monkeypatch):
     geom = bvp.pentagon_geometry(2)
     origin, h, shape = bvp._pentagon_grid_params(geom, 16)
     prob = bvp.PolygonProblem(geom.polygon, h, origin, shape)
-    n = prob.A.shape[0]
+    n = len(prob.geom["ii"])
     x, b = np.random.default_rng(3).standard_normal((2, 2, n))
     monkeypatch.setattr(bvp, "_BLOCK", n)
     whole = bvp._stencil_residual(prob.geom, x, b)
@@ -348,8 +354,31 @@ def test_stencil_residual_in_blocks_equals_one_block(monkeypatch):
     assert n > 37 and n % 37
     blocked = bvp._stencil_residual(prob.geom, x, b)
     assert whole.tobytes() == blocked.tobytes()
-    plain = b - (prob.A @ x.T).T
+    A = _assemble_per_node(geom.polygon, h, origin, shape)[0]
+    plain = b - (A @ x.T).T
     assert np.allclose(blocked, plain, rtol=0.0, atol=1e-12 * np.abs(plain).max())
+
+
+def test_stencil_residual_equals_the_whole_matrix_residual():
+    """Without the whole matrix, `PolygonProblem.residual` sums A x from the
+    stencil arrays in the order of a CSC matvec, so A x - b has the bits
+    of the assembled matrix's, for the solution and for random values."""
+    geom = bvp.pentagon_geometry(3)
+    origin, h, shape = bvp._pentagon_grid_params(geom, 48)
+    prob = bvp.PolygonProblem(geom.polygon, h, origin, shape)
+    A = _assemble_per_node(geom.polygon, h, origin, shape)[0]
+    ii, jj = prob.geom["ii"], prob.geom["jj"]
+    data = bvp.pentagon_edge_data(geom, 1e3)
+    b = prob._rhs(prob._cut_data(data))
+    (sol,) = prob.solve([data])
+    rnd = bvp.ScalarField(grid=sol.grid, values=np.random.default_rng(5)
+                          .standard_normal(sol.values.shape))
+    for f in (sol, rnd):
+        x = f.values[ii, jj]
+        assert bvp._stencil_matvec(prob.geom, x).tobytes() == (A @ x).tobytes()
+        r = b - A @ x
+        assert prob.residual(f, data) == \
+            float(np.max(np.abs(r)) / max(np.max(np.abs(b)), 1e-300))
 
 
 def _edge_cut(poly, p, direction, h):
@@ -413,17 +442,22 @@ def _assemble_per_node(poly, h, origin, shape, snap=1e-9):
     return A, coefs, records
 
 
-def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4):
-    """The pentagon matrix, both right-hand sides of select_N and the rim
-    values equal those of the per-node loop bit for bit."""
+def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4):
+    """The pentagon's stencil, its tip and Γ matrix, both right-hand sides
+    of select_N and the rim values equal those of the per-node loop bit
+    for bit."""
     geom = selected4.geom
-    prob = selected4.problem
+    prob = pentagon4
     origin, h, shape = bvp._pentagon_grid_params(geom, 192)
     A, coefs, records = _assemble_per_node(geom.polygon, h, origin, shape)
     assert len(records) == len(prob.geom["cuts"]["row"])
-    assert np.array_equal(prob.A.indptr, A.indptr)
-    assert np.array_equal(prob.A.indices, A.indices)
-    assert np.array_equal(prob.A.data, A.data)
+    assert np.array_equal(prob.geom["coefs"], coefs)
+    assert np.array_equal(prob.geom["diag"], A.diagonal())
+    k = prob._tip + prob._gamma
+    corner = A[:k, :k]
+    assert np.array_equal(prob.A.indptr, corner.indptr)
+    assert np.array_equal(prob.A.indices, corner.indices)
+    assert np.array_equal(prob.A.data, corner.data)
     unit_right = [bvp._zero] * 5
     unit_right[geom.RIGHT] = lambda x, y: 1.0
     dirs = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -445,8 +479,9 @@ def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4):
 
 
 def test_selected_N_keeps_no_factors(selected4):
-    """The LU factors are released once the basis solves return: no
-    SuperLU object is reachable from the SelectedN."""
+    """The LU factors and the system are released once select_N returns:
+    no SuperLU object, PolygonProblem or sparse matrix is reachable from
+    the SelectedN."""
     seen, stack = set(), [selected4]
     while stack:
         obj = stack.pop()
@@ -454,9 +489,10 @@ def test_selected_N_keeps_no_factors(selected4):
                                                types.FunctionType)):
             continue
         seen.add(id(obj))
-        assert not isinstance(obj, spla.SuperLU)
+        assert not isinstance(obj, (spla.SuperLU, bvp.PolygonProblem))
+        assert not sp.issparse(obj)
         stack.extend(gc.get_referents(obj))
-    assert id(selected4.problem.A) in seen
+    assert id(selected4.w0.values) in seen
 
 
 def test_pentagon_max_principle(selected4):
@@ -476,8 +512,7 @@ def test_select_N_below_threshold_fails():
     # at K=2 the selected N is far above 1; small N must fail margins
     sel = bvp.select_N(2, resolution=96)
     assert sel.N > 1e6
-    m = bvp._edge_margins(sel.geom, sel.w0, sel.w1, 1.0,
-                          sel.problem.geom["h"], 40)
+    m = bvp._edge_margins(sel.geom, sel.w0, sel.w1, 1.0, sel.h, 40)
     bad = min(float(np.min(v["margin"])) for v in m.values())
     assert bad < 0.0
 

@@ -386,7 +386,10 @@ def test_verify_g1_passes_and_reports(tmp_path):
     assert all("anchor" in c for c in rep["checks"])
     # g1 solves no pentagon, so its runtime carries no pentagon block
     runtime = json.loads((tmp_path / "o" / "runtime.json").read_text())
-    assert set(runtime) == {"seconds_total", "per_target"}
+    assert set(runtime) == {"seconds_total", "per_target",
+                            "per_target_peak_rss_mb"}
+    assert set(runtime["per_target_peak_rss_mb"]) == {"g1"}
+    assert runtime["per_target_peak_rss_mb"]["g1"] > 0.0
 
 
 @pytest.mark.slow
