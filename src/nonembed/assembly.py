@@ -303,6 +303,10 @@ def build_g1(n_max: int = 3, grid_n: int = 1536) -> PocketMetric:
 
 PLANTINGS_PER_ANNULUS = 2
 SAMPLE_ANGLES = 8  # curvature sample points per annulus
+CUTOFF_R_MAX = 1.5  # the cutoffs' C^4 proxy: on a radial grid below 1.5,
+CUTOFF_STEP = 1e-4  # differences at step 1e-4
+CUTOFF_ORDER = 4    # up to order 4
+
 
 def wall_cutoff(n: int, r):
     """e^{-1/(r - 1/n)} for r > 1/n, zero otherwise."""
@@ -329,29 +333,40 @@ def wall_cutoff_laplacian(n: int, r):
     return out
 
 
-def measure_mu_schedule(n_max: int, r_max: float = 1.5,
-                        h: float = 1e-4, max_order: int = 4) -> list:
+def _weighted_cutoffs(cutoff, eta: Sequence[float], mu: Sequence[float],
+                      ms: range, r) -> np.ndarray:
+    """eta_m mu_m cutoff(m, r) summed over m in ms, in order, from zeros."""
+    out = np.zeros(np.shape(np.asarray(r, dtype=float)))
+    for m in ms:
+        out = out + eta[m - 1] * mu[m - 1] * cutoff(m, r)
+    return out
+
+
+def _c4_proxy(vals: np.ndarray) -> float:
+    """Largest magnitude of a radial profile and of its differences up to
+    order CUTOFF_ORDER at step CUTOFF_STEP."""
+    worst = float(np.max(np.abs(vals)))
+    for _ in range(CUTOFF_ORDER):
+        vals = np.diff(vals) / CUTOFF_STEP
+        worst = max(worst, float(np.max(np.abs(vals))))
+    return worst
+
+
+def measure_mu_schedule(n_max: int) -> list:
     """mu_n = 2^{-n} / (1 + max measured derivative magnitude of the n-th
-    wall cutoff up to the given order), measured by repeated differencing
-    on a fine radial grid."""
+    wall cutoff up to order CUTOFF_ORDER), measured by repeated
+    differencing on a fine radial grid."""
     if n_max < 1:
         raise AssemblyError("n_max must be >= 1")
-    return [2.0 ** (-n) / (1.0 + cutoff_c4_norm(n, 1.0, r_max, h, max_order))
+    return [2.0 ** (-n) / (1.0 + cutoff_c4_norm(n, 1.0))
             for n in range(1, n_max + 1)]
 
 
-def cutoff_c4_norm(n: int, mu: float, r_max: float = 1.5,
-                   h: float = 1e-4, max_order: int = 4) -> float:
+def cutoff_c4_norm(n: int, mu: float) -> float:
     """Largest measured magnitude of mu times the n-th wall cutoff and of
-    its differences up to the given order."""
-    r = np.arange(1.0 / n - 10 * h, r_max, h)
-    vals = mu * wall_cutoff(n, r)
-    worst = float(np.max(np.abs(vals)))
-    arr = vals
-    for k in range(1, max_order + 1):
-        arr = np.diff(arr) / h
-        worst = max(worst, float(np.max(np.abs(arr))))
-    return worst
+    its differences up to order CUTOFF_ORDER."""
+    r = np.arange(1.0 / n - 10 * CUTOFF_STEP, CUTOFF_R_MAX, CUTOFF_STEP)
+    return _c4_proxy(mu * wall_cutoff(n, r))
 
 
 @dataclass
@@ -366,17 +381,12 @@ class AnnulusStack:
     rotation: RotationSum
 
     def cutoff_sum(self, r):
-        out = np.zeros(np.shape(np.asarray(r, dtype=float)))
-        for m in range(1, self.n_max + 1):
-            out = out + self.eta[m - 1] * self.mu[m - 1] * wall_cutoff(m, r)
-        return out
+        return _weighted_cutoffs(wall_cutoff, self.eta, self.mu,
+                                 range(1, self.n_max + 1), r)
 
     def cutoff_sum_laplacian(self, r):
-        out = np.zeros(np.shape(np.asarray(r, dtype=float)))
-        for m in range(1, self.n_max + 1):
-            out = out + self.eta[m - 1] * self.mu[m - 1] \
-                * wall_cutoff_laplacian(m, r)
-        return out
+        return _weighted_cutoffs(wall_cutoff_laplacian, self.eta, self.mu,
+                                 range(1, self.n_max + 1), r)
 
     def planting_value(self, x, y) -> np.ndarray:
         return _first_ball_value(self.rotation, x, y, [
@@ -485,20 +495,12 @@ def origin_flatness(stack: AnnulusStack) -> list:
 
 
 def cutoff_partial_sum_c4_distance(mu: Sequence[float], n_hi: int, n_lo: int,
-                                   eta: Optional[Sequence[float]] = None,
-                                   r_max: float = 1.5, h: float = 1e-4,
-                                   max_order: int = 4) -> float:
+                                   eta: Optional[Sequence[float]] = None
+                                   ) -> float:
     """C^4-proxy distance between the partial cutoff sums at n_hi and
     n_lo terms (measured on a fine radial grid)."""
     if eta is None:
         eta = [1.0] * n_hi
-    r = np.arange(1e-6, r_max, h)
-    tail_sum = np.zeros_like(r)
-    for m in range(n_lo + 1, n_hi + 1):
-        tail_sum = tail_sum + eta[m - 1] * mu[m - 1] * wall_cutoff(m, r)
-    worst = float(np.max(np.abs(tail_sum)))
-    arr = tail_sum
-    for k in range(1, max_order + 1):
-        arr = np.diff(arr) / h
-        worst = max(worst, float(np.max(np.abs(arr))))
-    return worst
+    r = np.arange(1e-6, CUTOFF_R_MAX, CUTOFF_STEP)
+    return _c4_proxy(_weighted_cutoffs(wall_cutoff, eta, mu,
+                                       range(n_lo + 1, n_hi + 1), r))

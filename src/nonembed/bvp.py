@@ -273,7 +273,7 @@ def _cut_arms(poly: ConvexPolygon, px: np.ndarray, py: np.ndarray,
 
 
 def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
-                      shape: Tuple[int, int], snap: float = 1e-9) -> dict:
+                      shape: Tuple[int, int]) -> dict:
     """The Shortley-Weller system as 5-point stencil arrays: per unknown,
     `diag` and the four neighbour coefficients `coefs` (E, W, N, S; A holds
     their negatives) with the neighbours' unknowns `nbr`, -1 for a cut arm.
@@ -282,7 +282,7 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
     xs = origin[0] + h * np.arange(nx)
     ys = origin[1] + h * np.arange(ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    interior = poly.contains(X, Y, pad=snap)
+    interior = poly.contains(X, Y, pad=1e-9)
     interior[0, :] = interior[-1, :] = False
     interior[:, 0] = interior[:, -1] = False
 
@@ -614,7 +614,6 @@ class PolygonProblem:
 
 def normal_derivative(f_interp: Callable, edge: Segment, normal: Point,
                       h: float, n_samples: int = 40,
-                      corner_margin: Optional[float] = None,
                       boundary_value: Optional[Callable] = None) -> dict:
     """One-sided second-order normal derivative at sampled edge points.
 
@@ -628,13 +627,10 @@ def normal_derivative(f_interp: Callable, edge: Segment, normal: Point,
 
     Returns dict with sample points, parameters and derivative values.
     """
-    if corner_margin is None:
-        corner_margin = 3.0 * h
-    L = edge.length
-    t_lo = corner_margin / L
-    t_hi = 1.0 - corner_margin / L
+    t_lo = 3.0 * h / edge.length  # the corner margin 3h, as a fraction
+    t_hi = 1.0 - t_lo
     if not (0 < t_lo < t_hi < 1):
-        raise SolverError("edge shorter than twice the corner margin")
+        raise SolverError("edge shorter than twice the corner margin 3h")
     ts = np.linspace(t_lo, t_hi, n_samples)
     px, py = edge.at(ts)
     f0 = (boundary_value or f_interp)(px, py)
@@ -647,6 +643,10 @@ def normal_derivative(f_interp: Callable, edge: Segment, normal: Point,
 # ---------------------------------------------------------------------------
 # the pentagon pipeline
 # ---------------------------------------------------------------------------
+
+RIGHT_X = 20.0     # the pentagon's right edge lies on x = RIGHT_X
+EDGE_SAMPLES = 40  # normal-derivative samples per edge in the N selection
+
 
 @dataclass
 class PentagonGeometry:
@@ -667,14 +667,14 @@ class PentagonGeometry:
         return self.D1[1]
 
 
-def pentagon_geometry(K: int, far_x: float = 20.0) -> PentagonGeometry:
+def pentagon_geometry(K: int) -> PentagonGeometry:
     if 4 * K * K > 660:
         raise SolverError(f"slit-field data overflows doubles for K={K}")
     a = math.exp(-2.0 * K)
     t = build_steiner_tree(a)
     D1, D3 = t.a1, t.a3
-    D4 = (far_x, D3[1])
-    D5 = (far_x, D1[1])
+    D4 = (RIGHT_X, D3[1])
+    D5 = (RIGHT_X, D1[1])
     poly = ConvexPolygon([D1, (-a, 0.0), D3, D4, D5])
     return PentagonGeometry(K=K, D=(-a, 0.0), D1=D1, D3=D3, D4=D4, D5=D5,
                             polygon=poly)
@@ -757,8 +757,7 @@ def _edge_margins(geom: PentagonGeometry, sel_w0: ScalarField, w1: ScalarField,
 
 
 def select_N(K: int, schedule: Optional[Sequence[float]] = None,
-             resolution: int = 192, margin_frac: float = 0.05,
-             n_samples: int = 40) -> SelectedN:
+             resolution: int = 192, margin_frac: float = 0.05) -> SelectedN:
     """Smallest N in a geometric sweep for which, at the sampled edge
     points, the inward normal derivative of the pentagon solution exceeds
     that of the slit field on the legs (by margin_frac of the local slit
@@ -779,7 +778,7 @@ def select_N(K: int, schedule: Optional[Sequence[float]] = None,
     if schedule is None:
         schedule = [float(2 ** k) for k in range(0, 260)]
     for N in schedule:
-        m = _edge_margins(geom, w0, w1, N, h, n_samples)
+        m = _edge_margins(geom, w0, w1, N, h, EDGE_SAMPLES)
         ok_legs = all(
             np.all(m[e]["margin"] > margin_frac * np.maximum(m[e]["scale"], 1e-300))
             for e in ("leg_up", "leg_lo"))

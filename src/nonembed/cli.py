@@ -66,10 +66,16 @@ class RunConfig:
             raise ConfigError(f"quad.tol must lie in (0, 1e-2], got {self.quad_tol}")
         if self.k_max < 1:
             raise ConfigError("k.max must be >= 1")
+        if self.pentagon_resolution < 16 or self.pentagon_resolution % 2:
+            raise ConfigError("pentagon.resolution must be an even integer "
+                              f">= 16, got {self.pentagon_resolution}")
         if not (1e-4 <= self.grid_h <= 0.1):
             raise ConfigError(f"grid.h out of range: {self.grid_h}")
         if self.delta_steps < 1:
             raise ConfigError("delta schedule must be non-empty")
+        if self.n_chords < 1:
+            raise ConfigError(
+                f"chords.count must be >= 1, got {self.n_chords}")
         if self.n_max < 1 or self.annulus_n_max < 1:
             raise ConfigError("truncation orders must be >= 1")
         if not (0.0 < self.ruled_tau < 1.0):
@@ -218,9 +224,9 @@ class PipelineContext:
 # flag is the claim as stated; tests/test_acceptance.py calls them too
 # ---------------------------------------------------------------------------
 
-def boundary_angles(rng: np.random.Generator, n: int = 50) -> np.ndarray:
-    """Polar angles of n unit-circle sample points clear of the slit."""
-    return rng.uniform(0.05, 2 * math.pi - 0.05, size=n)
+def boundary_angles(rng: np.random.Generator) -> np.ndarray:
+    """Polar angles of 50 unit-circle sample points clear of the slit."""
+    return rng.uniform(0.05, 2 * math.pi - 0.05, size=50)
 
 
 def claim_circle_trace(ctx: PipelineContext, thetas) -> dict:

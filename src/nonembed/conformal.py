@@ -22,6 +22,11 @@ from nonembed.mollify import TailFunction, grid_sign_sets
 from nonembed.trees import Segment, SteinerTree, line_integral, tree_integral
 
 
+CURVATURE_TOL_FACTOR = 1e-8  # largest K > 0 allowed, relative to max |K|
+LENGTH_TOL = 1e-12           # quadrature tolerance of metric lengths
+HYPERBOLIC_RADIUS = 0.95     # the hyperbolic reference factor is on r < this
+
+
 class ConformalError(ValueError):
     pass
 
@@ -99,8 +104,8 @@ def gaussian_curvature(g: ConformalMetric) -> CurvatureField:
 # lengths
 # ---------------------------------------------------------------------------
 
-def curve_length(g: ConformalMetric, curve: Union[Segment, SteinerTree],
-                 tol: float = 1e-12) -> float:
+def curve_length(g: ConformalMetric,
+                 curve: Union[Segment, SteinerTree]) -> float:
     """Length of a segment or three-leg tree under the metric: the
     integral of e^{phi} along the curve."""
     def log_density(xs, ys):
@@ -108,8 +113,8 @@ def curve_length(g: ConformalMetric, curve: Union[Segment, SteinerTree],
         return np.ones(phi.shape, dtype=int), phi
 
     if isinstance(curve, SteinerTree):
-        return tree_integral(log_density, curve, tol=tol).float_value
-    return line_integral(log_density, curve, tol=tol).float_value
+        return tree_integral(log_density, curve, tol=LENGTH_TOL).float_value
+    return line_integral(log_density, curve, tol=LENGTH_TOL).float_value
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +122,15 @@ def curve_length(g: ConformalMetric, curve: Union[Segment, SteinerTree],
 # ---------------------------------------------------------------------------
 
 def length_derivative_check(tail: TailFunction, tree: SteinerTree,
-                            step: float = 1e-4,
-                            tol: float = 1e-12) -> Tuple[float, float]:
+                            step: float = 1e-4) -> Tuple[float, float]:
     """Centered difference quotient (L(step) - L(-step)) / (2 step) of
     delta -> L(tree, e^{2 delta v} dx^2) at delta = 0 (left), against the
     tree integral of v (right).
 
     The quotient is evaluated as the single integral of sinh(step v) / step
     over the tree, which equals it exactly.  Subtracting the two lengths
-    instead would cancel two O(1) values, each accurate only to tol * L,
-    and floor the relative error near 1e-4 on the tail field.
+    instead would cancel two O(1) values, each accurate only to
+    LENGTH_TOL * L, and floor the relative error near 1e-4 on the tail.
 
     Both values are returned; agreement holds only while step * max|v|
     stays in the linear regime of the exponential, the relative gap being
@@ -146,7 +150,7 @@ def length_derivative_check(tail: TailFunction, tree: SteinerTree,
                 np.log(np.sinh(x)))
         return np.sign(v).astype(int), log_sinh - log_step
 
-    lhs = tree_integral(log_sinh_quotient, tree, tol=tol).float_value
+    lhs = tree_integral(log_sinh_quotient, tree, tol=LENGTH_TOL).float_value
     rhs = tree_integral(tail.log_value, tree, tol=1e-10).float_value
     return lhs, rhs
 
@@ -162,18 +166,17 @@ class Delta0Scan:
 
 
 def find_delta0(tail: TailFunction, tree: SteinerTree,
-                delta_max: float = 0.05, n_scan: int = 16,
-                tol: float = 1e-12) -> Delta0Scan:
+                delta_max: float = 0.05, n_scan: int = 16) -> Delta0Scan:
     """Scan delta = delta_max * 2^{-k} upward; the threshold is the
     largest scanned amplitude below the first failure of strict length
     shortening.  If the smallest scanned amplitude already fails, the
     threshold is reported as 0 (failure)."""
-    L0 = curve_length(ConformalMetric.flat(), tree, tol=tol)
+    L0 = curve_length(ConformalMetric.flat(), tree)
     history = []
     best = 0.0
     for k in range(n_scan, -1, -1):
         d = delta_max * 2.0 ** (-k)
-        Ld = curve_length(ConformalMetric.tail_metric(tail, d), tree, tol=tol)
+        Ld = curve_length(ConformalMetric.tail_metric(tail, d), tree)
         shortens = Ld < L0
         history.append((d, Ld, L0, bool(shortens)))
         if shortens:
@@ -183,10 +186,10 @@ def find_delta0(tail: TailFunction, tree: SteinerTree,
     return Delta0Scan(delta0=best, history=history)
 
 
-def tail_curvature_report(tail: TailFunction, delta: float,
-                          tol_factor: float = 1e-8) -> dict:
+def tail_curvature_report(tail: TailFunction, delta: float) -> dict:
     """Sign verification of K = -e^{-2 delta v} * delta * (Laplacian of v)
-    on the grid-visible set of the unit disc.
+    on the grid-visible set of the unit disc, to CURVATURE_TOL_FACTOR
+    times the largest |K| there.
 
     The reweighting e^{-2 delta v} is positive, so K <= 0 is equivalent to
     discrete subharmonicity of v.  The report gives the largest positive
@@ -205,7 +208,7 @@ def tail_curvature_report(tail: TailFunction, delta: float,
     pos = vis & (lap < 0.0)
     max_pos_logK = float(np.max(logK[pos])) if np.any(pos) else -math.inf
     scale_logK = float(np.max(logK[vis & (lap != 0.0)]))
-    ok = max_pos_logK <= scale_logK + math.log(tol_factor) \
+    ok = max_pos_logK <= scale_logK + math.log(CURVATURE_TOL_FACTOR) \
         if max_pos_logK > -math.inf else True
     return dict(max_positive_logK=max_pos_logK, scale_logK=scale_logK,
                 curvature_sign_pass=bool(ok))
@@ -215,18 +218,17 @@ def tail_curvature_report(tail: TailFunction, delta: float,
 # reference factors
 # ---------------------------------------------------------------------------
 
-def hyperbolic_disc_factor(h: float = 1.0 / 256, radius: float = 0.95
-                           ) -> ConformalMetric:
-    """phi = ln(2 / (1 - r^2)) sampled at lattice spacing h on r < radius;
-    the curvature of this factor is exactly -1."""
-    m = int(math.ceil(radius / h))
+def hyperbolic_disc_factor(h: float = 1.0 / 256) -> ConformalMetric:
+    """phi = ln(2 / (1 - r^2)) sampled at lattice spacing h on
+    r < HYPERBOLIC_RADIUS; the curvature of this factor is exactly -1."""
+    m = int(math.ceil(HYPERBOLIC_RADIUS / h))
     n = 2 * m
     G = MaskedGrid(origin=(-m * h, -m * h), h=h,
                    mask=np.full((n + 1, n + 1), INTERIOR, dtype=np.int8),
                    subgrid_boundary=True)
     X, Y = G.nodes_xy()
     R2 = X * X + Y * Y
-    inside = R2 < radius * radius
+    inside = R2 < HYPERBOLIC_RADIUS * HYPERBOLIC_RADIUS
     G.mask[~inside] = EXTERIOR
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(inside, np.log(2.0 / (1.0 - np.minimum(R2, 1 - 1e-12))), 0.0)

@@ -23,7 +23,8 @@ from nonembed.bvp import (BOUNDARY, INTERIOR, GluedField, MaskedGrid,
                           laplacian_grid)
 from nonembed.fields import laplacian_residual, u_float
 from nonembed.logscale import float_to_log
-from nonembed.trees import SteinerTree, build_steiner_tree, tree_integral
+from nonembed.trees import (SIGN_MARGIN, SteinerTree, build_steiner_tree,
+                            tree_integral)
 
 RESCALE = 10.0
 RECENTER = (-0.8, 0.0)
@@ -119,8 +120,8 @@ class TailFunction:
     field: ScalarField
     provenance: dict
     mollified: MollifiedGlue
-    u_core_excluded: np.ndarray = None  # oscillation-unresolved nodes
-    pentagon_band_excluded: np.ndarray = None
+    u_core_excluded: np.ndarray  # oscillation-unresolved nodes
+    pentagon_band_excluded: np.ndarray
 
     def value(self, x, y):
         X = np.asarray(x, dtype=float)
@@ -327,8 +328,8 @@ class DeltaSelection:
 
 def select_tail_delta(selected: SelectedN,
                       schedule: Optional[Sequence[float]] = None,
-                      grid_n: int = 768, tol: float = 1e-10,
-                      margin: float = 10.0) -> DeltaSelection:
+                      grid_n: int = 768,
+                      tol: float = 1e-10) -> DeltaSelection:
     """First delta in a decreasing schedule for which the tree integral of
     the tail field is strictly negative (beyond the quadrature error).
 
@@ -350,7 +351,7 @@ def select_tail_delta(selected: SelectedN,
         res = tree_integral(tail.log_value, tree, tol=tol)
         val = res.float_value
         history.append((d, val, res.est_error))
-        if val < 0.0 and abs(val) > margin * res.est_error:
+        if val < 0.0 and abs(val) > SIGN_MARGIN * res.est_error:
             chosen, chosen_tail = d, tail
             break
     return DeltaSelection(delta=chosen, tail=chosen_tail, tree=tree,

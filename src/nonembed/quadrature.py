@@ -19,6 +19,7 @@ from nonembed.logscale import LogScaledReal, signed_logsumexp
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _LOG_WEIGHTS = np.log(_WEIGHTS)
+MAX_PANELS = 400_000  # live panels past which refinement has exploded
 
 
 class QuadratureError(RuntimeError):
@@ -89,8 +90,7 @@ def _pair_add(s1, l1, s2, l2):
 
 
 def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float = 1e-10,
-                            initial_panels: int = 16, max_depth: int = 40,
-                            max_panels: int = 400_000) -> QuadratureResult:
+                            initial_panels: int = 16) -> QuadratureResult:
     """Integrate a vectorized log-scaled integrand over [a, b].
 
     f_log(ts) must return (signs, logmags) arrays.  Refinement stops when
@@ -113,9 +113,9 @@ def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float = 1e-10,
     span = abs(b - a)
 
     while len(pa):
-        if len(pa) > max_panels:
+        if len(pa) > MAX_PANELS:
             raise QuadratureError(
-                f"panel count exploded past {max_panels} "
+                f"panel count exploded past {MAX_PANELS} "
                 f"(depth range {depth.min()}..{depth.max()})")
         mid = 0.5 * (pa + pb)
         s1, l1, ne1 = _panel_sums(f_log, pa, pb)
@@ -132,7 +132,7 @@ def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float = 1e-10,
         # integrand-noise plateau: bisection stopped improving the estimate,
         # accept and carry the remaining discrepancy into est_error
         stalled = (depth >= 6) & (err_log > prev_err - 0.18)
-        done = ok | stalled | (depth >= max_depth)
+        done = ok | stalled | (depth >= 40)
         if np.any(done):
             acc_signs.append(s2[done])
             acc_logs.append(l2[done])

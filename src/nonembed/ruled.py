@@ -27,6 +27,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 PI_RECT = ((0.0, 2.0), (-2.0, 2.0))  # the strip [0,2] x [-2,2]
+S_SPAN = 2.6      # generated rulings are labeled |s| <= S_SPAN * tau
+CHART_STEP = 1e-4  # step of the x2-differences f2 and f22 of a flat graph
 CMP_GRID = 61     # nodes per axis of the comparison grid
 CMP_STEP = 1e-3   # step of the competitor's Hessian stencil
 
@@ -140,12 +142,12 @@ class GeneratedSurface:
         c2 = 2 * self.eps * self.nu(s, 1) - self.Q(s, 1)
         return c2 + (np.asarray(x1) - 2.0) * self.eps * self.nu(s, 1)
 
-    def s_of(self, x1, x2, iters: int = 60):
+    def s_of(self, x1, x2):
         """Invert x2(x1, s) = x2 by Newton (the map is a perturbed -s/tau)."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         s = -self.tau * x2
-        for _ in range(iters):
+        for _ in range(60):
             g = self.x2_of(x1, s) - x2
             dg = 2 * self.eps * self.nu(s, 2) - self.Q(s, 2) \
                 + (x1 - 2.0) * self.eps * self.nu(s, 2)
@@ -167,8 +169,9 @@ class GeneratedSurface:
         s = self.s_of(x1, x2)
         return -self.eps * self.nu(s), s
 
-    def hessian_f(self, x1, x2, h: float = 1e-5):
+    def hessian_f(self, x1, x2):
         """D^2 f by centered differences of the exact gradient."""
+        h = 1e-5
         f1p, f2p = self.grad_f(x1 + h, x2)
         f1m, f2m = self.grad_f(x1 - h, x2)
         f11 = (f1p - f1m) / (2 * h)
@@ -179,9 +182,9 @@ class GeneratedSurface:
         f22 = (g2p - g2m) / (2 * h)
         return f11, 0.5 * (f12 + f21), f22
 
-    def sample(self, n: int = 257, t_range=(0.0, 2.0)) -> RuledSurface:
+    def sample(self, n: int = 257) -> RuledSurface:
         s = np.linspace(-self.s_max, self.s_max, n)
-        return RuledSurface(s=s, c=self.c(s), d=self.d(s), t_range=t_range)
+        return RuledSurface(s=s, c=self.c(s), d=self.d(s))
 
     @cached_property
     def extension_stencil(self) -> dict:
@@ -200,30 +203,29 @@ class GeneratedSurface:
                  (-1, 1): (X - h, Y + h), (-1, -1): (X - h, Y - h)}
         return {k: (x, y, self.f(x, y)) for k, (x, y) in nodes.items()}
 
-    def measured_eps(self, n: int = 33) -> float:
+    def measured_eps(self) -> float:
         """sup ||D^2 f - diag(0, -tau)|| / tau over the strip (Frobenius)."""
-        xs = np.linspace(0.05, 1.95, n)
-        ys = np.linspace(-1.95, 1.95, n)
+        xs = np.linspace(0.05, 1.95, 33)
+        ys = np.linspace(-1.95, 1.95, 33)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         f11, f12, f22 = self.hessian_f(X, Y)
         dev = np.sqrt(f11**2 + 2 * f12**2 + (f22 + self.tau) ** 2)
         return float(np.max(dev)) / self.tau
 
 
-def cylinder(tau: float, s_max: Optional[float] = None) -> GeneratedSurface:
+def cylinder(tau: float) -> GeneratedSurface:
     zero = TrigPoly(omega=1.0, cos_coef=np.zeros(1), sin_coef=np.zeros(1))
     return GeneratedSurface(tau=tau, eps=0.0, nu=zero, bq=zero,
-                            s_max=s_max if s_max is not None else 2.6 * tau)
+                            s_max=S_SPAN * tau)
 
 
-def generate_surface(tau: float, eps: float, seed: int,
-                     n_modes: int = 3) -> GeneratedSurface:
+def generate_surface(tau: float, eps: float, seed: int) -> GeneratedSurface:
     """Random flat graph with measured Hessian deviation ~ eps * tau."""
     rng = np.random.default_rng(seed)
-    s_max = 2.6 * tau
+    s_max = S_SPAN * tau
     omega = math.pi / (2.0 * s_max)
-    nu = TrigPoly.random(rng, n_modes, omega, scale=tau)
-    bq = TrigPoly.random(rng, n_modes, omega, scale=1.0)
+    nu = TrigPoly.random(rng, 3, omega, scale=tau)
+    bq = TrigPoly.random(rng, 3, omega, scale=1.0)
     g = GeneratedSurface(tau=tau, eps=eps, nu=nu, bq=bq, s_max=s_max)
     # normalize the perturbation amplitude so the measured Hessian
     # deviation lands on the requested eps (two secant passes)
@@ -240,42 +242,34 @@ def generate_surface(tau: float, eps: float, seed: int,
 # the flat-graph view and Legendre recovery
 # ---------------------------------------------------------------------------
 
-def default_profile(x2):
-    """Notch profile: psi(x2) = (1 - x2^2)+ (max height 1, zero at +-1)."""
-    x2 = np.asarray(x2, dtype=float)
-    return np.maximum(0.0, 1.0 - x2 * x2)
-
-
 @dataclass
 class FlatGraph:
     """Graph function on the notched strip F = Pi \\ Q, where
-    Q = {0 < x1 < psi(x2), |x2| <= 1}."""
+    Q = {0 < x1 < 1 - x2^2, |x2| <= 1}."""
 
     value: Callable
     tau: float
     eps: float
-    psi: Callable = default_profile
-    gradient: Optional[Callable] = None
 
     def in_Q(self, x1, x2):
         x1 = np.asarray(x1)
         x2 = np.asarray(x2)
-        return (np.abs(x2) <= 1.0) & (x1 > 0.0) & (x1 < self.psi(x2))
+        return (np.abs(x2) <= 1.0) & (x1 > 0.0) & (x1 < 1.0 - x2 * x2)
 
     def in_F(self, x1, x2):
         (a, b), (c, d) = PI_RECT
         inside = (x1 >= a) & (x1 <= b) & (x2 >= c) & (x2 <= d)
         return inside & ~self.in_Q(x1, x2)
 
-    def f2(self, x1, x2, h: float = 1e-4):
+    def f2(self, x1, x2):
         """df/dx2 via Richardson-extrapolated centered differences."""
-        if self.gradient is not None:
-            return self.gradient(x1, x2)[1]
+        h = CHART_STEP
         d1 = (self.value(x1, x2 + h) - self.value(x1, x2 - h)) / (2 * h)
         d2 = (self.value(x1, x2 + h / 2) - self.value(x1, x2 - h / 2)) / h
         return (4.0 * d2 - d1) / 3.0
 
-    def f22(self, x1, x2, h: float = 1e-4):
+    def f22(self, x1, x2):
+        h = CHART_STEP
         return (self.value(x1, x2 + h) - 2 * self.value(x1, x2)
                 + self.value(x1, x2 - h)) / (h * h)
 
@@ -284,9 +278,7 @@ def graph_of(g: GeneratedSurface) -> FlatGraph:
     return FlatGraph(value=g.f, tau=g.tau, eps=g.eps)
 
 
-def legendre_coords(f: FlatGraph, n_levels: int = 21, n_cols: int = 25,
-                    col_range: Tuple[float, float] = (1.0, 2.0),
-                    x2_range: Tuple[float, float] = (-1.6, 1.6)) -> dict:
+def legendre_coords(f: FlatGraph) -> dict:
     """The chart (t, s) = (x1, df/dx2) on a column family in F.
 
     Level sets of s are recovered by bisection of the monotone s-profile,
@@ -294,9 +286,9 @@ def legendre_coords(f: FlatGraph, n_levels: int = 21, n_cols: int = 25,
     (`centers` and unit `directions`) and the straightness residual (max
     point-line distance) reported.
     """
-    lo, hi = x2_range
-    cols = np.linspace(col_range[0], col_range[1], n_cols)
-    mid = 0.5 * (col_range[0] + col_range[1])
+    lo, hi = -1.6, 1.6
+    cols = np.linspace(1.0, 2.0, 25)
+    mid = 1.5
     f22_probe = [f.f22(mid, y) for y in np.linspace(lo, hi, 9)]
     if max(f22_probe) > -0.2 * f.tau:
         raise RuledError("chart degenerates: f22 not bounded away from zero")
@@ -307,10 +299,10 @@ def legendre_coords(f: FlatGraph, n_levels: int = 21, n_cols: int = 25,
     s_lo = f.f2(cols[0], hi - 1e-3)
     s_hi = f.f2(cols[0], lo + 1e-3)
     levels = np.linspace(s_lo + 0.1 * (s_hi - s_lo),
-                         s_hi - 0.1 * (s_hi - s_lo), n_levels)
-    X1 = np.tile(cols, (n_levels, 1))
+                         s_hi - 0.1 * (s_hi - s_lo), 21)
+    X1 = np.tile(cols, (len(levels), 1))
     X2 = _invert_monotone_vec(lambda ys: f.f2(X1, ys),
-                              np.repeat(levels[:, None], n_cols, axis=1),
+                              np.repeat(levels[:, None], len(cols), axis=1),
                               lo, hi)
     pts = np.stack([X1, X2, f.value(X1, X2)], axis=-1)
     center = pts.mean(axis=1, keepdims=True)
@@ -329,7 +321,7 @@ def _flatness_probe(f: FlatGraph, x1: float, h: float) -> float:
 
 
 def _invert_monotone_vec(g: Callable, targets: np.ndarray, lo: float,
-                         hi: float, iters: int = 60) -> np.ndarray:
+                         hi: float) -> np.ndarray:
     """Vector bisection of g(y) = target_i over [lo, hi] (g monotone)."""
     targets = np.asarray(targets, dtype=float)
     a = np.full(targets.shape, lo)
@@ -338,7 +330,7 @@ def _invert_monotone_vec(g: Callable, targets: np.ndarray, lo: float,
     gb = g(b) - targets
     if np.any(ga * gb > 0):
         raise RuledError("level not bracketed in the column")
-    for _ in range(iters):
+    for _ in range(60):
         m = 0.5 * (a + b)
         gm = g(m) - targets
         left = ga * gm <= 0
@@ -356,14 +348,13 @@ def _line_fit_residuals(Q: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return np.max(np.linalg.norm(proj, axis=2), axis=1)
 
 
-def extract_rulings(f: FlatGraph, n_levels: int = 21, n_cols: int = 25,
-                    residual_tol: float = 1e-6) -> Tuple[RuledSurface, dict]:
+def extract_rulings(f: FlatGraph) -> Tuple[RuledSurface, dict]:
     """Fit each Legendre level set by a 3-space line; the base point is
     taken over x1 = 2 and the direction normalized to first component 1.
     Also checks that df/dx1 is constant along each recovered ruling."""
-    chart = legendre_coords(f, n_levels=n_levels, n_cols=n_cols)
+    chart = legendre_coords(f)
     pts = chart["points"]
-    if np.max(chart["straightness"]) > residual_tol:
+    if np.max(chart["straightness"]) > 1e-6:
         raise RuledError(
             f"level sets are not straight: {np.max(chart['straightness']):.2e}")
     direction = chart["directions"]
@@ -376,8 +367,7 @@ def extract_rulings(f: FlatGraph, n_levels: int = 21, n_cols: int = 25,
     df1 = (f.value(pts[..., 0] + h, pts[..., 1])
            - f.value(pts[..., 0] - h, pts[..., 1])) / (2 * h)
     spread = np.max(df1, axis=1) - np.min(df1, axis=1)
-    surf = RuledSurface(s=np.asarray(chart["levels"]), c=c, d=d,
-                        t_range=(0.0, 2.0))
+    surf = RuledSurface(s=np.asarray(chart["levels"]), c=c, d=d)
     diag = dict(straightness=chart["straightness"], df1_spread=spread)
     return surf, diag
 
@@ -491,16 +481,16 @@ def principal_curvature(r: RuledSurface, t: float, i: int) -> float:
     return curvature_form(r, t, i) * I_tt / det_I**1.5
 
 
-def concavity_check(r: RuledSurface, t_fit=(1.0, 1.5, 2.0),
-                    t_eval_range=(-1.0, 2.0), n_eval: int = 31) -> dict:
+def concavity_check(r: RuledSurface) -> dict:
     """Fit the t-quadratic of the curvature form on t in [1, 2] per ruling
-    (three-point fit, exact for a quadratic), then test its sign over the
-    full extension range; all rulings but the two at each end at once."""
-    q = [curvature_forms(r, t)[2:-2] for t in t_fit]
-    a2 = (q[0] - 2 * q[1] + q[2]) / (2 * (t_fit[1] - t_fit[0]) ** 2)
-    a1 = (q[2] - q[0]) / (t_fit[2] - t_fit[0]) - a2 * (t_fit[2] + t_fit[0])
-    a0 = q[1] - a1 * t_fit[1] - a2 * t_fit[1] ** 2
-    te = np.linspace(*t_eval_range, n_eval)
+    (three-point fit at t = 1, 1.5, 2, exact for a quadratic), then test
+    its sign over the full extension range; all rulings but the two at
+    each end at once."""
+    q0, q1, q2 = (curvature_forms(r, t)[2:-2] for t in (1.0, 1.5, 2.0))
+    a2 = (q0 - 2 * q1 + q2) / 0.5
+    a1 = (q2 - q0) - a2 * 3.0
+    a0 = q1 - a1 * 1.5 - a2 * 2.25
+    te = np.linspace(-1.0, 2.0, 31)
     vals = a0[:, None] + a1[:, None] * te + a2[:, None] * te * te
     return dict(a0=a0, a1=a1, a2=a2, verdict=bool(np.max(vals) < 0.0))
 
@@ -546,8 +536,7 @@ def comparison_check(g: GeneratedSurface, offset: Callable) -> dict:
 
 
 def saddle_candidate(g: GeneratedSurface, seed: int,
-                     amplitude_scale: float = 0.4,
-                     max_draws: int = 200) -> Tuple[Callable, dict]:
+                     amplitude_scale: float = 0.4) -> Tuple[Callable, dict]:
     """A competing graph w = flat extension + bump supported strictly in
     the notch interior, returned as its offset w - f (the bump).
 
@@ -561,7 +550,7 @@ def saddle_candidate(g: GeneratedSurface, seed: int,
     rejects candidates that fail it.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_draws):
+    for _ in range(200):
         ry = rng.uniform(0.10, 0.20)
         x2c = rng.uniform(-0.5, 0.5)
         psi_min = 1.0 - (abs(x2c) + ry) ** 2
@@ -591,8 +580,8 @@ def saddle_candidate(g: GeneratedSurface, seed: int,
     return _bump_offset(info), info
 
 
-def hypothesis_instances(g: GeneratedSurface, count: int, seed0: int = 1,
-                         max_halvings: int = 14) -> list:
+def hypothesis_instances(g: GeneratedSurface, count: int,
+                         seed0: int = 1) -> list:
     """Seeded competing graphs, as (offset, info, report) triples, that
     pass the nodewise hypothesis check.
 
@@ -619,7 +608,7 @@ def hypothesis_instances(g: GeneratedSurface, count: int, seed0: int = 1,
         rep = comparison_check(g, w)
         halved = 0
         while not (rep["hypothesis_det"] and rep["hypothesis_boundary"]) \
-                and halved < max_halvings:
+                and halved < 14:
             info = dict(info, amplitude=info["amplitude"] * 0.25)
             w = _bump_offset(info)
             rep = comparison_check(g, w)
@@ -769,21 +758,20 @@ def project_and_compare(curves: np.ndarray, r: RuledSurface):
     return len_curve, len_proj
 
 
-def random_curve_above(r: RuledSurface, seed: int, n_pts: int = 60
-                       ) -> np.ndarray:
+def random_curve_above(r: RuledSurface, seed: int) -> np.ndarray:
     """Smooth random curve strictly on the concave side of the surface."""
     rng = np.random.default_rng(seed)
     t0, t1 = r.t_range
-    ts = np.linspace(t0 + 0.15 * (t1 - t0), t1 - 0.15 * (t1 - t0), n_pts)
+    ts = np.linspace(t0 + 0.15 * (t1 - t0), t1 - 0.15 * (t1 - t0), 60)
     span = r.s[-3] - r.s[2]
     mid = 0.5 * (r.s[-3] + r.s[2])
     amp = 0.3 * span
     ph = rng.uniform(0, 2 * math.pi)
     freq = rng.uniform(0.5, 1.5)
-    ss = mid + amp * np.sin(freq * np.linspace(0, 2 * math.pi, n_pts) + ph)
+    ss = mid + amp * np.sin(freq * np.linspace(0, 2 * math.pi, len(ts)) + ph)
     height = rng.uniform(0.02, 0.3)
     wob = rng.uniform(0.3, 1.0)
     i = np.clip(np.searchsorted(r.s, ss), 2, len(r.s) - 3)
     lift = height * (1.0 + 0.5 * np.array([math.sin(wob * k)
-                                           for k in range(n_pts)]))
+                                           for k in range(len(ts))]))
     return _surface_point_interp(r, ts, ss) + lift[:, None] * r.normals[i]

@@ -22,6 +22,8 @@ from nonembed.logscale import LogScaledReal, float_to_log
 from nonembed.quadrature import (QuadratureResult, adaptive_log_quadrature)
 
 Point = Tuple[float, float]
+SIGN_MARGIN = 10.0  # a sign counts beyond this many error estimates
+SECTOR_PAD = 1e-9  # containment slack of a chord in the sectors and disc
 
 
 class GeometryError(ValueError):
@@ -75,7 +77,7 @@ class SteinerTree:
         return math.atan2(self.a1[1], self.a1[0]) % TWO_PI
 
 
-def build_steiner_tree(a: float, x_axis_endpoint: Point = (-1.0, 0.0)) -> SteinerTree:
+def build_steiner_tree(a: float) -> SteinerTree:
     """Tree with vertex (-a, 0): axis leg to (-1, 0), slanted legs leaving
     the vertex at standard angles +-pi/3, extended to the unit circle.
 
@@ -90,7 +92,7 @@ def build_steiner_tree(a: float, x_axis_endpoint: Point = (-1.0, 0.0)) -> Steine
     c, s = math.cos(math.pi / 3.0), math.sin(math.pi / 3.0)
     a1 = (A[0] + t1 * c, A[1] + t1 * s)
     a3 = (A[0] + t1 * c, A[1] - t1 * s)
-    return SteinerTree(vertex=A, a1=a1, a2=x_axis_endpoint, a3=a3)
+    return SteinerTree(vertex=A, a1=a1, a2=(-1.0, 0.0), a3=a3)
 
 
 def moon_tree(K: int) -> SteinerTree:
@@ -102,8 +104,8 @@ def moon_tree(K: int) -> SteinerTree:
 # quadrature over segments and trees
 # ---------------------------------------------------------------------------
 
-def line_integral(f_log_xy: Callable, seg: Segment, tol: float = 1e-10,
-                  initial_panels: int = 64) -> QuadratureResult:
+def line_integral(f_log_xy: Callable, seg: Segment,
+                  tol: float = 1e-10) -> QuadratureResult:
     """Adaptive Gauss-Legendre integral along seg of the field given in
     log scale by f_log_xy(xs, ys) -> (signs, logmags), accumulated in log
     scale.  est_error <= tol * |value| on convergence; non-convergence
@@ -115,7 +117,7 @@ def line_integral(f_log_xy: Callable, seg: Segment, tol: float = 1e-10,
         return signs, logmags + log_L
 
     return adaptive_log_quadrature(f_log, 0.0, 1.0, rtol=tol,
-                                   initial_panels=initial_panels)
+                                   initial_panels=64)
 
 
 def tree_integral(f_log_xy: Callable, tree: SteinerTree,
@@ -195,12 +197,16 @@ def _arc_integrals(tree: SteinerTree, tol: float) -> Tuple[QuadratureResult,
     return up, lo
 
 
+def _identity_rhs(K: int, aa2: QuadratureResult, tol: float):
+    """2 * aa2 + both arc integrals, and the sum of their error estimates."""
+    up, lo = _arc_integrals(moon_tree(K), tol)
+    return (aa2.value * 2.0 + up.value + lo.value,
+            2.0 * aa2.est_error + up.est_error + lo.est_error)
+
+
 def identity_right_side(K: int, tol: float = 1e-10) -> LogScaledReal:
     """2 * (axis-leg integral) + both arc integrals."""
-    tree = moon_tree(K)
-    aa2 = aa2_integral_scaled(K, tol=tol)
-    up, lo = _arc_integrals(tree, tol)
-    return aa2.value * 2.0 + up.value + lo.value
+    return _identity_rhs(K, aa2_integral_scaled(K, tol=tol), tol)[0]
 
 
 def _relative_discrepancy(left: LogScaledReal, right: LogScaledReal) -> float:
@@ -285,11 +291,10 @@ def weighted_green_identity_residual(K: int, tol: float = 1e-10) -> float:
     return _relative_discrepancy(*weighted_identity_sides(K, tol=tol))
 
 
-def find_min_k(k_max: int, tol: float = 1e-10,
-               margin: float = 10.0) -> Optional[int]:
+def find_min_k(k_max: int, tol: float = 1e-10) -> Optional[int]:
     """Smallest integer K <= k_max with (i) the axis-leg integral strictly
     negative and (ii) the axis-plus-arcs expression strictly negative, both
-    beyond ``margin`` times the quadrature error estimate.  None if no K
+    beyond SIGN_MARGIN times the quadrature error estimate.  None if no K
     qualifies.
 
     Condition (ii) is the plain-ds "2 * axis + arcs" expression of
@@ -302,44 +307,38 @@ def find_min_k(k_max: int, tol: float = 1e-10,
         raise GeometryError("k_max must be >= 1")
     for K in range(1, k_max + 1):
         aa2 = aa2_integral_scaled(K, tol=tol)
-        if not _strictly_negative(aa2.value, aa2.est_error, margin):
+        if not _strictly_negative(aa2.value, aa2.est_error):
             continue
-        tree = moon_tree(K)
-        up, lo = _arc_integrals(tree, tol)
-        rhs = aa2.value * 2.0 + up.value + lo.value
-        rhs_err = 2.0 * aa2.est_error + up.est_error + lo.est_error
-        if _strictly_negative(rhs, rhs_err, margin):
+        if _strictly_negative(*_identity_rhs(K, aa2, tol)):
             return K
     return None
 
 
-def _strictly_negative(v: LogScaledReal, est_error: float, margin: float) -> bool:
+def _strictly_negative(v: LogScaledReal, est_error: float) -> bool:
     if v.sign >= 0:
         return False
     if est_error <= 0.0:
         return True
-    return v.logmag > math.log(margin * est_error)
+    return v.logmag > math.log(SIGN_MARGIN * est_error)
 
 
 # ---------------------------------------------------------------------------
 # chord positivity
 # ---------------------------------------------------------------------------
 
-def segment_in_sectors(seg: Segment, tree: SteinerTree, n_check: int = 257,
-                       pad: float = 1e-9) -> bool:
+def segment_in_sectors(seg: Segment, tree: SteinerTree) -> bool:
     """Sampled containment of seg in the union of the two 120-degree
     sectors (vertex angle in [0, 4pi/3]) intersected with the closed disc."""
-    ts = np.linspace(0.0, 1.0, n_check)
+    ts = np.linspace(0.0, 1.0, 257)
     xs, ys = seg.at(ts)
-    if np.any(xs * xs + ys * ys > (1.0 + pad) ** 2):
+    if np.any(xs * xs + ys * ys > (1.0 + SECTOR_PAD) ** 2):
         return False
     off = (xs != tree.vertex[0]) | (ys != tree.vertex[1])
     phi = eval_angle_field(tree.vertex, tree.a1, xs[off], ys[off])
-    return not np.any(phi > 4.0 * math.pi / 3.0 + pad)
+    return not np.any(phi > 4.0 * math.pi / 3.0 + SECTOR_PAD)
 
 
-def check_segment_positivity(seg: Segment, tree: SteinerTree,
-                             tol: float = 1e-9) -> int:
+def check_segment_positivity(seg: Segment, tree: SteinerTree) -> int:
     """Sign of the integral of the slit-plane field along a chord whose
     endpoints lie on the unit circle, the chord staying inside the two
     sectors.  Near-zero integrals (below the quadrature error) report +1
@@ -349,16 +348,16 @@ def check_segment_positivity(seg: Segment, tree: SteinerTree,
             raise GeometryError(f"endpoint {p} is not on the unit circle")
     if not segment_in_sectors(seg, tree):
         raise GeometryError("segment exits the sectors")
-    res = line_integral(u_log_xy, seg, tol=tol)
+    res = line_integral(u_log_xy, seg, tol=1e-9)
     if res.value.is_zero or res.value.to_float() <= res.est_error:
-        if res.value.sign < 0 and abs(res.value.to_float()) > 10 * res.est_error:
+        if res.value.sign < 0 and \
+                abs(res.value.to_float()) > SIGN_MARGIN * res.est_error:
             return -1
         return 1
     return int(res.value.sign)
 
 
-def random_boundary_chords(tree: SteinerTree, count: int, seed: int,
-                           min_angle_sep: float = 0.05):
+def random_boundary_chords(tree: SteinerTree, count: int, seed: int):
     """Seeded chords of the unit circle with both endpoints on the sector
     arcs, rejected (and redrawn) unless fully contained in the sectors."""
     rng = np.random.default_rng(seed)
@@ -371,7 +370,7 @@ def random_boundary_chords(tree: SteinerTree, count: int, seed: int,
         if attempts > 200 * count:
             raise GeometryError("chord rejection rate unexpectedly high")
         ta, tb = rng.uniform(th_lo, th_hi, size=2)
-        if abs(ta - tb) < min_angle_sep:
+        if abs(ta - tb) < 0.05:
             continue
         seg = Segment((math.cos(ta), math.sin(ta)),
                       (math.cos(tb), math.sin(tb)))

@@ -1,0 +1,74 @@
+"""Guards on the shape of the library's API."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "tests", "tools", "perfbench")
+EXEMPT = {
+    # the subharmonicity spot certificate is to be reworked, and its
+    # tolerance, margin sampling, spot count and seed may then need a caller
+    ("tail_subharmonic_report", "tol_factor"),
+    ("tail_subharmonic_report", "margin_samples"),
+    ("tail_subharmonic_report", "n_spot"),
+    ("tail_subharmonic_report", "seed"),
+}
+
+
+def _defaulted_parameters():
+    """(module, function, parameter, positional index or None) for every
+    parameter with a default of every function in src/nonembed; the index
+    counts from the first argument a call passes (after self or cls)."""
+    out = []
+    for path in sorted((ROOT / "src" / "nonembed").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            # dunder methods are called by the language, not by name
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            a = node.args
+            pos = a.posonlyargs + a.args
+            skip = 1 if pos and pos[0].arg in ("self", "cls") else 0
+            for i, arg in enumerate(pos[len(pos) - len(a.defaults):],
+                                    len(pos) - len(a.defaults)):
+                out.append((path.stem, node.name, arg.arg, i - skip))
+            out += [(path.stem, node.name, arg.arg, None)
+                    for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None]
+    return out
+
+
+def _calls_by_name():
+    calls = {}
+    for d in CALLER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) \
+                    else getattr(f, "id", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, param: str, index) -> bool:
+    """Whether the call may pass param: by keyword, by position, or
+    through a starred argument."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_no_parameter_is_default_only():
+    # a default that no call overrides is a constant in disguise
+    calls = _calls_by_name()
+    default_only = [
+        f"{mod}.{fn}({param})"
+        for mod, fn, param, index in _defaulted_parameters()
+        if (fn, param) not in EXEMPT
+        and not any(_sets(c, param, index) for c in calls.get(fn, []))]
+    assert default_only == []

@@ -512,7 +512,8 @@ def test_select_N_below_threshold_fails():
     # at K=2 the selected N is far above 1; small N must fail margins
     sel = bvp.select_N(2, resolution=96)
     assert sel.N > 1e6
-    m = bvp._edge_margins(sel.geom, sel.w0, sel.w1, 1.0, sel.h, 40)
+    m = bvp._edge_margins(sel.geom, sel.w0, sel.w1, 1.0, sel.h,
+                          bvp.EDGE_SAMPLES)
     bad = min(float(np.min(v["margin"])) for v in m.values())
     assert bad < 0.0
 

@@ -43,6 +43,14 @@ def test_config_validation_bounds():
     cfg = cli.RunConfig(quad_tol=10.0)
     with pytest.raises(cli.ConfigError):
         cfg.validate()
+    # zero chords pass vacuously; a resolution below 16 or odd would run
+    # at another resolution than the report echoes
+    cases = [("chords.count", "n_chords", 0)] + [
+        ("pentagon.resolution", "pentagon_resolution", r)
+        for r in (-4, 15, 193)]
+    for key, field, value in cases:
+        with pytest.raises(cli.ConfigError, match=re.escape(key)):
+            cli.RunConfig(**{field: value}).validate()
 
 
 def test_broken_tolerance_exits_2(tmp_path):
@@ -451,6 +459,24 @@ def test_assemble_gII_golden_sha256(ctx, tmp_path, monkeypatch):
         "gII_factor_ball1.json":
             "93ae3b533125bc24cd1e80f1ace5c00db4e3d1720625b48363f2e03790fbd5d9",
     }
+
+
+def test_assemble_annulus_golden_sha256(ctx, tmp_path, monkeypatch):
+    # `nonembed assemble annulus` at the default config, its cutoff profile
+    # written from the session's mu schedule and annulus stack
+    monkeypatch.setattr(cli, "PipelineContext", lambda cfg: ctx)
+    assert cli.cmd_assemble("annulus", cli.RunConfig(out_dir=str(tmp_path))) == 0
+    profile = (tmp_path / "annulus_cutoff_profile.json").read_bytes()
+    assert hashlib.sha256(profile).hexdigest() == \
+        "12332253ff8704192957c14567712f10639e3ee34bf8a40cca2f1feb80a6d025"
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["mu"] == [
+        0.0007393239841187207, 0.0003696786232833528, 0.0001848393116416764,
+        9.24196558208382e-05, 4.62098279104191e-05, 2.3104905850409363e-05,
+        1.1552456977604775e-05, 5.776217498365212e-06]
+    plantings = json.dumps(man["plantings"]).encode()
+    assert hashlib.sha256(plantings).hexdigest() == \
+        "6480374629e28f7b2c0441e11111be561f4150551aff2d1fa3411dac4131cb6f"
 
 
 @pytest.mark.slow

@@ -227,14 +227,11 @@ def test_find_min_k_stable_under_tolerance_halving():
 
 def test_conditions_monotone_above_K_star():
     # both sign conditions continue to hold up to k_max (oracle-confirmed)
-    from nonembed.trees import _strictly_negative, _arc_integrals
+    from nonembed.trees import _identity_rhs, _strictly_negative
     for K in range(K_STAR, 9):
         aa2 = aa2_integral_scaled(K)
-        assert _strictly_negative(aa2.value, aa2.est_error, 10.0)
-        up, lo = _arc_integrals(moon_tree(K), 1e-10)
-        rhs = aa2.value * 2.0 + up.value + lo.value
-        err = 2 * aa2.est_error + up.est_error + lo.est_error
-        assert _strictly_negative(rhs, err, 10.0), K
+        assert _strictly_negative(aa2.value, aa2.est_error)
+        assert _strictly_negative(*_identity_rhs(K, aa2, 1e-10)), K
 
 
 # ---------------------------------------------------------------------------
