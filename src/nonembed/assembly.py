@@ -293,7 +293,7 @@ def build_g1(n_max: int = 3, grid_n: int = 1536) -> PocketMetric:
             f"grid h={grid.h:.2e} cannot resolve pocket radius {4.0 ** -n_max:.2e}")
     k_src = curvature_pockets_rhs(*grid.axes(), n_max)
     u1 = solve_poisson(grid, k_src)  # Laplacian u1 = -k_src >= 0
-    metric = ConformalMetric.from_grid(u1, description="pocket metric factor")
+    metric = ConformalMetric.from_grid(u1)
     return PocketMetric(metric=metric, source=k_src, grid=grid, n_max=n_max)
 
 

@@ -105,16 +105,23 @@ class MaskedGrid:
         return np.meshgrid(*self.axes(), indexing="ij")
 
     def _check_neighbors(self):
-        inner = self.mask[1:-1, 1:-1] == INTERIOR
-        if np.any(self.mask[0, :] == INTERIOR) or np.any(self.mask[-1, :] == INTERIOR) \
-                or np.any(self.mask[:, 0] == INTERIOR) or np.any(self.mask[:, -1] == INTERIOR):
+        m = self.mask
+        if np.any(m[0, :] == INTERIOR) or np.any(m[-1, :] == INTERIOR) \
+                or np.any(m[:, 0] == INTERIOR) or np.any(m[:, -1] == INTERIOR):
             raise ValueError("interior node on the grid edge has missing neighbors")
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = self.mask[1 + di:self.mask.shape[0] - 1 + di,
-                           1 + dj:self.mask.shape[1] - 1 + dj]
-            if np.any(inner & (nb == EXTERIOR)):
-                raise ValueError("interior node with an exterior neighbor; "
-                                 "mark the rim as boundary")
+        if np.any((m[1:-1, 1:-1] == INTERIOR)
+                  & stencil_reduce(m == EXTERIOR, np.logical_or)):
+            raise ValueError("interior node with an exterior neighbor; "
+                             "mark the rim as boundary")
+
+
+def stencil_reduce(a: np.ndarray, op) -> np.ndarray:
+    """op (np.logical_or for any, np.logical_and for all) of the bool node
+    array a over each inner node's 5-point stencil, shape (nx-2, ny-2)."""
+    out = a[1:-1, 1:-1].copy()
+    for nb in (a[2:, 1:-1], a[:-2, 1:-1], a[1:-1, 2:], a[1:-1, :-2]):
+        op(out, nb, out=out)
+    return out
 
 
 @dataclass
@@ -653,7 +660,6 @@ class PentagonGeometry:
     K: int
     D: Point
     D1: Point
-    D3: Point
     D4: Point
     D5: Point
     polygon: ConvexPolygon
@@ -676,22 +682,26 @@ def pentagon_geometry(K: int) -> PentagonGeometry:
     D4 = (RIGHT_X, D3[1])
     D5 = (RIGHT_X, D1[1])
     poly = ConvexPolygon([D1, (-a, 0.0), D3, D4, D5])
-    return PentagonGeometry(K=K, D=(-a, 0.0), D1=D1, D3=D3, D4=D4, D5=D5,
+    return PentagonGeometry(K=K, D=(-a, 0.0), D1=D1, D4=D4, D5=D5,
                             polygon=poly)
 
 
 def _pentagon_grid_params(geom: PentagonGeometry, resolution: int):
-    """Grid aligned with the top/bottom rows and the right column."""
+    """Grid aligned with the top/bottom rows and the right column: the
+    resolution is the number of cells across the pentagon's height, even so
+    that y = 0 and +-y1 are node rows."""
+    if resolution < 16 or resolution % 2:
+        raise SolverError("pentagon resolution must be an even integer "
+                          f">= 16, got {resolution}")
     y1 = geom.half_height
-    ny = 2 * max(8, resolution // 2)  # even: y = 0 and +-y1 are node rows
-    h = 2.0 * y1 / ny
+    h = 2.0 * y1 / resolution
     left = geom.D[0] - 3.0 * h
     n_left = math.ceil((geom.D4[0] - left) / h)
     origin = (geom.D4[0] - n_left * h, -y1 - h)
-    return origin, h, (n_left + 1, ny + 3)
+    return origin, h, (n_left + 1, resolution + 3)
 
 
-def pentagon_problem(geom: PentagonGeometry, resolution: int = 192) -> PolygonProblem:
+def pentagon_problem(geom: PentagonGeometry, resolution: int) -> PolygonProblem:
     origin, h, shape = _pentagon_grid_params(geom, resolution)
     return PolygonProblem(geom.polygon, h, origin, shape)
 
@@ -756,8 +766,9 @@ def _edge_margins(geom: PentagonGeometry, sel_w0: ScalarField, w1: ScalarField,
     return out
 
 
-def select_N(K: int, schedule: Optional[Sequence[float]] = None,
-             resolution: int = 192, margin_frac: float = 0.05) -> SelectedN:
+def select_N(K: int, resolution: int,
+             schedule: Optional[Sequence[float]] = None,
+             margin_frac: float = 0.05) -> SelectedN:
     """Smallest N in a geometric sweep for which, at the sampled edge
     points, the inward normal derivative of the pentagon solution exceeds
     that of the slit field on the legs (by margin_frac of the local slit

@@ -340,10 +340,9 @@ def claim_tail_subharmonicity(ctx: PipelineContext) -> dict:
                  worst_node=list(rep["worst_node_xy"]))
 
 
-def claim_tail_tree_integral(ctx: PipelineContext, schedule, grid_n: int,
+def claim_tail_tree_integral(ctx: PipelineContext, schedule,
                              tol: float) -> dict:
-    sel = mollify.select_tail_delta(ctx.selected, schedule=schedule,
-                                    grid_n=grid_n, tol=tol)
+    sel = mollify.select_tail_delta(ctx.selected, schedule=schedule, tol=tol)
     return check("tail-tree-integral", "tail-tree-integral-negative",
                  sel.succeeded,
                  history=[{"delta": d, "value": v, "est_error": e}
@@ -379,8 +378,7 @@ def claim_shortening(ctx: PipelineContext, n_scan: int) -> dict:
     if scan.succeeded:
         g_half = conformal.ConformalMetric.tail_metric(tail, scan.delta0 / 2)
         L_half = conformal.curve_length(g_half, tree)
-        L0 = conformal.curve_length(conformal.ConformalMetric.flat(), tree)
-        margin = L0 - L_half
+        margin = scan.history[0][2] - L_half  # the flat length L0
     return check("shortening-threshold", "shortening-amplitude-positive",
                  margin is not None and margin > 0, delta0=scan.delta0,
                  history=[{"delta": d, "length": a, "flat": b,
@@ -533,9 +531,7 @@ def verify_tail(ctx: PipelineContext) -> list:
     return [claim_pentagon_margins(ctx),
             claim_tail_support(ctx),
             claim_tail_subharmonicity(ctx),
-            claim_tail_tree_integral(ctx, schedule,
-                                     grid_n=min(cfg.tail_grid_n, 384),
-                                     tol=cfg.quad_tol)]
+            claim_tail_tree_integral(ctx, schedule, tol=cfg.quad_tol)]
 
 
 def verify_corollary(ctx: PipelineContext) -> list:

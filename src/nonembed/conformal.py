@@ -17,8 +17,8 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from nonembed.bvp import (EXTERIOR, INTERIOR, MaskedGrid, ScalarField,
-                          laplacian_grid)
-from nonembed.mollify import TailFunction, grid_sign_sets
+                          laplacian_grid, stencil_reduce)
+from nonembed.mollify import TailFunction
 from nonembed.trees import Segment, SteinerTree, line_integral, tree_integral
 
 
@@ -41,49 +41,40 @@ class ConformalMetric:
 
     factor: Callable
     grid_factor: Optional[ScalarField] = None
-    description: str = ""
 
     @staticmethod
     def flat() -> "ConformalMetric":
-        return ConformalMetric(factor=lambda x, y: np.zeros(np.shape(x)),
-                               description="flat")
+        return ConformalMetric(factor=lambda x, y: np.zeros(np.shape(x)))
 
     @staticmethod
     def constant(c: float) -> "ConformalMetric":
-        return ConformalMetric(factor=lambda x, y: np.full(np.shape(x), float(c)),
-                               description=f"constant factor {c}")
+        return ConformalMetric(
+            factor=lambda x, y: np.full(np.shape(x), float(c)))
 
     @staticmethod
-    def from_grid(f: ScalarField, description: str = "") -> "ConformalMetric":
+    def from_grid(f: ScalarField) -> "ConformalMetric":
         return ConformalMetric(factor=lambda x, y: f.interp(x, y),
-                               grid_factor=f, description=description)
+                               grid_factor=f)
 
     @staticmethod
     def tail_metric(tail: TailFunction, delta: float) -> "ConformalMetric":
         return ConformalMetric(
-            factor=lambda x, y: delta * np.asarray(tail.value(x, y)),
-            description=f"tail bump metric, amplitude {delta}")
+            factor=lambda x, y: delta * np.asarray(tail.value(x, y)))
 
 
 @dataclass
 class CurvatureField:
     values: np.ndarray          # on inner nodes of the factor grid
     grid: MaskedGrid
-    h: float
-    method: str = "five-point factor Laplacian"
 
     def interior_mask(self) -> np.ndarray:
+        """Interior inner nodes whose neighbours are live (interior, on
+        grids with a subgrid boundary)."""
         m = self.grid.mask
-        inner = m[1:-1, 1:-1] == INTERIOR
-        if not self.grid.subgrid_boundary:
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                inner &= m[1 + di:m.shape[0] - 1 + di,
-                           1 + dj:m.shape[1] - 1 + dj] != EXTERIOR
-        else:
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                inner &= m[1 + di:m.shape[0] - 1 + di,
-                           1 + dj:m.shape[1] - 1 + dj] == INTERIOR
-        return inner
+        if self.grid.subgrid_boundary:
+            return stencil_reduce(m == INTERIOR, np.logical_and)
+        return (m[1:-1, 1:-1] == INTERIOR) & stencil_reduce(m != EXTERIOR,
+                                                            np.logical_and)
 
 
 def gaussian_curvature(g: ConformalMetric) -> CurvatureField:
@@ -97,7 +88,7 @@ def gaussian_curvature(g: ConformalMetric) -> CurvatureField:
         np.exp(K, out=K)
         np.negative(K, out=K)
         K *= lap
-    return CurvatureField(values=K, grid=f.grid, h=f.grid.h)
+    return CurvatureField(values=K, grid=f.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +191,7 @@ def tail_curvature_report(tail: TailFunction, delta: float) -> dict:
     jumps that the grid cannot see.
     """
     lap = laplacian_grid(tail.field)
-    vis = grid_sign_sets(tail)[2]
+    vis = tail.sign_checked
     phi_c = delta * tail.field.values[1:-1, 1:-1]
     # log |K| = -2 phi + log(delta |lap|); sign(K) = -sign(lap)
     with np.errstate(divide="ignore"):
@@ -233,7 +224,7 @@ def hyperbolic_disc_factor(h: float = 1.0 / 256) -> ConformalMetric:
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(inside, np.log(2.0 / (1.0 - np.minimum(R2, 1 - 1e-12))), 0.0)
     f = ScalarField(grid=G, values=vals)
-    return ConformalMetric.from_grid(f, description="hyperbolic disc factor")
+    return ConformalMetric.from_grid(f)
 
 
 def curvature_error_vs_constant(K: CurvatureField, target: float) -> float:

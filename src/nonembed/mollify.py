@@ -1,13 +1,19 @@
 """Radially symmetric mollification and the rescaled tail field.
 
 The tail field is the glued disc/pentagon solution, mollified at radius
-delta and pulled back by x -> 10(x - C0) with C0 = (-0.8, 0), sampled on a
-grid covering the 1.1-disc.  Mollification is evaluated pointwise: away
-from the glue interfaces a radial unit-mass kernel leaves a harmonic
-function unchanged (mean value property), so only points within delta of
-an interface need the local kernel quadrature.  This is what makes
-delta << grid spacing feasible; a grid-resolved convolution would need
-~1e9 nodes at the mandated pentagon resolution.
+delta and pulled back by x -> 10(x - C0) with C0 = (-0.8, 0) (`pull_back`).
+Mollification is evaluated pointwise: away from the glue interfaces a
+radial unit-mass kernel leaves a harmonic function unchanged (mean value
+property), so only points within delta of an interface need the local
+kernel quadrature.  This is what makes delta << grid spacing feasible; a
+grid-resolved convolution would need ~1e9 nodes at the mandated pentagon
+resolution.
+
+The claims read the tail in two ways.  The radius scan
+(`select_tail_delta`) integrates v over the tail tree pointwise and samples
+no grid.  The sign certificates read one grid covering the 1.1-disc
+(`build_tail_v`), which also carries the node masks they share, all
+derived from one evaluation of the glue regions.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from nonembed.bvp import (BOUNDARY, INTERIOR, GluedField, MaskedGrid,
                           ScalarField, SelectedN, _edge_margins,
-                          laplacian_grid)
+                          laplacian_grid, stencil_reduce)
 from nonembed.fields import laplacian_residual, u_float
 from nonembed.logscale import float_to_log
 from nonembed.trees import (SIGN_MARGIN, SteinerTree, build_steiner_tree,
@@ -36,6 +42,12 @@ KERNEL_ANGULAR = 48
 # This is scipy.integrate.quad's result (epsabs=1e-15, epsrel=1e-14), one
 # ulp below the correctly rounded value; tests/test_mollify.py pins both.
 _PROFILE_MOMENT = 0.07424775338796101
+
+
+def pull_back(x, y):
+    """The tail's change of variables x -> RESCALE (x - RECENTER)."""
+    return (RESCALE * (np.asarray(x, dtype=float) - RECENTER[0]),
+            RESCALE * (np.asarray(y, dtype=float) - RECENTER[1]))
 
 
 class MollifyError(ValueError):
@@ -114,20 +126,20 @@ class MollifiedGlue:
 
 @dataclass
 class TailFunction:
-    """Sampled tail field v(x) = (w * rho_delta)(10 (x - C0)) plus its
-    exact pointwise evaluator and provenance."""
+    """Sampled tail field v(x) = (w * rho_delta)(pull_back(x)), its exact
+    pointwise evaluator, and the node masks of its grid that the sign
+    certificates read."""
 
     field: ScalarField
-    provenance: dict
     mollified: MollifiedGlue
-    u_core_excluded: np.ndarray  # oscillation-unresolved nodes
-    pentagon_band_excluded: np.ndarray
+    region: np.ndarray                  # int8 glue region of each node
+    u_core_excluded: np.ndarray         # oscillation-unresolved nodes
+    pentagon_band_excluded: np.ndarray  # stencil touches the pentagon
+    stencil_in_disc: np.ndarray         # stencil lies in the unit disc
+    sign_checked: np.ndarray            # inner nodes: the grid sign-check set
 
     def value(self, x, y):
-        X = np.asarray(x, dtype=float)
-        Y = np.asarray(y, dtype=float)
-        return self.mollified.value(RESCALE * (X - RECENTER[0]),
-                                    RESCALE * (Y - RECENTER[1]))
+        return self.mollified.value(*pull_back(x, y))
 
     def log_value(self, xs, ys):
         """v in log scale, (signs, logmags), for the line quadrature."""
@@ -150,7 +162,8 @@ def _oscillation_unresolved(X, Y, h_upstream: float) -> np.ndarray:
 
 def build_tail_v(selected: SelectedN, delta: float,
                  grid_n: int = 768) -> TailFunction:
-    """Sample the rescaled mollified glue on a grid covering the 1.1-disc.
+    """Sample the rescaled mollified glue on a grid covering the 1.1-disc,
+    with the node masks of the sign certificates.
 
     delta must respect the geometric bound e^{-2K} so the kernel never
     spans the reflex vertex sector.
@@ -166,8 +179,7 @@ def build_tail_v(selected: SelectedN, delta: float,
     h = 2.2 / n
     xs = -1.1 + h * np.arange(n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    YX = RESCALE * (X - RECENTER[0])
-    YY = RESCALE * (Y - RECENTER[1])
+    YX, YY = pull_back(X, Y)
     vals = moll.value(YX, YY)
 
     mask = np.full((n + 1, n + 1), INTERIOR, dtype=np.int8)
@@ -175,49 +187,28 @@ def build_tail_v(selected: SelectedN, delta: float,
     grid = MaskedGrid(origin=(-1.1, -1.1), h=h, mask=mask)
     fld = ScalarField(grid=grid, values=vals)
 
-    h_up = RESCALE * h
-    core = _oscillation_unresolved(YX, YY, h_up)
+    core = _oscillation_unresolved(YX, YY, RESCALE * h)
+    reg = glue.region_of(YX, YY).astype(np.int8)
     # nodes whose stencil touches the pentagon region: the grid Laplacian
     # there reads interpolation error, not the field; those interfaces are
     # certified by the edge-margin and solver-residual checks instead
-    h_pent = selected.h
-    reg = glue.region_of(YX, YY)
     pent = reg == 2
-    touches = pent.copy()
-    touches[1:-1, 1:-1] = (pent[1:-1, 1:-1] | pent[2:, 1:-1] | pent[:-2, 1:-1]
-                           | pent[1:-1, 2:] | pent[1:-1, :-2])
-
-    prov = dict(K=K, N=selected.N, delta=delta, h=h, grid_n=n,
-                pentagon_h=h_pent)
-    return TailFunction(field=fld, provenance=prov, mollified=moll,
-                        u_core_excluded=core, pentagon_band_excluded=touches)
+    band = pent.copy()
+    band[1:-1, 1:-1] = stencil_reduce(pent, np.logical_or)
+    in_disc = np.zeros_like(pent)
+    in_disc[1:-1, 1:-1] = stencil_reduce(X * X + Y * Y < 1.0, np.logical_and)
+    # the grid sign check: the stencil lies in the disc, touches the glue
+    # exterior and misses both excluded bands
+    checked = ((in_disc & ~band & ~core)[1:-1, 1:-1]
+               & stencil_reduce(reg == 0, np.logical_or))
+    return TailFunction(field=fld, mollified=moll, region=reg,
+                        u_core_excluded=core, pentagon_band_excluded=band,
+                        stencil_in_disc=in_disc, sign_checked=checked)
 
 
 # ---------------------------------------------------------------------------
 # subharmonicity
 # ---------------------------------------------------------------------------
-
-def grid_sign_sets(tail: TailFunction):
-    """Node masks of the tail grid for the grid sign check: nodes whose
-    5-point stencil lies in the unit disc, the glue region of every node,
-    and (on inner nodes) the checked set, where the stencil also touches
-    the glue exterior and misses the excluded bands."""
-    X, Y = tail.field.grid.nodes_xy()
-    in_disc = (X * X + Y * Y) < 1.0
-    stencil_ok = np.zeros_like(in_disc)
-    stencil_ok[1:-1, 1:-1] = (in_disc[1:-1, 1:-1] & in_disc[2:, 1:-1]
-                              & in_disc[:-2, 1:-1] & in_disc[1:-1, 2:]
-                              & in_disc[1:-1, :-2])
-    reg = tail.mollified.glue.region_of(RESCALE * (X - RECENTER[0]),
-                                        RESCALE * (Y - RECENTER[1]))
-    ext = reg == 0
-    touches_ext = np.zeros_like(ext)
-    touches_ext[1:-1, 1:-1] = (ext[1:-1, 1:-1] | ext[2:, 1:-1] | ext[:-2, 1:-1]
-                               | ext[1:-1, 2:] | ext[1:-1, :-2])
-    checked = (stencil_ok & touches_ext & ~tail.pentagon_band_excluded
-               & ~tail.u_core_excluded)[1:-1, 1:-1]
-    return stencil_ok, reg, checked
-
 
 def tail_subharmonic_report(tail: TailFunction,
                             tol_factor: float = 1e-8,
@@ -242,12 +233,10 @@ def tail_subharmonic_report(tail: TailFunction,
 
     Raw worst node over everything is reported, not asserted.
     """
-    X, Y = tail.field.grid.nodes_xy()
-    YX = RESCALE * (X - RECENTER[0])
-    YY = RESCALE * (Y - RECENTER[1])
+    xs, ys = tail.field.grid.axes()
     glue = tail.mollified.glue
     lap = laplacian_grid(tail.field)
-    stencil_ok, reg, grid_set = grid_sign_sets(tail)
+    stencil_ok, grid_set = tail.stencil_in_disc, tail.sign_checked
     sten = stencil_ok[1:-1, 1:-1]
     scale = float(np.max(np.abs(lap[sten])))
     grid_min = float(np.min(lap[grid_set]))
@@ -255,12 +244,12 @@ def tail_subharmonic_report(tail: TailFunction,
     wi = np.unravel_index(np.argmin(np.where(sten, lap, np.inf)), lap.shape)
 
     # slit-field region spot certificates
-    moon_ok = (stencil_ok & (reg == 1) & ~tail.pentagon_band_excluded
+    moon_ok = (stencil_ok & (tail.region == 1) & ~tail.pentagon_band_excluded
                & ~tail.u_core_excluded)
     rng = np.random.default_rng(seed)
     ii, jj = np.where(moon_ok)
     pick = rng.choice(len(ii), size=min(n_spot, len(ii)), replace=False)
-    sx, sy = YX[ii[pick], jj[pick]], YY[ii[pick], jj[pick]]
+    sx, sy = pull_back(xs[ii[pick]], ys[jj[pick]])
     exact = glue.value(sx, sy)
     dist = glue.interface_distance(sx, sy)
     eq_err = 0.0
@@ -291,8 +280,7 @@ def tail_subharmonic_report(tail: TailFunction,
         raw_min_defect=raw_min,
         scale=scale,
         tolerance=-tol_factor * scale,
-        worst_node_xy=(float(X[wi[0] + 1, wi[1] + 1]),
-                       float(Y[wi[0] + 1, wi[1] + 1])),
+        worst_node_xy=(float(xs[wi[0] + 1]), float(ys[wi[1] + 1])),
         n_grid_checked=int(grid_set.sum()),
         n_excluded_oscillation=int((stencil_ok & tail.u_core_excluded).sum()),
         n_excluded_pentagon=int((stencil_ok & tail.pentagon_band_excluded
@@ -317,8 +305,6 @@ def tail_subharmonic_report(tail: TailFunction,
 @dataclass
 class DeltaSelection:
     delta: Optional[float]
-    tail: Optional[TailFunction]
-    tree: SteinerTree
     history: list  # (delta, tree integral, est_error)
 
     @property
@@ -328,10 +314,14 @@ class DeltaSelection:
 
 def select_tail_delta(selected: SelectedN,
                       schedule: Optional[Sequence[float]] = None,
-                      grid_n: int = 768,
                       tol: float = 1e-10) -> DeltaSelection:
     """First delta in a decreasing schedule for which the tree integral of
     the tail field is strictly negative (beyond the quadrature error).
+
+    The glued field is built once; each delta mollifies it and the tree
+    quadrature evaluates v = (w * rho_delta) o pull_back at its own nodes,
+    so no grid is sampled.  The values equal those of the sampled tail's
+    `TailFunction.log_value` at every point.
 
     The schedule must stay inside (0, e^{-2K}).  If no delta qualifies the
     selection reports failure with the full scan history.
@@ -343,16 +333,17 @@ def select_tail_delta(selected: SelectedN,
     if any(not (0.0 < d < bound) for d in schedule):
         raise MollifyError(f"delta schedule must lie in (0, {bound:.3e})")
     tree = tail_tree(K)
+    glue = GluedField(selected)
     history = []
     chosen = None
-    chosen_tail = None
     for d in schedule:
-        tail = build_tail_v(selected, d, grid_n=grid_n)
-        res = tree_integral(tail.log_value, tree, tol=tol)
+        moll = MollifiedGlue(glue, d)
+        res = tree_integral(
+            lambda xs, ys: float_to_log(moll.value(*pull_back(xs, ys))),
+            tree, tol=tol)
         val = res.float_value
         history.append((d, val, res.est_error))
         if val < 0.0 and abs(val) > SIGN_MARGIN * res.est_error:
-            chosen, chosen_tail = d, tail
+            chosen = d
             break
-    return DeltaSelection(delta=chosen, tail=chosen_tail, tree=tree,
-                          history=history)
+    return DeltaSelection(delta=chosen, history=history)

@@ -17,9 +17,9 @@ def selected4(ctx):
 
 
 @pytest.fixture(scope="session")
-def pentagon4(selected4):
+def pentagon4(ctx, selected4):
     """The system `select_N` solved for `selected4`, which it does not keep."""
-    return bvp.pentagon_problem(selected4.geom)
+    return bvp.pentagon_problem(selected4.geom, ctx.cfg.pentagon_resolution)
 
 
 @pytest.fixture(scope="session")
@@ -40,8 +40,3 @@ def extended(gen_surface):
 @pytest.fixture(scope="session")
 def mu8(ctx):
     return ctx.mu
-
-
-@pytest.fixture(scope="session")
-def stack8(ctx):
-    return ctx.annulus_stack

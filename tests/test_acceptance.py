@@ -96,8 +96,7 @@ def test_criterion_04_chord_positivity(ctx):
 
 def test_criterion_05_tail_pipeline(ctx):
     schedule = [ctx.default_delta / 2 ** k for k in range(3)]
-    tail = cli.claim_tail_tree_integral(ctx, schedule, grid_n=384,
-                                        tol=1e-10)["values"]
+    tail = cli.claim_tail_tree_integral(ctx, schedule, tol=1e-10)["values"]
     # the tail is the glued field pulled back by x -> 10 (x - C0): its tree
     # integral is one tenth of the positive slit-field oracle value
     expected = oracle_tree_integral(ctx.k_star) / 10.0
@@ -155,8 +154,7 @@ def richardson_curvature(h):
     assert np.all(K_f.interior_mask()[fi, fj])
     values = K_h.values.copy()
     values[ii, jj] = (4.0 * K_f.values[fi, fj] - K_h.values[ii, jj]) / 3.0
-    return conformal.CurvatureField(values=values, grid=K_h.grid, h=h,
-                                    method="Richardson step of five-point")
+    return conformal.CurvatureField(values=values, grid=K_h.grid)
 
 
 def test_criterion_07_conformal_sanity():

@@ -39,17 +39,22 @@ def _defaulted_parameters():
     return out
 
 
-def _calls_by_name():
-    calls = {}
+def _caller_nodes():
+    """Every AST node of every Python file under CALLER_DIRS."""
     for d in CALLER_DIRS:
         for path in sorted((ROOT / d).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                f = node.func
-                name = f.attr if isinstance(f, ast.Attribute) \
-                    else getattr(f, "id", None)
-                calls.setdefault(name, []).append(node)
+            yield from ast.walk(ast.parse(path.read_text()))
+
+
+def _calls_by_name():
+    calls = {}
+    for node in _caller_nodes():
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) \
+            else getattr(f, "id", None)
+        calls.setdefault(name, []).append(node)
     return calls
 
 
@@ -72,3 +77,32 @@ def test_no_parameter_is_default_only():
         if (fn, param) not in EXEMPT
         and not any(_sets(c, param, index) for c in calls.get(fn, []))]
     assert default_only == []
+
+
+def _stored_fields():
+    """(class, name) of every annotated field in a class body and of every
+    attribute a method stores as self.name, in src/nonembed."""
+    out = set()
+    for path in sorted((ROOT / "src" / "nonembed").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            out.update((cls.name, node.target.id) for node in cls.body
+                       if isinstance(node, ast.AnnAssign)
+                       and isinstance(node.target, ast.Name))
+            out.update((cls.name, node.attr) for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Store)
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "self")
+    return out
+
+
+def test_no_field_is_write_only():
+    # a field that no code reads is state kept for nobody
+    loaded = {node.attr for node in _caller_nodes()
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    write_only = sorted(f"{cls}.{name}" for cls, name in _stored_fields()
+                        if name not in loaded)
+    assert write_only == []

