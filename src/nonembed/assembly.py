@@ -410,24 +410,19 @@ def annulus_mid_radius(n: int) -> float:
 
 
 def build_annulus_stack(eta: Sequence[float], n_max: int,
-                        mu: Optional[Sequence[float]] = None,
-                        tail: Optional[TailFunction] = None) -> AnnulusStack:
+                        mu: Sequence[float],
+                        tail: TailFunction) -> AnnulusStack:
     """Assemble the annulus factor for a given bounded positive weight
-    sequence eta, truncated at n_max.
+    sequence eta, truncated at n_max, with the measured mu schedule of
+    `measure_mu_schedule`.
 
-    The measured mu schedule must be supplied (or is computed here); the
-    per-annulus plantings are scaled rotation-sum bumps centered on the
+    The per-annulus plantings are scaled rotation-sum bumps centered on the
     mid circle of each annulus, supports strictly inside the annulus.
     """
     if len(eta) < n_max:
         raise AssemblyError(f"need {n_max} weights, got {len(eta)}")
     if any(e <= 0 for e in eta[:n_max]):
         raise AssemblyError("weights must be positive")
-    if mu is None:
-        raise AssemblyError("mu schedule not yet computed; call "
-                            "measure_mu_schedule first")
-    if tail is None:
-        raise AssemblyError("annulus plantings need the tail field")
     plantings = []
     for n in range(1, n_max + 1):
         r_c = annulus_mid_radius(n)
@@ -482,11 +477,17 @@ FLATNESS_ORDER = 4
 FLATNESS_STEP = 0.01
 
 
+def flatness_stencil_in_core(n_max: int) -> bool:
+    """Whether the origin-flatness stencil's half-width, step * order,
+    lies inside the core r < 1/(n_max + 1) where the factor truncated at
+    n_max vanishes."""
+    return FLATNESS_STEP * FLATNESS_ORDER < 1.0 / (n_max + 1)
+
+
 def origin_flatness(stack: AnnulusStack) -> list:
     """Measured derivative magnitudes of the factor at the origin, by
-    nested central differences (all stencil points stay inside the
-    identically-zero core when step * order < 1/(n_max+1))."""
-    if FLATNESS_STEP * FLATNESS_ORDER >= 1.0 / (stack.n_max + 1):
+    nested central differences on a square stencil about the origin."""
+    if not flatness_stencil_in_core(stack.n_max):
         raise AssemblyError("stencil escapes the flat core")
     xs = FLATNESS_STEP * (np.arange(2 * FLATNESS_ORDER + 1) - FLATNESS_ORDER)
     return measured_derivative_maxima(

@@ -24,7 +24,7 @@ import math
 import resource
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -37,7 +37,6 @@ from nonembed.fields import (laplacian_residual, radial_derivative_u,
 from nonembed.gridio import GridIOError, convert_grid, write_grid_csv, write_json
 from nonembed.logscale import LogScaledReal
 
-VERIFY_TARGETS = ("moon", "tail", "corollary", "g1", "annulus", "ruled", "all")
 ASSEMBLE_TARGETS = ("gII", "g1", "annulus")
 
 
@@ -45,64 +44,68 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(default, key: str, domain: Optional[str] = None, test=None,
+         flag: Optional[str] = None):
+    """A `RunConfig` field with its config key, its domain (the text that
+    follows "must be" in the error message, and the predicate that admits
+    a value) and the command-line flag that sets it, if any."""
+    return field(default=default, metadata={
+        "key": key, "domain": domain, "test": test, "flag": flag})
+
+
 @dataclass
 class RunConfig:
-    quad_tol: float = 1e-10
-    k_max: int = 10
-    grid_h: float = 2.2 / 512       # tail-field sampling grid
-    pentagon_resolution: int = 192
-    delta_steps: int = 4            # tail schedule within (0, e^{-2K})
-    margin_frac: float = 0.05
-    seed: int = 20260809
-    n_chords: int = 100
-    n_max: int = 3                  # pocket-metric truncation
-    annulus_n_max: int = 8
-    ruled_tau: float = 0.5
-    ruled_eps: float = 0.05
-    out_dir: str = "out"
+    """The run's settings, one field per config key.  `validate`
+    rejects every value outside its field's domain and every float that is
+    not finite."""
+    quad_tol: float = _key(1e-10, "quad.tol", "in (0, 1e-2]",
+                           lambda v: 0.0 < v <= 1e-2)
+    k_max: int = _key(10, "k.max", ">= 1", lambda v: v >= 1, flag="--kmax")
+    # the tail-field grid spans 2.2 at grid_n = round(2.2 / grid.h) >= 64
+    grid_h: float = _key(2.2 / 512, "grid.h", "in [1e-4, 2.2/64]",
+                         lambda v: 1e-4 <= v <= 2.2 / 64, flag="--grid-h")
+    pentagon_resolution: int = _key(192, "pentagon.resolution",
+                                    "an even integer >= 16",
+                                    lambda v: v >= 16 and v % 2 == 0)
+    # the tail schedule e^{-2K} / 2^(k+1), k < delta.steps
+    delta_steps: int = _key(4, "delta.steps", ">= 1", lambda v: v >= 1)
+    margin_frac: float = _key(0.05, "margin.frac", "finite and > 0",
+                              lambda v: v > 0)
+    # np.random.default_rng takes no negative seed
+    seed: int = _key(20260809, "seed", ">= 0", lambda v: v >= 0,
+                     flag="--seed")
+    n_chords: int = _key(100, "chords.count", ">= 1", lambda v: v >= 1)
+    # pocket-metric truncation
+    n_max: int = _key(3, "truncation.nmax", ">= 1", lambda v: v >= 1,
+                      flag="--nmax")
+    # one annulus gives no curvature sample and no Cauchy tail
+    annulus_n_max: int = _key(
+        8, "annulus.nmax",
+        f">= 2 with 1/(annulus.nmax + 1) > "
+        f"{assembly.FLATNESS_STEP * assembly.FLATNESS_ORDER:g}, the "
+        "origin-flatness stencil's half-width",
+        lambda v: v >= 2 and assembly.flatness_stencil_in_core(v))
+    ruled_tau: float = _key(0.5, "ruled.tau", "in (0, 1)",
+                            lambda v: 0.0 < v < 1.0)
+    # generate_surface normalizes the perturbation to a measured norm, so
+    # only a positive amplitude has a meaning of its own
+    ruled_eps: float = _key(0.05, "ruled.eps", "finite and > 0",
+                            lambda v: v > 0)
+    out_dir: str = _key("out", "output.dir", flag="--out")
 
     def validate(self) -> None:
-        if not (0.0 < self.quad_tol <= 1e-2):
-            raise ConfigError(f"quad.tol must lie in (0, 1e-2], got {self.quad_tol}")
-        if self.k_max < 1:
-            raise ConfigError("k.max must be >= 1")
-        if self.pentagon_resolution < 16 or self.pentagon_resolution % 2:
-            raise ConfigError("pentagon.resolution must be an even integer "
-                              f">= 16, got {self.pentagon_resolution}")
-        if not (1e-4 <= self.grid_h <= 0.1):
-            raise ConfigError(f"grid.h out of range: {self.grid_h}")
-        if self.delta_steps < 1:
-            raise ConfigError("delta schedule must be non-empty")
-        if self.n_chords < 1:
-            raise ConfigError(
-                f"chords.count must be >= 1, got {self.n_chords}")
-        if self.n_max < 1 or self.annulus_n_max < 1:
-            raise ConfigError("truncation orders must be >= 1")
-        if not (0.0 < self.ruled_tau < 1.0):
-            raise ConfigError("ruled.tau must lie in (0, 1)")
-        if self.margin_frac <= 0:
-            raise ConfigError("margin fraction must be positive")
+        for f in fields(self):
+            m, v = f.metadata, getattr(self, f.name)
+            if m["test"] is None:
+                continue
+            if isinstance(v, float) and not math.isfinite(v) \
+                    or not m["test"](v):
+                raise ConfigError(f"{m['key']} must be {m['domain']}, "
+                                  f"got {v!r}")
 
     @property
     def tail_grid_n(self) -> int:
-        return max(64, int(round(2.2 / self.grid_h)))
-
-
-_CONFIG_KEYS = {
-    "quad.tol": ("quad_tol", float),
-    "k.max": ("k_max", int),
-    "grid.h": ("grid_h", float),
-    "pentagon.resolution": ("pentagon_resolution", int),
-    "delta.steps": ("delta_steps", int),
-    "margin.frac": ("margin_frac", float),
-    "seed": ("seed", int),
-    "chords.count": ("n_chords", int),
-    "truncation.nmax": ("n_max", int),
-    "annulus.nmax": ("annulus_n_max", int),
-    "ruled.tau": ("ruled_tau", float),
-    "ruled.eps": ("ruled_eps", float),
-    "output.dir": ("out_dir", str),
-}
+        return int(round(2.2 / self.grid_h))
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -110,6 +113,7 @@ def load_config(path: Optional[str]) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
+    by_key = {f.metadata["key"]: f for f in fields(RunConfig)}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -117,13 +121,13 @@ def load_config(path: Optional[str]) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in by_key:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        attr, typ = _CONFIG_KEYS[key]
+        f = by_key[key]
         try:
-            setattr(cfg, attr, typ(val))
+            setattr(cfg, f.name, type(f.default)(val))
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            raise ConfigError(f"{key} at {path}:{lineno}: {exc}") from exc
     return cfg
 
 
@@ -180,8 +184,8 @@ class PipelineContext:
     def k_star(self) -> int:
         k = trees.find_min_k(self.cfg.k_max, tol=self.cfg.quad_tol)
         if k is None:
-            raise ConfigError(
-                f"no K <= {self.cfg.k_max} satisfies the sign conditions")
+            raise ConfigError(f"k.max: no K <= {self.cfg.k_max} "
+                              "satisfies the sign conditions")
         return k
 
     @cached_property
@@ -689,14 +693,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--config", metavar="PATH", default=None)
-        sp.add_argument("--out", metavar="DIR", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--grid-h", type=float, default=None)
-        sp.add_argument("--kmax", type=int, default=None)
-        sp.add_argument("--nmax", type=int, default=None)
+        for f in fields(RunConfig):
+            if f.metadata["flag"]:
+                sp.add_argument(f.metadata["flag"], dest=f.name,
+                                type=type(f.default),
+                                help=f"sets config key {f.metadata['key']}")
 
     v = sub.add_parser("verify", help="run a verification pipeline")
-    v.add_argument("target", choices=VERIFY_TARGETS)
+    v.add_argument("target", choices=(*_PIPELINES, "all"))
     add_common(v)
 
     a = sub.add_parser("assemble", help="build a metric and dump grids")
@@ -710,26 +714,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_flags(cfg: RunConfig, args) -> RunConfig:
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.grid_h is not None:
-        cfg.grid_h = args.grid_h
-    if args.kmax is not None:
-        cfg.k_max = args.kmax
-    if args.nmax is not None:
-        cfg.n_max = args.nmax
-    return cfg
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "export":
             return cmd_export(args.field, args.format, args.dst)
-        cfg = _apply_flags(load_config(args.config), args)
+        cfg = load_config(args.config)
+        for f in fields(cfg):
+            if vars(args).get(f.name) is not None:
+                setattr(cfg, f.name, vars(args)[f.name])
         if args.command == "verify":
             return cmd_verify(args.target, cfg)
         return cmd_assemble(args.target, cfg)

@@ -312,8 +312,7 @@ class DeltaSelection:
         return self.delta is not None
 
 
-def select_tail_delta(selected: SelectedN,
-                      schedule: Optional[Sequence[float]] = None,
+def select_tail_delta(selected: SelectedN, schedule: Sequence[float],
                       tol: float = 1e-10) -> DeltaSelection:
     """First delta in a decreasing schedule for which the tree integral of
     the tail field is strictly negative (beyond the quadrature error).
@@ -328,8 +327,6 @@ def select_tail_delta(selected: SelectedN,
     """
     K = selected.geom.K
     bound = math.exp(-2.0 * K)
-    if schedule is None:
-        schedule = [bound / 2.0 ** k for k in range(1, 6)]
     if any(not (0.0 < d < bound) for d in schedule):
         raise MollifyError(f"delta schedule must lie in (0, {bound:.3e})")
     tree = tail_tree(K)

@@ -185,10 +185,6 @@ def test_mu_schedule_cauchy_tail(mu8):
 
 def test_annulus_stack_requires_mu_and_tail(tail4):
     with pytest.raises(assembly.AssemblyError):
-        assembly.build_annulus_stack([1.0] * 4, 4, mu=None, tail=tail4)
-    with pytest.raises(assembly.AssemblyError):
-        assembly.build_annulus_stack([1.0] * 4, 4, mu=[1e-3] * 4, tail=None)
-    with pytest.raises(assembly.AssemblyError):
         assembly.build_annulus_stack([1.0, -1.0, 1.0, 1.0], 4,
                                      mu=[1e-3] * 4, tail=tail4)
 

@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,17 +43,32 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 def test_config_validation_bounds():
-    cfg = cli.RunConfig(quad_tol=10.0)
-    with pytest.raises(cli.ConfigError):
-        cfg.validate()
-    # zero chords pass vacuously; a resolution below 16 or odd would run
-    # at another resolution than the report echoes
-    cases = [("chords.count", "n_chords", 0)] + [
-        ("pentagon.resolution", "pentagon_resolution", r)
-        for r in (-4, 15, 193)]
-    for key, field, value in cases:
-        with pytest.raises(cli.ConfigError, match=re.escape(key)):
-            cli.RunConfig(**{field: value}).validate()
+    # each bound value passes and each value beyond it fails, naming the
+    # key; zero chords would pass vacuously, and a resolution below 16 or
+    # odd would run at another resolution than the report echoes
+    cases = [
+        ("quad.tol", "quad_tol", 1e-2, [math.nextafter(1e-2, 1.0), 10.0]),
+        ("k.max", "k_max", 1, [0]),
+        ("grid.h", "grid_h", 1e-4, [math.nextafter(1e-4, 0.0)]),
+        ("grid.h", "grid_h", 2.2 / 64, [math.nextafter(2.2 / 64, 1.0)]),
+        ("pentagon.resolution", "pentagon_resolution", 16, [-4, 14, 15, 193]),
+        ("delta.steps", "delta_steps", 1, [0]),
+        ("margin.frac", "margin_frac", 5e-324, [0.0]),
+        ("seed", "seed", 0, [-1]),
+        ("chords.count", "n_chords", 1, [0]),
+        ("truncation.nmax", "n_max", 1, [0]),
+        ("annulus.nmax", "annulus_n_max", 2, [1]),
+        ("annulus.nmax", "annulus_n_max", 23, [24]),
+        ("ruled.tau", "ruled_tau", math.nextafter(1.0, 0.0), [1.0]),
+        ("ruled.eps", "ruled_eps", 5e-324, [0.0]),
+    ]
+    for key, field, edge, beyond in cases:
+        cli.RunConfig(**{field: edge}).validate()
+        for value in beyond:
+            with pytest.raises(cli.ConfigError, match=re.escape(key)):
+                cli.RunConfig(**{field: value}).validate()
+    # the coarsest grid.h samples the tail at the old clamp's 64 cells
+    assert cli.RunConfig(grid_h=2.2 / 64).tail_grid_n == 64
 
 
 def test_broken_tolerance_exits_2(tmp_path):
@@ -59,6 +77,54 @@ def test_broken_tolerance_exits_2(tmp_path):
     r = run_cli("verify", "all", "--config", str(p), "--out", str(tmp_path))
     assert r.returncode == 2
     assert "quad.tol" in r.stderr
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "-3"), ("margin.frac", "nan"), ("margin.frac", "inf"),
+    ("ruled.eps", "nan"), ("ruled.eps", "0"), ("ruled.eps", "-0.05"),
+    ("delta.steps", "0"), ("annulus.nmax", "40"), ("annulus.nmax", "24"),
+    ("annulus.nmax", "1"), ("k.max", "3.5"), ("k.max", "2"),
+    ("grid.h", "0.05"), ("quad.tol", "inf"),
+])
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, value):
+    # k.max = 2 is a valid value with no K that satisfies the sign
+    # conditions: that outcome also names its key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert cli.main(["verify", "all", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert re.match(rf"error: {re.escape(key)}\b", capsys.readouterr().err)
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_annulus_claims_run_at_the_largest_annulus_nmax(ctx):
+    at23 = cli.PipelineContext(cli.RunConfig(annulus_n_max=23))
+    at23.tail = ctx.tail
+    recs = cli.verify_annulus(at23)
+    assert [r["name"] for r in recs] == [
+        "cutoff-weight-bound", "cutoff-partial-sums-cauchy",
+        "annulus-curvature-negative", "origin-flatness"]
+    assert all(r["pass"] for r in recs)
+    assert len(recs[2]["values"]["worst_K_per_annulus"]) == 6
+
+
+def test_readme_names_exactly_the_declared_keys_and_flags(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| Key | Flag | Must be |\n| --- | --- | --- |\n",
+                         1)[1].split("\n\n", 1)[0]
+    rows = [[c.strip().strip("`") for c in line.strip("|").split("|")]
+            for line in table.splitlines()]
+    declared = [f.metadata for f in dataclasses.fields(cli.RunConfig)]
+    assert rows == [[m["key"], m["flag"] or "", m["domain"] or ""]
+                    for m in declared]
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    usage = capsys.readouterr().out
+    for m in declared:
+        if m["flag"]:
+            assert re.search(rf"{m['flag']} \S+\s+sets config key "
+                             rf"{re.escape(m['key'])}\n", usage), m["flag"]
 
 
 def test_encode_number_overflow():
