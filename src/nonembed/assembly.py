@@ -475,13 +475,15 @@ def annulus_curvature_samples(stack: AnnulusStack, n: int) -> list:
 # differences at step FLATNESS_STEP
 FLATNESS_ORDER = 4
 FLATNESS_STEP = 0.01
+# the distance from the origin of the square stencil's corners
+FLATNESS_REACH = math.sqrt(2.0) * FLATNESS_STEP * FLATNESS_ORDER
 
 
 def flatness_stencil_in_core(n_max: int) -> bool:
-    """Whether the origin-flatness stencil's half-width, step * order,
-    lies inside the core r < 1/(n_max + 1) where the factor truncated at
-    n_max vanishes."""
-    return FLATNESS_STEP * FLATNESS_ORDER < 1.0 / (n_max + 1)
+    """Whether the whole origin-flatness stencil, corners included, lies
+    inside the core r < 1/(n_max + 1) where the factor truncated at n_max
+    vanishes."""
+    return FLATNESS_REACH < 1.0 / (n_max + 1)
 
 
 def origin_flatness(stack: AnnulusStack) -> list:

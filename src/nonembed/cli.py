@@ -81,9 +81,8 @@ class RunConfig:
     # one annulus gives no curvature sample and no Cauchy tail
     annulus_n_max: int = _key(
         8, "annulus.nmax",
-        f">= 2 with 1/(annulus.nmax + 1) > "
-        f"{assembly.FLATNESS_STEP * assembly.FLATNESS_ORDER:g}, the "
-        "origin-flatness stencil's half-width",
+        f">= 2 with 1/(annulus.nmax + 1) > {assembly.FLATNESS_REACH:.4g}, "
+        "the origin-flatness stencil's corner distance",
         lambda v: v >= 2 and assembly.flatness_stencil_in_core(v))
     ruled_tau: float = _key(0.5, "ruled.tau", "in (0, 1)",
                             lambda v: 0.0 < v < 1.0)
@@ -455,11 +454,12 @@ def claim_extension_flatness(ctx: PipelineContext,
     ||II||, over nine points of the extended surface."""
     worst_offdiag = 0.0
     worst_det = 0.0
-    for i in (30, 128, 220):
-        for t in (-1.0, 0.5, 2.0):
-            II = ruled.second_fundamental_form(ext, t, i)
-            rel = max(abs(II[0, 0]), abs(II[0, 1])) / (1 + abs(II[1, 1]))
-            worst_offdiag = max(worst_offdiag, rel)
+    for t in (-1.0, 0.5, 2.0):
+        forms = ruled.curvature_forms(ext, t)
+        for i in (30, 128, 220):
+            ts, ss = forms["II_ts"][i], forms["II_ss"][i]
+            II = np.array([[0.0, ts], [ts, ss]])
+            worst_offdiag = max(worst_offdiag, abs(ts) / (1 + abs(ss)))
             worst_det = max(worst_det,
                             abs(np.linalg.det(II)) / np.linalg.norm(II))
     return check("extension-flatness", "extended-form-degenerate",
@@ -480,12 +480,11 @@ def claim_concavity_family(ctx: PipelineContext, seed: int) -> dict:
                         float(np.max(np.abs(cc["a1"]))),
                         float(np.max(np.abs(cc["a2"])))))
     kappa_ok = True
-    for i in (64, 128, 192):
-        s0 = samp.s[i]
-        target = -tau / (1.0 + s0 * s0) ** 1.5
-        for t in (0.0, 1.0, 2.0):
-            k = ruled.principal_curvature(samp, t, i)
-            kappa_ok &= abs(k - target) <= 0.2 * abs(target)
+    rows = [64, 128, 192]
+    target = -tau / (1.0 + samp.s[rows] ** 2) ** 1.5
+    for t in (0.0, 1.0, 2.0):
+        k = ruled.curvature_forms(samp, t)["kappa"][rows]
+        kappa_ok &= bool(np.all(np.abs(k - target) <= 0.2 * np.abs(target)))
     return check("concavity-epsilon-family", "quadratic-deviation-trend",
                  devs[0] > devs[1] > devs[2] and kappa_ok,
                  deviations=devs, kappa_within_20pct=kappa_ok)
@@ -578,24 +577,31 @@ _PIPELINES = {
 # commands
 # ---------------------------------------------------------------------------
 
+def _config_echo(cfg: RunConfig) -> dict:
+    """The config as a report or manifest records it: without the output
+    directory, which is not semantic, so that runs written to different
+    directories compare equal."""
+    echo = asdict(cfg)
+    echo.pop("out_dir")
+    return echo
+
+
 def cmd_verify(target: str, cfg: RunConfig) -> int:
     cfg.validate()
     targets = list(_PIPELINES) if target == "all" else [target]
     ctx = PipelineContext(cfg)
     out = Path(cfg.out_dir)
-    cfg_echo = asdict(cfg)
-    cfg_echo.pop("out_dir")  # not semantic; keeps reports comparable
-    report = {"config": cfg_echo, "targets": targets, "checks": []}
+    report = {"config": _config_echo(cfg), "targets": targets, "checks": []}
     runtime, peak_mb = {}, {}
-    t_total = time.time()
+    t_total = time.perf_counter()
     for t in targets:
-        t0 = time.time()
+        t0 = time.perf_counter()
         for rec in _PIPELINES[t](ctx):
             rec["target"] = t
             report["checks"].append(rec)
             status = "PASS" if rec["pass"] else "FAIL"
             print(f"[{status}] {t}:{rec['name']} ({rec['anchor']})")
-        runtime[t] = time.time() - t0
+        runtime[t] = time.perf_counter() - t0
         # the process's peak RSS so far (Linux reports KiB): the first
         # target whose figure equals the last one set the run's peak
         peak_mb[t] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -613,7 +619,8 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
     }
     write_json(out / "report.json", report)
     # runtimes and solver sizes live apart from the reproducible report
-    timing = {"seconds_total": time.time() - t_total, "per_target": runtime,
+    timing = {"seconds_total": time.perf_counter() - t_total,
+              "per_target": runtime,
               "per_target_peak_rss_mb": peak_mb}
     if "selected" in vars(ctx):
         timing["pentagon"] = ctx.selected.stats
@@ -628,7 +635,7 @@ def cmd_assemble(target: str, cfg: RunConfig) -> int:
     ctx = PipelineContext(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"config": asdict(cfg), "target": target}
+    manifest = {"config": _config_echo(cfg), "target": target}
     if target == "g1":
         pm = assembly.build_g1(cfg.n_max, grid_n=1536)
         write_grid_csv(pm.metric.grid_factor, out / "g1_factor.csv")

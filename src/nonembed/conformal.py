@@ -47,11 +47,6 @@ class ConformalMetric:
         return ConformalMetric(factor=lambda x, y: np.zeros(np.shape(x)))
 
     @staticmethod
-    def constant(c: float) -> "ConformalMetric":
-        return ConformalMetric(
-            factor=lambda x, y: np.full(np.shape(x), float(c)))
-
-    @staticmethod
     def from_grid(f: ScalarField) -> "ConformalMetric":
         return ConformalMetric(factor=lambda x, y: f.interp(x, y),
                                grid_factor=f)

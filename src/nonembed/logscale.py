@@ -91,16 +91,6 @@ class LogScaledReal:
             other = LogScaledReal.from_float(float(other))
         return self + (-other)
 
-    def rel_close(self, other: "LogScaledReal", rtol: float) -> bool:
-        """|self - other| <= rtol * max(|self|, |other|)."""
-        diff = self - other
-        if diff.sign == 0:
-            return True
-        scale = max(self.logmag, other.logmag)
-        if scale == -math.inf:
-            return True
-        return diff.logmag - scale <= math.log(rtol)
-
     def __repr__(self):
         return f"LogScaledReal(sign={self.sign}, logmag={self.logmag!r})"
 

@@ -54,26 +54,30 @@ class TrigPoly:
                         cos_coef=scale * rng.normal(size=n_modes) / k**2,
                         sin_coef=scale * rng.normal(size=n_modes) / k**2)
 
-    def __call__(self, s, order: int = 0):
-        """The order-th s-derivative, from one phase matrix of shape
-        s.shape + (n_modes,) summed over the modes in order."""
+    def __call__(self, s, *orders):
+        """The s-derivatives of the given orders (default 0): one array, or
+        a tuple for several orders.  One phase matrix of shape
+        s.shape + (n_modes,) and one cos and one sin of it serve every
+        order; the terms of orders 2 and 3 are the exact negations of those
+        of orders 0 and 1, and each order sums its modes in order."""
         s = np.asarray(s, dtype=float)
         n = len(self.cos_coef)
         ph = s[..., None] * (np.arange(1, n + 1) * self.omega)
+        cos, sin = np.cos(ph), np.sin(ph)
         c, sn = self.cos_coef, self.sin_coef
-        if order % 4 == 0:
-            terms = c * np.cos(ph) + sn * np.sin(ph)
-        elif order % 4 == 1:
-            terms = -c * np.sin(ph) + sn * np.cos(ph)
-        elif order % 4 == 2:
-            terms = -c * np.cos(ph) - sn * np.sin(ph)
-        else:
-            terms = c * np.sin(ph) - sn * np.cos(ph)
-        terms *= np.array([(k * self.omega) ** order for k in range(1, n + 1)])
-        out = np.zeros(np.shape(s))
-        for k in range(n):
-            out = out + terms[..., k]
-        return out
+        out = []
+        for order in orders or (0,):
+            terms = c * cos + sn * sin if order % 2 == 0 \
+                else -c * sin + sn * cos
+            if order % 4 >= 2:
+                terms = -terms
+            terms *= np.array([(k * self.omega) ** order
+                               for k in range(1, n + 1)])
+            total = np.zeros(np.shape(s))
+            for k in range(n):
+                total = total + terms[..., k]
+            out.append(total)
+        return out[0] if len(out) == 1 else tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +102,6 @@ class RuledSurface:
         """h(t, s) for scalar t over all rulings: (n, 3)."""
         return self.c + (float(t) - 2.0) * self.d
 
-    def with_t_range(self, lo: float, hi: float) -> "RuledSurface":
-        return RuledSurface(s=self.s, c=self.c, d=self.d, t_range=(lo, hi))
-
     @cached_property
     def normals(self) -> np.ndarray:
         """Upward unit normals at t = 2 of every ruling, (n, 3); the two
@@ -111,7 +112,9 @@ class RuledSurface:
 
 @dataclass
 class GeneratedSurface:
-    """Closed-form flat graph from the envelope construction."""
+    """Closed-form flat graph from the envelope construction, with the
+    support Q(s) = s^2 / (2 tau) + eps bq(s); Q' and Q'' are written out
+    where they are read."""
 
     tau: float
     eps: float
@@ -119,38 +122,33 @@ class GeneratedSurface:
     bq: TrigPoly
     s_max: float
 
-    def Q(self, s, order: int = 0):
+    def rulings(self, s):
+        """Base points c(s) and ruling directions d(s), each of shape
+        s.shape + (3,), from one evaluation of nu and one of bq."""
         s = np.asarray(s, dtype=float)
-        base = {0: s * s / (2 * self.tau), 1: s / self.tau,
-                2: np.full(np.shape(s), 1.0 / self.tau),
-                3: np.zeros(np.shape(s))}[order]
-        return base + self.eps * self.bq(s, order)
-
-    def c(self, s):
-        s = np.asarray(s, dtype=float)
-        c2 = 2 * self.eps * self.nu(s, 1) - self.Q(s, 1)
-        c3 = self.Q(s) + s * c2 - 2 * self.eps * self.nu(s)
-        return np.stack([np.full(np.shape(s), 2.0), c2, c3], axis=-1)
-
-    def d(self, s):
-        s = np.asarray(s, dtype=float)
-        nu1 = self.nu(s, 1)
-        return np.stack([np.ones(np.shape(s)), self.eps * nu1,
-                         self.eps * (s * nu1 - self.nu(s))], axis=-1)
-
-    def x2_of(self, x1, s):
-        c2 = 2 * self.eps * self.nu(s, 1) - self.Q(s, 1)
-        return c2 + (np.asarray(x1) - 2.0) * self.eps * self.nu(s, 1)
+        e = self.eps
+        nu0, nu1 = self.nu(s, 0, 1)
+        bq0, bq1 = self.bq(s, 0, 1)
+        c2 = 2 * e * nu1 - (s / self.tau + e * bq1)
+        c3 = s * s / (2 * self.tau) + e * bq0 + s * c2 - 2 * e * nu0
+        return (np.stack([np.full(np.shape(s), 2.0), c2, c3], axis=-1),
+                np.stack([np.ones(np.shape(s)), e * nu1,
+                          e * (s * nu1 - nu0)], axis=-1))
 
     def s_of(self, x1, x2):
-        """Invert x2(x1, s) = x2 by Newton (the map is a perturbed -s/tau)."""
+        """Invert x2(x1, s) = c2(s) + (x1 - 2) d2(s) = x2 by Newton (the map
+        is a perturbed -s/tau); each step evaluates nu and bq once."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
+        e = self.eps
         s = -self.tau * x2
         for _ in range(60):
-            g = self.x2_of(x1, s) - x2
-            dg = 2 * self.eps * self.nu(s, 2) - self.Q(s, 2) \
-                + (x1 - 2.0) * self.eps * self.nu(s, 2)
+            nu1, nu2 = self.nu(s, 1, 2)
+            bq1, bq2 = self.bq(s, 1, 2)
+            g = 2 * e * nu1 - (s / self.tau + e * bq1) \
+                + (x1 - 2.0) * e * nu1 - x2
+            dg = 2 * e * nu2 - (1.0 / self.tau + e * bq2) \
+                + (x1 - 2.0) * e * nu2
             step = g / dg
             s = s - step
             if np.max(np.abs(step)) < 1e-14:
@@ -159,9 +157,7 @@ class GeneratedSurface:
 
     def f(self, x1, x2):
         """Graph value."""
-        s = self.s_of(x1, x2)
-        c = self.c(s)
-        d = self.d(s)
+        c, d = self.rulings(self.s_of(x1, x2))
         return c[..., 2] + (np.asarray(x1) - 2.0) * d[..., 2]
 
     def grad_f(self, x1, x2):
@@ -184,7 +180,8 @@ class GeneratedSurface:
 
     def sample(self, n: int = 257) -> RuledSurface:
         s = np.linspace(-self.s_max, self.s_max, n)
-        return RuledSurface(s=s, c=self.c(s), d=self.d(s))
+        c, d = self.rulings(s)
+        return RuledSurface(s=s, c=c, d=d)
 
     @cached_property
     def extension_stencil(self) -> dict:
@@ -249,7 +246,6 @@ class FlatGraph:
 
     value: Callable
     tau: float
-    eps: float
 
     def in_Q(self, x1, x2):
         x1 = np.asarray(x1)
@@ -275,7 +271,7 @@ class FlatGraph:
 
 
 def graph_of(g: GeneratedSurface) -> FlatGraph:
-    return FlatGraph(value=g.f, tau=g.tau, eps=g.eps)
+    return FlatGraph(value=g.f, tau=g.tau)
 
 
 def legendre_coords(f: FlatGraph) -> dict:
@@ -385,7 +381,7 @@ def extend_ruled(r: RuledSurface, t_lo: float = -1.0,
     success, the strip's sample points are covered injectively since the
     per-t planar profile s -> x2(t, s) stays monotone.
     """
-    ext = r.with_t_range(t_lo, t_hi)
+    ext = RuledSurface(s=r.s, c=r.c, d=r.d, t_range=(t_lo, t_hi))
     d_lo = np.diff(ext.points(t_lo)[:, 1])
     d_hi = np.diff(ext.points(t_hi)[:, 1])
     # per-pair separation is linear in t: a consistent sign at both ends
@@ -437,48 +433,26 @@ def _frame(r: RuledSurface, t: float) -> dict:
                 sign=np.where(n[:, 2] < 0, -1.0, 1.0))
 
 
-def _interior(r: RuledSurface, i: int) -> int:
-    if i < 2 or i > len(r.s) - 3:
-        raise RuledError("sample too close to the s-range boundary")
-    return i
+def curvature_forms(r: RuledSurface, t: float) -> dict:
+    """The forms of every ruling at parameter t, from one frame; the two
+    rows at each end are NaN.
 
-
-def curvature_forms(r: RuledSurface, t: float) -> np.ndarray:
-    """The unnormalized (s, s) curvature entry of every ruling,
-    <c'' + (t-2) d'', d x (c' + (t-2) d')>, with the upward-normal sign
-    convention (the cylinder gives the constant -1/tau^2); NaN at the
-    two rows at each end."""
+    q is the unnormalized (s, s) curvature entry
+    <c'' + (t-2) d'', d x (c' + (t-2) d')> with the upward-normal sign
+    convention (the cylinder gives the constant -1/tau^2).  II is the
+    second fundamental form with the upward unit normal: II_tt = 0 exactly
+    (the rulings are straight), II_ts = <d', n> / |n| and II_ss = q / |n|,
+    where n = h_t x h_s.  II_ts vanishes on a developable surface, so
+    det II = -II_ts^2 measures its flatness.  kappa is the nonzero
+    shape-operator eigenvalue q I_tt / det(I)^{3/2}."""
     fr = _frame(r, t)
-    return fr["sign"] * _dot_rows(fr["hss"], fr["n"])
-
-
-def curvature_form(r: RuledSurface, t: float, i: int) -> float:
-    """The curvature form of ruling i (see `curvature_forms`)."""
-    return float(curvature_forms(r, t)[_interior(r, i)])
-
-
-def second_fundamental_form(r: RuledSurface, t: float, i: int) -> np.ndarray:
-    """II at (t, s_i) with the upward unit normal: II_tt = 0 exactly (the
-    rulings are straight), II_ts = <d', n> / |n| and II_ss the curvature
-    form over |n|, where n = h_t x h_s.  II_ts vanishes on a developable
-    surface, so det II = -II_ts^2 measures its flatness."""
-    i = _interior(r, i)
-    fr = _frame(r, t)
-    n, sign, norm = fr["n"][i], fr["sign"][i], fr["norm"][i]
-    ts = sign * float(fr["dp"][i] @ n) / norm
-    ss = sign * float(fr["hss"][i] @ n) / norm
-    return np.array([[0.0, ts], [ts, ss]])
-
-
-def principal_curvature(r: RuledSurface, t: float, i: int) -> float:
-    """The nonzero shape-operator eigenvalue: q * I_tt / det(I)^{3/2}."""
-    hs = _frame(r, t)["hs"][_interior(r, i)]
-    ht = r.d[i]
-    I_tt = float(ht @ ht)
-    I_ts = float(ht @ hs)
-    I_ss = float(hs @ hs)
-    det_I = I_tt * I_ss - I_ts * I_ts
-    return curvature_form(r, t, i) * I_tt / det_I**1.5
+    sign, n, norm, hs = fr["sign"], fr["n"], fr["norm"], fr["hs"]
+    q = sign * _dot_rows(fr["hss"], n)
+    I_tt = _dot_rows(r.d, r.d)
+    I_ts = _dot_rows(r.d, hs)
+    det_I = I_tt * _dot_rows(hs, hs) - I_ts * I_ts
+    return dict(q=q, II_ts=sign * _dot_rows(fr["dp"], n) / norm,
+                II_ss=q / norm, kappa=q * I_tt / det_I**1.5)
 
 
 def concavity_check(r: RuledSurface) -> dict:
@@ -486,7 +460,7 @@ def concavity_check(r: RuledSurface) -> dict:
     (three-point fit at t = 1, 1.5, 2, exact for a quadratic), then test
     its sign over the full extension range; all rulings but the two at
     each end at once."""
-    q0, q1, q2 = (curvature_forms(r, t)[2:-2] for t in (1.0, 1.5, 2.0))
+    q0, q1, q2 = (curvature_forms(r, t)["q"][2:-2] for t in (1.0, 1.5, 2.0))
     a2 = (q0 - 2 * q1 + q2) / 0.5
     a1 = (q2 - q0) - a2 * 3.0
     a0 = q1 - a1 * 1.5 - a2 * 2.25
@@ -682,12 +656,6 @@ def project_point(r: RuledSurface, p: np.ndarray,
     iterate in lockstep but independently: a row stops once its step is
     below 1e-13, or when its 2x2 normal system is singular.  Returns the
     footpoints (m, 3) and their parameters (m, 2).
-
-    A one-row call pays the batch set-up (stacked arrays, a batched
-    matmul and solve): about 10% slower than the former scalar solver
-    (3,000 one-row calls took 3.37 s against 3.00 s on a 2-vCPU host).
-    `project_and_compare` on a single curve makes such calls; stack the
-    rows of many curves where possible.
     """
     p = np.asarray(p, dtype=float)
     t_lo, t_hi = r.t_range
@@ -707,11 +675,11 @@ def project_point(r: RuledSurface, p: np.ndarray,
         if live.size == 0:
             break
         tk, sk = t[live], s[live]
-        c, ht = _rulings_at(r, sk)
-        hs = (_surface_point_interp(r, tk, sk + 0.5 * ds)
-              - _surface_point_interp(r, tk, sk - 0.5 * ds)) / ds
-        res = c + (tk[:, None] - 2.0) * ht - p[live]
-        J = np.stack([ht, hs], axis=-1)
+        # h at s and at s +- ds/2 from one interpolation of the rulings
+        c, d = _rulings_at(r, np.stack([sk, sk + 0.5 * ds, sk - 0.5 * ds]))
+        h = c + (tk[:, None] - 2.0) * d
+        res = h[0] - p[live]
+        J = np.stack([d[0], (h[1] - h[2]) / ds], axis=-1)
         JT = J.swapaxes(-1, -2)
         step, solved = _solve_rows(JT @ J, (-JT @ res[..., None])[..., 0])
         live = live[solved]
@@ -732,18 +700,16 @@ def project_and_compare(curves: np.ndarray, r: RuledSurface):
     """Arclengths of sampled 3-space curves and of their nearest-point
     projections onto the surface.
 
-    curves is one curve (n_pts, 3) or a batch (b, n_pts, 3) projected in
-    lockstep: sample k of every curve in one `project_point` call, seeded
-    by that curve's sample k - 1.  Returns two floats for one curve and
-    two arrays (b,) for a batch.  Every sample must lie on the concave
+    curves is a batch (b, n_pts, 3), projected in lockstep: sample k of
+    every curve in one `project_point` call, seeded by that curve's sample
+    k - 1.  Returns two arrays (b,).  Every sample must lie on the concave
     (upper) side: signed normal offset >= 0.
     """
     curves = np.asarray(curves, dtype=float)
-    batch = curves.reshape((-1,) + curves.shape[-2:])
-    proj = np.empty_like(batch)
+    proj = np.empty_like(curves)
     seed = None
-    for k in range(batch.shape[1]):
-        p = batch[:, k]
+    for k in range(curves.shape[1]):
+        p = curves[:, k]
         q, seed = project_point(r, p, seed_ts=seed)
         # side check via the upward normal at the footpoint
         i = np.clip(np.searchsorted(r.s, seed[:, 1]), 2, len(r.s) - 3)
@@ -752,10 +718,7 @@ def project_and_compare(curves: np.ndarray, r: RuledSurface):
             raise RuledError(
                 f"sample {k} of curve {below[0]} lies below the surface")
         proj[:, k] = q
-    len_curve, len_proj = _arclengths(batch), _arclengths(proj)
-    if curves.ndim == 2:
-        return float(len_curve[0]), float(len_proj[0])
-    return len_curve, len_proj
+    return _arclengths(curves), _arclengths(proj)
 
 
 def random_curve_above(r: RuledSurface, seed: int) -> np.ndarray:

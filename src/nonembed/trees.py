@@ -48,9 +48,6 @@ class Segment:
         return (self.p[0] + t * (self.q[0] - self.p[0]),
                 self.p[1] + t * (self.q[1] - self.p[1]))
 
-    def reversed(self) -> "Segment":
-        return Segment(self.q, self.p)
-
 
 @dataclass(frozen=True)
 class SteinerTree:
@@ -66,10 +63,6 @@ class SteinerTree:
         return (Segment(self.vertex, self.a1),
                 Segment(self.vertex, self.a2),
                 Segment(self.vertex, self.a3))
-
-    @property
-    def euclidean_length(self) -> float:
-        return sum(leg.length for leg in self.legs)
 
     @property
     def upper_endpoint_angle(self) -> float:

@@ -106,3 +106,25 @@ def test_no_field_is_write_only():
     write_only = sorted(f"{cls}.{name}" for cls, name in _stored_fields()
                         if name not in loaded)
     assert write_only == []
+
+
+# criterion 7's reference factor: the curvature test compares the
+# pipeline's stencil with the exact -1 of the hyperbolic disc
+REACHED_ONLY_BY_TESTS = {"hyperbolic_disc_factor", "curvature_error_vs_constant"}
+
+
+def test_no_public_name_is_reached_only_by_tests():
+    # library code that only tests, tools or the benchmark load is kept
+    # for nobody; count only the loads in src/nonembed itself
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "nonembed").glob("*.py"))]
+    loaded = set()
+    for node in (n for t in trees for n in ast.walk(t)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+    defined = {node.name for t in trees for node in ast.walk(t)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("_")}
+    assert defined - loaded == REACHED_ONLY_BY_TESTS

@@ -58,7 +58,7 @@ def test_config_validation_bounds():
         ("chords.count", "n_chords", 1, [0]),
         ("truncation.nmax", "n_max", 1, [0]),
         ("annulus.nmax", "annulus_n_max", 2, [1]),
-        ("annulus.nmax", "annulus_n_max", 23, [24]),
+        ("annulus.nmax", "annulus_n_max", 16, [17]),
         ("ruled.tau", "ruled_tau", math.nextafter(1.0, 0.0), [1.0]),
         ("ruled.eps", "ruled_eps", 5e-324, [0.0]),
     ]
@@ -99,13 +99,14 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, value):
 
 
 def test_annulus_claims_run_at_the_largest_annulus_nmax(ctx):
-    at23 = cli.PipelineContext(cli.RunConfig(annulus_n_max=23))
-    at23.tail = ctx.tail
-    recs = cli.verify_annulus(at23)
+    at16 = cli.PipelineContext(cli.RunConfig(annulus_n_max=16))
+    at16.tail = ctx.tail
+    recs = cli.verify_annulus(at16)
     assert [r["name"] for r in recs] == [
         "cutoff-weight-bound", "cutoff-partial-sums-cauchy",
         "annulus-curvature-negative", "origin-flatness"]
     assert all(r["pass"] for r in recs)
+    assert recs[3]["values"]["derivative_magnitudes"] == [0.0] * 5
     assert len(recs[2]["values"]["worst_K_per_annulus"]) == 6
 
 
@@ -543,6 +544,20 @@ def test_assemble_annulus_golden_sha256(ctx, tmp_path, monkeypatch):
     plantings = json.dumps(man["plantings"]).encode()
     assert hashlib.sha256(plantings).hexdigest() == \
         "6480374629e28f7b2c0441e11111be561f4150551aff2d1fa3411dac4131cb6f"
+
+
+def test_assemble_manifest_does_not_depend_on_out_dir(ctx, tmp_path,
+                                                     monkeypatch):
+    # the output directory is not semantic: `assemble` leaves it out of
+    # the manifest's config echo, as `verify` does of the report's
+    monkeypatch.setattr(cli, "PipelineContext", lambda cfg: ctx)
+    for name in ("a", "deeper/b"):
+        cfg = cli.RunConfig(out_dir=str(tmp_path / name))
+        assert cli.cmd_assemble("annulus", cfg) == 0
+    man = [(tmp_path / name / "manifest.json").read_bytes()
+           for name in ("a", "deeper/b")]
+    assert man[0] == man[1]
+    assert "out_dir" not in json.loads(man[0])["config"]
 
 
 @pytest.mark.slow

@@ -55,9 +55,12 @@ def test_hyperbolic_disc_curvature_second_order():
 def test_curve_length_flat_and_constant():
     tree = build_steiner_tree(0.3)
     L0 = conformal.curve_length(conformal.ConformalMetric.flat(), tree)
-    assert L0 == pytest.approx(tree.euclidean_length, rel=1e-12)
+    assert L0 == pytest.approx(sum(leg.length for leg in tree.legs),
+                               rel=1e-12)
     c = -0.85
-    Lc = conformal.curve_length(conformal.ConformalMetric.constant(c), tree)
+    const = conformal.ConformalMetric(
+        factor=lambda x, y: np.full(np.shape(x), c))
+    Lc = conformal.curve_length(const, tree)
     assert Lc / L0 == pytest.approx(math.exp(c), rel=1e-12)
 
 

@@ -43,6 +43,16 @@ def test_trig_poly_equals_per_mode_sum():
     assert np.shape(tp(0.3)) == ()
 
 
+def test_trig_poly_multi_order_equals_single_orders():
+    tp = ruled.TrigPoly.random(np.random.default_rng(5), 3, 1.3, 0.8)
+    s = np.linspace(-3.0, 3.0, 77).reshape(7, 11)
+    orders = (1, 2, 0, 3, 4, 5, 6)
+    multi = tp(s, *orders)
+    assert len(multi) == len(orders)
+    for order, value in zip(orders, multi):
+        assert np.array_equal(value, tp(s, order)), order
+
+
 # ---------------------------------------------------------------------------
 # chart and recovery
 # ---------------------------------------------------------------------------
@@ -69,23 +79,23 @@ def test_cylinder_round_trip_exact(cyl):
 def test_generated_round_trip(gen_surface):
     surf, diag = ruled.extract_rulings(ruled.graph_of(gen_surface))
     assert np.max(chartmax := diag["straightness"]) <= 1e-8
-    c_err = np.max(np.abs(surf.c - gen_surface.c(surf.s)))
-    d_err = np.max(np.abs(surf.d - gen_surface.d(surf.s)))
+    c, d = gen_surface.rulings(surf.s)
+    c_err = np.max(np.abs(surf.c - c))
+    d_err = np.max(np.abs(surf.d - d))
     assert c_err < 1e-6 and d_err < 1e-6
     assert np.max(diag["df1_spread"]) <= 1e-8
 
 
 def test_non_flat_graph_rejected():
     f = ruled.FlatGraph(value=lambda x, y: np.asarray(x) * np.asarray(y),
-                        tau=1.0, eps=0.0)
+                        tau=1.0)
     with pytest.raises(ruled.RuledError):
         ruled.legendre_coords(f)
 
 
 def test_degenerate_chart_rejected():
     # f22 ~ 0: the Legendre chart cannot be built
-    f = ruled.FlatGraph(value=lambda x, y: np.asarray(x) * 0.0, tau=0.5,
-                        eps=0.0)
+    f = ruled.FlatGraph(value=lambda x, y: np.asarray(x) * 0.0, tau=0.5)
     with pytest.raises(ruled.RuledError):
         ruled.legendre_coords(f)
 
@@ -95,16 +105,13 @@ def test_degenerate_chart_rejected():
 # ---------------------------------------------------------------------------
 
 def test_cylinder_curvature_form(cyl):
-    samp = cyl.sample(n=257)
-    i = 128
-    assert ruled.curvature_form(samp, 1.5, i) == pytest.approx(-1.0 / TAU**2,
-                                                               rel=1e-9)
-    II = ruled.second_fundamental_form(samp, 1.5, i)
-    # d is constant along the cylinder, so the stencil's d' is exactly 0
-    assert II[0, 0] == 0.0 and II[0, 1] == 0.0 and II[1, 0] == 0.0
-    assert II[1, 1] < 0.0
-    # Gaussian curvature of a ruled graph vanishes: det II = 0
-    assert abs(II[0, 0] * II[1, 1] - II[0, 1] ** 2) == 0.0
+    forms = ruled.curvature_forms(cyl.sample(n=257), 1.5)
+    assert np.all(np.isnan(forms["q"][[0, 1, -2, -1]]))
+    assert np.allclose(forms["q"][2:-2], -1.0 / TAU**2, rtol=1e-9, atol=0.0)
+    # d is constant along the cylinder, so the stencil's d' is exactly 0,
+    # and the Gaussian curvature det II = -II_ts^2 of a ruled graph is 0
+    assert np.all(forms["II_ts"][2:-2] == 0.0)
+    assert np.all(forms["II_ss"][2:-2] < 0.0)
 
 
 def test_ruling_tables_equal_per_ruling_reference(extended):
@@ -123,7 +130,18 @@ def test_ruling_tables_equal_per_ruling_reference(extended):
             hss = deriv(extended.c, i, 2) + (t - 2.0) * deriv(extended.d, i, 2)
             n = np.cross(extended.d[i], hs)
             sign = -1.0 if n[2] < 0 else 1.0
-            assert ruled.curvature_form(extended, t, i) == sign * np.dot(hss, n)
+            forms = ruled.curvature_forms(extended, t)
+            norm = np.linalg.norm(n)
+            assert forms["q"][i] == sign * np.dot(hss, n)
+            assert forms["II_ts"][i] == sign * np.dot(dp, n) / norm
+            assert forms["II_ss"][i] == sign * np.dot(hss, n) / norm
+            # kappa raises det I to the power 1.5 on the array, which may
+            # round differently from the scalar pow by an ulp or two
+            ht = extended.d[i]
+            det_I = np.dot(ht, ht) * np.dot(hs, hs) - np.dot(ht, hs) ** 2
+            kappa = sign * np.dot(hss, n) * np.dot(ht, ht) / det_I**1.5
+            assert forms["kappa"][i] == pytest.approx(
+                kappa, rel=4 * np.finfo(float).eps)
             if t == 2.0:
                 assert np.array_equal(extended.normals[i],
                                       sign * n / np.linalg.norm(n))
@@ -131,17 +149,16 @@ def test_ruling_tables_equal_per_ruling_reference(extended):
 
 def test_cylinder_principal_curvature_exact(cyl):
     samp = cyl.sample(n=257)
-    for i in (40, 128, 200):
-        s = samp.s[i]
-        expected = -TAU / (1.0 + s * s) ** 1.5
-        for t in (0.0, 1.0, 2.0):
-            assert ruled.principal_curvature(samp, t, i) == pytest.approx(
-                expected, rel=1e-8)
+    expected = -TAU / (1.0 + samp.s[2:-2] ** 2) ** 1.5
+    for t in (0.0, 1.0, 2.0):
+        kappa = ruled.curvature_forms(samp, t)["kappa"]
+        assert np.allclose(kappa[2:-2], expected, rtol=1e-8, atol=0.0)
 
 
 def test_plane_has_zero_form():
-    II = ruled.second_fundamental_form(plane(), 1.0, 41 // 2)
-    assert np.max(np.abs(II)) < 1e-12
+    forms = ruled.curvature_forms(plane(), 1.0)
+    for name in ("q", "II_ts", "II_ss", "kappa"):
+        assert np.max(np.abs(forms[name][2:-2])) < 1e-12, name
 
 
 def test_cylinder_concavity_coefficients(cyl):
@@ -158,7 +175,7 @@ def test_quadratic_fit_exact_on_polynomial_data():
     # fitting the fit itself on synthetic values
     samp = ruled.cylinder(TAU).sample(n=257)
     i = 100
-    q = [ruled.curvature_form(samp, t, i) for t in (1.0, 1.5, 2.0)]
+    q = [ruled.curvature_forms(samp, t)["q"][i] for t in (1.0, 1.5, 2.0)]
     # three-point reconstruction reproduces the sampled values exactly
     a2 = (q[0] - 2 * q[1] + q[2]) / (2 * 0.25)
     a1 = (q[2] - q[0]) / 1.0 - a2 * 3.0
@@ -195,12 +212,11 @@ def test_convex_case_fails_verdict(cyl):
 def test_near_cylinder_kappa_within_20_percent():
     g = ruled.generate_surface(TAU, 0.025, seed=11)
     samp = ruled.extend_ruled(g.sample(n=257), -1.0, 2.0)
-    for i in (60, 128, 190):
-        s = samp.s[i]
-        target = -TAU / (1.0 + s * s) ** 1.5
-        for t in (0.0, 1.0, 2.0):
-            k = ruled.principal_curvature(samp, t, i)
-            assert abs(k - target) <= 0.2 * abs(target)
+    rows = [60, 128, 190]
+    target = -TAU / (1.0 + samp.s[rows] ** 2) ** 1.5
+    for t in (0.0, 1.0, 2.0):
+        k = ruled.curvature_forms(samp, t)["kappa"][rows]
+        assert np.all(np.abs(k - target) <= 0.2 * np.abs(target)), t
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +233,11 @@ def test_cylinder_extension_is_same_cylinder(cyl):
 def test_extension_flatness_preserved(extended):
     # det II = 0 identically for a ruled parameterization; check the
     # normalized off-diagonal stays at rounding level over the extension
-    for i in (30, 128, 220):
-        for t in (-1.0, 0.5, 2.0):
-            II = ruled.second_fundamental_form(extended, t, i)
-            assert abs(II[0, 0]) <= 1e-8 * (1 + abs(II[1, 1]))
-            assert abs(II[0, 1]) <= 1e-8 * (1 + abs(II[1, 1]))
+    rows = [30, 128, 220]
+    for t in (-1.0, 0.5, 2.0):
+        forms = ruled.curvature_forms(extended, t)
+        ts, ss = forms["II_ts"][rows], forms["II_ss"][rows]
+        assert np.all(np.abs(ts) <= 1e-8 * (1 + np.abs(ss))), t
 
 
 def test_hyperbolic_paraboloid_fails_flatness():
@@ -234,8 +250,8 @@ def test_hyperbolic_paraboloid_fails_flatness():
     rec = cli.claim_extension_flatness(None, hp)
     assert not rec["pass"]
     assert rec["values"]["worst_offdiag"] > 0.1
-    II = ruled.second_fundamental_form(hp, 0.5, 128)
-    assert II[0, 1] == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
+    ts = ruled.curvature_forms(hp, 0.5)["II_ts"][128]
+    assert ts == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
 
 
 def test_extension_covers_strip_samples(gen_surface, extended):
@@ -309,7 +325,7 @@ def test_projection_of_on_surface_curve_preserves_length(extended):
     ss = np.linspace(extended.s[3], extended.s[-4], 40)
     curve = np.array([ruled._surface_point_interp(extended, t, s)
                       for t, s in zip(ts, ss)])
-    lc, lp = ruled.project_and_compare(curve, extended)
+    (lc,), (lp,) = ruled.project_and_compare(curve[None], extended)
     assert lc == pytest.approx(lp, abs=1e-10)
 
 
@@ -317,7 +333,7 @@ def test_projection_plane_lift_preserves_length():
     ts = np.linspace(-0.5, 1.5, 30)
     curve = np.stack([ts, 0.3 * np.sin(3 * ts), np.full_like(ts, 0.25)],
                      axis=-1)
-    lc, lp = ruled.project_and_compare(curve, plane())
+    (lc,), (lp,) = ruled.project_and_compare(curve[None], plane())
     assert lc == pytest.approx(lp, abs=1e-9)
 
 
@@ -367,7 +383,8 @@ def test_project_and_compare_batch_equals_single_curves(extended):
                        for s in range(5)])
     lc, lp = ruled.project_and_compare(curves, extended)
     for k in range(5):
-        assert (lc[k], lp[k]) == ruled.project_and_compare(curves[k], extended)
+        lck, lpk = ruled.project_and_compare(curves[k:k + 1], extended)
+        assert (lc[k], lp[k]) == (lck[0], lpk[0])
 
 
 def test_projection_rejects_points_below(extended):
@@ -377,4 +394,4 @@ def test_projection_rejects_points_below(extended):
     below = (base - 0.2 * n)[None, :].repeat(3, axis=0)
     below[1] += 0.01
     with pytest.raises(ruled.RuledError):
-        ruled.project_and_compare(below, extended)
+        ruled.project_and_compare(below[None], extended)
