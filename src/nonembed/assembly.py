@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from nonembed.bvp import INTERIOR, MaskedGrid, box_grid, solve_poisson
-from nonembed.conformal import ConformalMetric, CurvatureField, gaussian_curvature
+from nonembed.bvp import INTERIOR, ScalarField, box_grid, solve_poisson
+from nonembed.conformal import gaussian_curvature
 from nonembed.mollify import TailFunction
 
 DEG = math.pi / 180.0
@@ -229,14 +229,13 @@ POCKET_TOL_FACTOR = 1e-8
 
 @dataclass
 class PocketMetric:
-    metric: ConformalMetric
+    factor: ScalarField  # u1 of the metric e^{2 u1} dx^2
     source: np.ndarray
-    grid: MaskedGrid
     n_max: int
 
     @cached_property
-    def curvature(self) -> CurvatureField:
-        return gaussian_curvature(self.metric)
+    def curvature(self) -> ScalarField:
+        return gaussian_curvature(self.factor)
 
     def curvature_report(self) -> dict:
         """Curvature signs: negative at every sampled pocket node, flat
@@ -253,9 +252,9 @@ class PocketMetric:
         floor = POCKET_TOL_FACTOR * float(np.max(np.abs(src)))
         K = self.curvature.values
         absK = np.abs(K)
-        xs, ys = (t[1:-1] for t in self.grid.axes())
-        inner = self.grid.mask[1:-1, 1:-1] == INTERIOR
-        h = self.grid.h
+        xs, ys = (t[1:-1] for t in self.factor.grid.axes())
+        inner = self.curvature.grid.mask == INTERIOR
+        h = self.factor.grid.h
         scale = float(np.max(absK, where=inner, initial=0.0))
         per_pocket = []
         outside = inner.copy()
@@ -281,20 +280,29 @@ class PocketMetric:
         )
 
 
-def build_g1(n_max: int = 3, grid_n: int = 1536) -> PocketMetric:
+def _g1_half_width(n_max: int) -> float:
+    """Half the side of the g1 box: four times the source support radius."""
+    return 4.0 * max(abs(c[0]) + r for c, r in pocket_centers_radii(n_max))
+
+
+def g1_resolves(n_max: int, grid_n: int) -> bool:
+    """Whether the g1 box of grid_n cells resolves the smallest pocket:
+    its radius 4^{-n_max} spans at least four grid steps."""
+    return 4.0 ** (-n_max) >= 4.0 * (2.0 * _g1_half_width(n_max) / grid_n)
+
+
+def build_g1(n_max: int, grid_n: int) -> PocketMetric:
     """Solve (Laplacian) u1 = -source on a zero-Dirichlet box four times
-    the source support radius, and wrap e^{2 u1} dx^2.  Inside each pocket
-    the curvature is negative, outside it vanishes to solver tolerance."""
-    support = max(abs(c[0]) + r for c, r in pocket_centers_radii(n_max))
-    half_width = 4.0 * support
-    grid = box_grid((0.0, 0.0), half_width, grid_n)
-    if 4.0 ** (-n_max) < 4.0 * grid.h:
-        raise AssemblyError(
-            f"grid h={grid.h:.2e} cannot resolve pocket radius {4.0 ** -n_max:.2e}")
+    the source support radius; u1 is the factor of e^{2 u1} dx^2.  Inside
+    each pocket the curvature is negative, outside it vanishes to solver
+    tolerance."""
+    if not g1_resolves(n_max, grid_n):
+        raise AssemblyError(f"a grid of {grid_n} cells cannot resolve "
+                            f"pocket radius {4.0 ** -n_max:.2e}")
+    grid = box_grid((0.0, 0.0), _g1_half_width(n_max), grid_n)
     k_src = curvature_pockets_rhs(*grid.axes(), n_max)
     u1 = solve_poisson(grid, k_src)  # Laplacian u1 = -k_src >= 0
-    metric = ConformalMetric.from_grid(u1)
-    return PocketMetric(metric=metric, source=k_src, grid=grid, n_max=n_max)
+    return PocketMetric(factor=u1, source=k_src, n_max=n_max)
 
 
 # ---------------------------------------------------------------------------

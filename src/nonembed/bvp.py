@@ -37,15 +37,17 @@ The pentagon pipeline solves the mixed problem (slit-field data on the two
 slanted legs, zero on top/bottom, a constant N on the far right edge),
 selects N so that sampled inward normal derivatives dominate those of the
 slit field, and glues the solution to the slit field on the rest of the
-unit disc.  `select_N` keeps the two basis solutions, the margins and the
-pentagon residual at the selected N, and frees the system.
+unit disc.  `select_N` keeps the two basis solutions, their sum, the
+margins and the pentagon residual at the selected N, and frees the
+system; the glued field of that sum is built once, on `SelectedN.glue`.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,14 +73,12 @@ class MaskedGrid:
     """Rectangular node grid with a per-node role mask.
 
     Nodes are at origin + (i, j) * h, i in [0, nx], j in [0, ny].
-    mask[i, j] is EXTERIOR, INTERIOR or BOUNDARY; boundary_values holds
-    Dirichlet data on BOUNDARY nodes.
+    mask[i, j] is EXTERIOR, INTERIOR or BOUNDARY.
     """
 
     origin: Point
     h: float
     mask: np.ndarray
-    boundary_values: np.ndarray = field(default=None)
     # True when the true boundary runs between nodes (Shortley-Weller
     # grids); the neighbor invariant then applies to the cut arms instead
     subgrid_boundary: bool = False
@@ -86,8 +86,6 @@ class MaskedGrid:
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("grid spacing must be positive")
-        if self.boundary_values is None:
-            self.boundary_values = np.zeros(self.mask.shape)
         if not self.subgrid_boundary:
             self._check_neighbors()
 
@@ -172,10 +170,9 @@ def solve_poisson(grid: MaskedGrid, rhs: np.ndarray) -> ScalarField:
     """
     full_box = np.all(grid.mask[1:-1, 1:-1] == INTERIOR) and \
         np.all(grid.mask[0, :] == BOUNDARY) and np.all(grid.mask[-1, :] == BOUNDARY) and \
-        np.all(grid.mask[:, 0] == BOUNDARY) and np.all(grid.mask[:, -1] == BOUNDARY) and \
-        not np.any(grid.boundary_values)
+        np.all(grid.mask[:, 0] == BOUNDARY) and np.all(grid.mask[:, -1] == BOUNDARY)
     if not full_box:
-        raise SolverError("solve_poisson needs a zero-data box grid")
+        raise SolverError("solve_poisson needs a box grid")
     out = ScalarField(grid=grid, values=_poisson_dst(grid, rhs))
     res = laplacian_grid(out) + np.asarray(rhs)[1:-1, 1:-1]
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
@@ -720,34 +717,34 @@ def pentagon_edge_data(geom: PentagonGeometry, N: float) -> list:
 
 @dataclass
 class SelectedN:
-    """The selected N with its edge margins and the two basis solutions
-    w0, w1 (data 0 on the right edge, and 1 there alone).  `h` is the grid
-    spacing, `residual` the pentagon residual of w0 + N w1 against the
-    data at N (`PolygonProblem.residual`) and `stats` the solver's sizes
-    and stage times.  The system itself is not kept."""
+    """The selected N with its edge margins, the two basis solutions w0,
+    w1 (data 0 on the right edge, and 1 there alone) and the solution
+    w = w0 + N w1 at N.  `h` is the grid spacing, `residual` the pentagon
+    residual of w against the data at N (`PolygonProblem.residual`) and
+    `stats` the solver's sizes and stage times.  The system itself is not
+    kept."""
     N: float
     margins: dict
     w0: ScalarField
     w1: ScalarField
+    w: ScalarField
     geom: PentagonGeometry
     h: float
     residual: float
     stats: dict
 
-    def w_values(self) -> np.ndarray:
-        return self.w0.values + self.N * self.w1.values
+    @cached_property
+    def glue(self) -> "GluedField":
+        """The glued field of w, built once."""
+        return GluedField(self.w, self.geom.polygon)
 
-    def w_field(self) -> ScalarField:
-        return ScalarField(grid=self.w0.grid, values=self.w_values())
 
-
-def _edge_margins(geom: PentagonGeometry, sel_w0: ScalarField, w1: ScalarField,
-                  N: float, h: float, n_samples: int) -> dict:
-    """Inward normal-derivative margins on the legs and side edges for the
-    combined solution w0 + N*w1."""
+def _edge_margins(geom: PentagonGeometry, w: ScalarField, h: float,
+                  n_samples: int) -> dict:
+    """Inward normal-derivative margins of the pentagon solution w on the
+    legs and side edges."""
     poly = geom.polygon
-    interp = ScalarField(grid=sel_w0.grid,
-                         values=sel_w0.values + N * w1.values).interp
+    interp = w.interp
     out = {}
     for k, name in ((geom.LEG_UP, "leg_up"), (geom.LEG_LO, "leg_lo")):
         nrm = poly.inward_normal(k)
@@ -789,7 +786,8 @@ def select_N(K: int, resolution: int,
     if schedule is None:
         schedule = [float(2 ** k) for k in range(0, 260)]
     for N in schedule:
-        m = _edge_margins(geom, w0, w1, N, h, EDGE_SAMPLES)
+        w = ScalarField(grid=w0.grid, values=w0.values + N * w1.values)
+        m = _edge_margins(geom, w, h, EDGE_SAMPLES)
         ok_legs = all(
             np.all(m[e]["margin"] > margin_frac * np.maximum(m[e]["scale"], 1e-300))
             for e in ("leg_up", "leg_lo"))
@@ -799,8 +797,7 @@ def select_N(K: int, resolution: int,
     else:
         worst = {e: float(np.min(v["margin"])) for e, v in m.items()}
         raise SolverError(f"N sweep exhausted; best margins {worst}")
-    w = ScalarField(grid=w0.grid, values=w0.values + N * w1.values)
-    return SelectedN(N=N, margins=m, w0=w0, w1=w1, geom=geom, h=h,
+    return SelectedN(N=N, margins=m, w0=w0, w1=w1, w=w, geom=geom, h=h,
                      residual=prob.residual(w, pentagon_edge_data(geom, N)),
                      stats=prob.stats)
 
@@ -818,13 +815,11 @@ class GluedField:
     coarser downstream grids).
     """
 
-    def __init__(self, selected: SelectedN):
+    def __init__(self, w: ScalarField, poly: ConvexPolygon):
         from scipy.ndimage import spline_filter
-        self.geom = selected.geom
-        self.poly = selected.geom.polygon
-        self.w = selected.w_field()
-        self.selected = selected
-        self._coeffs = spline_filter(self.w.values, order=3)
+        self.poly = poly
+        self.w = w
+        self._coeffs = spline_filter(w.values, order=3)
 
     def _pentagon_interp(self, X, Y):
         from scipy.ndimage import map_coordinates

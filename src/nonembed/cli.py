@@ -38,6 +38,7 @@ from nonembed.gridio import GridIOError, convert_grid, write_grid_csv, write_jso
 from nonembed.logscale import LogScaledReal
 
 ASSEMBLE_TARGETS = ("gII", "g1", "annulus")
+G1_GRID_N = 1536  # cells across the pocket metric's box
 
 
 class ConfigError(ValueError):
@@ -178,6 +179,16 @@ class PipelineContext:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self._ruled = {}
+
+    def ruled_surface(self, eps: float, seed: int):
+        """The surface generated at (ruled.tau, eps, seed) and its extended
+        257-ruling sample, built once per run."""
+        if (eps, seed) not in self._ruled:
+            g = ruled.generate_surface(self.cfg.ruled_tau, eps, seed=seed)
+            self._ruled[eps, seed] = (
+                g, ruled.extend_ruled(g.sample(n=257), -1.0, 2.0))
+        return self._ruled[eps, seed]
 
     @cached_property
     def k_star(self) -> int:
@@ -205,11 +216,12 @@ class PipelineContext:
     @cached_property
     def subharmonic(self) -> dict:
         """The tail's composed subharmonicity certificate."""
-        return mollify.tail_subharmonic_report(self.tail)
+        return mollify.tail_subharmonic_report(self.tail, self.selected)
 
     @cached_property
     def g1_report(self) -> dict:  # the pocket metric itself is not kept
-        return assembly.build_g1(self.cfg.n_max, grid_n=1536).curvature_report()
+        return assembly.build_g1(self.cfg.n_max,
+                                 grid_n=G1_GRID_N).curvature_report()
 
     @cached_property
     def mu(self) -> list:
@@ -379,8 +391,9 @@ def claim_shortening(ctx: PipelineContext, n_scan: int) -> dict:
     scan = conformal.find_delta0(tail, tree, n_scan=n_scan)
     margin = None
     if scan.succeeded:
-        g_half = conformal.ConformalMetric.tail_metric(tail, scan.delta0 / 2)
-        L_half = conformal.curve_length(g_half, tree)
+        d = scan.delta0 / 2
+        L_half = conformal.curve_length(
+            lambda x, y: d * np.asarray(tail.value(x, y)), tree)
         margin = scan.history[0][2] - L_half  # the flat length L0
     return check("shortening-threshold", "shortening-amplitude-positive",
                  margin is not None and margin > 0, delta0=scan.delta0,
@@ -473,8 +486,7 @@ def claim_concavity_family(ctx: PipelineContext, seed: int) -> dict:
     tau = ctx.cfg.ruled_tau
     devs = []
     for eps in (0.1, 0.05, 0.025):
-        g = ruled.generate_surface(tau, eps, seed=seed)
-        samp = ruled.extend_ruled(g.sample(n=257), -1.0, 2.0)
+        _, samp = ctx.ruled_surface(eps, seed)
         cc = ruled.concavity_check(samp)
         devs.append(max(float(np.max(np.abs(cc["a0"] + 1.0 / tau**2))),
                         float(np.max(np.abs(cc["a1"]))),
@@ -554,8 +566,7 @@ def verify_annulus(ctx: PipelineContext) -> list:
 
 def verify_ruled(ctx: PipelineContext) -> list:
     cfg = ctx.cfg
-    gen = ruled.generate_surface(cfg.ruled_tau, cfg.ruled_eps, seed=cfg.seed)
-    ext = ruled.extend_ruled(gen.sample(n=257), -1.0, 2.0)
+    gen, ext = ctx.ruled_surface(cfg.ruled_eps, cfg.seed)
     return [claim_cylinder_round_trip(ctx),
             claim_extension_flatness(ctx, ext),
             claim_concavity_family(ctx, seed=cfg.seed),
@@ -586,9 +597,21 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
+def _check_g1_resolves(cfg: RunConfig) -> None:
+    """The g1 targets' bound on truncation.nmax, checked before any target
+    runs: the g1 grid must resolve the smallest pocket."""
+    if not assembly.g1_resolves(cfg.n_max, G1_GRID_N):
+        raise ConfigError(
+            f"truncation.nmax must let the g1 grid of {G1_GRID_N} cells "
+            "resolve the smallest pocket (radius 4^-nmax >= 4 h), "
+            f"got {cfg.n_max}")
+
+
 def cmd_verify(target: str, cfg: RunConfig) -> int:
     cfg.validate()
     targets = list(_PIPELINES) if target == "all" else [target]
+    if "g1" in targets:
+        _check_g1_resolves(cfg)
     ctx = PipelineContext(cfg)
     out = Path(cfg.out_dir)
     report = {"config": _config_echo(cfg), "targets": targets, "checks": []}
@@ -632,21 +655,16 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
 
 def cmd_assemble(target: str, cfg: RunConfig) -> int:
     cfg.validate()
+    if target == "g1":
+        _check_g1_resolves(cfg)
     ctx = PipelineContext(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"config": _config_echo(cfg), "target": target}
     if target == "g1":
-        pm = assembly.build_g1(cfg.n_max, grid_n=1536)
-        write_grid_csv(pm.metric.grid_factor, out / "g1_factor.csv")
-        kf = bvp.ScalarField(
-            grid=bvp.MaskedGrid(origin=(pm.grid.origin[0] + pm.grid.h,
-                                        pm.grid.origin[1] + pm.grid.h),
-                                h=pm.grid.h,
-                                mask=pm.grid.mask[1:-1, 1:-1].copy(),
-                                subgrid_boundary=True),
-            values=pm.curvature.values)
-        write_grid_csv(kf, out / "g1_curvature.csv")
+        pm = assembly.build_g1(cfg.n_max, grid_n=G1_GRID_N)
+        write_grid_csv(pm.factor, out / "g1_factor.csv")
+        write_grid_csv(pm.curvature, out / "g1_curvature.csv")
         manifest["pockets"] = _jsonable(pm.curvature_report()["pockets"])
         manifest["artifacts"] = ["g1_factor.csv", "g1_curvature.csv"]
     elif target == "gII":

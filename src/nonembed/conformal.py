@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -24,79 +24,44 @@ from nonembed.trees import Segment, SteinerTree, line_integral, tree_integral
 
 CURVATURE_TOL_FACTOR = 1e-8  # largest K > 0 allowed, relative to max |K|
 LENGTH_TOL = 1e-12           # quadrature tolerance of metric lengths
-HYPERBOLIC_RADIUS = 0.95     # the hyperbolic reference factor is on r < this
 
 
-class ConformalError(ValueError):
-    pass
-
-
-@dataclass
-class ConformalMetric:
-    """Metric e^{2 phi} dx^2 described by its factor phi.
-
-    factor(x, y) must accept numpy arrays.  A grid representation, when
-    present, is what curvature stencils act on.
-    """
-
-    factor: Callable
-    grid_factor: Optional[ScalarField] = None
-
-    @staticmethod
-    def flat() -> "ConformalMetric":
-        return ConformalMetric(factor=lambda x, y: np.zeros(np.shape(x)))
-
-    @staticmethod
-    def from_grid(f: ScalarField) -> "ConformalMetric":
-        return ConformalMetric(factor=lambda x, y: f.interp(x, y),
-                               grid_factor=f)
-
-    @staticmethod
-    def tail_metric(tail: TailFunction, delta: float) -> "ConformalMetric":
-        return ConformalMetric(
-            factor=lambda x, y: delta * np.asarray(tail.value(x, y)))
-
-
-@dataclass
-class CurvatureField:
-    values: np.ndarray          # on inner nodes of the factor grid
-    grid: MaskedGrid
-
-    def interior_mask(self) -> np.ndarray:
-        """Interior inner nodes whose neighbours are live (interior, on
-        grids with a subgrid boundary)."""
-        m = self.grid.mask
-        if self.grid.subgrid_boundary:
-            return stencil_reduce(m == INTERIOR, np.logical_and)
-        return (m[1:-1, 1:-1] == INTERIOR) & stencil_reduce(m != EXTERIOR,
-                                                            np.logical_and)
-
-
-def gaussian_curvature(g: ConformalMetric) -> CurvatureField:
-    """K = -e^{-2 phi} * (5-point Laplacian of phi) at interior nodes."""
-    if g.grid_factor is None:
-        raise ConformalError("curvature needs a grid-resolved factor")
-    f = g.grid_factor
+def gaussian_curvature(f: ScalarField) -> ScalarField:
+    """K = -e^{-2 phi} * (5-point Laplacian of phi) for the factor phi = f,
+    on the inner nodes of its grid (the grid less its outer ring).  They
+    are INTERIOR where the stencil reads live nodes only (interior nodes
+    alone, on grids with a subgrid boundary) and EXTERIOR elsewhere."""
+    g = f.grid
     lap = laplacian_grid(f)
     with np.errstate(over="ignore", under="ignore"):
         K = np.multiply(f.values[1:-1, 1:-1], -2.0)  # -2 phi, then K in place
         np.exp(K, out=K)
         np.negative(K, out=K)
         K *= lap
-    return CurvatureField(values=K, grid=f.grid)
+    del lap  # before the field's finiteness check copies K's live values
+    m = g.mask
+    if g.subgrid_boundary:
+        valid = stencil_reduce(m == INTERIOR, np.logical_and)
+    else:
+        valid = (m[1:-1, 1:-1] == INTERIOR) & stencil_reduce(m != EXTERIOR,
+                                                             np.logical_and)
+    mask = np.full(valid.shape, EXTERIOR, dtype=np.int8)
+    mask[valid] = INTERIOR
+    inner = MaskedGrid(origin=(g.origin[0] + g.h, g.origin[1] + g.h), h=g.h,
+                       mask=mask, subgrid_boundary=True)
+    return ScalarField(grid=inner, values=K)
 
 
 # ---------------------------------------------------------------------------
 # lengths
 # ---------------------------------------------------------------------------
 
-def curve_length(g: ConformalMetric,
-                 curve: Union[Segment, SteinerTree]) -> float:
-    """Length of a segment or three-leg tree under the metric: the
-    integral of e^{phi} along the curve."""
+def curve_length(phi: Callable, curve: Union[Segment, SteinerTree]) -> float:
+    """Length of a segment or three-leg tree under e^{2 phi} dx^2, for a
+    factor phi(x, y) on arrays: the integral of e^{phi} along the curve."""
     def log_density(xs, ys):
-        phi = np.asarray(g.factor(xs, ys), dtype=float)
-        return np.ones(phi.shape, dtype=int), phi
+        p = np.asarray(phi(xs, ys), dtype=float)
+        return np.ones(p.shape, dtype=int), p
 
     if isinstance(curve, SteinerTree):
         return tree_integral(log_density, curve, tol=LENGTH_TOL).float_value
@@ -157,12 +122,12 @@ def find_delta0(tail: TailFunction, tree: SteinerTree,
     largest scanned amplitude below the first failure of strict length
     shortening.  If the smallest scanned amplitude already fails, the
     threshold is reported as 0 (failure)."""
-    L0 = curve_length(ConformalMetric.flat(), tree)
+    L0 = curve_length(lambda x, y: np.zeros(np.shape(x)), tree)
     history = []
     best = 0.0
     for k in range(n_scan, -1, -1):
         d = delta_max * 2.0 ** (-k)
-        Ld = curve_length(ConformalMetric.tail_metric(tail, d), tree)
+        Ld = curve_length(lambda x, y: d * np.asarray(tail.value(x, y)), tree)
         shortens = Ld < L0
         history.append((d, Ld, L0, bool(shortens)))
         if shortens:
@@ -199,32 +164,3 @@ def tail_curvature_report(tail: TailFunction, delta: float) -> dict:
     return dict(max_positive_logK=max_pos_logK, scale_logK=scale_logK,
                 curvature_sign_pass=bool(ok))
 
-
-# ---------------------------------------------------------------------------
-# reference factors
-# ---------------------------------------------------------------------------
-
-def hyperbolic_disc_factor(h: float = 1.0 / 256) -> ConformalMetric:
-    """phi = ln(2 / (1 - r^2)) sampled at lattice spacing h on
-    r < HYPERBOLIC_RADIUS; the curvature of this factor is exactly -1."""
-    m = int(math.ceil(HYPERBOLIC_RADIUS / h))
-    n = 2 * m
-    G = MaskedGrid(origin=(-m * h, -m * h), h=h,
-                   mask=np.full((n + 1, n + 1), INTERIOR, dtype=np.int8),
-                   subgrid_boundary=True)
-    X, Y = G.nodes_xy()
-    R2 = X * X + Y * Y
-    inside = R2 < HYPERBOLIC_RADIUS * HYPERBOLIC_RADIUS
-    G.mask[~inside] = EXTERIOR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(inside, np.log(2.0 / (1.0 - np.minimum(R2, 1 - 1e-12))), 0.0)
-    f = ScalarField(grid=G, values=vals)
-    return ConformalMetric.from_grid(f)
-
-
-def curvature_error_vs_constant(K: CurvatureField, target: float) -> float:
-    """Max |K - target| over interior nodes."""
-    inner = K.interior_mask()
-    if not np.any(inner):
-        raise ConformalError("no interior nodes")
-    return float(np.max(np.abs(K.values[inner] - target)))

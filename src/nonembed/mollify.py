@@ -9,7 +9,8 @@ kernel quadrature.  This is what makes delta << grid spacing feasible; a
 grid-resolved convolution would need ~1e9 nodes at the mandated pentagon
 resolution.
 
-The claims read the tail in two ways.  The radius scan
+The claims read the tail in two ways, both through the one glued field
+of the pentagon selection (`SelectedN.glue`).  The radius scan
 (`select_tail_delta`) integrates v over the tail tree pointwise and samples
 no grid.  The sign certificates read one grid covering the 1.1-disc
 (`build_tail_v`), which also carries the node masks they share, all
@@ -172,7 +173,7 @@ def build_tail_v(selected: SelectedN, delta: float,
     if not (0.0 < delta < math.exp(-2.0 * K)):
         raise MollifyError(
             f"delta must lie in (0, e^(-2K)) = (0, {math.exp(-2.0 * K):.3e})")
-    glue = GluedField(selected)
+    glue = selected.glue
     moll = MollifiedGlue(glue, delta)
 
     n = grid_n
@@ -210,7 +211,7 @@ def build_tail_v(selected: SelectedN, delta: float,
 # subharmonicity
 # ---------------------------------------------------------------------------
 
-def tail_subharmonic_report(tail: TailFunction,
+def tail_subharmonic_report(tail: TailFunction, selected: SelectedN,
                             tol_factor: float = 1e-8,
                             margin_samples: int = 200,
                             n_spot: int = 40, seed: int = 7) -> dict:
@@ -229,7 +230,8 @@ def tail_subharmonic_report(tail: TailFunction,
       the mollified field (kernel quadrature at each spot) and that it is
       harmonic (5-point residual ratio ~4 under step halving);
     * pentagon interior: solver residual certificate;
-    * pentagon edges: dense inward-margin minima.
+    * pentagon edges: dense inward-margin minima of the pentagon solution
+      in `selected`, the one the tail was built from.
 
     Raw worst node over everything is reported, not asserted.
     """
@@ -268,9 +270,8 @@ def tail_subharmonic_report(tail: TailFunction,
                 ratio_lo, ratio_hi = min(ratio_lo, q), max(ratio_hi, q)
     moon_certified = eq_err < 1e-8 and 3.0 <= ratio_lo and ratio_hi <= 5.0
 
-    sel = tail.mollified.glue.selected
-    pent_resid = sel.residual
-    dense = _edge_margins(sel.geom, sel.w0, sel.w1, sel.N, sel.h,
+    pent_resid = selected.residual
+    dense = _edge_margins(selected.geom, selected.w, selected.h,
                           margin_samples)
     worst_margin = min(float(np.min(m["margin"])) for m in dense.values())
 
@@ -317,7 +318,7 @@ def select_tail_delta(selected: SelectedN, schedule: Sequence[float],
     """First delta in a decreasing schedule for which the tree integral of
     the tail field is strictly negative (beyond the quadrature error).
 
-    The glued field is built once; each delta mollifies it and the tree
+    Each delta mollifies the selection's one glued field and the tree
     quadrature evaluates v = (w * rho_delta) o pull_back at its own nodes,
     so no grid is sampled.  The values equal those of the sampled tail's
     `TailFunction.log_value` at every point.
@@ -330,11 +331,10 @@ def select_tail_delta(selected: SelectedN, schedule: Sequence[float],
     if any(not (0.0 < d < bound) for d in schedule):
         raise MollifyError(f"delta schedule must lie in (0, {bound:.3e})")
     tree = tail_tree(K)
-    glue = GluedField(selected)
     history = []
     chosen = None
     for d in schedule:
-        moll = MollifiedGlue(glue, d)
+        moll = MollifiedGlue(selected.glue, d)
         res = tree_integral(
             lambda xs, ys: float_to_log(moll.value(*pull_back(xs, ys))),
             tree, tol=tol)

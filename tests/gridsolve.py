@@ -32,10 +32,12 @@ def disc_grid(radius: float, n: int, center=(0.0, 0.0)) -> bvp.MaskedGrid:
     return bvp.MaskedGrid(origin=g.origin, h=g.h, mask=mask)
 
 
-def interior_system(grid: bvp.MaskedGrid, rhs_interior: np.ndarray):
+def interior_system(grid: bvp.MaskedGrid, rhs_interior: np.ndarray,
+                    data: np.ndarray):
     """The SPD 5-point system A x = b of (Laplacian) u = -rhs on the
-    interior nodes, boundary node data moved to b; returns (A, b, (ii, jj))
-    with x[k] the value at node (ii[k], jj[k])."""
+    interior nodes, the Dirichlet data on BOUNDARY nodes (a node array)
+    moved to b; returns (A, b, (ii, jj)) with x[k] the value at node
+    (ii[k], jj[k])."""
     ii, jj = np.where(grid.mask == bvp.INTERIOR)
     idx = -np.ones(grid.shape, dtype=np.int64)
     idx[ii, jj] = np.arange(len(ii))
@@ -51,24 +53,25 @@ def interior_system(grid: bvp.MaskedGrid, rhs_interior: np.ndarray):
         vals.append(np.full(int(isint.sum()), -1.0))
         isb = role == bvp.BOUNDARY
         np.add.at(b, idx[ii[isb], jj[isb]],
-                  grid.boundary_values[ni[isb], nj[isb]])
+                  data[ni[isb], nj[isb]])
     A = csr_matrix((np.concatenate(vals),
                     (np.concatenate(rows), np.concatenate(cols))),
                    shape=(n, n))
     return A, b, (ii, jj)
 
 
-def solve_laplace_dirichlet(grid: bvp.MaskedGrid, tol: float = 1e-12,
+def solve_laplace_dirichlet(grid: bvp.MaskedGrid, data: np.ndarray,
+                            tol: float = 1e-12,
                             maxiter: int = 1_000_000) -> bvp.ScalarField:
-    """Discrete harmonic extension of the boundary node data (CG on the
-    SPD 5-point system)."""
-    A, b, (ii, jj) = interior_system(grid, np.zeros(grid.shape))
+    """Discrete harmonic extension of the Dirichlet data on the BOUNDARY
+    nodes (a node array), by CG on the SPD 5-point system."""
+    A, b, (ii, jj) = interior_system(grid, np.zeros(grid.shape), data)
     x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=maxiter)
     if info != 0:
         res = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
         raise bvp.SolverError(
             f"CG did not converge (info={info}, rel residual {res:.2e})")
-    values = np.array(grid.boundary_values, dtype=float)
+    values = np.array(data, dtype=float)
     values[grid.mask == bvp.EXTERIOR] = 0.0
     values[ii, jj] = x
     return bvp.ScalarField(grid=grid, values=values)

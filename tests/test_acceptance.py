@@ -37,6 +37,8 @@ import numpy as np
 
 from nonembed import bvp, cli, conformal, mollify, trees
 
+from curvature_ref import curvature_error_vs_constant, hyperbolic_disc_factor
+
 SEED = 20260809
 ORACLE_TREE_INTEGRALS = (Path(__file__).resolve().parents[1] / "tools"
                          / "oracle_tree_integrals.json")
@@ -141,20 +143,18 @@ def richardson_curvature(h):
     """One Richardson step (4 K_{h/2} - K_h) / 3 of the five-point
     curvature of the hyperbolic factor, on the nodes of the h-grid (each
     of them is also a node of the h/2-grid)."""
-    K_h = conformal.gaussian_curvature(conformal.hyperbolic_disc_factor(h=h))
-    K_f = conformal.gaussian_curvature(
-        conformal.hyperbolic_disc_factor(h=h / 2))
-    inner = K_h.interior_mask()
-    ii, jj = np.nonzero(inner)
-    # inner-node index i is grid node i + 1, at origin + (i + 1) h
-    fi = np.rint((K_h.grid.origin[0] + (ii + 1) * h - K_f.grid.origin[0])
-                 / (h / 2)).astype(int) - 1
-    fj = np.rint((K_h.grid.origin[1] + (jj + 1) * h - K_f.grid.origin[1])
-                 / (h / 2)).astype(int) - 1
-    assert np.all(K_f.interior_mask()[fi, fj])
+    K_h = conformal.gaussian_curvature(hyperbolic_disc_factor(h=h))
+    K_f = conformal.gaussian_curvature(hyperbolic_disc_factor(h=h / 2))
+    ii, jj = np.nonzero(K_h.grid.mask == bvp.INTERIOR)
+    # node i of the h-grid lies at origin + i h
+    fi = np.rint((K_h.grid.origin[0] + ii * h - K_f.grid.origin[0])
+                 / (h / 2)).astype(int)
+    fj = np.rint((K_h.grid.origin[1] + jj * h - K_f.grid.origin[1])
+                 / (h / 2)).astype(int)
+    assert np.all(K_f.grid.mask[fi, fj] == bvp.INTERIOR)
     values = K_h.values.copy()
     values[ii, jj] = (4.0 * K_f.values[fi, fj] - K_h.values[ii, jj]) / 3.0
-    return conformal.CurvatureField(values=values, grid=K_h.grid)
+    return bvp.ScalarField(grid=K_h.grid, values=values)
 
 
 def test_criterion_07_conformal_sanity():
@@ -162,7 +162,7 @@ def test_criterion_07_conformal_sanity():
     # h = 1/256 (2.48e-3, tools/oracle_misc.py); one Richardson step
     # cancels its h^2 term
     K = richardson_curvature(1.0 / 256)
-    err = conformal.curvature_error_vs_constant(K, -1.0)
+    err = curvature_error_vs_constant(K, -1.0)
 
     # scaling law: lengths scale by e^c exactly, curvatures by e^{-2c}
     n = 48
@@ -170,15 +170,14 @@ def test_criterion_07_conformal_sanity():
     X, Y = box.nodes_xy()
     phi = np.sin(X) * np.cos(Y)
     c = 0.3
-    m1 = conformal.ConformalMetric.from_grid(
-        bvp.ScalarField(grid=box, values=phi))
-    m2 = conformal.ConformalMetric.from_grid(
-        bvp.ScalarField(grid=box, values=phi + c))
+    f1 = bvp.ScalarField(grid=box, values=phi)
+    f2 = bvp.ScalarField(grid=box, values=phi + c)
     seg = trees.Segment((-0.4, -0.1), (0.5, 0.3))
-    ratio = conformal.curve_length(m2, seg) / conformal.curve_length(m1, seg)
-    K1 = conformal.gaussian_curvature(m1)
-    K2 = conformal.gaussian_curvature(m2)
-    inner = K1.interior_mask()
+    ratio = (conformal.curve_length(f2.interp, seg)
+             / conformal.curve_length(f1.interp, seg))
+    K1 = conformal.gaussian_curvature(f1)
+    K2 = conformal.gaussian_curvature(f2)
+    inner = K1.grid.mask == bvp.INTERIOR
     kscale = np.max(np.abs(K1.values[inner]))
     curv_ok = np.allclose(K2.values[inner],
                           K1.values[inner] * math.exp(-2 * c),

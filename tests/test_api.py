@@ -108,11 +108,6 @@ def test_no_field_is_write_only():
     assert write_only == []
 
 
-# criterion 7's reference factor: the curvature test compares the
-# pipeline's stencil with the exact -1 of the hyperbolic disc
-REACHED_ONLY_BY_TESTS = {"hyperbolic_disc_factor", "curvature_error_vs_constant"}
-
-
 def test_no_public_name_is_reached_only_by_tests():
     # library code that only tests, tools or the benchmark load is kept
     # for nobody; count only the loads in src/nonembed itself
@@ -127,4 +122,4 @@ def test_no_public_name_is_reached_only_by_tests():
     defined = {node.name for t in trees for node in ast.walk(t)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and not node.name.startswith("_")}
-    assert defined - loaded == REACHED_ONLY_BY_TESTS
+    assert defined - loaded == set()

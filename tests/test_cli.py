@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonembed import bvp, cli, conformal, gridio, mollify
+from nonembed import assembly, bvp, cli, conformal, gridio, mollify, ruled
 
 from gridsolve import disc_grid, solve_laplace_dirichlet
 
@@ -85,10 +85,12 @@ def test_broken_tolerance_exits_2(tmp_path):
     ("delta.steps", "0"), ("annulus.nmax", "40"), ("annulus.nmax", "24"),
     ("annulus.nmax", "1"), ("k.max", "3.5"), ("k.max", "2"),
     ("grid.h", "0.05"), ("quad.tol", "inf"),
+    ("truncation.nmax", "4"), ("truncation.nmax", "12"),
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, value):
     # k.max = 2 is a valid value with no K that satisfies the sign
-    # conditions: that outcome also names its key
+    # conditions, and truncation.nmax = 4 one whose smallest pocket the
+    # g1 grid cannot resolve: those outcomes also name their key
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
     out = tmp_path / "o"
@@ -96,6 +98,20 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, value):
                      "--out", str(out)]) == 2
     assert re.match(rf"error: {re.escape(key)}\b", capsys.readouterr().err)
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_truncation_nmax_bounds_only_the_g1_targets(ctx, tmp_path, capsys,
+                                                   monkeypatch):
+    out = tmp_path / "g1"
+    assert cli.main(["assemble", "g1", "--nmax", "4", "--out", str(out)]) == 2
+    assert re.match(r"error: truncation\.nmax\b", capsys.readouterr().err)
+    assert not out.exists()
+    assert cli.main(["verify", "g1", "--nmax", "3",
+                     "--out", str(tmp_path / "v")]) == 0
+    # gII reads truncation.nmax too, and has no such bound
+    monkeypatch.setattr(cli, "PipelineContext", lambda cfg: ctx)
+    assert cli.main(["assemble", "gII", "--nmax", "4",
+                     "--out", str(tmp_path / "gII")]) == 0
 
 
 def test_annulus_claims_run_at_the_largest_annulus_nmax(ctx):
@@ -148,8 +164,8 @@ def test_check_encodes_numpy_bool_as_json_boolean():
 def _sample_field():
     g = disc_grid(1.0, 24)
     X, Y = g.nodes_xy()
-    g.boundary_values = np.where(g.mask == bvp.BOUNDARY, X + 0.5 * Y, 0.0)
-    return solve_laplace_dirichlet(g)
+    return solve_laplace_dirichlet(
+        g, np.where(g.mask == bvp.BOUNDARY, X + 0.5 * Y, 0.0))
 
 
 def test_grid_csv_round_trip(tmp_path):
@@ -499,6 +515,39 @@ def test_tail_certificate_computed_once_per_context(ctx, monkeypatch):
     assert sub["pass"] and curv["pass"]
 
 
+def test_verify_ruled_generates_each_surface_once(monkeypatch):
+    # the report's surface at ruled.eps = 0.05 is also the eps = 0.05
+    # member of the concavity family: three surfaces, not four
+    calls = []
+    generate = ruled.generate_surface
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(ruled, "generate_surface", counted)
+    cli.verify_ruled(cli.PipelineContext(cli.RunConfig()))
+    assert len(calls) == 3
+
+
+def test_verify_tail_builds_the_glued_field_once(tmp_path, monkeypatch):
+    # the tail grid and the radius scan read one glued field
+    built = []
+
+    class Counted(bvp.GluedField):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(bvp, "GluedField", Counted)
+    monkeypatch.setattr(mollify, "GluedField", Counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pentagon.resolution = 64\ngrid.h = 0.0171875\n")
+    assert cli.main(["verify", "tail", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) in (0, 1)
+    assert len(built) == 1
+
+
 def test_verify_ruled_golden_values(ctx):
     # report values of `verify ruled` at the default config, pinned to
     # the digit: the batched projection and the cached comparison stencil
@@ -544,6 +593,32 @@ def test_assemble_annulus_golden_sha256(ctx, tmp_path, monkeypatch):
     plantings = json.dumps(man["plantings"]).encode()
     assert hashlib.sha256(plantings).hexdigest() == \
         "6480374629e28f7b2c0441e11111be561f4150551aff2d1fa3411dac4131cb6f"
+
+
+def test_assemble_g1_golden_sha256(tmp_path, monkeypatch):
+    # `nonembed assemble g1 --nmax 1` with the pocket solve on a 128-cell
+    # box: both grids, their sidecars and the manifest
+    full_size = assembly.build_g1
+    monkeypatch.setattr(assembly, "build_g1",
+                        lambda n_max, grid_n: full_size(n_max, grid_n=128))
+    assert cli.main(["assemble", "g1", "--nmax", "1",
+                     "--out", str(tmp_path)]) == 0
+    names = ("g1_factor.csv", "g1_factor.json", "g1_curvature.csv",
+             "g1_curvature.json", "manifest.json")
+    digests = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
+               for n in names}
+    assert digests == {
+        "g1_factor.csv":
+            "724c467203e86d9722ce1ce8d74ea655594f55ea3067686e326c412317cb94de",
+        "g1_factor.json":
+            "2b0f57fbe625ae842c0b8decba8f756690510eb9be9d84168330e3b4910b52c9",
+        "g1_curvature.csv":
+            "d2ad1e27d455030da8495e32267ee2c999a0d90a424c9bf1284a217dbee3537d",
+        "g1_curvature.json":
+            "6d3701e7f095f702d3fb313d723dd8cddf717a8dd4845c2fb97cb518943dcd90",
+        "manifest.json":
+            "e6ae3ca28f48d7bb3d3c7f2a4619ce1e0a650d413cb3bb33d787029287198a18",
+    }
 
 
 def test_assemble_manifest_does_not_depend_on_out_dir(ctx, tmp_path,

@@ -7,6 +7,7 @@ from nonembed import bvp, conformal, mollify
 from nonembed.logscale import float_to_log
 from nonembed.trees import Segment, build_steiner_tree
 
+from curvature_ref import curvature_error_vs_constant, hyperbolic_disc_factor
 from gridsolve import solve_laplace_dirichlet
 
 K_STAR = 4
@@ -19,48 +20,44 @@ def test_constant_factor_flat():
     n = 48
     g = bvp.box_grid((0.0, 0.0), 1.0, n)
     f = bvp.ScalarField(grid=g, values=np.full(g.shape, 1.7))
-    K = conformal.gaussian_curvature(conformal.ConformalMetric.from_grid(f))
-    assert np.max(np.abs(K.values[K.interior_mask()])) == 0.0
+    K = conformal.gaussian_curvature(f)
+    assert np.max(np.abs(K.values[K.grid.mask == bvp.INTERIOR])) == 0.0
 
 
 def test_discrete_harmonic_factor_gives_zero_curvature():
     g = bvp.box_grid((0.0, 0.0), 1.0, 48)
     X, Y = g.nodes_xy()
-    g.boundary_values = np.where(g.mask == bvp.BOUNDARY, X * Y + 0.3 * X, 0.0)
-    f = solve_laplace_dirichlet(g, tol=1e-13)
-    K = conformal.gaussian_curvature(conformal.ConformalMetric.from_grid(f))
-    inner = K.interior_mask()
+    f = solve_laplace_dirichlet(
+        g, np.where(g.mask == bvp.BOUNDARY, X * Y + 0.3 * X, 0.0), tol=1e-13)
+    K = conformal.gaussian_curvature(f)
+    inner = K.grid.mask == bvp.INTERIOR
     # 5-point Laplacian of the solved field is the solver residual
     assert np.max(np.abs(K.values[inner])) < 1e-9
 
 
 def test_hyperbolic_disc_curvature_frozen_values():
     for n, expected in ((128, HYPERBOLIC_ERR[128]), (256, HYPERBOLIC_ERR[256])):
-        g = conformal.hyperbolic_disc_factor(h=1.0 / n)
-        K = conformal.gaussian_curvature(g)
-        err = conformal.curvature_error_vs_constant(K, -1.0)
+        K = conformal.gaussian_curvature(hyperbolic_disc_factor(h=1.0 / n))
+        err = curvature_error_vs_constant(K, -1.0)
         assert err == pytest.approx(expected, rel=1e-3), n
 
 
 def test_hyperbolic_disc_curvature_second_order():
     errs = []
     for n in (128, 256, 512):
-        g = conformal.hyperbolic_disc_factor(h=1.0 / n)
-        K = conformal.gaussian_curvature(g)
-        errs.append(conformal.curvature_error_vs_constant(K, -1.0))
+        K = conformal.gaussian_curvature(hyperbolic_disc_factor(h=1.0 / n))
+        errs.append(curvature_error_vs_constant(K, -1.0))
     assert errs[1] <= 0.35 * errs[0]
     assert errs[2] <= 0.35 * errs[1]
 
 
 def test_curve_length_flat_and_constant():
     tree = build_steiner_tree(0.3)
-    L0 = conformal.curve_length(conformal.ConformalMetric.flat(), tree)
+    L0 = conformal.curve_length(lambda x, y: np.zeros(np.shape(x)), tree)
     assert L0 == pytest.approx(sum(leg.length for leg in tree.legs),
                                rel=1e-12)
     c = -0.85
-    const = conformal.ConformalMetric(
-        factor=lambda x, y: np.full(np.shape(x), c))
-    Lc = conformal.curve_length(const, tree)
+    Lc = conformal.curve_length(lambda x, y: np.full(np.shape(x), c), tree)
     assert Lc / L0 == pytest.approx(math.exp(c), rel=1e-12)
 
 
@@ -73,23 +70,17 @@ def test_conformal_scaling_laws():
     c = 0.4
     f1 = bvp.ScalarField(grid=g, values=phi)
     f2 = bvp.ScalarField(grid=g, values=phi + c)
-    m1 = conformal.ConformalMetric.from_grid(f1)
-    m2 = conformal.ConformalMetric.from_grid(f2)
     seg = Segment((-0.5, -0.2), (0.6, 0.4))
-    L1 = conformal.curve_length(m1, seg)
-    L2 = conformal.curve_length(m2, seg)
+    L1 = conformal.curve_length(f1.interp, seg)
+    L2 = conformal.curve_length(f2.interp, seg)
     assert L2 / L1 == pytest.approx(math.exp(c), rel=1e-13)
-    K1 = conformal.gaussian_curvature(m1).values
-    K2 = conformal.gaussian_curvature(m2).values
-    inner = conformal.gaussian_curvature(m1).interior_mask()
-    target = K1[inner] * math.exp(-2 * c)
-    scale = np.max(np.abs(K1[inner]))
-    assert np.allclose(K2[inner], target, rtol=1e-10, atol=1e-12 * scale)
-
-
-def test_curvature_requires_grid():
-    with pytest.raises(conformal.ConformalError):
-        conformal.gaussian_curvature(conformal.ConformalMetric.flat())
+    K1 = conformal.gaussian_curvature(f1)
+    K2 = conformal.gaussian_curvature(f2)
+    inner = K1.grid.mask == bvp.INTERIOR
+    target = K1.values[inner] * math.exp(-2 * c)
+    scale = np.max(np.abs(K1.values[inner]))
+    assert np.allclose(K2.values[inner], target, rtol=1e-10,
+                       atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +159,10 @@ def test_find_delta0_succeeds_for_negative_field(tail4):
     # 2|int v| / int v^2 ~ 3e-9 for this field
     scan = conformal.find_delta0(neg, tree, delta_max=1e-9, n_scan=5)
     assert scan.succeeded and scan.delta0 > 0.0
-    g_half = conformal.ConformalMetric.tail_metric(neg, scan.delta0 / 2)
-    L_half = conformal.curve_length(g_half, tree)
-    L0 = conformal.curve_length(conformal.ConformalMetric.flat(), tree)
+    d = scan.delta0 / 2
+    L_half = conformal.curve_length(
+        lambda x, y: d * np.asarray(neg.value(x, y)), tree)
+    L0 = conformal.curve_length(lambda x, y: np.zeros(np.shape(x)), tree)
     assert L_half < L0
 
 

@@ -130,7 +130,7 @@ def test_subharmonic_defect_stabilizes_under_refinement(selected4):
     vals = []
     for n in (256, 512):
         tail = mollify.build_tail_v(selected4, DELTA, grid_n=n)
-        rep = mollify.tail_subharmonic_report(tail)
+        rep = mollify.tail_subharmonic_report(tail, selected4)
         assert rep["grid_pass"], (n, rep["min_defect"], rep["tolerance"])
         vals.append(rep["min_defect"])
     # residual consistency noise shrinks under refinement
