@@ -451,7 +451,7 @@ def annulus_curvature_samples(stack: AnnulusStack, n: int) -> list:
     points chosen between plantings, with a per-sample stencil step small
     enough for the wall cutoffs' scale.
 
-    Returns (point, K, laplacian, analytic laplacian) records; K < 0 there
+    Returns (K, laplacian, analytic laplacian) records; K < 0 there
     comes from the strictly positive Laplacian of every active cutoff.
     """
     r_c = annulus_mid_radius(n)
@@ -473,10 +473,9 @@ def annulus_curvature_samples(stack: AnnulusStack, n: int) -> list:
         np.stack([py, py, py, py + h_fd, py - h_fd]))
     lap = (e + w + no + so - 4.0 * c) / h_fd**2
     lap_exact = stack.cutoff_sum_laplacian(np.hypot(px, py))
-    return [dict(point=(x, y), K=-math.exp(-2.0 * ci) * li, laplacian=li,
-                 laplacian_exact=le)
-            for x, y, ci, li, le in zip(px.tolist(), py.tolist(), c.tolist(),
-                                        lap.tolist(), lap_exact.tolist())]
+    return [dict(K=-math.exp(-2.0 * ci) * li, laplacian=li, laplacian_exact=le)
+            for ci, li, le in zip(c.tolist(), lap.tolist(),
+                                  lap_exact.tolist())]
 
 
 # derivative orders 0..FLATNESS_ORDER of the factor at the origin, by

@@ -128,8 +128,8 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        live = self.grid.mask != EXTERIOR
-        if not np.all(np.isfinite(self.values[live])):
+        if not np.all(np.isfinite(self.values)
+                      | (self.grid.mask == EXTERIOR)):
             raise ValueError("non-finite values on live nodes")
 
     def interp(self, x, y):
@@ -629,7 +629,7 @@ def normal_derivative(f_interp: Callable, edge: Segment, normal: Point,
 
         f_n ~ (-3 f(p) + 4 f(p + 2h n) - f(p + 4h n)) / (4h)
 
-    Returns dict with sample points, parameters and derivative values.
+    Returns dict with the sample points and the derivative values.
     """
     t_lo = 3.0 * h / edge.length  # the corner margin 3h, as a fraction
     t_hi = 1.0 - t_lo
@@ -641,7 +641,7 @@ def normal_derivative(f_interp: Callable, edge: Segment, normal: Point,
     f1 = f_interp(px + 2 * h * normal[0], py + 2 * h * normal[1])
     f2 = f_interp(px + 4 * h * normal[0], py + 4 * h * normal[1])
     deriv = (-3.0 * f0 + 4.0 * f1 - f2) / (4.0 * h)
-    return dict(t=ts, x=px, y=py, value=deriv)
+    return dict(x=px, y=py, value=deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +739,8 @@ class SelectedN:
         return GluedField(self.w, self.geom.polygon)
 
 
-def _edge_margins(geom: PentagonGeometry, w: ScalarField, h: float,
-                  n_samples: int) -> dict:
+def edge_margins(geom: PentagonGeometry, w: ScalarField, h: float,
+                 n_samples: int) -> dict:
     """Inward normal-derivative margins of the pentagon solution w on the
     legs and side edges."""
     poly = geom.polygon
@@ -752,8 +752,7 @@ def _edge_margins(geom: PentagonGeometry, w: ScalarField, h: float,
                                n_samples=n_samples, boundary_value=u_float)
         gx, gy = u_gradient_xy(nd["x"], nd["y"])
         gvals = gx * nrm[0] + gy * nrm[1]
-        out[name] = dict(w_gamma=nd["value"], u_gamma=gvals,
-                         margin=nd["value"] - gvals,
+        out[name] = dict(w_gamma=nd["value"], margin=nd["value"] - gvals,
                          scale=np.abs(gvals))
     for k, name in ((geom.BOTTOM, "bottom"), (geom.TOP, "top")):
         nd = normal_derivative(interp, poly.edge(k), poly.inward_normal(k), h,
@@ -787,7 +786,7 @@ def select_N(K: int, resolution: int,
         schedule = [float(2 ** k) for k in range(0, 260)]
     for N in schedule:
         w = ScalarField(grid=w0.grid, values=w0.values + N * w1.values)
-        m = _edge_margins(geom, w, h, EDGE_SAMPLES)
+        m = edge_margins(geom, w, h, EDGE_SAMPLES)
         ok_legs = all(
             np.all(m[e]["margin"] > margin_frac * np.maximum(m[e]["scale"], 1e-300))
             for e in ("leg_up", "leg_lo"))

@@ -38,7 +38,7 @@ def gaussian_curvature(f: ScalarField) -> ScalarField:
         np.exp(K, out=K)
         np.negative(K, out=K)
         K *= lap
-    del lap  # before the field's finiteness check copies K's live values
+    del lap  # before the field's finiteness check allocates its masks
     m = g.mask
     if g.subgrid_boundary:
         valid = stencil_reduce(m == INTERIOR, np.logical_and)
@@ -150,7 +150,7 @@ def tail_curvature_report(tail: TailFunction, delta: float) -> dict:
     :func:`~nonembed.mollify.tail_subharmonic_report` as well, for the
     jumps that the grid cannot see.
     """
-    lap = laplacian_grid(tail.field)
+    lap = tail.laplacian
     vis = tail.sign_checked
     phi_c = delta * tail.field.values[1:-1, 1:-1]
     # log |K| = -2 phi + log(delta |lap|); sign(K) = -sign(lap)

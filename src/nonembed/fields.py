@@ -130,14 +130,14 @@ def eval_angle_field(A: Tuple[float, float], A1: Tuple[float, float],
 # harmonicity diagnostic
 # ---------------------------------------------------------------------------
 
-def laplacian_residual(value: Callable, p: Tuple[float, float], h: float):
-    """Five-point finite-difference Laplacian at p with step h of the
-    array function value(xs, ys), which evaluates the five stencil points
-    in one call (and raises if one leaves its domain).
+def laplacian_residual(value: Callable, x, y, h):
+    """Five-point finite-difference Laplacian at the points (x, y) with
+    step h, a scalar or one step per point, of the array function
+    value(xs, ys), which evaluates every stencil point in one call (and
+    raises if one leaves its domain).
 
     Second-order consistent: O(h^2) on smooth fields, ~0 on harmonic ones.
     """
-    x, y = p
-    c, e, w, n, s = value(np.array([x, x + h, x - h, x, x]),
-                          np.array([y, y, y, y + h, y - h]))
+    c, e, w, n, s = value(np.stack([x, x + h, x - h, x, x]),
+                          np.stack([y, y, y, y + h, y - h]))
     return (e + w + n + s - 4.0 * c) / (h * h)

@@ -21,23 +21,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from nonembed.bvp import (BOUNDARY, INTERIOR, GluedField, MaskedGrid,
-                          ScalarField, SelectedN, _edge_margins,
+                          ScalarField, SelectedN, edge_margins,
                           laplacian_grid, stencil_reduce)
 from nonembed.fields import laplacian_residual, u_float
 from nonembed.logscale import float_to_log
-from nonembed.trees import (SIGN_MARGIN, SteinerTree, build_steiner_tree,
-                            tree_integral)
+from nonembed.trees import (SteinerTree, build_steiner_tree,
+                            certified_negative, tree_integral)
 
 RESCALE = 10.0
 RECENTER = (-0.8, 0.0)
 # polar kernel quadrature: Gauss-Legendre nodes in s, trapezoid in angle
 KERNEL_RADIAL = 24
 KERNEL_ANGULAR = 48
+# the subharmonicity certificate: grid tolerance relative to the largest
+# |grid Laplacian|, margin samples per pentagon edge, slit-field spots, seed
+SUBHARMONIC_TOL_FACTOR = 1e-8
+MARGIN_SAMPLES = 200
+N_SPOTS = 40
+SPOT_SEED = 7
 
 # integral of exp(-1/(1-t^2)) t dt over [0, 1]; normalizes the 2D bump.
 # This is scipy.integrate.quad's result (epsabs=1e-15, epsrel=1e-14), one
@@ -106,9 +113,11 @@ class MollifiedGlue:
         wgt = (self.m.density(S) * S * ws[:, None]).ravel()
         self._wgt = wgt / wgt.sum()
 
-    def kernel_average(self, x: float, y: float) -> float:
-        vals = self.glue.value(x + self._dx, y + self._dy)
-        return float(np.dot(self._wgt, vals))
+    def kernel_average(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Kernel quadrature at the points (x, y), 1-d arrays: one glue
+        evaluation on all kernel nodes, then per row the BLAS dot of np.dot."""
+        vals = self.glue.value(x[:, None] + self._dx, y[:, None] + self._dy)
+        return np.matmul(vals[:, None, :], self._wgt[:, None])[:, 0, 0]
 
     def value(self, x, y) -> np.ndarray:
         X = np.asarray(x, dtype=float).ravel()
@@ -116,8 +125,7 @@ class MollifiedGlue:
         out = np.empty(X.shape)
         fast = self.glue.interface_distance(X, Y) > 1.02 * self.delta
         out[fast] = self.glue.value(X[fast], Y[fast])
-        for i in np.flatnonzero(~fast):
-            out[i] = self.kernel_average(X[i], Y[i])
+        out[~fast] = self.kernel_average(X[~fast], Y[~fast])
         return out.reshape(np.shape(x))
 
 
@@ -141,6 +149,12 @@ class TailFunction:
 
     def value(self, x, y):
         return self.mollified.value(*pull_back(x, y))
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """5-point Laplacian of the sampled field at its inner nodes,
+        which both sign certificates read."""
+        return laplacian_grid(self.field)
 
     def log_value(self, xs, ys):
         """v in log scale, (signs, logmags), for the line quadrature."""
@@ -211,10 +225,7 @@ def build_tail_v(selected: SelectedN, delta: float,
 # subharmonicity
 # ---------------------------------------------------------------------------
 
-def tail_subharmonic_report(tail: TailFunction, selected: SelectedN,
-                            tol_factor: float = 1e-8,
-                            margin_samples: int = 200,
-                            n_spot: int = 40, seed: int = 7) -> dict:
+def tail_subharmonic_report(tail: TailFunction, selected: SelectedN) -> dict:
     """Discrete subharmonicity of the tail field over the unit disc.
 
     The distributional Laplacian of the glued field is a sum of (i) zero
@@ -225,7 +236,7 @@ def tail_subharmonic_report(tail: TailFunction, selected: SelectedN,
 
     * grid sign check where jumps are grid-visible and both sides are
       exact (circle glue and exterior zeros), against the tolerance
-      -tol_factor * (max |grid Laplacian| over the whole disc);
+      -SUBHARMONIC_TOL_FACTOR * (max |grid Laplacian| over the whole disc);
     * slit-field region: spot certificates that the sampled field equals
       the mollified field (kernel quadrature at each spot) and that it is
       harmonic (5-point residual ratio ~4 under step halving);
@@ -237,7 +248,7 @@ def tail_subharmonic_report(tail: TailFunction, selected: SelectedN,
     """
     xs, ys = tail.field.grid.axes()
     glue = tail.mollified.glue
-    lap = laplacian_grid(tail.field)
+    lap = tail.laplacian
     stencil_ok, grid_set = tail.stencil_in_disc, tail.sign_checked
     sten = stencil_ok[1:-1, 1:-1]
     scale = float(np.max(np.abs(lap[sten])))
@@ -248,39 +259,35 @@ def tail_subharmonic_report(tail: TailFunction, selected: SelectedN,
     # slit-field region spot certificates
     moon_ok = (stencil_ok & (tail.region == 1) & ~tail.pentagon_band_excluded
                & ~tail.u_core_excluded)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SPOT_SEED)
     ii, jj = np.where(moon_ok)
-    pick = rng.choice(len(ii), size=min(n_spot, len(ii)), replace=False)
+    pick = rng.choice(len(ii), size=min(N_SPOTS, len(ii)), replace=False)
     sx, sy = pull_back(xs[ii[pick]], ys[jj[pick]])
     exact = glue.value(sx, sy)
-    dist = glue.interface_distance(sx, sy)
-    eq_err = 0.0
-    ratio_lo, ratio_hi = np.inf, 0.0
-    for yx, yy, ex, d in zip(sx, sy, exact.tolist(), dist):
-        quadv = tail.mollified.kernel_average(yx, yy)
-        denom = max(abs(ex), 1e-300)
-        eq_err = max(eq_err, abs(quadv - ex) / denom)
-        r = math.hypot(yx, yy)
-        hloc = 1e-3 * r
-        if d > 4 * hloc:
-            r1 = laplacian_residual(u_float, (yx, yy), hloc)
-            r2 = laplacian_residual(u_float, (yx, yy), hloc / 2.0)
-            if abs(r2) > 1e-30:
-                q = abs(r1 / r2)
-                ratio_lo, ratio_hi = min(ratio_lo, q), max(ratio_hi, q)
+    quadv = tail.mollified.kernel_average(sx, sy)
+    eq_err = float(np.max(np.abs(quadv - exact)
+                          / np.maximum(np.abs(exact), 1e-300), initial=0.0))
+    # math.hypot, not np.hypot: the steps keep the bits of the report
+    hloc = 1e-3 * np.fromiter(map(math.hypot, sx, sy), float)
+    far = glue.interface_distance(sx, sy) > 4 * hloc
+    sx, sy, hloc = sx[far], sy[far], hloc[far]
+    r1 = laplacian_residual(u_float, sx, sy, hloc)
+    r2 = laplacian_residual(u_float, sx, sy, hloc / 2.0)
+    q = np.abs(r1 / r2)[np.abs(r2) > 1e-30]
+    ratio_lo, ratio_hi = np.min(q, initial=np.inf), np.max(q, initial=0.0)
     moon_certified = eq_err < 1e-8 and 3.0 <= ratio_lo and ratio_hi <= 5.0
 
     pent_resid = selected.residual
-    dense = _edge_margins(selected.geom, selected.w, selected.h,
-                          margin_samples)
+    dense = edge_margins(selected.geom, selected.w, selected.h,
+                         MARGIN_SAMPLES)
     worst_margin = min(float(np.min(m["margin"])) for m in dense.values())
 
-    grid_pass = grid_min >= -tol_factor * scale
+    grid_pass = grid_min >= -SUBHARMONIC_TOL_FACTOR * scale
     return dict(
         min_defect=grid_min,
         raw_min_defect=raw_min,
         scale=scale,
-        tolerance=-tol_factor * scale,
+        tolerance=-SUBHARMONIC_TOL_FACTOR * scale,
         worst_node_xy=(float(xs[wi[0] + 1]), float(ys[wi[1] + 1])),
         n_grid_checked=int(grid_set.sum()),
         n_excluded_oscillation=int((stencil_ok & tail.u_core_excluded).sum()),
@@ -338,9 +345,8 @@ def select_tail_delta(selected: SelectedN, schedule: Sequence[float],
         res = tree_integral(
             lambda xs, ys: float_to_log(moll.value(*pull_back(xs, ys))),
             tree, tol=tol)
-        val = res.float_value
-        history.append((d, val, res.est_error))
-        if val < 0.0 and abs(val) > SIGN_MARGIN * res.est_error:
+        history.append((d, res.float_value, res.est_error))
+        if certified_negative(res.value, res.est_error):
             chosen = d
             break
     return DeltaSelection(delta=chosen, history=history)

@@ -300,14 +300,16 @@ def find_min_k(k_max: int, tol: float = 1e-10) -> Optional[int]:
         raise GeometryError("k_max must be >= 1")
     for K in range(1, k_max + 1):
         aa2 = aa2_integral_scaled(K, tol=tol)
-        if not _strictly_negative(aa2.value, aa2.est_error):
+        if not certified_negative(aa2.value, aa2.est_error):
             continue
-        if _strictly_negative(*_identity_rhs(K, aa2, tol)):
+        if certified_negative(*_identity_rhs(K, aa2, tol)):
             return K
     return None
 
 
-def _strictly_negative(v: LogScaledReal, est_error: float) -> bool:
+def certified_negative(v: LogScaledReal, est_error: float) -> bool:
+    """Whether v is negative beyond SIGN_MARGIN times its error estimate:
+    the one rule by which a computed sign counts as certified."""
     if v.sign >= 0:
         return False
     if est_error <= 0.0:
@@ -334,20 +336,16 @@ def segment_in_sectors(seg: Segment, tree: SteinerTree) -> bool:
 def check_segment_positivity(seg: Segment, tree: SteinerTree) -> int:
     """Sign of the integral of the slit-plane field along a chord whose
     endpoints lie on the unit circle, the chord staying inside the two
-    sectors.  Near-zero integrals (below the quadrature error) report +1
-    with near-zero magnitude, matching the vanishing-chord limit."""
+    sectors: -1 only where the integral is `certified_negative`.
+    Near-zero integrals (below the quadrature error) report +1, matching
+    the vanishing-chord limit."""
     for p in (seg.p, seg.q):
         if abs(math.hypot(*p) - 1.0) > 1e-9:
             raise GeometryError(f"endpoint {p} is not on the unit circle")
     if not segment_in_sectors(seg, tree):
         raise GeometryError("segment exits the sectors")
     res = line_integral(u_log_xy, seg, tol=1e-9)
-    if res.value.is_zero or res.value.to_float() <= res.est_error:
-        if res.value.sign < 0 and \
-                abs(res.value.to_float()) > SIGN_MARGIN * res.est_error:
-            return -1
-        return 1
-    return int(res.value.sign)
+    return -1 if certified_negative(res.value, res.est_error) else 1
 
 
 def random_boundary_chords(tree: SteinerTree, count: int, seed: int):

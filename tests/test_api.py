@@ -5,14 +5,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "tests", "tools", "perfbench")
-EXEMPT = {
-    # the subharmonicity spot certificate is to be reworked, and its
-    # tolerance, margin sampling, spot count and seed may then need a caller
-    ("tail_subharmonic_report", "tol_factor"),
-    ("tail_subharmonic_report", "margin_samples"),
-    ("tail_subharmonic_report", "n_spot"),
-    ("tail_subharmonic_report", "seed"),
-}
 
 
 def _defaulted_parameters():
@@ -74,8 +66,7 @@ def test_no_parameter_is_default_only():
     default_only = [
         f"{mod}.{fn}({param})"
         for mod, fn, param, index in _defaulted_parameters()
-        if (fn, param) not in EXEMPT
-        and not any(_sets(c, param, index) for c in calls.get(fn, []))]
+        if not any(_sets(c, param, index) for c in calls.get(fn, []))]
     assert default_only == []
 
 
@@ -123,3 +114,25 @@ def test_no_public_name_is_reached_only_by_tests():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and not node.name.startswith("_")}
     assert defined - loaded == set()
+
+
+def test_no_module_imports_another_modules_private_name():
+    # an underscore name belongs to its module; tests may still reach it
+    found = []
+    for path in sorted((ROOT / "src" / "nonembed").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").startswith("nonembed"):
+                found += [f"{path.stem}: {node.module}.{a.name}"
+                          for a in node.names if a.name.startswith("_")]
+                if node.module == "nonembed":
+                    modules.update(a.asname or a.name for a in node.names)
+        found += [f"{path.stem}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules
+                  and node.attr.startswith("_")]
+    assert found == []

@@ -40,6 +40,20 @@ def test_harmonic_polynomial_reproduced():
     assert errs[1] < 1e-9
 
 
+def test_scalar_field_rejects_non_finite_values_on_live_nodes_only():
+    g = bvp.MaskedGrid(origin=(0.0, 0.0), h=1.0,
+                       mask=np.array([[bvp.EXTERIOR, bvp.BOUNDARY],
+                                      [bvp.INTERIOR, bvp.INTERIOR]],
+                                     dtype=np.int8),
+                       subgrid_boundary=True)
+    bvp.ScalarField(grid=g, values=np.array([[np.nan, 0.0], [1.0, 2.0]]))
+    for node in ((0, 1), (1, 0)):
+        values = np.zeros((2, 2))
+        values[node] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            bvp.ScalarField(grid=g, values=values)
+
+
 def test_max_principle_on_disc_grid():
     g = disc_grid(1.0, 64)
     X, Y = g.nodes_xy()
@@ -520,7 +534,7 @@ def test_select_N_below_threshold_fails():
     assert sel.N > 1e6
     w = bvp.ScalarField(grid=sel.w0.grid,
                         values=sel.w0.values + 1.0 * sel.w1.values)
-    m = bvp._edge_margins(sel.geom, w, sel.h, bvp.EDGE_SAMPLES)
+    m = bvp.edge_margins(sel.geom, w, sel.h, bvp.EDGE_SAMPLES)
     bad = min(float(np.min(v["margin"])) for v in m.values())
     assert bad < 0.0
 

@@ -548,6 +548,23 @@ def test_verify_tail_builds_the_glued_field_once(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+def test_tail_grid_laplacian_computed_once(monkeypatch):
+    # both sign certificates read the tail's one grid Laplacian
+    fields = []
+
+    def counted(f):
+        fields.append(f)
+        return laplacian_grid(f)
+
+    laplacian_grid = bvp.laplacian_grid
+    for mod in (bvp, mollify, conformal):
+        monkeypatch.setattr(mod, "laplacian_grid", counted)
+    fresh = cli.PipelineContext(cli.RunConfig(pentagon_resolution=64))
+    cli.verify_tail(fresh)
+    cli.verify_corollary(fresh)
+    assert sum(f is fresh.tail.field for f in fields) == 1
+
+
 def test_verify_ruled_golden_values(ctx):
     # report values of `verify ruled` at the default config, pinned to
     # the digit: the batched projection and the cached comparison stencil

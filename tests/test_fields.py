@@ -134,26 +134,38 @@ def test_gradient_matches_centered_differences():
 def test_laplacian_residual_linear_exact():
     def f(x, y):
         return 2.0 * x - 3.0 * y + 1.0
-    assert abs(laplacian_residual(f, (0.4, -0.2), 1e-3)) < 1e-9
+    assert abs(laplacian_residual(f, 0.4, -0.2, 1e-3)) < 1e-9
 
 
 def test_laplacian_residual_quadratic():
     def f(x, y):
         return x * x + y * y
-    assert laplacian_residual(f, (0.3, 0.7), 1e-3) == pytest.approx(4.0, abs=1e-8)
+    assert laplacian_residual(f, 0.3, 0.7, 1e-3) == pytest.approx(4.0, abs=1e-8)
 
 
 def test_laplacian_residual_second_order_on_u():
     p = (0.5 * math.cos(math.pi), 0.5 * math.sin(math.pi))
-    r1 = laplacian_residual(u_float, p, 1e-2)
-    r2 = laplacian_residual(u_float, p, 5e-3)
+    r1 = laplacian_residual(u_float, *p, 1e-2)
+    r2 = laplacian_residual(u_float, *p, 5e-3)
     assert 3.5 <= abs(r1 / r2) <= 4.5
 
 
 def test_laplacian_residual_stencil_domain_check():
     # the lower stencil point (0.5, 0) lies on the slit
     with pytest.raises(FieldDomainError):
-        laplacian_residual(u_float, (0.5, 1e-3), 1e-3)
+        laplacian_residual(u_float, 0.5, 1e-3, 1e-3)
+
+
+def test_laplacian_residual_on_arrays_equals_the_per_point_stencil():
+    rng = np.random.default_rng(3)
+    r, th = rng.uniform([0.2, 1.2], [0.9, 5.0], (30, 2)).T
+    x, y, h = r * np.cos(th), r * np.sin(th), 1e-3 * r
+    per_point = []
+    for xi, yi, hi in zip(x.tolist(), y.tolist(), h.tolist()):
+        c, e, w, n, s = u_float(np.array([xi, xi + hi, xi - hi, xi, xi]),
+                                np.array([yi, yi, yi, yi + hi, yi - hi]))
+        per_point.append(float((e + w + n + s - 4.0 * c) / (hi * hi)))
+    assert laplacian_residual(u_float, x, y, h).tolist() == per_point
 
 
 def test_angle_field_reference_values():

@@ -82,8 +82,29 @@ def test_mean_value_property_of_kernel_quadrature(tail4):
     mg = tail4.mollified
     for (yx, yy) in ((-0.5, 0.2), (-0.2, -0.55)):
         exact = u_float(yx, yy)
-        quadv = mg.kernel_average(yx, yy)
+        quadv = mg.kernel_average(np.array([yx]), np.array([yy]))[0]
         assert quadv == pytest.approx(exact, rel=1e-10)
+
+
+def test_batched_kernel_average_equals_the_per_point_dot(tail4, selected4):
+    # one glue evaluation on every kernel node, then one dot per row: each
+    # row has the bits of np.dot over that point's kernel nodes alone
+    mg = tail4.mollified
+    poly, geom = mg.glue.poly, selected4.geom
+    d = 0.5 * mg.delta
+    pts = []
+    for k in (geom.LEG_UP, geom.TOP):
+        (nx, ny), edge = poly.inward_normal(k), poly.edge(k)
+        for t in (0.3, 0.6):
+            px, py = (float(c) for c in edge.at(t))
+            pts += [(px + d * nx, py + d * ny), (px - d * nx, py - d * ny)]
+    pts += [((1.0 + s) * math.cos(a), (1.0 + s) * math.sin(a))
+            for a in (2.0, 3.5) for s in (d, -d)]
+    x, y = np.array(pts).T
+    assert np.all(mg.glue.interface_distance(x, y) < mg.delta)
+    per_point = [float(np.dot(mg._wgt, mg.glue.value(a + mg._dx, b + mg._dy)))
+                 for a, b in pts]
+    assert mg.kernel_average(x, y).tolist() == per_point
 
 
 def test_tail_not_identically_zero_on_tree(tail4):

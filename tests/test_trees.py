@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nonembed.fields import u_float, u_log_xy
-from nonembed.logscale import float_to_log
+from nonembed.logscale import LogScaledReal, float_to_log
 from nonembed.trees import (GeometryError, Segment, aa2_integral_scaled,
-                            build_steiner_tree, check_segment_positivity,
+                            build_steiner_tree, certified_negative,
+                            check_segment_positivity,
                             find_min_k, green_identity_residual,
                             identity_right_side, line_integral,
                             moon_tree, segment_in_sectors, tree_integral,
@@ -233,11 +234,25 @@ def test_find_min_k_stable_under_tolerance_halving():
 
 def test_conditions_monotone_above_K_star():
     # both sign conditions continue to hold up to k_max (oracle-confirmed)
-    from nonembed.trees import _identity_rhs, _strictly_negative
+    from nonembed.trees import _identity_rhs
     for K in range(K_STAR, 9):
         aa2 = aa2_integral_scaled(K)
-        assert _strictly_negative(aa2.value, aa2.est_error)
-        assert _strictly_negative(*_identity_rhs(K, aa2, 1e-10)), K
+        assert certified_negative(aa2.value, aa2.est_error)
+        assert certified_negative(*_identity_rhs(K, aa2, 1e-10)), K
+
+
+@pytest.mark.parametrize("value, est_error, negative", [
+    (-1e-300, 0.0, True),
+    (-10.0 * 1e-6 * (1.0 - 1e-9), 1e-6, False),
+    (-10.0 * 1e-6 * (1.0 + 1e-9), 1e-6, True),
+    (1.0, 1e-6, False),
+    (0.0, 1e-6, False),
+    (LogScaledReal(-1, 1000.0), 1e300, True),
+])
+def test_certified_negative(value, est_error, negative):
+    v = value if isinstance(value, LogScaledReal) \
+        else LogScaledReal.from_float(value)
+    assert certified_negative(v, est_error) == negative
 
 
 # ---------------------------------------------------------------------------
