@@ -23,15 +23,17 @@ Two solvers:
   taken as the exact 5-point stencil, so one step of iterative
   refinement against the true A follows, whose residual b - A x is
   summed in compensated float64 (TwoProduct and TwoSum over the 5-point
-  stencil).  Pointwise relative accuracy matters because the far-edge
+  stencil); `PolygonProblem.residual` reads the same residual.
+  Pointwise relative accuracy matters because the far-edge
   harmonic measure decays below 1e-15 here: against the exact separated
   solution of a discrete rectangle problem (60 digits) the refined solve
   is within 6e-17 relative at sampled nodes down to values of 3e-18,
   where an unrefined COLAMD-ordered LU was off by 2.1e-13
   (test_polygon_solve_pointwise_accuracy_against_discrete_oracle).
 
-The system is kept as its 5-point stencil arrays; the only sparse matrix
-built is its tip and Γ block, which is all the split solve reads.
+The system is kept on the grid's node array: the unknowns' mask and each
+node's 5-point coefficients, zero off the unknowns.  The only sparse
+matrix built is its tip and Γ block, which is all the split solve reads.
 
 The pentagon pipeline solves the mixed problem (slit-field data on the two
 slanted legs, zero on top/bottom, a constant N on the far right edge),
@@ -278,10 +280,10 @@ def _cut_arms(poly: ConvexPolygon, px: np.ndarray, py: np.ndarray,
 
 def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
                       shape: Tuple[int, int]) -> dict:
-    """The Shortley-Weller system as 5-point stencil arrays: per unknown,
-    `diag` and the four neighbour coefficients `coefs` (E, W, N, S; A holds
-    their negatives) with the neighbours' unknowns `nbr`, -1 for a cut arm.
-    Unknowns are numbered column by column."""
+    """The Shortley-Weller system on the (nx, ny) node array: the unknowns
+    `interior`, and per node `diag` and the four neighbour coefficients
+    `coefs` (E, W, N, S; A holds their negatives), zero off the unknowns.
+    Unknowns are numbered column by column, the order of the nodes."""
     nx, ny = shape
     xs = origin[0] + h * np.arange(nx)
     ys = origin[1] + h * np.arange(ny)
@@ -290,71 +292,51 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
     interior[0, :] = interior[-1, :] = False
     interior[:, 0] = interior[:, -1] = False
 
-    idx = -np.ones((nx, ny), dtype=np.int64)
-    ii, jj = np.where(interior)
-    idx[ii, jj] = np.arange(len(ii))
-    n = len(ii)
-
-    nbr = np.stack([idx[ii + di, jj + dj] for di, dj in _DIRS])
-    alphas = np.ones((4, n))
+    alphas = np.ones((4, nx * ny))
     per_dir = []
     for d, (di, dj) in enumerate(_DIRS):
-        rows = np.flatnonzero(nbr[d] < 0)
-        px, py = xs[ii[rows]], ys[jj[rows]]
+        # no unknown lies on the grid's edge, so the roll never wraps one
+        node = np.flatnonzero(interior & ~np.roll(interior, (-di, -dj), (0, 1)))
+        px, py = xs[node // ny], ys[node % ny]
         a, k = _cut_arms(poly, px, py, di, dj, h)
         a = np.maximum(a, 1e-6)
-        alphas[d, rows] = a
-        per_dir.append(dict(row=rows, dir=np.full(len(rows), d), alpha=a,
+        alphas[d, node] = a
+        per_dir.append(dict(node=node, dir=np.full(len(node), d), alpha=a,
                             edge=k, x=px + a * h * di, y=py + a * h * dj))
-    # cut-arm records (row, direction, alpha, edge index, cut point) in
-    # (direction, row) order
+    # cut-arm records (flat node index, direction, alpha, edge index, cut
+    # point) in (direction, node) order
     cuts = {key: np.concatenate([c[key] for c in per_dir]) for key in per_dir[0]}
 
-    aE, aW, aN, aS = alphas
-    diag = (2.0 / (aE * aW) + 2.0 / (aN * aS)) / h**2
-    coefs = np.empty((4, n))
-    coefs[0] = 2.0 / (aE * (aE + aW)) / h**2
-    coefs[1] = 2.0 / (aW * (aE + aW)) / h**2
-    coefs[2] = 2.0 / (aN * (aN + aS)) / h**2
-    coefs[3] = 2.0 / (aS * (aN + aS)) / h**2
-    return dict(interior=interior, ii=ii, jj=jj, diag=diag, coefs=coefs,
-                nbr=nbr, cuts=cuts, origin=origin, h=h, shape=shape)
+    aE, aW, aN, aS = alphas.reshape(4, nx, ny)
+    diag = np.where(interior, (2.0 / (aE * aW) + 2.0 / (aN * aS)) / h**2, 0.0)
+    coefs = np.stack([2.0 / (aE * (aE + aW)) / h**2,
+                      2.0 / (aW * (aE + aW)) / h**2,
+                      2.0 / (aN * (aN + aS)) / h**2,
+                      2.0 / (aS * (aN + aS)) / h**2])
+    coefs *= interior
+    return dict(interior=interior, diag=diag, coefs=coefs, cuts=cuts,
+                origin=origin, h=h, shape=shape)
 
 
 def _leading_block(geom: dict, k: int):
-    """A[:k, :k] of the stencil system as a CSC matrix."""
+    """A[:k, :k] of the stencil system as a CSC matrix, where the first k
+    unknowns fill whole node columns."""
     from scipy.sparse import csc_matrix
-    nbr = geom["nbr"][:, :k]
-    rows, cols, vals = [np.arange(k)], [np.arange(k)], [geom["diag"][:k]]
-    for d in range(4):
-        sel = np.flatnonzero((nbr[d] >= 0) & (nbr[d] < k))
+    inside = geom["interior"]
+    c = int(np.searchsorted(np.cumsum(np.count_nonzero(inside, axis=1)), k)) + 1
+    lead = inside[:c]
+    idx = np.full((c + 1, inside.shape[1]), -1)  # and the column right of Γ
+    idx[:c][lead] = np.arange(k)
+    rows, cols, vals = [np.arange(k)], [np.arange(k)], [geom["diag"][:c][lead]]
+    for d, (di, dj) in enumerate(_DIRS):
+        nb = np.roll(idx, (-di, -dj), (0, 1))[:c][lead]
+        sel = np.flatnonzero(nb >= 0)
         rows.append(sel)
-        cols.append(nbr[d][sel])
-        vals.append(-geom["coefs"][d][sel])
+        cols.append(nb[sel])
+        vals.append(-geom["coefs"][d, :c][lead][sel])
     return csc_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(k, k))
-
-
-# the W, S, centre, N and E terms of a row (d = 1, 3, centre, 2, 0) in the
-# order of their unknowns, which is the order a CSC matvec adds them in
-_MATVEC_ORDER = (1, 3, None, 2, 0)
-
-
-def _stencil_matvec(geom: dict, x: np.ndarray) -> np.ndarray:
-    """A x over the whole system from the stencil arrays, each row summed
-    from +0.0 in the order of a CSC matvec, so its bits are those of
-    `A @ x` with A assembled.  A cut arm adds 0.0 * x, a signed zero,
-    which leaves the partial sum unchanged: a sum that starts from +0.0
-    is never -0.0."""
-    y = np.zeros(len(x))
-    for d in _MATVEC_ORDER:
-        if d is None:
-            y += geom["diag"] * x
-        else:
-            nb = geom["nbr"][d]
-            y += np.where(nb >= 0, -geom["coefs"][d], 0.0) * x[np.maximum(nb, 0)]
-    return y
 
 
 # Compensated float64 arithmetic: Knuth's TwoSum and Dekker's TwoProduct
@@ -382,30 +364,33 @@ def _two_product(a, b):
     return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
-# unknowns per block of the refinement residual: its ~125 elementwise
-# operations then run on cache-sized arrays
-_BLOCK = 1 << 12
+# node columns per block of the residual: its ~125 elementwise operations
+# then run on cache-sized arrays
+_BLOCK = 16
 
 
 def _stencil_residual(geom: dict, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b - A x for data sets stacked as rows, x and b of shape (m, n),
-    summed over each row of A's five stencil terms as if in twice the
-    working precision and rounded once (Ogita, Rump and Oishi's Dot2).
-    Rows of A are taken _BLOCK at a time; x is gathered by global index."""
-    out = np.empty_like(b)
-    for lo in range(0, b.shape[1], _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        s, err = _two_product(-geom["diag"][blk], x[:, blk])
-        s, e = _two_sum(b[:, blk], s)
+    """b - A x for data sets stacked on axis 0, x and b node arrays of
+    shape (k, nx, ny) with x zero off the unknowns, summed over each row of
+    A's five stencil terms as if in twice the working precision and
+    rounded once (Ogita, Rump and Oishi's Dot2).  Node columns are taken
+    _BLOCK at a time, each neighbour through a shifted slice; the grid's
+    edge nodes, which hold no unknown, get 0."""
+    nx, ny = b.shape[1:]
+    out = np.zeros_like(b)
+    for lo in range(1, nx - 1, _BLOCK):
+        hi = min(lo + _BLOCK, nx - 1)
+        s, err = _two_product(-geom["diag"][lo:hi, 1:-1], x[:, lo:hi, 1:-1])
+        s, e = _two_sum(b[:, lo:hi, 1:-1], s)
         err += e
-        for d in range(4):
-            nb = geom["nbr"][d, blk]
-            c = np.where(nb >= 0, geom["coefs"][d, blk], 0.0)  # cut arms add 0 x 0
-            p, e = _two_product(c, x[:, np.maximum(nb, 0)])
+        for d, (di, dj) in enumerate(_DIRS):
+            # a cut arm's neighbour is off the unknowns and adds c x 0
+            p, e = _two_product(geom["coefs"][d, lo:hi, 1:-1],
+                                x[:, lo + di:hi + di, 1 + dj:ny - 1 + dj])
             err += e
             s, e = _two_sum(s, p)
             err += e
-        out[:, blk] = s + err
+        out[:, lo:hi, 1:-1] = s + err
     return out
 
 
@@ -416,25 +401,19 @@ _PLAIN = 1e-12
 
 
 def _plain_block(geom: dict) -> Tuple[int, int]:
-    """(s, m): the trailing block of full-height plain columns, which ends
-    next to a Dirichlet node column, starts at unknown s and holds m
-    unknowns per column.  Unknowns are numbered column by column."""
-    ii, jj = geom["ii"], geom["jj"]
-    n = len(ii)
+    """(s, m): the trailing block of plain node columns, each with the
+    live rows of the last unknown column, which ends next to a Dirichlet
+    node column, starts at unknown s and holds m unknowns per column."""
+    inside = geom["interior"]
     plain = np.all(np.abs(geom["coefs"] * geom["h"] ** 2 - 1.0) <= _PLAIN, axis=0)
-    m = int(np.count_nonzero(ii == ii[-1]))
-    q = n // m
-    cols = ii[n - q * m:].reshape(q, m)
-    rows = jj[n - q * m:].reshape(q, m)
-    ok = (np.all(cols == (ii[-1] - np.arange(q)[::-1])[:, None], axis=1)
-          & np.all(rows == rows[-1], axis=1)
-          & np.all(plain[n - q * m:].reshape(q, m), axis=1))
-    bad = np.flatnonzero(~ok)
-    p = q - (bad[-1] + 1 if len(bad) else 0)
+    last = np.flatnonzero(np.any(inside, axis=1))[-1]
+    ok = np.all(inside == inside[last], axis=1) & np.all(plain | ~inside, axis=1)
+    p = int(last - np.flatnonzero(~ok[:last + 1])[-1])  # column 0 holds none
     if p < 2:
         raise SolverError("the polygon has no trailing block of plain 5-point "
                           "columns ending at a Dirichlet node column")
-    return int(n - p * m), m
+    m = int(np.count_nonzero(inside[last]))
+    return int(np.count_nonzero(inside)) - p * m, m
 
 
 def _block_solver(A, h: float, m: int, n: int):
@@ -516,7 +495,7 @@ class PolygonProblem:
     """Shortley-Weller discretization of a convex polygon, solved for any
     number of Dirichlet data sets at once.  The polygon must end on the
     right in a block of plain 5-point columns (see `_plain_block`).
-    The system is kept as its stencil arrays in `geom`; `A` is a sparse
+    The system is kept on the grid's node array in `geom`; `A` is a sparse
     matrix of its tip and Γ rows and columns only, A[:s+m, :s+m], which is
     all that the block solver reads.  `stats` holds the sizes and stage
     times of the last solve."""
@@ -539,9 +518,11 @@ class PolygonProblem:
         return data
 
     def _rhs(self, data: np.ndarray) -> np.ndarray:
+        """The right-hand side as a node array, zero off the unknowns."""
         c = self.geom["cuts"]
-        b = np.zeros(len(self.geom["ii"]))
-        np.add.at(b, c["row"], self.geom["coefs"][c["dir"], c["row"]] * data)
+        b = np.zeros(self.geom["shape"])
+        coef = self.geom["coefs"].reshape(4, -1)[c["dir"], c["node"]]
+        np.add.at(b.reshape(-1), c["node"], coef * data)
         return b
 
     def solve(self, edge_data_sets: Sequence[Sequence[Callable]]
@@ -557,26 +538,28 @@ class PolygonProblem:
         grid = MaskedGrid(origin=g["origin"], h=g["h"], mask=mask,
                           subgrid_boundary=True)
         out = []
-        for col, v in zip(x, data):
-            values = np.zeros(g["shape"])
-            values[g["ii"], g["jj"]] = col
-            self._fill_rim(values, col, v)
+        for values, v in zip(x, data):
+            values = values.copy()  # a kept field holds no other data set
+            self._fill_rim(values, v)
             out.append(ScalarField(grid=grid, values=values))
         return out
 
     def _refined_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solutions of A x = b for the rows of b, shape (m, n): the block
-        solve, then one refinement step against A; its sizes and stage
-        times go to `stats`."""
+        """Solutions of A x = b for node arrays b of shape (k, nx, ny), zero
+        off the unknowns: the block solve, then one refinement step against
+        A; its sizes and stage times go to `stats`."""
         t0 = time.perf_counter()
-        n = len(self.geom["ii"])
+        inside = self.geom["interior"]
+        n = int(np.count_nonzero(inside))
         solve, fill = _block_solver(self.A, self.geom["h"], self._gamma, n)
         t1 = time.perf_counter()
-        x = solve(b)
+        on = np.broadcast_to(inside, b.shape)  # in the solver's order
+        x = np.zeros_like(b)
+        np.place(x, on, solve(np.extract(on, b).reshape(len(b), n)))
         t2 = time.perf_counter()
-        r = _stencil_residual(self.geom, x, b)
+        r = np.extract(on, _stencil_residual(self.geom, x, b)).reshape(len(b), n)
         t3 = time.perf_counter()
-        x += solve(r)
+        np.place(x, on, np.extract(on, x) + solve(r).ravel())
         t4 = time.perf_counter()
         self.stats = dict(
             tip_unknowns=self._tip, gamma_unknowns=self._gamma,
@@ -585,18 +568,16 @@ class PolygonProblem:
             correction_s=t4 - t3)
         return x
 
-    def _fill_rim(self, values: np.ndarray, x: np.ndarray,
-                  data: np.ndarray) -> None:
-        """First-order extrapolation of the solution onto exterior nodes
-        adjacent to the boundary, so bilinear interpolation of cells that
-        straddle an edge honors the Dirichlet data instead of blending
-        with zeros.  A node reached by several arms gets their mean."""
-        g = self.geom
-        c = g["cuts"]
-        step = np.array(_DIRS)[c["dir"]]
-        q = np.ravel_multi_index((g["ii"][c["row"]] + step[:, 0],
-                                  g["jj"][c["row"]] + step[:, 1]), values.shape)
-        xr = x[c["row"]]
+    def _fill_rim(self, values: np.ndarray, data: np.ndarray) -> None:
+        """First-order extrapolation of the solution in `values` onto
+        exterior nodes adjacent to the boundary, so bilinear interpolation
+        of cells that straddle an edge honors the Dirichlet data instead of
+        blending with zeros.  A node reached by several arms gets their
+        mean."""
+        c = self.geom["cuts"]
+        ny = values.shape[1]
+        q = c["node"] + np.array([di * ny + dj for di, dj in _DIRS])[c["dir"]]
+        xr = values.flat[c["node"]]
         v = np.where(c["alpha"] >= 0.2, xr + (data - xr) / c["alpha"], data)
         total = np.full(values.size, -0.0)  # -0.0 + v == v, signed zeros too
         np.add.at(total, q, v)
@@ -605,10 +586,11 @@ class PolygonProblem:
         values.flat[hit] = total[hit] / count[hit]
 
     def residual(self, f: ScalarField, edge_data: Sequence[Callable]) -> float:
-        """max |A x - b| / max |b| for the values of f at the unknowns."""
+        """max |b - A x| / max |b| for the values of f at the unknowns, with
+        b - A x the compensated residual of the refinement."""
         b = self._rhs(self._cut_data(edge_data))
-        x = f.values[self.geom["ii"], self.geom["jj"]]
-        r = _stencil_matvec(self.geom, x) - b
+        x = np.where(self.geom["interior"], f.values, 0.0)
+        r = _stencil_residual(self.geom, x[None], b[None])
         return float(np.max(np.abs(r)) / max(np.max(np.abs(b)), 1e-300))
 
 

@@ -215,7 +215,12 @@ class PipelineContext:
 
     @cached_property
     def subharmonic(self) -> dict:
-        """The tail's composed subharmonicity certificate."""
+        """The tail's composed subharmonicity certificate, which both grid
+        sign checks read first: neither may pass on nothing."""
+        if not mollify.tail_resolves(self.tail):
+            raise ConfigError(
+                "grid.h must let some grid-visible tail node show a nonzero "
+                f"Laplacian, got {self.cfg.grid_h}")
         return mollify.tail_subharmonic_report(self.tail, self.selected)
 
     @cached_property
@@ -366,9 +371,10 @@ def claim_tail_tree_integral(ctx: PipelineContext, schedule,
 
 
 def claim_curvature_sign(ctx: PipelineContext, delta: float) -> dict:
+    subharmonic = ctx.subharmonic  # first: it checks grid.h
     rep = conformal.tail_curvature_report(ctx.tail, delta=delta)
     return check("bump-metric-curvature-sign", "curvature-nonpositive",
-                 rep["curvature_sign_pass"] and ctx.subharmonic["passes"],
+                 rep["curvature_sign_pass"] and subharmonic["passes"],
                  max_positive_logK=rep["max_positive_logK"],
                  scale_logK=rep["scale_logK"])
 

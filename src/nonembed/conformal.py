@@ -18,7 +18,7 @@ import numpy as np
 
 from nonembed.bvp import (EXTERIOR, INTERIOR, MaskedGrid, ScalarField,
                           laplacian_grid, stencil_reduce)
-from nonembed.mollify import TailFunction
+from nonembed.mollify import MollifyError, TailFunction, tail_resolves
 from nonembed.trees import Segment, SteinerTree, line_integral, tree_integral
 
 
@@ -150,6 +150,8 @@ def tail_curvature_report(tail: TailFunction, delta: float) -> dict:
     :func:`~nonembed.mollify.tail_subharmonic_report` as well, for the
     jumps that the grid cannot see.
     """
+    if not tail_resolves(tail):
+        raise MollifyError("no grid-visible tail node has a nonzero Laplacian")
     lap = tail.laplacian
     vis = tail.sign_checked
     phi_c = delta * tail.field.values[1:-1, 1:-1]

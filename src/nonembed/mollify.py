@@ -125,7 +125,8 @@ class MollifiedGlue:
         out = np.empty(X.shape)
         fast = self.glue.interface_distance(X, Y) > 1.02 * self.delta
         out[fast] = self.glue.value(X[fast], Y[fast])
-        out[~fast] = self.kernel_average(X[~fast], Y[~fast])
+        if not np.all(fast):
+            out[~fast] = self.kernel_average(X[~fast], Y[~fast])
         return out.reshape(np.shape(x))
 
 
@@ -225,6 +226,12 @@ def build_tail_v(selected: SelectedN, delta: float,
 # subharmonicity
 # ---------------------------------------------------------------------------
 
+def tail_resolves(tail: TailFunction) -> bool:
+    """Whether some grid-visible node of the tail has a nonzero grid
+    Laplacian, without which the grid sign checks have nothing to check."""
+    return bool(np.any(tail.sign_checked & (tail.laplacian != 0.0)))
+
+
 def tail_subharmonic_report(tail: TailFunction, selected: SelectedN) -> dict:
     """Discrete subharmonicity of the tail field over the unit disc.
 
@@ -246,6 +253,8 @@ def tail_subharmonic_report(tail: TailFunction, selected: SelectedN) -> dict:
 
     Raw worst node over everything is reported, not asserted.
     """
+    if not tail_resolves(tail):
+        raise MollifyError("no grid-visible tail node has a nonzero Laplacian")
     xs, ys = tail.field.grid.axes()
     glue = tail.mollified.glue
     lap = tail.laplacian

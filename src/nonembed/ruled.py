@@ -545,7 +545,7 @@ def saddle_candidate(g: GeneratedSurface, seed: int,
         break
     else:
         raise RuledError("no admissible bump support found")
-    info = dict(center=(x1c, x2c), radii=(rx, ry), amplitude=eta, sign=sign)
+    info = dict(center=(x1c, x2c), radii=(rx, ry), amplitude=eta)
     return _bump_offset(info), info
 
 

@@ -278,7 +278,7 @@ def test_polygon_solve_pointwise_accuracy_against_discrete_oracle():
     nx = round(Lx / h)
     poly = bvp.ConvexPolygon([(0.0, 0.0), (nx * h, 0.0), (nx * h, Ly), (0.0, Ly)])
     prob = bvp.PolygonProblem(poly, h, (0.0, 0.0), (nx + 1, ny + 1))
-    assert len(prob.geom["ii"]) == 17_979
+    assert np.count_nonzero(prob.geom["interior"]) == 17_979
     far_edge = [bvp._zero, lambda x, y: 1.0, bvp._zero, bvp._zero]
     (f,) = prob.solve([far_edge])
     worst, smallest = 0.0, math.inf
@@ -306,14 +306,14 @@ def test_unrefined_block_solve_is_close_to_the_refined_solve(selected4,
     every node (measured 1.75e-11).  The solver's matrix holds only the tip
     and Γ rows and columns."""
     prob = pentagon4
-    b = _basis_rhs(prob, selected4.geom)
+    inside = prob.geom["interior"]
+    b = _basis_rhs(prob, selected4.geom)[:, inside]
     solve, fill = bvp._block_solver(prob.A, prob.geom["h"], prob._gamma,
-                                    len(prob.geom["ii"]))
+                                    np.count_nonzero(inside))
     assert prob._tip == 5466 and prob._gamma == 191 and fill == 162_328
     assert prob.A.shape == (5657, 5657)
-    ii, jj = prob.geom["ii"], prob.geom["jj"]
     for x, w in zip(solve(b), (selected4.w0, selected4.w1)):
-        refined = w.values[ii, jj]
+        refined = w.values[inside]
         assert np.max(np.abs(x - refined) / np.abs(refined)) < 1e-10
 
 
@@ -325,11 +325,14 @@ def test_block_solve_equals_whole_matrix_lu_with_the_same_refinement():
     origin, h, shape = bvp._pentagon_grid_params(geom, 32)
     prob = bvp.PolygonProblem(geom.polygon, h, origin, shape)
     assert prob._tip > 0
+    inside = prob.geom["interior"]
     b = _basis_rhs(prob, geom)
     A = _assemble_per_node(geom.polygon, h, origin, shape)[0]
     lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-    ref = lu.solve(b.T).T
-    ref += lu.solve(bvp._stencil_residual(prob.geom, ref, b).T).T
+    ref = np.zeros_like(b)
+    ref[:, inside] = lu.solve(b[:, inside].T).T
+    ref[:, inside] += lu.solve(
+        bvp._stencil_residual(prob.geom, ref, b)[:, inside].T).T
     x = prob._refined_solve(b)
     assert np.all(np.abs(x - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
 
@@ -359,46 +362,49 @@ def test_selected_N_keeps_no_schur_matrix(selected4):
         stack.extend(gc.get_referents(obj))
 
 
-def test_stencil_residual_in_blocks_equals_one_block(monkeypatch):
-    """The compensated refinement residual, taken a few unknowns at a
-    time, has the bits of the same residual over all unknowns at once,
-    and it is b - A x."""
+def test_stencil_residual_in_column_blocks_equals_one_block(monkeypatch):
+    """The compensated residual, taken a few node columns at a time, has
+    the bits of the same residual over all columns at once, and both are
+    the per-node matrix's b - A x to rounding."""
     geom = bvp.pentagon_geometry(2)
     origin, h, shape = bvp._pentagon_grid_params(geom, 16)
     prob = bvp.PolygonProblem(geom.polygon, h, origin, shape)
-    n = len(prob.geom["ii"])
-    x, b = np.random.default_rng(3).standard_normal((2, 2, n))
-    monkeypatch.setattr(bvp, "_BLOCK", n)
+    inside = prob.geom["interior"]
+    x, b = np.random.default_rng(3).standard_normal((2, 2) + shape)
+    x *= inside
+    monkeypatch.setattr(bvp, "_BLOCK", shape[0])
     whole = bvp._stencil_residual(prob.geom, x, b)
-    monkeypatch.setattr(bvp, "_BLOCK", 37)
-    assert n > 37 and n % 37
+    monkeypatch.setattr(bvp, "_BLOCK", 7)
+    assert (shape[0] - 2) % 7 and shape[0] % 7
     blocked = bvp._stencil_residual(prob.geom, x, b)
     assert whole.tobytes() == blocked.tobytes()
     A = _assemble_per_node(geom.polygon, h, origin, shape)[0]
-    plain = b - (A @ x.T).T
-    assert np.allclose(blocked, plain, rtol=0.0, atol=1e-12 * np.abs(plain).max())
+    plain = b[:, inside] - (A @ x[:, inside].T).T
+    for r in (whole, blocked):
+        assert np.allclose(r[:, inside], plain, rtol=0.0,
+                           atol=1e-12 * np.abs(plain).max())
 
 
-def test_stencil_residual_equals_the_whole_matrix_residual():
-    """Without the whole matrix, `PolygonProblem.residual` sums A x from the
-    stencil arrays in the order of a CSC matvec, so A x - b has the bits
-    of the assembled matrix's, for the solution and for random values."""
+def test_polygon_residual_is_the_whole_matrix_residual():
+    """`PolygonProblem.residual` is max |b - A x| / max |b| of the per-node
+    matrix, to a few ulp of the terms that b - A x sums: for the solution,
+    whose residual cancels them to roundoff, and for random values."""
     geom = bvp.pentagon_geometry(3)
     origin, h, shape = bvp._pentagon_grid_params(geom, 48)
     prob = bvp.PolygonProblem(geom.polygon, h, origin, shape)
     A = _assemble_per_node(geom.polygon, h, origin, shape)[0]
-    ii, jj = prob.geom["ii"], prob.geom["jj"]
+    inside = prob.geom["interior"]
     data = bvp.pentagon_edge_data(geom, 1e3)
-    b = prob._rhs(prob._cut_data(data))
+    b = prob._rhs(prob._cut_data(data))[inside]
     (sol,) = prob.solve([data])
     rnd = bvp.ScalarField(grid=sol.grid, values=np.random.default_rng(5)
                           .standard_normal(sol.values.shape))
+    eps = np.finfo(float).eps
     for f in (sol, rnd):
-        x = f.values[ii, jj]
-        assert bvp._stencil_matvec(prob.geom, x).tobytes() == (A @ x).tobytes()
-        r = b - A @ x
-        assert prob.residual(f, data) == \
-            float(np.max(np.abs(r)) / max(np.max(np.abs(b)), 1e-300))
+        x = f.values[inside]
+        plain = np.max(np.abs(b - A @ x)) / np.max(np.abs(b))
+        terms = np.max(np.abs(b) + abs(A) @ np.abs(x)) / np.max(np.abs(b))
+        assert abs(prob.residual(f, data) - plain) <= 8 * eps * terms
 
 
 def _edge_cut(poly, p, direction, h):
@@ -470,9 +476,15 @@ def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4):
     prob = pentagon4
     origin, h, shape = bvp._pentagon_grid_params(geom, 192)
     A, coefs, records = _assemble_per_node(geom.polygon, h, origin, shape)
-    assert len(records) == len(prob.geom["cuts"]["row"])
-    assert np.array_equal(prob.geom["coefs"], coefs)
-    assert np.array_equal(prob.geom["diag"], A.diagonal())
+    inside = prob.geom["interior"]
+    ii, jj = np.nonzero(inside)
+    assert len(records) == len(prob.geom["cuts"]["node"])
+    assert np.array_equal(prob.geom["cuts"]["node"], np.ravel_multi_index(
+        (ii[[r[0] for r in records]], jj[[r[0] for r in records]]), shape))
+    assert np.array_equal(prob.geom["coefs"][:, inside], coefs)
+    assert np.array_equal(prob.geom["diag"][inside], A.diagonal())
+    assert not np.any(prob.geom["coefs"][:, ~inside])
+    assert not np.any(prob.geom["diag"][~inside])
     k = prob._tip + prob._gamma
     corner = A[:k, :k]
     assert np.array_equal(prob.A.indptr, corner.indptr)
@@ -486,12 +498,13 @@ def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4):
         b = np.zeros(A.shape[0])
         for (r, d, a, k, cutpt) in records:
             b[r] += coefs[d][r] * data[k](*cutpt)
-        assert np.array_equal(prob._rhs(prob._cut_data(data)), b)
+        rhs = prob._rhs(prob._cut_data(data))
+        assert np.array_equal(rhs[inside], b) and not np.any(rhs[~inside])
         # rim: extrapolate each arm to its exterior node, mean per node
-        x = w.values[prob.geom["ii"], prob.geom["jj"]]
+        x = w.values[inside]
         acc = {}
         for (r, d, a, k, cutpt) in records:
-            q = (prob.geom["ii"][r] + dirs[d][0], prob.geom["jj"][r] + dirs[d][1])
+            q = (ii[r] + dirs[d][0], jj[r] + dirs[d][1])
             v = data[k](*cutpt)
             acc.setdefault(q, []).append(x[r] + (v - x[r]) / a if a >= 0.2 else v)
         for q, vs in acc.items():

@@ -542,10 +542,36 @@ def test_verify_tail_builds_the_glued_field_once(tmp_path, monkeypatch):
     monkeypatch.setattr(bvp, "GluedField", Counted)
     monkeypatch.setattr(mollify, "GluedField", Counted)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("pentagon.resolution = 64\ngrid.h = 0.0171875\n")
+    cfg.write_text("pentagon.resolution = 64\ngrid.h = 0.011\n")
     assert cli.main(["verify", "tail", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) in (0, 1)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("target", ["tail", "corollary"])
+def test_tail_grid_that_sees_no_laplacian_exits_2(tmp_path, capsys, target):
+    # at grid.h = 0.0171875 every grid-visible tail node has a zero
+    # Laplacian: the sign checks would pass on nothing, and the curvature
+    # scale reduced an empty array
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pentagon.resolution = 64\ngrid.h = 0.0171875\n")
+    out = tmp_path / "o"
+    assert cli.main(["verify", target, "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert re.match(r"error: grid\.h\b", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_tail_reports_raise_on_a_grid_that_sees_no_laplacian():
+    cfg = cli.RunConfig(pentagon_resolution=64)
+    sel = cli.PipelineContext(cfg).selected
+    tail = mollify.build_tail_v(sel, math.exp(-2.0 * sel.geom.K) / 2.0,
+                                grid_n=128)
+    assert not mollify.tail_resolves(tail)
+    with pytest.raises(mollify.MollifyError, match="Laplacian"):
+        mollify.tail_subharmonic_report(tail, sel)
+    with pytest.raises(mollify.MollifyError, match="Laplacian"):
+        conformal.tail_curvature_report(tail, delta=1e-6)
 
 
 def test_tail_grid_laplacian_computed_once(monkeypatch):
