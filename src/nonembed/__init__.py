@@ -6,10 +6,9 @@ integrals over 120-degree minimal trees, a mixed Dirichlet problem on a
 long pentagon, mollified gluings and their subharmonicity, Gaussian
 curvature signs and curve lengths of conformal factors, composite bump
 metrics, and flat (developable) graph extensions with projection-length
-comparisons.
+comparisons.  Values beyond double range are carried in sign/log-magnitude
+form only inside the integrands of `nonembed.quadrature`; every integral
+comes back as one double.
 """
 
-from nonembed.logscale import LogScaledReal
-
-__all__ = ["LogScaledReal"]
 __version__ = "0.1.0"

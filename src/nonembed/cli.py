@@ -8,13 +8,13 @@ Subcommands:
     nonembed assemble {gII,g1,annulus} [flags]
     nonembed export  FIELD --format {csv,json} --dst PATH
 
-Reports are JSON with stable key order; numbers that overflow doubles are
-emitted as {"sign": s, "logmag": m} objects.  Each check carries a stable
-anchor string naming the claim it verifies.  Exit status: 0 all checks
-passed, 1 at least one verification failed, 2 invalid configuration or
-input, or a pipeline error.  The runtime block is the only
-nondeterministic part of a report; everything else is reproducible bit
-for bit for a fixed config.
+Reports are JSON with stable key order; a number past double range is
++-inf and is emitted as {"sign": +-1, "logmag": inf}, and NaN as null.
+Each check carries a stable anchor string naming the claim it verifies.
+Exit status: 0 all checks passed, 1 at least one verification failed, 2
+invalid configuration or input, or a pipeline error.  The runtime block
+is the only nondeterministic part of a report; everything else is
+reproducible bit for bit for a fixed config.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from nonembed import assembly, bvp, conformal, mollify, ruled, trees
 from nonembed.fields import (laplacian_residual, radial_derivative_u,
                              u_float, u_log_xy)
 from nonembed.gridio import GridIOError, convert_grid, write_grid_csv, write_json
-from nonembed.logscale import LogScaledReal
 
 ASSEMBLE_TARGETS = ("gII", "g1", "annulus")
 G1_GRID_N = 1536  # cells across the pocket metric's box
@@ -132,17 +131,14 @@ def load_config(path: Optional[str]) -> RunConfig:
 
 
 def encode_number(x):
-    """JSON-safe number: plain float when representable, sign/logmag pair
-    otherwise."""
-    if isinstance(x, LogScaledReal):
-        f = x.to_float()
-        if math.isfinite(f):
-            return f
-        return {"sign": x.sign, "logmag": x.logmag}
+    """JSON-safe number: the float itself when finite, null for NaN, and
+    {"sign": +-1, "logmag": inf} for +-inf."""
     x = float(x)
     if math.isfinite(x):
         return x
-    return {"sign": 0 if x == 0 else (1 if x > 0 else -1), "logmag": math.inf}
+    if math.isnan(x):
+        return None
+    return {"sign": 1 if x > 0 else -1, "logmag": math.inf}
 
 
 def check(name: str, anchor: str, passed: bool, **values) -> dict:
@@ -156,8 +152,6 @@ def _jsonable(v):
         return v
     if isinstance(v, np.bool_):
         return bool(v)
-    if isinstance(v, LogScaledReal):
-        return encode_number(v)
     if isinstance(v, (float, np.floating)):
         return encode_number(float(v))
     if isinstance(v, (np.integer,)):
@@ -294,7 +288,7 @@ def claim_harmonicity_ratio(ctx: PipelineContext, rng: np.random.Generator,
 def claim_axis_integral(ctx: PipelineContext, tol: float) -> dict:
     aa1 = trees.aa2_integral_scaled(1, tol=tol)
     return check("axis-integral-cancels-at-K1", "axis-integral-zero",
-                 abs(aa1.float_value) <= 1e-10,
+                 abs(aa1.value) <= 1e-10,
                  value=aa1.value, est_error=aa1.est_error)
 
 
@@ -321,7 +315,7 @@ def claim_tree_integral(ctx: PipelineContext, tol: float) -> dict:
     K = ctx.k_star
     ti = trees.tree_integral(u_log_xy, trees.moon_tree(K), tol=tol)
     return check("tree-integral-sign", "tree-integral-negative",
-                 ti.float_value < 0.0,
+                 ti.value < 0.0,
                  value=ti.value, est_error=ti.est_error, K=K)
 
 
@@ -572,7 +566,12 @@ def verify_annulus(ctx: PipelineContext) -> list:
 
 def verify_ruled(ctx: PipelineContext) -> list:
     cfg = ctx.cfg
-    gen, ext = ctx.ruled_surface(cfg.ruled_eps, cfg.seed)
+    try:
+        gen, ext = ctx.ruled_surface(cfg.ruled_eps, cfg.seed)
+    except ruled.RuledError as exc:
+        raise ConfigError(f"ruled.eps must give a surface whose rulings "
+                          f"extend as a graph, got {cfg.ruled_eps}: {exc}"
+                          ) from exc
     return [claim_cylinder_round_trip(ctx),
             claim_extension_flatness(ctx, ext),
             claim_concavity_family(ctx, seed=cfg.seed),
@@ -665,7 +664,6 @@ def cmd_assemble(target: str, cfg: RunConfig) -> int:
         _check_g1_resolves(cfg)
     ctx = PipelineContext(cfg)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {"config": _config_echo(cfg), "target": target}
     if target == "g1":
         pm = assembly.build_g1(cfg.n_max, grid_n=G1_GRID_N)

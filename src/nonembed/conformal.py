@@ -5,7 +5,7 @@ amplitude, amplitude threshold scan).
 Gaussian curvature of a conformal factor phi is -e^{-2 phi} (Laplacian of
 phi); lengths are line integrals of e^{phi}.  Lengths are accumulated in
 log scale (the integrand's log is phi itself), so factors far beyond
-double range integrate safely.
+double range integrate safely; a length past double range is +inf.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def curve_length(phi: Callable, curve: Union[Segment, SteinerTree]) -> float:
         return np.ones(p.shape, dtype=int), p
 
     if isinstance(curve, SteinerTree):
-        return tree_integral(log_density, curve, tol=LENGTH_TOL).float_value
-    return line_integral(log_density, curve, tol=LENGTH_TOL).float_value
+        return tree_integral(log_density, curve, tol=LENGTH_TOL).value
+    return line_integral(log_density, curve, tol=LENGTH_TOL).value
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +101,8 @@ def length_derivative_check(tail: TailFunction, tree: SteinerTree,
                 np.log(np.sinh(x)))
         return np.sign(v).astype(int), log_sinh - log_step
 
-    lhs = tree_integral(log_sinh_quotient, tree, tol=LENGTH_TOL).float_value
-    rhs = tree_integral(tail.log_value, tree, tol=1e-10).float_value
+    lhs = tree_integral(log_sinh_quotient, tree, tol=LENGTH_TOL).value
+    rhs = tree_integral(tail.log_value, tree, tol=1e-10).value
     return lhs, rhs
 
 

@@ -10,8 +10,9 @@ Cartesian (or polar) coordinates and returns arrays of the same shape;
 each element's bits are those of that point evaluated alone, whatever the
 batch size.  The magnitude of u exceeds double range already for
 moderate log r, so :func:`u_log_xy` returns (sign, log|u|) pairs, which
-the quadrature accumulates in log scale; :func:`u_float` converts them to
-doubles and gives +-inf past double range.  The module also provides the
+the quadrature accumulates in log scale before it returns one double per
+integral; :func:`u_float` converts them to doubles and gives +-inf past
+double range.  The module also provides the
 angle field about a tree vertex and a finite-difference Laplacian used as
 a harmonicity diagnostic.
 """

@@ -26,11 +26,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from nonembed.bvp import (BOUNDARY, INTERIOR, GluedField, MaskedGrid,
-                          ScalarField, SelectedN, edge_margins,
-                          laplacian_grid, stencil_reduce)
+from nonembed.bvp import (GluedField, ScalarField, SelectedN, box_grid,
+                          edge_margins, laplacian_grid, stencil_reduce)
 from nonembed.fields import laplacian_residual, u_float
-from nonembed.logscale import float_to_log
+from nonembed.quadrature import float_to_log
 from nonembed.trees import (SteinerTree, build_steiner_tree,
                             certified_negative, tree_integral)
 
@@ -191,19 +190,12 @@ def build_tail_v(selected: SelectedN, delta: float,
     glue = selected.glue
     moll = MollifiedGlue(glue, delta)
 
-    n = grid_n
-    h = 2.2 / n
-    xs = -1.1 + h * np.arange(n + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    grid = box_grid((0.0, 0.0), 1.1, grid_n)
+    X, Y = grid.nodes_xy()
     YX, YY = pull_back(X, Y)
-    vals = moll.value(YX, YY)
+    fld = ScalarField(grid=grid, values=moll.value(YX, YY))
 
-    mask = np.full((n + 1, n + 1), INTERIOR, dtype=np.int8)
-    mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = BOUNDARY
-    grid = MaskedGrid(origin=(-1.1, -1.1), h=h, mask=mask)
-    fld = ScalarField(grid=grid, values=vals)
-
-    core = _oscillation_unresolved(YX, YY, RESCALE * h)
+    core = _oscillation_unresolved(YX, YY, RESCALE * grid.h)
     reg = glue.region_of(YX, YY).astype(np.int8)
     # nodes whose stencil touches the pentagon region: the grid Laplacian
     # there reads interpolation error, not the field; those interfaces are
@@ -354,7 +346,7 @@ def select_tail_delta(selected: SelectedN, schedule: Sequence[float],
         res = tree_integral(
             lambda xs, ys: float_to_log(moll.value(*pull_back(xs, ys))),
             tree, tol=tol)
-        history.append((d, res.float_value, res.est_error))
+        history.append((d, res.value, res.est_error))
         if certified_negative(res.value, res.est_error):
             chosen = d
             break

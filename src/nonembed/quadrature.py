@@ -1,11 +1,14 @@
 """Adaptive Gauss-Legendre quadrature with log-sum-exp accumulation.
 
 Integrands are supplied in vectorized log-scaled form (sign and log
-magnitude at each node), so integrals whose integrand spans hundreds of
-e-foldings are accumulated without overflow.  Panels are bisected until
-the G15 value of a panel agrees with the sum over its halves, with an
-absolute floor tied to the running global magnitude so that panels
-straddling zero crossings do not trigger runaway refinement.
+magnitude at each node, see :func:`float_to_log`), so integrals whose
+integrand spans hundreds of e-foldings are accumulated without overflow.
+Panel sums stay in that form until the last step, which converts the
+total to one double: +-inf when the integral passes double range.
+Panels are bisected until the G15 value of a panel agrees with the sum
+over its halves, with an absolute floor tied to the running global
+magnitude so that panels straddling zero crossings do not trigger
+runaway refinement.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from nonembed.logscale import LogScaledReal, signed_logsumexp
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _LOG_WEIGHTS = np.log(_WEIGHTS)
@@ -28,13 +29,51 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class QuadratureResult:
-    value: LogScaledReal
+    value: float  # +-inf past double range
     est_error: float
     n_evals: int
 
-    @property
-    def float_value(self) -> float:
-        return self.value.to_float()
+
+def float_to_log(vals):
+    """(sign, log|value|) arrays of plain double values; a zero gets sign 0
+    and logmag -inf."""
+    vals = np.asarray(vals, dtype=float)
+    signs = np.sign(vals).astype(int)
+    with np.errstate(divide="ignore"):
+        logmags = np.where(vals != 0.0, np.log(np.abs(vals)), -np.inf)
+    return signs, logmags
+
+
+def _signed_logsumexp(signs: np.ndarray, logmags: np.ndarray):
+    """(sign, log|sum|) of an array of (sign, logmag) values: each sign's
+    terms by log-sum-exp, then their difference, zero on exact
+    cancellation."""
+    def _lse(a):
+        if a.size == 0:
+            return -math.inf
+        m = float(np.max(a))
+        if m == -math.inf:
+            return -math.inf
+        return m + math.log(float(np.sum(np.exp(a - m))))
+
+    lp, ln = _lse(logmags[signs > 0]), _lse(logmags[signs < 0])
+    if ln == -math.inf:
+        return (1, lp) if lp > -math.inf else (0, -math.inf)
+    if lp == -math.inf:
+        return -1, ln
+    if lp == ln:
+        return 0, -math.inf
+    hi, d = max(lp, ln), abs(lp - ln)
+    return (1 if lp > ln else -1), hi + math.log(-math.expm1(-d))
+
+
+def _to_float(sign: int, logmag: float) -> float:
+    if sign == 0:
+        return 0.0
+    try:
+        return sign * math.exp(logmag)
+    except OverflowError:
+        return sign * math.inf
 
 
 def _panel_sums(f_log, a: np.ndarray, b: np.ndarray):
@@ -95,19 +134,21 @@ def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float = 1e-10,
 
     f_log(ts) must return (signs, logmags) arrays.  Refinement stops when
     each panel's bisection discrepancy is below rtol times the larger of
-    the panel magnitude and the width-prorated global magnitude.
+    the panel magnitude and the width-prorated global magnitude.  Each
+    round evaluates the two halves of every live panel; a panel's own G15
+    value is the half its parent computed.
     """
     if b == a:
-        return QuadratureResult(LogScaledReal.zero(), 0.0, 0)
+        return QuadratureResult(0.0, 0.0, 0)
     edges = np.linspace(a, b, initial_panels + 1)
     pa, pb = edges[:-1].copy(), edges[1:].copy()
     depth = np.zeros(initial_panels, dtype=int)
     prev_err = np.full(initial_panels, np.inf)
+    s1, l1, n_evals = _panel_sums(f_log, pa, pb)
 
     acc_signs: list[np.ndarray] = []
     acc_logs: list[np.ndarray] = []
     acc_err: list[np.ndarray] = []
-    n_evals = 0
     global_mag = -math.inf
     log_rtol = math.log(rtol)
     span = abs(b - a)
@@ -118,10 +159,9 @@ def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float = 1e-10,
                 f"panel count exploded past {MAX_PANELS} "
                 f"(depth range {depth.min()}..{depth.max()})")
         mid = 0.5 * (pa + pb)
-        s1, l1, ne1 = _panel_sums(f_log, pa, pb)
         sl, ll, ne2 = _panel_sums(f_log, pa, mid)
         sr, lr, ne3 = _panel_sums(f_log, mid, pb)
-        n_evals += ne1 + ne2 + ne3
+        n_evals += ne2 + ne3
         # refined estimate per panel = left + right
         s2, l2 = _pair_add(sl, ll, sr, lr)
         err_log = _pair_add(s1, l1, -s2, l2)[1]  # log |coarse - refined|
@@ -140,21 +180,22 @@ def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float = 1e-10,
         keep = ~done
         pa = np.concatenate([pa[keep], mid[keep]])
         pb = np.concatenate([mid[keep], pb[keep]])
+        s1 = np.concatenate([sl[keep], sr[keep]])
+        l1 = np.concatenate([ll[keep], lr[keep]])
         depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
         prev_err = np.concatenate([err_log[keep], err_log[keep]])
 
     signs = np.concatenate(acc_signs)
-    logs = np.concatenate(acc_logs)
-    errs = np.concatenate(acc_err)
-    value = signed_logsumexp(signs, logs)
-    err_total = signed_logsumexp(np.ones_like(signs), errs)
-    est_error = err_total.to_float() if not err_total.is_zero else 0.0
-    result = QuadratureResult(value, est_error, n_evals)
-    # explicit failure if the depth cap left the error above tolerance
-    if not value.is_zero and est_error > 0:
-        if math.log(est_error) > math.log(rtol * 100) + value.logmag \
-                and math.log(est_error) > global_mag + math.log(1e-6):
-            raise QuadratureError(
-                f"quadrature did not converge: value={value}, "
-                f"est_error={est_error}, n_evals={n_evals}")
-    return result
+    sign, logmag = _signed_logsumexp(signs, np.concatenate(acc_logs))
+    err_sign, err_log = _signed_logsumexp(np.ones_like(signs),
+                                          np.concatenate(acc_err))
+    value, est_error = _to_float(sign, logmag), _to_float(err_sign, err_log)
+    # explicit failure if the depth cap left the error above tolerance;
+    # compared in log scale, where neither side overflows
+    if sign != 0 and err_sign != 0 \
+            and err_log > math.log(rtol * 100) + logmag \
+            and err_log > global_mag + math.log(1e-6):
+        raise QuadratureError(
+            f"quadrature did not converge: value={value}, "
+            f"est_error={est_error}, n_evals={n_evals}")
+    return QuadratureResult(value, est_error, n_evals)

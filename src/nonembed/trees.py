@@ -18,8 +18,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from nonembed.fields import TWO_PI, eval_angle_field, u_gradient_xy, u_log_xy
-from nonembed.logscale import LogScaledReal, float_to_log
-from nonembed.quadrature import (QuadratureResult, adaptive_log_quadrature)
+from nonembed.quadrature import (QuadratureResult, adaptive_log_quadrature,
+                                  float_to_log)
 
 Point = Tuple[float, float]
 SIGN_MARGIN = 10.0  # a sign counts beyond this many error estimates
@@ -116,7 +116,7 @@ def line_integral(f_log_xy: Callable, seg: Segment,
 def tree_integral(f_log_xy: Callable, tree: SteinerTree,
                   tol: float = 1e-10) -> QuadratureResult:
     """Sum of the three leg integrals of :func:`line_integral`."""
-    total = LogScaledReal.zero()
+    total = 0.0
     err = 0.0
     evals = 0
     for leg in tree.legs:
@@ -152,10 +152,9 @@ def aa2_integral_scaled(K: int, tol: float = 1e-12) -> QuadratureResult:
 
     res = adaptive_log_quadrature(f_log, -TWO_PI * K, 0.0, rtol=tol,
                                   initial_panels=8 * K)
-    scale = -math.log(TWO_PI) - math.pi**2
-    value = LogScaledReal(res.value.sign, res.value.logmag + scale)
-    err = res.est_error * math.exp(scale)
-    return QuadratureResult(value, err, res.n_evals)
+    scale = math.exp(-math.log(TWO_PI) - math.pi**2)
+    return QuadratureResult(res.value * scale, res.est_error * scale,
+                            res.n_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +192,21 @@ def _arc_integrals(tree: SteinerTree, tol: float) -> Tuple[QuadratureResult,
 def _identity_rhs(K: int, aa2: QuadratureResult, tol: float):
     """2 * aa2 + both arc integrals, and the sum of their error estimates."""
     up, lo = _arc_integrals(moon_tree(K), tol)
-    return (aa2.value * 2.0 + up.value + lo.value,
+    return (2.0 * aa2.value + up.value + lo.value,
             2.0 * aa2.est_error + up.est_error + lo.est_error)
 
 
-def identity_right_side(K: int, tol: float = 1e-10) -> LogScaledReal:
+def identity_right_side(K: int, tol: float = 1e-10) -> float:
     """2 * (axis-leg integral) + both arc integrals."""
     return _identity_rhs(K, aa2_integral_scaled(K, tol=tol), tol)[0]
 
 
-def _relative_discrepancy(left: LogScaledReal, right: LogScaledReal) -> float:
+def _relative_discrepancy(left: float, right: float) -> float:
     """|left - right| / max(|left|, |right|)."""
     diff = left - right
-    if diff.is_zero:
+    if diff == 0.0:
         return 0.0
-    scale = max(left.logmag, right.logmag)
-    return math.exp(diff.logmag - scale)
+    return abs(diff) / max(abs(left), abs(right))
 
 
 def green_identity_residual(K: int, tol: float = 1e-10) -> float:
@@ -244,7 +242,7 @@ def _leg_integral_over_rho(leg: Segment, tol: float) -> QuadratureResult:
 
 
 def weighted_identity_sides(K: int, tol: float = 1e-10
-                            ) -> Tuple[LogScaledReal, LogScaledReal]:
+                            ) -> Tuple[float, float]:
     """Both sides of Green's second identity for u and the vertex angle
     phi (measured from the upper leg) on the upper sector, bounded by the
     upper leg AA1, the arc from A1 to (-1, 0) and the axis leg AA2:
@@ -307,14 +305,10 @@ def find_min_k(k_max: int, tol: float = 1e-10) -> Optional[int]:
     return None
 
 
-def certified_negative(v: LogScaledReal, est_error: float) -> bool:
+def certified_negative(v: float, est_error: float) -> bool:
     """Whether v is negative beyond SIGN_MARGIN times its error estimate:
     the one rule by which a computed sign counts as certified."""
-    if v.sign >= 0:
-        return False
-    if est_error <= 0.0:
-        return True
-    return v.logmag > math.log(SIGN_MARGIN * est_error)
+    return v < 0.0 and (est_error <= 0.0 or -v > SIGN_MARGIN * est_error)
 
 
 # ---------------------------------------------------------------------------

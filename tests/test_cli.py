@@ -145,10 +145,16 @@ def test_readme_names_exactly_the_declared_keys_and_flags(capsys):
 
 
 def test_encode_number_overflow():
-    from nonembed.logscale import LogScaledReal
     assert cli.encode_number(3.5) == 3.5
-    big = cli.encode_number(LogScaledReal(-1, 1000.0))
-    assert big == {"sign": -1, "logmag": 1000.0}
+    assert cli.encode_number(-math.inf) == {"sign": -1, "logmag": math.inf}
+    assert cli.encode_number(math.inf) == {"sign": 1, "logmag": math.inf}
+
+
+def test_encode_number_writes_nan_as_null():
+    # an inf - inf sum of overflowing legs is NaN, which is no sign
+    assert cli.encode_number(math.nan) is None
+    rec = cli.check("x", "a", False, value=np.float64("nan"))
+    assert json.loads(json.dumps(rec))["values"] == {"value": None}
 
 
 def test_check_encodes_numpy_bool_as_json_boolean():
@@ -528,6 +534,28 @@ def test_verify_ruled_generates_each_surface_once(monkeypatch):
     monkeypatch.setattr(ruled, "generate_surface", counted)
     cli.verify_ruled(cli.PipelineContext(cli.RunConfig()))
     assert len(calls) == 3
+
+
+def test_ruled_eps_without_a_graph_extension_exits_2(tmp_path, capsys):
+    # at ruled.eps = 5 the projected rulings cross inside the extension
+    # range
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ruled.eps = 5\n")
+    out = tmp_path / "o"
+    assert cli.main(["verify", "ruled", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert re.match(r"error: ruled\.eps\b", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_failed_assemble_leaves_no_output_directory(tmp_path, monkeypatch):
+    def broken(n_max, grid_n):
+        raise bvp.SolverError("no pocket solve")
+
+    monkeypatch.setattr(assembly, "build_g1", broken)
+    out = tmp_path / "o"
+    assert cli.main(["assemble", "g1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_verify_tail_builds_the_glued_field_once(tmp_path, monkeypatch):

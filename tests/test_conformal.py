@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonembed import bvp, conformal, mollify
-from nonembed.logscale import float_to_log
+from nonembed.quadrature import float_to_log
 from nonembed.trees import Segment, build_steiner_tree
 
 from curvature_ref import curvature_error_vs_constant, hyperbolic_disc_factor

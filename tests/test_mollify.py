@@ -133,7 +133,7 @@ def test_tail_tree_geometry():
 def test_tail_tree_integral_frozen_value(tail4):
     tree = mollify.tail_tree(K_STAR)
     res = tree_integral(tail4.log_value, tree, tol=1e-9)
-    assert res.float_value == pytest.approx(TREE_V_EXPECTED, rel=1e-6)
+    assert res.value == pytest.approx(TREE_V_EXPECTED, rel=1e-6)
 
 
 def test_tail_subharmonic_certificates(ctx):
@@ -190,7 +190,7 @@ def test_select_tail_delta_history_equals_sampled_tail_integrals(selected4):
     for d in schedule:
         tail = mollify.build_tail_v(selected4, d, grid_n=128)
         res = tree_integral(tail.log_value, tree, tol=1e-10)
-        ref.append((d, res.float_value, res.est_error))
+        ref.append((d, res.value, res.est_error))
     assert sel.history == ref
 
 
