@@ -180,8 +180,15 @@ class PipelineContext:
         257-ruling sample, built once per run."""
         if (eps, seed) not in self._ruled:
             g = ruled.generate_surface(self.cfg.ruled_tau, eps, seed=seed)
-            self._ruled[eps, seed] = (
-                g, ruled.extend_ruled(g.sample(n=257), -1.0, 2.0))
+            try:
+                ext = ruled.extend_ruled(g.sample(n=257), -1.0, 2.0)
+            except ruled.RuledError as exc:
+                if eps != self.cfg.ruled_eps:
+                    raise
+                raise ConfigError(f"ruled.eps must give a surface whose "
+                                  f"rulings extend as a graph, got {eps}: "
+                                  f"{exc}") from exc
+            self._ruled[eps, seed] = (g, ext)
         return self._ruled[eps, seed]
 
     @cached_property
@@ -566,12 +573,7 @@ def verify_annulus(ctx: PipelineContext) -> list:
 
 def verify_ruled(ctx: PipelineContext) -> list:
     cfg = ctx.cfg
-    try:
-        gen, ext = ctx.ruled_surface(cfg.ruled_eps, cfg.seed)
-    except ruled.RuledError as exc:
-        raise ConfigError(f"ruled.eps must give a surface whose rulings "
-                          f"extend as a graph, got {cfg.ruled_eps}: {exc}"
-                          ) from exc
+    gen, ext = ctx.ruled_surface(cfg.ruled_eps, cfg.seed)
     return [claim_cylinder_round_trip(ctx),
             claim_extension_flatness(ctx, ext),
             claim_concavity_family(ctx, seed=cfg.seed),

@@ -548,6 +548,20 @@ def test_ruled_eps_without_a_graph_extension_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ruled_generation_error_keeps_the_pipeline_message(
+        tmp_path, monkeypatch, capsys):
+    # only the extension check at the config's eps names ruled.eps
+    def broken(tau, eps, seed):
+        raise ruled.RuledError("chart degenerates")
+
+    monkeypatch.setattr(ruled, "generate_surface", broken)
+    out = tmp_path / "o"
+    assert cli.main(["verify", "ruled", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "pipeline error: chart degenerates")
+    assert not out.exists()
+
+
 def test_failed_assemble_leaves_no_output_directory(tmp_path, monkeypatch):
     def broken(n_max, grid_n):
         raise bvp.SolverError("no pocket solve")

@@ -130,7 +130,7 @@ def test_line_integral_reversal_invariance():
     leg = moon_tree(3).legs[0]
     a = line_integral(u_log_xy, leg).value
     b = line_integral(u_log_xy, Segment(leg.q, leg.p)).value
-    assert b == pytest.approx(a, rel=1e-12)
+    assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
 
 def test_line_integral_linearity():
@@ -149,7 +149,8 @@ def test_axis_integral_substitution_identity():
         tree = moon_tree(K)
         direct = line_integral(u_log_xy, tree.legs[1], tol=1e-12)
         subst = aa2_integral_scaled(K)
-        assert subst.value == pytest.approx(direct.value, rel=1e-8), K
+        d, s = direct.value, subst.value
+        assert abs(d - s) <= 1e-8 * max(abs(d), abs(s)), K
 
 
 def test_axis_integral_K1_cancels():
