@@ -5,14 +5,16 @@ CSV carries `x,y,value` rows (row-major over non-exterior nodes, LF line
 endings, shortest round-trip decimals); the sidecar carries origin,
 extent, spacing and a run-length encoding of the node mask.  Writes are
 atomic (temp file + rename), and files get mode 0666 less the umask.
+Node rows go through arrays both ways: each distinct number is formatted
+once per block of rows, and each distinct JSON string cell parsed once.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
-from itertools import chain
-from operator import methodcaller
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Tuple, Union
 
@@ -85,15 +87,20 @@ def write_json(path: Union[str, Path], doc) -> None:
 
 
 def _load_json(path: Path):
+    # the parse makes one list per node and no cycle for the GC to find
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise GridIOError(f"{path}: not JSON ({exc})") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def sidecar_path(csv_path: Union[str, Path]) -> Path:
-    p = Path(csv_path)
-    return p.with_suffix(".json")
+    return Path(csv_path).with_suffix(".json")
 
 
 def _header_dict(f: ScalarField) -> dict:
@@ -110,18 +117,24 @@ def _header_dict(f: ScalarField) -> dict:
 
 
 def _node_blocks(f: ScalarField, row: str) -> Iterator[str]:
-    """The live nodes, row-major, as `row.format(x, y, value)` with each
-    number in its shortest round-trip form, joined per block of rows."""
+    """The live nodes, row-major, as the template `row` with its three
+    `{}` filled by x, y and value, each in its shortest round-trip form,
+    joined per block of rows, with each distinct value formatted once."""
+    head, x_y, y_v, tail = row.split("{}")
     g = f.grid
     ii, jj = np.nonzero(g.mask != EXTERIOR)
-    xs = [repr(x) for x in (g.origin[0] + np.arange(g.shape[0]) * g.h).tolist()]
-    ys = [repr(y) for y in (g.origin[1] + np.arange(g.shape[1]) * g.h).tolist()]
+    ax, ay = g.axes()
+    xs = np.array([head + repr(x) + x_y for x in ax.tolist()], dtype=object)
+    ys = np.array([repr(y) + y_v for y in ay.tolist()], dtype=object)
     values = np.asarray(f.values, dtype=float)
     for s in range(0, len(ii), _BLOCK):
         i, j = ii[s:s + _BLOCK], jj[s:s + _BLOCK]
-        yield "".join(map(row.format, map(xs.__getitem__, i.tolist()),
-                          map(ys.__getitem__, j.tolist()),
-                          map(repr, values[i, j].tolist())))
+        # keyed by bits, so that -0.0 and 0.0 keep their own strings
+        bits, inverse = np.unique(values[i, j].view(np.int64),
+                                  return_inverse=True)
+        vs = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+        yield "".join(chain.from_iterable(zip(
+            xs[i].tolist(), ys[j].tolist(), vs[inverse].tolist(), repeat(tail))))
 
 
 def _grid_from_header(header, src: Path) -> MaskedGrid:
@@ -143,17 +156,12 @@ def _grid_from_header(header, src: Path) -> MaskedGrid:
         raise GridIOError(f"{src}: {exc}") from None
 
 
-def _field_on_grid(grid: MaskedGrid, cells: list, src: Path) -> ScalarField:
-    """The field whose node rows are `cells`, one flat list of 3 * rows
-    strings or numbers, row-major over the live nodes of `grid`."""
+def _field_on_grid(grid: MaskedGrid, table, src: Path) -> ScalarField:
+    """The field whose node rows are `table`, (rows, 3) floats x, y and
+    value, row-major over the live nodes of `grid`."""
     ii, jj = np.nonzero(grid.mask != EXTERIOR)
-    if 3 * len(ii) != len(cells):
-        raise GridIOError(
-            f"{src}: {len(cells) // 3} rows for {len(ii)} live nodes")
-    try:
-        table = np.array(cells, dtype=float).reshape(-1, 3)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GridIOError(f"{src}: {exc}") from None
+    if len(ii) != len(table):
+        raise GridIOError(f"{src}: {len(table)} rows for {len(ii)} live nodes")
     x = grid.origin[0] + ii * grid.h
     y = grid.origin[1] + jj * grid.h
     # written as "not within" so that a NaN coordinate fails too
@@ -162,7 +170,7 @@ def _field_on_grid(grid: MaskedGrid, cells: list, src: Path) -> ScalarField:
           & (np.abs(table[:, 1] - y) <= 1e-9 * np.maximum(1.0, np.abs(y)))))
     if bad.size:
         k = int(bad[0])
-        raise GridIOError(f"{src}: row {k + 1} coordinate {cells[3 * k:3 * k + 2]} "
+        raise GridIOError(f"{src}: row {k + 1} coordinate {table[k, :2].tolist()} "
                           f"does not match node ({float(x[k])}, {float(y[k])})")
     values = np.zeros(grid.shape)
     values[ii, jj] = table[:, 2]
@@ -187,18 +195,28 @@ def read_grid_csv(path: Union[str, Path]) -> ScalarField:
     if not side.exists():
         raise GridIOError(f"missing sidecar {side} for {path}")
     grid = _grid_from_header(_load_json(side), side)
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if first != "x,y,value":
-            raise GridIOError(f"{path}: unexpected CSV header {first!r}")
-        lines = [line for line in map(str.strip, fh.read().split("\n")) if line]
-    commas = list(map(methodcaller("count", ","), lines))
-    if set(commas) - {2}:
-        k = next(k for k, c in enumerate(commas) if c != 2)
-        raise GridIOError(f"{path}: row {k + 1} has {commas[k] + 1} fields, "
-                          f"not 3: {lines[k]!r}")
-    cells = ",".join(lines).split(",") if lines else []
-    return _field_on_grid(grid, cells, path)
+    try:
+        with open(path) as fh:
+            first = fh.readline().strip()
+            if first != "x,y,value":
+                raise ValueError(f"unexpected CSV header {first!r}")
+            rows = _csv_rows(fh)
+            row = next(rows, None)
+            # loadtxt warns on an empty input; a grid may have no live node
+            table = np.empty((0, 3)) if row is None else np.loadtxt(
+                chain([row], rows), delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:  # also a cell that is no number, or not UTF-8
+        raise GridIOError(f"{path}: {exc}") from None
+    return _field_on_grid(grid, table, path)
+
+
+def _csv_rows(lines: Iterable[str]) -> Iterator[str]:
+    """The stripped non-blank `lines`, each checked to hold three fields."""
+    for k, line in enumerate(filter(None, map(str.strip, lines)), 1):
+        if line.count(",") != 2:
+            raise ValueError(f"row {k} has {line.count(',') + 1} fields, "
+                             f"not 3: {line!r}")
+        yield line
 
 
 def write_grid_json(f: ScalarField, path: Union[str, Path]) -> Path:
@@ -229,11 +247,27 @@ def read_grid_json(path: Union[str, Path]) -> ScalarField:
                  if type(r) is not list or len(r) != 3)
         raise GridIOError(f"{path}: node row {k + 1} is {rows[k]!r}, "
                           "not three fields")
-    cells = list(chain.from_iterable(rows))
-    if set(map(type, cells)) - {str, int, float}:
+    try:
+        table = np.fromiter(map(_Floats().__getitem__, chain.from_iterable(rows)),
+                            float, 3 * len(rows)).reshape(-1, 3)
+    except TypeError:
         raise GridIOError(f"{path}: a node field is not a number or a "
-                          "numeric string")
-    return _field_on_grid(_grid_from_header(doc["header"], path), cells, path)
+                          "numeric string") from None
+    except (ValueError, OverflowError) as exc:
+        raise GridIOError(f"{path}: {exc}") from None
+    return _field_on_grid(_grid_from_header(doc["header"], path), table, path)
+
+
+class _Floats(dict):
+    """float(cell) of JSON node cells, parsed once per distinct string; a
+    number is not kept, as a key 0.0 would also answer -0.0."""
+
+    def __missing__(self, cell):
+        if type(cell) is str:
+            return self.setdefault(cell, float(cell))
+        if type(cell) in (int, float):
+            return float(cell)
+        raise TypeError(cell)
 
 
 def convert_grid(src: Union[str, Path], fmt: str,

@@ -297,6 +297,24 @@ def _no_node_field():
                            values=np.zeros((2, 3)))
 
 
+def _edge_value_field():
+    # more live nodes than one writer block, with a run of repeats across
+    # the block boundary and values whose strings a value-keyed memo or a
+    # careless parse would change
+    mask = np.full((300, 240), bvp.BOUNDARY, dtype=np.int8)
+    mask[:3] = bvp.EXTERIOR
+    values = np.random.default_rng(7).standard_normal(mask.shape)
+    values[mask == bvp.EXTERIOR] = 0.0
+    flat = values[mask != bvp.EXTERIOR]  # the live nodes, row-major
+    assert flat.size > gridio._BLOCK
+    flat[:4] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308]
+    flat[gridio._BLOCK - 50:gridio._BLOCK + 50] = 0.1
+    flat[gridio._BLOCK + 50::9] = -0.0
+    values[mask != bvp.EXTERIOR] = flat
+    return bvp.ScalarField(grid=bvp.MaskedGrid(origin=(-1.25, 3.0), h=0.01,
+                                               mask=mask), values=values)
+
+
 def test_grid_files_golden_sha256(tmp_path):
     # the bytes the per-node writers produced for the sample field
     f = _sample_field()
@@ -314,8 +332,10 @@ def test_grid_files_golden_sha256(tmp_path):
     }
 
 
+# a warning fails the test: np.loadtxt warns on an input with no rows
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("make", [_sample_field, _one_node_field,
-                                  _no_node_field])
+                                  _no_node_field, _edge_value_field])
 def test_grid_writers_equal_the_per_node_reference(tmp_path, make):
     f = make()
     rows = _reference_rows(f)
@@ -330,7 +350,43 @@ def test_grid_writers_equal_the_per_node_reference(tmp_path, make):
     for back in (gridio.read_grid_json(full), gridio.read_grid_csv(csv)):
         assert np.array_equal(back.grid.mask, f.grid.mask)
         live = f.grid.mask != bvp.EXTERIOR
-        assert np.array_equal(back.values[live], f.values[live])
+        assert np.array_equal(back.values[live].view(np.int64),
+                              f.values[live].view(np.int64))
+
+
+def test_json_number_cells_keep_their_bits(tmp_path):
+    # 0 comes before -0.0, so a memo keyed by value would answer -0.0
+    # with the 0.0 of the first cell
+    mask = np.zeros((3, 4), dtype=np.int8)
+    mask[1] = bvp.BOUNDARY
+    f = bvp.ScalarField(grid=bvp.MaskedGrid(origin=(-0.5, 0.25), h=0.1,
+                                            mask=mask),
+                        values=np.zeros((3, 4)))
+    cells = [0, -0.0, 1e308, -0.0]
+    nodes = [[x, y, cell] for (x, y, _v), cell in zip(_reference_rows(f), cells)]
+    p = tmp_path / "numbers.json"
+    p.write_text(json.dumps({"header": gridio._header_dict(f), "nodes": nodes}))
+    back = gridio.read_grid_json(p).values[1]
+    assert np.array_equal(back.view(np.int64),
+                          np.array(cells, dtype=float).view(np.int64))
+
+
+@pytest.mark.parametrize("src_name, bad_file", [
+    ("field.csv", "field.csv"), ("field.csv", "field.json"),
+    ("full.json", "full.json")])
+def test_undecodable_grid_file_exits_2_naming_it(tmp_path, capsys, src_name,
+                                                  bad_file):
+    _write_sample(tmp_path)
+    gridio.write_grid_json(_sample_field(), tmp_path / "full.json")
+    bad = tmp_path / bad_file
+    bad.write_bytes(b"\xff\xfe" + bad.read_bytes() if bad.suffix == ".json"
+                    else b"x,y,value\n\xff\xfe,1,2\n")
+    dst = tmp_path / "out" / ("o.csv" if src_name.endswith(".json") else "o.json")
+    code = cli.main(["export", str(tmp_path / src_name), "--format",
+                     dst.suffix[1:], "--dst", str(dst)])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not dst.parent.exists()
 
 
 def _write_sample(tmp_path):
@@ -404,6 +460,17 @@ def test_non_numeric_value_names_the_file(tmp_path):
     lines[7] = f"{x},{y},abc\n"
     csv.write_text("".join(lines))
     with pytest.raises(gridio.GridIOError, match="field.csv: .*'abc'"):
+        gridio.read_grid_csv(csv)
+
+
+def test_csv_value_with_underscores_names_the_file(tmp_path):
+    # float() takes "1_000"; np.loadtxt, which parses the CSV, does not
+    csv, _ = _write_sample(tmp_path)
+    lines = csv.read_text().splitlines(keepends=True)
+    x, y, _v = lines[7].split(",")
+    lines[7] = f"{x},{y},1_000\n"
+    csv.write_text("".join(lines))
+    with pytest.raises(gridio.GridIOError, match="field.csv: .*'1_000'"):
         gridio.read_grid_csv(csv)
 
 
