@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -504,13 +504,10 @@ def origin_flatness(stack: AnnulusStack) -> list:
         FLATNESS_ORDER)
 
 
-def cutoff_partial_sum_c4_distance(mu: Sequence[float], n_hi: int, n_lo: int,
-                                   eta: Optional[Sequence[float]] = None
-                                   ) -> float:
-    """C^4-proxy distance between the partial cutoff sums at n_hi and
-    n_lo terms (measured on a fine radial grid)."""
-    if eta is None:
-        eta = [1.0] * n_hi
+def cutoff_partial_sum_c4_distance(mu: Sequence[float], n_hi: int,
+                                   n_lo: int) -> float:
+    """C^4-proxy distance between the partial sums at n_hi and n_lo terms
+    of the unit-weight cutoff series (measured on a fine radial grid)."""
     r = np.arange(1e-6, CUTOFF_R_MAX, CUTOFF_STEP)
-    return _c4_proxy(_weighted_cutoffs(wall_cutoff, eta, mu,
+    return _c4_proxy(_weighted_cutoffs(wall_cutoff, [1.0] * n_hi, mu,
                                        range(n_lo + 1, n_hi + 1), r))

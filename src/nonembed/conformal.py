@@ -3,9 +3,10 @@ tail-metric family checks (curvature sign, length change in the bump
 amplitude, amplitude threshold scan).
 
 Gaussian curvature of a conformal factor phi is -e^{-2 phi} (Laplacian of
-phi); lengths are line integrals of e^{phi}.  Lengths are accumulated in
-log scale (the integrand's log is phi itself), so factors far beyond
-double range integrate safely; a length past double range is +inf.
+phi); lengths are line integrals of e^{phi}.  The quadrature takes the
+integrand's log, phi itself, and sums under one exponent per integral, so
+factors far beyond double range integrate safely; a length past double
+range is +inf.
 """
 
 from __future__ import annotations

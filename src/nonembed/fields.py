@@ -9,12 +9,12 @@ the closed positive x-axis).  Every evaluator takes numpy arrays of
 Cartesian (or polar) coordinates and returns arrays of the same shape;
 each element's bits are those of that point evaluated alone, whatever the
 batch size.  The magnitude of u exceeds double range already for
-moderate log r, so :func:`u_log_xy` returns (sign, log|u|) pairs, which
-the quadrature accumulates in log scale before it returns one double per
-integral; :func:`u_float` converts them to doubles and gives +-inf past
-double range.  The module also provides the
-angle field about a tree vertex and a finite-difference Laplacian used as
-a harmonicity diagnostic.
+moderate log r, so :func:`u_log_xy` returns (sign, log|u|) pairs; the
+quadrature keeps one exponent per integral, sums the panels as doubles
+under it and returns one double per integral; :func:`u_float` converts
+the pairs to doubles and gives +-inf past double range.  The module also
+provides the angle field about a tree vertex and a finite-difference
+Laplacian used as a harmonicity diagnostic.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
-"""Adaptive Gauss-Legendre quadrature with log-sum-exp accumulation.
+"""Adaptive Gauss-Legendre quadrature under one exponent per integral.
 
 Integrands are supplied in vectorized log-scaled form (sign and log
 magnitude at each node, see :func:`float_to_log`), so integrals whose
 integrand spans hundreds of e-foldings are accumulated without overflow.
-Panel sums stay in that form until the last step, which converts the
-total to one double: +-inf when the integral passes double range.
-Panels are bisected until the G15 value of a panel agrees with the sum
-over its halves, with an absolute floor tied to the running global
-magnitude so that panels straddling zero crossings do not trigger
-runaway refinement.
+Each integral carries one exponent m, the largest weighted log magnitude
+seen so far; every node value is a double in units of e^m and the panels
+are summed as doubles.  When m rises, the values already carried are
+rescaled.  The last step converts the total to one double: +-inf when
+the integral passes double range.  Panels are bisected until the G15
+value of a panel agrees with the sum over its halves, with an absolute
+floor tied to the running global magnitude so that panels straddling
+zero crossings do not trigger runaway refinement.
 """
 
 from __future__ import annotations
@@ -44,88 +46,14 @@ def float_to_log(vals):
     return signs, logmags
 
 
-def _signed_logsumexp(signs: np.ndarray, logmags: np.ndarray):
-    """(sign, log|sum|) of an array of (sign, logmag) values: each sign's
-    terms by log-sum-exp, then their difference, zero on exact
-    cancellation."""
-    def _lse(a):
-        if a.size == 0:
-            return -math.inf
-        m = float(np.max(a))
-        if m == -math.inf:
-            return -math.inf
-        return m + math.log(float(np.sum(np.exp(a - m))))
-
-    lp, ln = _lse(logmags[signs > 0]), _lse(logmags[signs < 0])
-    if ln == -math.inf:
-        return (1, lp) if lp > -math.inf else (0, -math.inf)
-    if lp == -math.inf:
-        return -1, ln
-    if lp == ln:
-        return 0, -math.inf
-    hi, d = max(lp, ln), abs(lp - ln)
-    return (1 if lp > ln else -1), hi + math.log(-math.expm1(-d))
-
-
-def _to_float(sign: int, logmag: float) -> float:
-    if sign == 0:
+def _times_exp(x: float, m: float) -> float:
+    """x * e^m as one double, +-inf past double range.  The two half
+    factors keep e^m itself from overflowing while x * e^m fits."""
+    if x == 0.0:
         return 0.0
-    try:
-        return sign * math.exp(logmag)
-    except OverflowError:
-        return sign * math.inf
-
-
-def _panel_sums(f_log, a: np.ndarray, b: np.ndarray):
-    """G15 on each panel [a_i, b_i]: returns (signs, logmags, n_evals)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    ts = mid[:, None] + half[:, None] * _NODES[None, :]
-    signs, logmags = f_log(ts.ravel())
-    signs = np.asarray(signs).reshape(ts.shape)
-    logmags = np.asarray(logmags).reshape(ts.shape)
-    with np.errstate(divide="ignore"):
-        lw = logmags + _LOG_WEIGHTS[None, :] + np.log(half)[:, None]
-
-    def _masked_lse(mask):
-        m = np.where(mask, lw, -np.inf)
-        mx = np.max(m, axis=1)
-        safe = mx > -np.inf
-        out = np.full(len(a), -np.inf)
-        if np.any(safe):
-            out[safe] = mx[safe] + np.log(
-                np.sum(np.exp(m[safe] - mx[safe][:, None]), axis=1))
-        return out
-
-    lpos = _masked_lse(signs > 0)
-    lneg = _masked_lse(signs < 0)
-    out_sign, out_log = _pair_add(np.where(lpos > -np.inf, 1, 0), lpos,
-                                  np.where(lneg > -np.inf, -1, 0), lneg)
-    return out_sign, out_log, ts.size
-
-
-def _pair_add(s1, l1, s2, l2):
-    """Signed-log addition x1 + x2, vectorized: returns (signs, logmags)."""
-    hi = np.maximum(l1, l2)
-    lo = np.minimum(l1, l2)
-    with np.errstate(invalid="ignore"):
-        d = np.where(hi > -np.inf, hi - lo, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lsum = hi + np.log1p(np.exp(-d))
-        ldiff = np.where(d > 0, hi + np.log1p(-np.exp(-d)), -np.inf)
-    same = s1 == s2
-    out_log = np.where(same, lsum, ldiff)
-    out_sign = np.where(l1 >= l2, s1, s2)
-    out_sign = np.where(same, s1, out_sign)
-    # exact cancellation of opposite signs
-    out_sign = np.where(~same & (d == 0), 0, out_sign)
-    # zeros pass the other operand through
-    out_log = np.where(s1 == 0, l2, out_log)
-    out_sign = np.where(s1 == 0, s2, out_sign)
-    out_log = np.where(s2 == 0, np.where(s1 == 0, -np.inf, l1), out_log)
-    out_sign = np.where(s2 == 0, s1, out_sign)
-    out_log = np.where(out_sign == 0, -np.inf, out_log)
-    return out_sign.astype(int), out_log
+    with np.errstate(over="ignore"):
+        half = np.exp(0.5 * m)
+        return float(x * half * half)
 
 
 def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float = 1e-10,
@@ -140,61 +68,76 @@ def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float = 1e-10,
     """
     if b == a:
         return QuadratureResult(0.0, 0.0, 0)
-    edges = np.linspace(a, b, initial_panels + 1)
-    pa, pb = edges[:-1].copy(), edges[1:].copy()
-    depth = np.zeros(initial_panels, dtype=int)
-    prev_err = np.full(initial_panels, np.inf)
-    s1, l1, n_evals = _panel_sums(f_log, pa, pb)
-
-    acc_signs: list[np.ndarray] = []
-    acc_logs: list[np.ndarray] = []
-    acc_err: list[np.ndarray] = []
-    global_mag = -math.inf
-    log_rtol = math.log(rtol)
     span = abs(b - a)
-
-    while len(pa):
+    # the exponent of the integral; the sums and errors below are in units
+    # of e^m
+    m = -math.inf
+    total = err_total = global_mag = 0.0
+    n_evals = 0
+    depth = np.zeros(initial_panels, dtype=int)
+    prev_err = np.zeros(initial_panels)  # read from depth 6 on
+    coarse = None  # each live panel's own G15 value
+    # the first round evaluates the initial panels, each later round the
+    # two halves of every live panel [pa, pb]
+    edges = np.linspace(a, b, initial_panels + 1)
+    lo, hi = edges[:-1], edges[1:]
+    while True:
+        half = 0.5 * (hi - lo)
+        ts = 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES
+        signs, logmags = f_log(ts.ravel())
+        signs = np.asarray(signs).reshape(ts.shape)
+        lw = (np.asarray(logmags).reshape(ts.shape) + _LOG_WEIGHTS
+              + np.log(half)[:, None])
+        n_evals += ts.size
+        m_new = max(m, float(np.max(lw, initial=-math.inf)))
+        if m_new > m > -math.inf:
+            scale = math.exp(m - m_new)
+            coarse = coarse * scale
+            prev_err = prev_err * scale
+            total *= scale
+            err_total *= scale
+            global_mag *= scale
+        m = m_new
+        # m stays -inf only while every node is zero
+        sums = np.sum(signs * np.exp(lw - (m if m > -math.inf else 0.0)),
+                      axis=1)
+        if coarse is None:
+            pa, pb, coarse = lo, hi, sums
+        else:
+            left, right = np.split(sums, 2)
+            refined = left + right
+            err = np.abs(coarse - refined)
+            global_mag = max(global_mag, float(np.max(np.abs(refined))))
+            floor = np.maximum(np.abs(refined),
+                               global_mag * ((pb - pa) / span))
+            ok = err <= rtol * floor
+            # integrand-noise plateau: bisection stopped improving the
+            # estimate by 0.18 e-folds, accept and carry the remaining
+            # discrepancy into est_error
+            stalled = (depth >= 6) & (err > prev_err * math.exp(-0.18))
+            done = ok | stalled | (depth >= 40)
+            total += float(np.sum(refined[done]))
+            err_total += float(np.sum(err[done]))
+            keep = ~done
+            pa, pb = (np.concatenate([pa[keep], mid[keep]]),
+                      np.concatenate([mid[keep], pb[keep]]))
+            coarse = np.concatenate([left[keep], right[keep]])
+            depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
+            prev_err = np.concatenate([err[keep], err[keep]])
+        if not len(pa):
+            break
         if len(pa) > MAX_PANELS:
             raise QuadratureError(
                 f"panel count exploded past {MAX_PANELS} "
                 f"(depth range {depth.min()}..{depth.max()})")
         mid = 0.5 * (pa + pb)
-        sl, ll, ne2 = _panel_sums(f_log, pa, mid)
-        sr, lr, ne3 = _panel_sums(f_log, mid, pb)
-        n_evals += ne2 + ne3
-        # refined estimate per panel = left + right
-        s2, l2 = _pair_add(sl, ll, sr, lr)
-        err_log = _pair_add(s1, l1, -s2, l2)[1]  # log |coarse - refined|
-        global_mag = max(global_mag, float(np.max(l2, initial=-math.inf)))
-        width_share = np.log((pb - pa) / span)
-        floor = np.maximum(l2, global_mag + width_share)
-        ok = (err_log <= log_rtol + floor) | (err_log == -np.inf)
-        # integrand-noise plateau: bisection stopped improving the estimate,
-        # accept and carry the remaining discrepancy into est_error
-        stalled = (depth >= 6) & (err_log > prev_err - 0.18)
-        done = ok | stalled | (depth >= 40)
-        if np.any(done):
-            acc_signs.append(s2[done])
-            acc_logs.append(l2[done])
-            acc_err.append(err_log[done])
-        keep = ~done
-        pa = np.concatenate([pa[keep], mid[keep]])
-        pb = np.concatenate([mid[keep], pb[keep]])
-        s1 = np.concatenate([sl[keep], sr[keep]])
-        l1 = np.concatenate([ll[keep], lr[keep]])
-        depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
-        prev_err = np.concatenate([err_log[keep], err_log[keep]])
+        lo, hi = np.concatenate([pa, mid]), np.concatenate([mid, pb])
 
-    signs = np.concatenate(acc_signs)
-    sign, logmag = _signed_logsumexp(signs, np.concatenate(acc_logs))
-    err_sign, err_log = _signed_logsumexp(np.ones_like(signs),
-                                          np.concatenate(acc_err))
-    value, est_error = _to_float(sign, logmag), _to_float(err_sign, err_log)
+    value, est_error = _times_exp(total, m), _times_exp(err_total, m)
     # explicit failure if the depth cap left the error above tolerance;
-    # compared in log scale, where neither side overflows
-    if sign != 0 and err_sign != 0 \
-            and err_log > math.log(rtol * 100) + logmag \
-            and err_log > global_mag + math.log(1e-6):
+    # compared in units of e^m, where neither side overflows
+    if total != 0.0 and err_total > rtol * 100 * abs(total) \
+            and err_total > 1e-6 * global_mag:
         raise QuadratureError(
             f"quadrature did not converge: value={value}, "
             f"est_error={est_error}, n_evals={n_evals}")

@@ -100,9 +100,10 @@ def moon_tree(K: int) -> SteinerTree:
 def line_integral(f_log_xy: Callable, seg: Segment,
                   tol: float = 1e-10) -> QuadratureResult:
     """Adaptive Gauss-Legendre integral along seg of the field given in
-    log scale by f_log_xy(xs, ys) -> (signs, logmags), accumulated in log
-    scale.  est_error <= tol * |value| on convergence; non-convergence
-    raises QuadratureError with diagnostics."""
+    log scale by f_log_xy(xs, ys) -> (signs, logmags), with one exponent
+    for the integral and the panels summed as doubles.  est_error <= tol *
+    |value| on convergence; non-convergence raises QuadratureError with
+    diagnostics."""
     log_L = math.log(seg.length)
 
     def f_log(ts):

@@ -177,9 +177,6 @@ def test_mu_schedule_bound():
 def test_mu_schedule_cauchy_tail(mu8):
     d = assembly.cutoff_partial_sum_c4_distance(mu8, 8, 4)
     assert d <= 2.0 ** (-4 + 1)
-    # scaled weights scale the tail linearly
-    d2 = assembly.cutoff_partial_sum_c4_distance(mu8, 8, 4, eta=[2.0] * 8)
-    assert d2 == pytest.approx(2.0 * d, rel=1e-12)
 
 
 def test_annulus_stack_requires_mu_and_tail(tail4):

@@ -206,7 +206,8 @@ def test_weighted_identity_matches_oracle():
         lhs, rhs = weighted_identity_sides(K)
         assert lhs == pytest.approx(expected, rel=1e-12), K
         assert rhs == pytest.approx(expected, rel=1e-12), K
-        assert weighted_green_identity_residual(K) <= 1e-12, K
+        # the bound README cites for the library's weighted residuals
+        assert weighted_green_identity_residual(K) <= 1e-13, K
 
 
 def test_identity_fails_for_non_harmonic_field():
