@@ -176,9 +176,10 @@ def solve_poisson(grid: MaskedGrid, rhs: np.ndarray) -> ScalarField:
     if not full_box:
         raise SolverError("solve_poisson needs a box grid")
     out = ScalarField(grid=grid, values=_poisson_dst(grid, rhs))
-    res = laplacian_grid(out) + np.asarray(rhs)[1:-1, 1:-1]
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    worst = float(np.max(np.abs(res)))
+    res = laplacian_grid(out)  # in place from here: no more full grids
+    res += np.asarray(rhs)[1:-1, 1:-1]
+    scale = max(float(np.max(rhs)), -float(np.min(rhs)), 1e-300)
+    worst = float(np.max(np.abs(res, out=res)))
     if worst > _POISSON_TOL * scale:
         raise SolverError(f"poisson residual {worst:.3e} exceeds "
                           f"{_POISSON_TOL:.1e} * {scale:.3e}")

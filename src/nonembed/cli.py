@@ -14,14 +14,20 @@ Each check carries a stable anchor string naming the claim it verifies.
 Exit status: 0 all checks passed, 1 at least one verification failed, 2
 invalid configuration or input, or a pipeline error.  The runtime block
 is the only nondeterministic part of a report; everything else is
-reproducible bit for bit for a fixed config.
+reproducible bit for bit for a fixed config.  `verify all` runs the
+targets that do not read the tail in one forked child.  Unless the user
+has set it, OPENBLAS_NUM_THREADS is 1, so that no BLAS thread pool spins.
 """
 
 from __future__ import annotations
 
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before NumPy loads
 import argparse
 import math
+import pickle
 import resource
+import signal
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -148,20 +154,15 @@ def check(name: str, anchor: str, passed: bool, **values) -> dict:
 
 
 def _jsonable(v):
-    if isinstance(v, (bool, int, str)) or v is None:
-        return v
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, (float, np.floating)):
-        return encode_number(float(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return [_jsonable(x) for x in np.asarray(v).ravel().tolist()] \
-            if isinstance(v, np.ndarray) else [_jsonable(x) for x in v]
+    if isinstance(v, (np.ndarray, np.generic)):  # to Python scalars, flat
+        v = v.ravel().tolist() if isinstance(v, np.ndarray) else v.item()
+    if isinstance(v, float):
+        return encode_number(v)
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
-    return repr(v)
+    return v if isinstance(v, (bool, int, str)) or v is None else repr(v)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +590,8 @@ _PIPELINES = {
     "annulus": verify_annulus,
     "ruled": verify_ruled,
 }
+# the targets that read `PipelineContext.tail`; `verify all` forks the rest
+_TAIL_LANE = ("tail", "corollary", "annulus")
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +617,56 @@ def _check_g1_resolves(cfg: RunConfig) -> None:
             f"got {cfg.n_max}")
 
 
+def _run_lane(ctx: PipelineContext, targets: list) -> dict:
+    """Each target's (records, seconds, process peak RSS in MB); a target
+    that raises ends the lane with its exception in place of the triple."""
+    done = {}
+    for t in targets:
+        t0 = time.perf_counter()
+        try:
+            recs = _PIPELINES[t](ctx)
+        except Exception as exc:
+            return done | {t: exc}
+        done[t] = (recs, time.perf_counter() - t0,  # ru_maxrss is in KiB
+                   resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+    return done
+
+
+def _run_lanes(ctx: PipelineContext, targets: list) -> dict:
+    """The tail lane here, the rest in a forked child reaped in any case."""
+    here = [t for t in targets if t in _TAIL_LANE] or targets
+    away = [t for t in targets if t not in here]
+    if not away:
+        return _run_lane(ctx, here)
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child, on its copy of the fresh ctx, never prints
+        try:
+            done = _run_lane(ctx, away)
+            for t, x in done.items():
+                try:
+                    pickle.loads(pickle.dumps(x))
+                except Exception:  # an exception that does not pickle
+                    done[t] = RuntimeError(str(x))
+            with open(w, "wb") as pipe:
+                pickle.dump(done, pipe)
+        finally:  # the parent reads the pipe, not the exit status
+            os._exit(0)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            done = _run_lane(ctx, here)
+            payload = pipe.read()
+    except BaseException:  # interrupted: the child's results go unread
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if not payload:
+        raise RuntimeError(f"the {'/'.join(away)} lane sent no results")
+    return done | pickle.loads(payload)
+
+
 def cmd_verify(target: str, cfg: RunConfig) -> int:
     cfg.validate()
     targets = list(_PIPELINES) if target == "all" else [target]
@@ -622,19 +675,15 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
     ctx = PipelineContext(cfg)
     out = Path(cfg.out_dir)
     report = {"config": _config_echo(cfg), "targets": targets, "checks": []}
-    runtime, peak_mb = {}, {}
     t_total = time.perf_counter()
-    for t in targets:
-        t0 = time.perf_counter()
-        for rec in _PIPELINES[t](ctx):
-            rec["target"] = t
-            report["checks"].append(rec)
+    done = _run_lanes(ctx, targets)
+    for t in targets:  # a target missing from `done` follows one that raised
+        if isinstance(done[t], Exception):
+            raise done[t]
+        for rec in done[t][0]:
+            report["checks"].append(rec | {"target": t})
             status = "PASS" if rec["pass"] else "FAIL"
             print(f"[{status}] {t}:{rec['name']} ({rec['anchor']})")
-        runtime[t] = time.perf_counter() - t0
-        # the process's peak RSS so far (Linux reports KiB): the first
-        # target whose figure equals the last one set the run's peak
-        peak_mb[t] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     # a cached_property that has been computed sits in the instance dict
     if "k_star" in vars(ctx):
         report["K"] = ctx.k_star
@@ -650,8 +699,8 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
     write_json(out / "report.json", report)
     # runtimes and solver sizes live apart from the reproducible report
     timing = {"seconds_total": time.perf_counter() - t_total,
-              "per_target": runtime,
-              "per_target_peak_rss_mb": peak_mb}
+              "per_target": {t: done[t][1] for t in targets},
+              "per_target_peak_rss_mb": {t: done[t][2] for t in targets}}
     if "selected" in vars(ctx):
         timing["pentagon"] = ctx.selected.stats
     write_json(out / "runtime.json", timing)

@@ -1,6 +1,24 @@
+import os
+
 import pytest
 
-from nonembed import bvp, cli, ruled
+# cli first: the suite then runs, and forks its `verify all` lanes, with the
+# one-thread BLAS default of the command line
+from nonembed import cli  # isort: skip
+from nonembed import bvp, ruled
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fails a test after which this process has a child that is running
+    or unreaped, such as a `verify all` lane."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # reaps one that has exited
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left child {pid} unreaped" if pid
+                else "the test left a child process running")
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -85,12 +86,14 @@ def test_broken_tolerance_exits_2(tmp_path):
     ("delta.steps", "0"), ("annulus.nmax", "40"), ("annulus.nmax", "24"),
     ("annulus.nmax", "1"), ("k.max", "3.5"), ("k.max", "2"),
     ("grid.h", "0.05"), ("quad.tol", "inf"),
-    ("truncation.nmax", "4"), ("truncation.nmax", "12"),
+    ("truncation.nmax", "4"), ("truncation.nmax", "12"), ("ruled.eps", "5"),
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, value):
     # k.max = 2 is a valid value with no K that satisfies the sign
-    # conditions, and truncation.nmax = 4 one whose smallest pocket the
-    # g1 grid cannot resolve: those outcomes also name their key
+    # conditions, truncation.nmax = 4 one whose smallest pocket the g1
+    # grid cannot resolve, and ruled.eps = 5 one whose surface does not
+    # extend as a graph, found in the forked lane (which the autouse
+    # fixture checks is reaped): those outcomes also name their key
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
     out = tmp_path / "o"
@@ -627,6 +630,98 @@ def test_ruled_generation_error_keeps_the_pipeline_message(
     assert capsys.readouterr().err.startswith(
         "pipeline error: chart degenerates")
     assert not out.exists()
+
+
+def test_the_forked_lane_reads_no_tail():
+    # `verify all` runs these targets in a child on a context of its own: a
+    # claim among them that read the tail would solve the pentagon twice
+    other = [t for t in cli._PIPELINES if t not in cli._TAIL_LANE]
+    assert other == ["moon", "g1", "ruled"]
+    fresh = cli.PipelineContext(cli.RunConfig())
+    for t in other:
+        cli._PIPELINES[t](fresh)
+    assert not {"selected", "tail"} & set(vars(fresh))
+
+
+def test_verify_all_reports_each_pipeline_in_order(ctx, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["verify", "all", "--out", str(out)]) == 1
+    expected = [rec | {"target": t}
+                for t, run in cli._PIPELINES.items() for rec in run(ctx)]
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["checks"] == expected
+    assert rep["K"] == ctx.k_star
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [
+        f"[{'PASS' if r['pass'] else 'FAIL'}] {r['target']}:{r['name']} "
+        f"({r['anchor']})" for r in expected]
+    runtime = json.loads((out / "runtime.json").read_text())
+    assert set(runtime["per_target"]) == set(cli._PIPELINES)
+
+
+class _Unpicklable(Exception):
+    def __init__(self, what, where):  # pickle cannot rebuild it from args
+        super().__init__(f"{what} in {where}")
+
+
+@pytest.mark.parametrize("raising, message", [
+    # g1 (child) comes before annulus (this process) in report order; its
+    # exception does not pickle, so it crosses as its message
+    ({"g1": _Unpicklable("broke", "g1"),
+      "annulus": cli.ConfigError("annulus.nmax: late")},
+     "pipeline error: broke in g1"),
+    ({"corollary": cli.ConfigError("grid.h: early"),
+      "ruled": cli.ConfigError("ruled.eps: late")}, "error: grid.h: early"),
+])
+def test_lanes_raise_the_earliest_failure_in_report_order(
+        tmp_path, monkeypatch, capsys, raising, message):
+    def fake(t):
+        def run(ctx):
+            if t in raising:
+                raise raising[t]
+            return [cli.check(t, t, True)]
+        return run
+
+    for t in cli._PIPELINES:
+        monkeypatch.setitem(cli._PIPELINES, t, fake(t))
+    out = tmp_path / "o"
+    assert cli.main(["verify", "all", "--out", str(out)]) == 2
+    cap = capsys.readouterr()
+    assert cap.err == message + "\n"
+    first = min(list(cli._PIPELINES).index(t) for t in raising)
+    assert cap.out.splitlines() == [f"[PASS] {t}:{t} ({t})"
+                                    for t in list(cli._PIPELINES)[:first]]
+    assert not out.exists()
+
+
+def test_interrupted_verify_all_kills_the_forked_lane(tmp_path, monkeypatch):
+    def slow(ctx):
+        time.sleep(60)
+
+    def interrupted(ctx):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._PIPELINES, "moon", slow)
+    monkeypatch.setitem(cli._PIPELINES, "tail", interrupted)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["verify", "all", "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_defaults_openblas_to_one_thread(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    r = subprocess.run(
+        [sys.executable, "-c", "import nonembed.cli, os; "
+         "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == expected + "\n"
 
 
 def test_failed_assemble_leaves_no_output_directory(tmp_path, monkeypatch):
