@@ -10,9 +10,9 @@ Two solvers:
   edge on a node column, as the pentagon's are right of its legs.  The
   system is split at the rectangle's first column, the interface column
   Γ:
-  - the tip left of Γ (5,466 unknowns for the pentagon) is factored by
-    sparse LU with a minimum-degree ordering of A^T + A (MMD_AT_PLUS_A;
-    the system is mildly nonsymmetric but structurally symmetric);
+  - the tip left of Γ (5,466 unknowns in 56 node columns for the
+    pentagon) is eliminated column by column: its blocks are dense
+    tridiagonal columns, coupled diagonally to their neighbours;
   - the rectangle right of Γ is solved by Hockney's method (J. ACM 12,
     1965): an orthonormal DST-I in y and one tridiagonal sweep in x per
     mode, vectorized over the modes and the data sets;
@@ -32,8 +32,10 @@ Two solvers:
   (test_polygon_solve_pointwise_accuracy_against_discrete_oracle).
 
 The system is kept on the grid's node array: the unknowns' mask and each
-node's 5-point coefficients, zero off the unknowns.  The only sparse
-matrix built is its tip and Γ block, which is all the split solve reads.
+node's 5-point coefficients, zero off the unknowns.  The tip's and Γ's
+blocks are read from it, and no sparse matrix is built.  Every kernel is
+NumPy: the sine transforms, the dense block algebra and the glued
+field's cubic spline.
 
 The pentagon pipeline solves the mixed problem (slit-field data on the two
 slanted legs, zero on top/bottom, a constant N on the far right edge),
@@ -50,7 +52,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,17 +189,53 @@ def solve_poisson(grid: MaskedGrid, rhs: np.ndarray) -> ScalarField:
 
 
 def _poisson_dst(grid: MaskedGrid, rhs: np.ndarray) -> np.ndarray:
-    from scipy.fft import dstn, idstn
-    f = np.asarray(rhs, dtype=float)[1:-1, 1:-1] * grid.h**2
+    values = np.zeros(grid.shape)
+    f = values[1:-1, 1:-1]  # transformed in place
+    np.multiply(np.asarray(rhs, dtype=float)[1:-1, 1:-1], grid.h**2, out=f)
     m, n = f.shape
-    F = dstn(f, type=1, overwrite_x=True)
+    _dst1(_dst1(f, 0), 1)
     i = np.arange(1, m + 1)[:, None]
     j = np.arange(1, n + 1)[None, :]
-    F /= (4.0 * np.sin(i * np.pi / (2 * (m + 1))) ** 2
+    f /= (4.0 * np.sin(i * np.pi / (2 * (m + 1))) ** 2
           + 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2)
-    values = np.zeros(grid.shape)
-    values[1:-1, 1:-1] = idstn(F, type=1, overwrite_x=True)
+    # the inverse is the same transform over 2(m+1) 2(n+1)
+    _dst1(_dst1(f, 0, _reciprocal(4 * (m + 1) * (n + 1))), 1)
     return values
+
+
+# lines per block of the sine transform: a block's odd extension and its
+# transform then take a few MiB
+_DST_LINES = 64
+
+
+def _dst1(a: np.ndarray, axis: int, scale: float = 1.0) -> np.ndarray:
+    """The DST-I of the 2-D array a along axis 0 or 1, times scale,
+    written over a, which is returned.  The transform of a line of n
+    values is minus the imaginary part of terms 1..n of the real FFT of
+    its odd extension (0, line, 0, -line reversed), of length 2(n+1).
+    pocketfft computes it so, so the bits equal scipy.fft.dst(type=1)
+    and, a pass per axis with the scale on the first, dstn and idstn.
+    Lines go _DST_LINES at a time; along axis 0 a block of columns is
+    gathered transposed, so no copy of a is made."""
+    n = a.shape[axis]
+    lines = a.shape[1 - axis]
+    buf = np.zeros((min(_DST_LINES, lines), 2 * (n + 1)))
+    for lo in range(0, lines, _DST_LINES):
+        hi = min(lo + _DST_LINES, lines)
+        ext = buf[:hi - lo]
+        line = a[lo:hi] if axis == 1 else a[:, lo:hi].T
+        ext[:, 1:n + 1] = line
+        np.negative(line[:, ::-1], out=ext[:, n + 2:])
+        im = np.fft.rfft(ext, axis=1).imag[:, 1:n + 1]
+        np.multiply(im, -scale, out=line)
+    return a
+
+
+def _reciprocal(N: int, root: bool = False) -> float:
+    """1/N, or 1/sqrt(N), in long double and then rounded, as pocketfft
+    forms its normalization factors."""
+    x = np.longdouble(N)
+    return float(1 / (np.sqrt(x) if root else x))
 
 
 def laplacian_grid(f: ScalarField) -> np.ndarray:
@@ -319,25 +357,46 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
                 origin=origin, h=h, shape=shape)
 
 
-def _leading_block(geom: dict, k: int):
-    """A[:k, :k] of the stencil system as a CSC matrix, where the first k
-    unknowns fill whole node columns."""
-    from scipy.sparse import csc_matrix
-    inside = geom["interior"]
-    c = int(np.searchsorted(np.cumsum(np.count_nonzero(inside, axis=1)), k)) + 1
-    lead = inside[:c]
-    idx = np.full((c + 1, inside.shape[1]), -1)  # and the column right of Γ
-    idx[:c][lead] = np.arange(k)
-    rows, cols, vals = [np.arange(k)], [np.arange(k)], [geom["diag"][:c][lead]]
-    for d, (di, dj) in enumerate(_DIRS):
-        nb = np.roll(idx, (-di, -dj), (0, 1))[:c][lead]
-        sel = np.flatnonzero(nb >= 0)
-        rows.append(sel)
-        cols.append(nb[sel])
-        vals.append(-geom["coefs"][d, :c][lead][sel])
-    return csc_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(k, k))
+class _Column(NamedTuple):
+    """A node column of the system: its unknowns' slice of the solver's
+    vector and its couplings to the previous column, which are diagonal
+    on the rows the two share: `west` holds A_{c,c-1} and `east`
+    A_{c-1,c} there, at positions `here` of this column and `there` of
+    the previous one."""
+    unknowns: slice
+    west: np.ndarray
+    east: np.ndarray
+    here: slice
+    there: slice
+
+
+def _columns(geom: dict, k: int) -> Tuple[list, list]:
+    """The node columns that hold the system's first k unknowns, which
+    fill whole columns, in order, and their diagonal blocks A_cc as dense
+    matrices (tridiagonal in y).  A convex polygon's unknowns in a column
+    are one run of rows."""
+    inside, diag, coefs = geom["interior"], geom["diag"], geom["coefs"]
+    cols, blocks, start, prev = [], [], 0, None
+    for i in np.flatnonzero(np.any(inside, axis=1)):
+        if start == k:
+            break
+        rows = np.flatnonzero(inside[i])
+        lo, hi = int(rows[0]), int(rows[-1]) + 1
+        d = hi - lo
+        D = np.zeros((d, d))
+        D.flat[::d + 1] = diag[i, lo:hi]
+        D.flat[1::d + 1] = -coefs[2, i, lo:hi - 1]  # N
+        D.flat[d::d + 1] = -coefs[3, i, lo + 1:hi]  # S
+        blocks.append(D)
+        plo, phi = prev or (lo, lo)  # the first column shares no row
+        a = max(lo, plo)
+        b = max(min(hi, phi), a)
+        cols.append(_Column(slice(start, start + d),
+                            -coefs[1, i, a:b], -coefs[0, i - 1, a:b],
+                            slice(a - lo, b - lo), slice(a - plo, b - plo)))
+        start += d
+        prev = (lo, hi)
+    return cols, blocks
 
 
 # Compensated float64 arithmetic: Knuth's TwoSum and Dekker's TwoProduct
@@ -417,29 +476,31 @@ def _plain_block(geom: dict) -> Tuple[int, int]:
     return int(np.count_nonzero(inside)) - p * m, m
 
 
-def _block_solver(A, h: float, m: int, n: int):
+def _block_solver(geom: dict, s: int, m: int, n: int):
     """Direct solve of M x = b for data sets stacked as rows, where M is
     the system of n unknowns with the rectangle right of the interface
-    column Γ taken as the exact 5-point stencil.  A holds the rows and
-    columns of the tip and of Γ (the last m of A's unknowns), which is all
-    of the system the solve reads.  The tip left of Γ keeps a
-    sparse LU; Γ is solved through its dense Schur complement
-    S = A_ΓΓ - A_ΓT A_TT^-1 A_TΓ - h^-2 Q diag(rho) Q; the rectangle by an
-    orthonormal DST-I Q in y and a tridiagonal sweep in x per mode.
-    Returns (solve, L.nnz + U.nnz of the tip LU)."""
-    # splu is looked up on the module at each call, so a wrapper set on
-    # scipy.sparse.linalg.splu (a profiler's, say) takes effect
-    import scipy.sparse.linalg as spla
-    from scipy.fft import dst
-    # dense algebra stays in SciPy's BLAS, which SuperLU also calls: after a
-    # NumPy matmul, NumPy's own BLAS threads keep spinning, and on 2 cores
-    # the tip solve of the 191 columns of A_TΓ then took 0.9 s, not 0.07 s
-    from scipy.linalg import lu_factor, lu_solve
+    column Γ taken as the exact 5-point stencil; the tip holds the first
+    s unknowns and Γ the next m.  The tip is eliminated column by column
+    (block LU without pivoting, stable on these M-matrix blocks: Golub and
+    Van Loan, Matrix Computations, 4.5): each step keeps the inverse of
+    D~_c = D_c - A_{c,c-1} D~_{c-1}^-1 A_{c-1,c}, and the step onto Γ
+    leaves A_ΓΓ - A_ΓT A_TT^-1 A_TΓ.  Γ is solved through the dense
+    Schur complement S = A_ΓΓ - A_ΓT A_TT^-1 A_TΓ - h^-2 Q diag(rho) Q;
+    the rectangle by an orthonormal DST-I Q in y and a tridiagonal sweep
+    in x per mode.  Returns (solve, the entries the tip's inverses
+    hold)."""
+    # dense algebra runs in NumPy's BLAS, the process's one thread pool;
+    # its threads still spin against the other `verify all` lane: with
+    # OPENBLAS_NUM_THREADS=2 this setup took 0.17-0.53 s in 20 runs on 2
+    # cores, against 0.06-0.10 s on the command line's one-thread default
+    h = geom["h"]
+    ortho = _reciprocal(2 * (m + 1), root=True)
 
     def Q(v):  # orthonormal DST-I along the last axis; Q = Q^T = Q^-1
-        return dst(v, type=1, norm="ortho", axis=-1)
+        out = np.array(v, dtype=float, order="C")
+        _dst1(out.reshape(-1, m), 1, ortho)
+        return out
 
-    s = A.shape[0] - m
     p = (n - s) // m - 1  # rectangle columns right of Γ
     g = slice(s, s + m)
     # mode k of h^2 A_RR is T_k = tridiag(-1, 2 + lam_k, -1) in x;
@@ -450,12 +511,13 @@ def _block_solver(A, h: float, m: int, n: int):
     for c in range(1, p):
         inv_piv[c] = 1.0 / (2.0 + lam - inv_piv[c - 1])
 
-    def sweep(r):
-        """T_k^-1 r for every mode (last axis), columns on axis 0."""
-        y = np.empty_like(r)
-        y[0] = r[0] * inv_piv[0]
+    def sweep(y):
+        """T_k^-1 y for every mode (last axis), columns on axis 0, in
+        place."""
+        y[0] *= inv_piv[0]
         for c in range(1, p):
-            y[c] = (r[c] + y[c - 1]) * inv_piv[c]
+            y[c] += y[c - 1]
+            y[c] *= inv_piv[c]
         for c in range(p - 2, -1, -1):
             y[c] += y[c + 1] * inv_piv[c]
         return y
@@ -463,49 +525,57 @@ def _block_solver(A, h: float, m: int, n: int):
     first = np.zeros((p, m))
     first[0] = 1.0
     G = sweep(first)  # G[c, k] = [T_k^-1]_{c,0}; rho_k = G[0, k]
-    S = A[g, g].toarray() - Q(Q(np.diag(G[0])).T) / h**2
-    fill = 0
-    if s:
-        # MMD on A^T + A suits the structurally symmetric 5-point pattern
-        lu = spla.splu(A[:s, :s], permc_spec="MMD_AT_PLUS_A")
-        fill = lu.L.nnz + lu.U.nnz
-        A_gt, A_tg = A[g, :s], A[:s, g]
-        S -= A_gt @ lu.solve(A_tg.toarray())
-    S = lu_factor(S)
+    cols, D = _columns(geom, s + m)  # the tip's node columns, then Γ
+    inv = []  # D~_c^-1 of each tip column
+    for c, col in enumerate(cols[1:]):
+        inv.append(np.linalg.inv(D[c]))
+        D[c + 1][col.here, col.here] -= (
+            col.west[:, None] * inv[c][col.there, col.there] * col.east)
+    S = D[-1] - Q(Q(np.diag(G[0])).T) / h**2
 
     def solve(b: np.ndarray) -> np.ndarray:
         k = len(b)
         # rectangle with zero data on Γ, columns first: z = h^2 T^-1 Q b_R
-        z = sweep(Q(b[:, s + m:].reshape(k, p, m).transpose(1, 0, 2)) * h**2)
-        rg = b[:, g] + Q(z[0]) / h**2
-        if s:
-            rg -= (A_gt @ lu.solve(b[:, :s].T)).T
-        xg = lu_solve(S, rg.T).T
+        z = Q(b[:, s + m:].reshape(k, p, m).transpose(1, 0, 2))
+        z *= h**2
+        sweep(z)
         x = np.empty_like(b)
-        x[:, g] = xg
-        if s:
-            x[:, :s] = lu.solve((b[:, :s] - (A_tg @ xg.T).T).T).T
-        z += G[:, None, :] * Q(xg)
-        x[:, s + m:] = Q(z).transpose(1, 0, 2).reshape(k, p * m)
+        x[:, :s + m] = b[:, :s + m]
+        x[:, g] += Q(z[0]) / h**2
+        xc = [x[:, col.unknowns] for col in cols]
+        # forward: x_c = D~_c^-1 (b_c - A_{c,c-1} x_{c-1}), down to Γ's
+        # right-hand side
+        for c, col in enumerate(cols):
+            if c:
+                xc[c][:, col.here] -= col.west * xc[c - 1][:, col.there]
+            if c < len(inv):
+                xc[c][:] = xc[c] @ inv[c].T
+        xc[-1][:] = np.linalg.solve(S, xc[-1].T).T
+        # back: x_c -= D~_c^-1 A_{c,c+1} x_{c+1}
+        for c in range(len(inv) - 1, -1, -1):
+            nxt = cols[c + 1]
+            xc[c] -= ((nxt.east * xc[c + 1][:, nxt.here])
+                      @ inv[c][:, nxt.there].T)
+        for zj, qj in zip(z.transpose(1, 0, 2), Q(x[:, g])):
+            zj += G * qj
+        _dst1(z.reshape(-1, m), 1, ortho)  # Q z, in place
+        x[:, s + m:].reshape(k, p, m)[:] = z.transpose(1, 0, 2)
         return x
 
-    return solve, fill
+    return solve, sum(Di.size for Di in inv)
 
 
 class PolygonProblem:
     """Shortley-Weller discretization of a convex polygon, solved for any
     number of Dirichlet data sets at once.  The polygon must end on the
     right in a block of plain 5-point columns (see `_plain_block`).
-    The system is kept on the grid's node array in `geom`; `A` is a sparse
-    matrix of its tip and Γ rows and columns only, A[:s+m, :s+m], which is
-    all that the block solver reads.  `stats` holds the sizes and stage
-    times of the last solve."""
+    The system is kept on the grid's node array in `geom`.  `stats` holds
+    the sizes and stage times of the last solve."""
 
     def __init__(self, poly: ConvexPolygon, h: float, origin: Point,
                  shape: Tuple[int, int]):
         self.geom = _assemble_polygon(poly, h, origin, shape)
         self._tip, self._gamma = _plain_block(self.geom)
-        self.A = _leading_block(self.geom, self._tip + self._gamma)
         self.stats: dict = {}
 
     def _cut_data(self, edge_data: Sequence[Callable]) -> np.ndarray:
@@ -529,9 +599,9 @@ class PolygonProblem:
     def solve(self, edge_data_sets: Sequence[Sequence[Callable]]
               ) -> list[ScalarField]:
         """One ScalarField per data set.  The stacked right-hand sides are
-        solved with one tip LU, interface and rectangle solve and one step
-        of iterative refinement whose residual is compensated; the factors
-        are freed on return."""
+        solved with one tip elimination, interface and rectangle solve and
+        one step of iterative refinement whose residual is compensated;
+        the factors are freed on return."""
         g = self.geom
         data = [self._cut_data(ed) for ed in edge_data_sets]
         x = self._refined_solve(np.stack([self._rhs(v) for v in data]))
@@ -552,7 +622,7 @@ class PolygonProblem:
         t0 = time.perf_counter()
         inside = self.geom["interior"]
         n = int(np.count_nonzero(inside))
-        solve, fill = _block_solver(self.A, self.geom["h"], self._gamma, n)
+        solve, fill = _block_solver(self.geom, self._tip, self._gamma, n)
         t1 = time.perf_counter()
         on = np.broadcast_to(inside, b.shape)  # in the solver's order
         x = np.zeros_like(b)
@@ -560,7 +630,9 @@ class PolygonProblem:
         t2 = time.perf_counter()
         r = np.extract(on, _stencil_residual(self.geom, x, b)).reshape(len(b), n)
         t3 = time.perf_counter()
-        np.place(x, on, np.extract(on, x) + solve(r).ravel())
+        dx = solve(r)
+        dx += np.extract(on, x).reshape(dx.shape)
+        np.place(x, on, dx)
         t4 = time.perf_counter()
         self.stats = dict(
             tip_unknowns=self._tip, gamma_unknowns=self._gamma,
@@ -788,28 +860,75 @@ def select_N(K: int, resolution: int,
 # the glued field on disc + pentagon
 # ---------------------------------------------------------------------------
 
+# the cubic B-spline's pole sqrt(3) - 2 rounded to the nearest double, as
+# scipy.ndimage has it (sqrt(3.0) - 2.0 is one ulp off)
+_POLE = -0.2679491924311227
+
+
+def _spline_prefilter(c: np.ndarray) -> None:
+    """The cubic B-spline coefficients of samples along axis 0, in place,
+    every line at once: the gain, then a causal and an anticausal
+    recursion with the pole _POLE and mirror boundaries (Unser, Aldroubi
+    and Eden, IEEE Trans. Signal Process. 41, 1993), in the operation
+    order of scipy.ndimage.spline_filter1d, whose bits they keep."""
+    z, n = _POLE, len(c)
+    c *= (1.0 - z) * (1.0 - 1.0 / z)
+    zn = z ** (n - 1)
+    c0 = c[0] + zn * c[n - 1]
+    zi = z
+    for i in range(1, n - 1):
+        c0 += zi * (c[i] + zn * c[n - 1 - i])
+        zi *= z
+    c[0] = c0 / (1 - zn * zn)
+    for i in range(1, n):
+        c[i] += z * c[i - 1]
+    c[n - 1] = (z * c[n - 2] + c[n - 1]) * z / (z * z - 1)
+    for i in range(n - 2, -1, -1):
+        np.subtract(c[i + 1], c[i], out=c[i])
+        c[i] *= z
+
+
+def _cubic_taps(f: np.ndarray, n: int):
+    """The four cubic B-spline weights at fractional node positions f and
+    their node indices, clamped to [0, n - 1] (the "nearest" boundary)."""
+    f0 = np.floor(f)
+    t = f - f0
+    u = 1.0 - t
+    w = [u * u * u / 6.0, (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0,
+         (u * u * (u - 2.0) * 3.0 + 4.0) / 6.0]
+    w.append(1.0 - w[0] - w[1] - w[2])
+    start = f0.astype(np.intp) - 1
+    return w, [np.clip(start + a, 0, n - 1) for a in range(4)]
+
+
 class GluedField:
     """w = slit field on the disc minus the vertex sector, pentagon
     solution inside the polygon, zero outside both.
 
     Pentagon values are interpolated with a C^2 cubic spline (kinks of a
     bilinear interpolant would dominate second differences taken on
-    coarser downstream grids).
+    coarser downstream grids).  Its coefficients and values have the bits
+    of scipy.ndimage's spline_filter and map_coordinates(order=3,
+    mode="nearest").
     """
 
     def __init__(self, w: ScalarField, poly: ConvexPolygon):
-        from scipy.ndimage import spline_filter
         self.poly = poly
         self.w = w
-        self._coeffs = spline_filter(w.values, order=3)
+        self._coeffs = np.array(w.values, dtype=float)
+        _spline_prefilter(self._coeffs)
+        _spline_prefilter(self._coeffs.T)
 
     def _pentagon_interp(self, X, Y):
-        from scipy.ndimage import map_coordinates
         g = self.w.grid
-        fi = (X - g.origin[0]) / g.h
-        fj = (Y - g.origin[1]) / g.h
-        return map_coordinates(self._coeffs, np.vstack([fi, fj]), order=3,
-                               prefilter=False, mode="nearest")
+        c = self._coeffs
+        wi, ii = _cubic_taps((X - g.origin[0]) / g.h, c.shape[0])
+        wj, jj = _cubic_taps((Y - g.origin[1]) / g.h, c.shape[1])
+        out = np.zeros(np.shape(X))
+        for a in range(4):
+            for b in range(4):
+                out += c[ii[a], jj[b]] * wi[a] * wj[b]
+        return out
 
     def region_of(self, x, y):
         """0 exterior, 1 disc (slit field), 2 pentagon."""

@@ -673,6 +673,8 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
     if "g1" in targets:
         _check_g1_resolves(cfg)
     ctx = PipelineContext(cfg)
+    if "ruled" in targets:  # checks ruled.eps before any target runs
+        ctx.ruled_surface(cfg.ruled_eps, cfg.seed)
     out = Path(cfg.out_dir)
     report = {"config": _config_echo(cfg), "targets": targets, "checks": []}
     t_total = time.perf_counter()

@@ -182,6 +182,72 @@ def test_poisson_matches_newtonian_potential_oracle():
         assert got == pytest.approx(oracle, rel=1e-3), (px, py)
 
 
+# the sine transform and the spline equal SciPy's to the bit on NumPy 2,
+# whose FFT is the same pocketfft code as scipy.fft's; NumPy 1's C FFT
+# rounds differently
+_DST_RTOL = 0.0 if int(np.__version__.split(".")[0]) >= 2 else 1e-13
+
+
+@pytest.mark.parametrize("shape", [(1535, 70), (67, 130), (5, 1)])
+def test_dst1_equals_scipy_dstn_idstn_and_ortho(shape):
+    from scipy.fft import dst, dstn, idstn
+    f = np.random.default_rng(11).standard_normal(shape)
+    m, n = shape
+    for ref, got in (
+            (dstn(f, type=1), bvp._dst1(bvp._dst1(f.copy(), 0), 1)),
+            (idstn(f, type=1), bvp._dst1(bvp._dst1(
+                f.copy(), 0, bvp._reciprocal(4 * (m + 1) * (n + 1))), 1)),
+            (dst(f, type=1, norm="ortho"),
+             bvp._dst1(f.copy(), 1, bvp._reciprocal(2 * (n + 1), root=True))),
+            (dst(f, type=1, norm="ortho", axis=0),
+             bvp._dst1(f.copy(), 0, bvp._reciprocal(2 * (m + 1), root=True)))):
+        assert np.allclose(got, ref, rtol=0.0,
+                           atol=_DST_RTOL * np.abs(ref).max())
+
+
+def test_block_solver_transform_equals_scipy_on_stacked_data_sets():
+    # the rectangle's data sets, (columns, sets, modes), along the modes
+    from scipy.fft import dst
+    f = np.random.default_rng(12).standard_normal((40, 2, 191))
+    got = f.copy()
+    bvp._dst1(got.reshape(-1, 191), 1, bvp._reciprocal(384, root=True))
+    ref = dst(f, type=1, norm="ortho")
+    assert np.allclose(got, ref, rtol=0.0, atol=_DST_RTOL * np.abs(ref).max())
+
+
+def test_glued_spline_equals_scipy_ndimage():
+    """The spline's coefficients and values equal those of scipy.ndimage's
+    spline_filter (mirror) and map_coordinates (order 3, nearest) to the
+    bit, as measured: the same operations in the same order, with SciPy's
+    pole literal.  Points lie all over a 2221 x 195 grid like the K = 4
+    pentagon's and in its edge cells."""
+    from scipy.ndimage import map_coordinates, spline_filter
+    rng = np.random.default_rng(13)
+    shape = (2221, 195)
+    mask = np.full(shape, bvp.INTERIOR, dtype=np.int8)
+    grid = bvp.MaskedGrid(origin=(-0.5, -1.0), h=0.01, mask=mask,
+                          subgrid_boundary=True)
+    field = bvp.ScalarField(grid=grid, values=rng.standard_normal(shape))
+    gf = bvp.GluedField(field, bvp.ConvexPolygon([(0, 0), (1, 0), (0, 1)]))
+    coeffs = spline_filter(field.values, order=3)
+    assert np.array_equal(gf._coeffs, coeffs)
+    fi = np.concatenate([rng.uniform(0, shape[0] - 1, 20_000),
+                         rng.uniform(0, 1.5, 500), rng.uniform(-1, 0, 50),
+                         rng.uniform(shape[0] - 2.5, shape[0] - 1, 500),
+                         np.arange(shape[0]), [shape[0] - 0.5]])
+    fj = np.concatenate([rng.uniform(0, shape[1] - 1, 20_000),
+                         rng.uniform(shape[1] - 2.5, shape[1] - 1, 500),
+                         rng.uniform(shape[1] - 1, shape[1], 50),
+                         rng.uniform(0, 1.5, 500),
+                         np.zeros(shape[0]), [shape[1] - 1]])
+    X = grid.origin[0] + fi * grid.h
+    Y = grid.origin[1] + fj * grid.h
+    ref = map_coordinates(coeffs, np.vstack([(X - grid.origin[0]) / grid.h,
+                                             (Y - grid.origin[1]) / grid.h]),
+                          order=3, prefilter=False, mode="nearest")
+    assert np.array_equal(gf._pentagon_interp(X, Y), ref)
+
+
 def test_poisson_pocket_source_sign():
     # negative source bumps force positive Laplacian of the solution
     # (Delta u = -rhs) and hence negative curvature inside the pockets
@@ -303,15 +369,13 @@ def test_unrefined_block_solve_is_close_to_the_refined_solve(selected4,
                                                             pentagon4):
     """Before its refinement step, the tip / interface / rectangle solve of
     the K = 4 pentagon is within 1e-10 relative of the refined solution at
-    every node (measured 1.75e-11).  The solver's matrix holds only the tip
-    and Γ rows and columns."""
+    every node (measured 1.77e-11)."""
     prob = pentagon4
     inside = prob.geom["interior"]
     b = _basis_rhs(prob, selected4.geom)[:, inside]
-    solve, fill = bvp._block_solver(prob.A, prob.geom["h"], prob._gamma,
+    solve, fill = bvp._block_solver(prob.geom, prob._tip, prob._gamma,
                                     np.count_nonzero(inside))
-    assert prob._tip == 5466 and prob._gamma == 191 and fill == 162_328
-    assert prob.A.shape == (5657, 5657)
+    assert prob._tip == 5466 and prob._gamma == 191 and fill == 708_640
     for x, w in zip(solve(b), (selected4.w0, selected4.w1)):
         refined = w.values[inside]
         assert np.max(np.abs(x - refined) / np.abs(refined)) < 1e-10
@@ -469,9 +533,9 @@ def _assemble_per_node(poly, h, origin, shape, snap=1e-9):
 
 
 def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4):
-    """The pentagon's stencil, its tip and Γ matrix, both right-hand sides
-    of select_N and the rim values equal those of the per-node loop bit
-    for bit."""
+    """The pentagon's stencil, the tip and Γ blocks that the solver's
+    elimination reads, both right-hand sides of select_N and the rim
+    values equal those of the per-node loop bit for bit."""
     geom = selected4.geom
     prob = pentagon4
     origin, h, shape = bvp._pentagon_grid_params(geom, 192)
@@ -486,10 +550,25 @@ def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4):
     assert not np.any(prob.geom["coefs"][:, ~inside])
     assert not np.any(prob.geom["diag"][~inside])
     k = prob._tip + prob._gamma
-    corner = A[:k, :k]
-    assert np.array_equal(prob.A.indptr, corner.indptr)
-    assert np.array_equal(prob.A.indices, corner.indices)
-    assert np.array_equal(prob.A.data, corner.data)
+    cols, blocks = bvp._columns(prob.geom, k)
+    assert len(cols) == 57 and cols[-1].unknowns == slice(prob._tip, k)
+    nnz = 0
+    for prev, col, D in zip([None] + cols, cols, blocks):
+        u = col.unknowns
+        assert np.array_equal(A[u, u].toarray(), D)
+        nnz += np.count_nonzero(D)
+        if prev is None:
+            assert u.start == 0 and len(col.west) == 0
+            continue
+        assert u.start == prev.unknowns.stop
+        for block, coupling in ((A[u, prev.unknowns], col.west),
+                                (A[prev.unknowns, u].T, col.east)):
+            expect = np.zeros(block.shape)
+            expect[col.here, col.there] = np.diag(coupling)
+            assert np.array_equal(block.toarray(), expect)
+            nnz += len(coupling)
+    # and A[:k, :k] holds nothing else
+    assert A[:k, :k].nnz == nnz
     unit_right = [bvp._zero] * 5
     unit_right[geom.RIGHT] = lambda x, y: 1.0
     dirs = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -512,9 +591,10 @@ def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4):
 
 
 def test_selected_N_keeps_no_factors(selected4):
-    """The LU factors and the system are released once select_N returns:
-    no SuperLU object, PolygonProblem or sparse matrix is reachable from
-    the SelectedN."""
+    """The tip's block factors and the system are released once select_N
+    returns: no square matrix (each inverse D~_c^-1 is one), SuperLU
+    object, PolygonProblem or sparse matrix is reachable from the
+    SelectedN."""
     seen, stack = set(), [selected4]
     while stack:
         obj = stack.pop()
@@ -524,6 +604,8 @@ def test_selected_N_keeps_no_factors(selected4):
         seen.add(id(obj))
         assert not isinstance(obj, (spla.SuperLU, bvp.PolygonProblem))
         assert not sp.issparse(obj)
+        if isinstance(obj, np.ndarray) and obj.ndim == 2:
+            assert obj.shape[0] != obj.shape[1], obj.shape
         stack.extend(gc.get_referents(obj))
     assert id(selected4.w0.values) in seen
 

@@ -240,8 +240,8 @@ def test_export_both_ways_loads_no_scipy(tmp_path):
 
 
 def test_every_module_imports_without_scipy():
-    """With scipy made unimportable, every nonembed module still imports:
-    scipy is imported only inside the functions that call it."""
+    """With scipy made unimportable, every nonembed module still imports
+    (`test_commands_run_without_scipy` runs the commands so)."""
     code = ("import importlib, pkgutil, sys\n"
             "sys.modules['scipy'] = None\n"
             "import nonembed\n"
@@ -253,6 +253,41 @@ def test_every_module_imports_without_scipy():
                        text=True)
     assert r.returncode == 0, r.stderr
     assert {"bvp", "cli", "gridio", "mollify"} <= set(r.stdout.split())
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """With scipy made unimportable, `verify all`, `assemble g1` (on the
+    golden test's 128-cell pocket box) and `export` both ways exit as they
+    do with it, 1, 0, 0 and 0, and write the same bytes: report.json and
+    tail_field.csv those of a run with scipy, the g1 files the golden
+    digests, and the round trip its source."""
+    bare = tmp_path / "bare"
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from nonembed import assembly, cli\n"
+            "out = sys.argv[1]\n"
+            "codes = [cli.main(['verify', 'all', '--out', out + '/v'])]\n"
+            "full = assembly.build_g1\n"
+            "assembly.build_g1 = lambda n_max, grid_n: full(n_max, 128)\n"
+            "codes += [cli.main(['assemble', 'g1', '--nmax', '1',\n"
+            "                    '--out', out + '/g1']),\n"
+            "          cli.main(['export', out + '/v/tail_field.csv',\n"
+            "                    '--format', 'json', '--dst', out + '/t.json']),\n"
+            "          cli.main(['export', out + '/t.json', '--format', 'csv',\n"
+            "                    '--dst', out + '/back.csv'])]\n"
+            "print(codes)\n")
+    r = subprocess.run([sys.executable, "-c", code, str(bare)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[1, 0, 0, 0]", r.stderr
+    normal = tmp_path / "normal"
+    assert cli.main(["verify", "all", "--out", str(normal)]) == 1
+    for name in ("report.json", "tail_field.csv"):
+        assert (bare / "v" / name).read_bytes() == \
+            (normal / name).read_bytes(), name
+    assert _sha256s(bare / "g1", G1_GOLDEN_SHA256) == G1_GOLDEN_SHA256
+    assert (bare / "back.csv").read_bytes() == \
+        (bare / "v" / "tail_field.csv").read_bytes()
 
 
 def test_artifacts_get_mode_from_umask(tmp_path):
@@ -618,6 +653,23 @@ def test_ruled_eps_without_a_graph_extension_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_all_checks_ruled_eps_before_any_target(tmp_path, capsys,
+                                                      monkeypatch):
+    # the surface at ruled.eps is built before the lanes start, so a value
+    # whose extension fails runs no target and forks no lane
+    ran = []
+    for t in cli._PIPELINES:
+        monkeypatch.setitem(cli._PIPELINES, t,
+                            lambda ctx, t=t: ran.append(t) or [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ruled.eps = 5\n")
+    out = tmp_path / "o"
+    assert cli.main(["verify", "all", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert re.match(r"error: ruled\.eps\b", capsys.readouterr().err)
+    assert ran == [] and not out.exists()
+
+
 def test_ruled_generation_error_keeps_the_pipeline_message(
         tmp_path, monkeypatch, capsys):
     # only the extension check at the config's eps names ruled.eps
@@ -842,30 +894,34 @@ def test_assemble_annulus_golden_sha256(ctx, tmp_path, monkeypatch):
         "6480374629e28f7b2c0441e11111be561f4150551aff2d1fa3411dac4131cb6f"
 
 
+# `nonembed assemble g1 --nmax 1` with the pocket solve on a 128-cell box:
+# both grids, their sidecars and the manifest
+G1_GOLDEN_SHA256 = {
+    "g1_factor.csv":
+        "724c467203e86d9722ce1ce8d74ea655594f55ea3067686e326c412317cb94de",
+    "g1_factor.json":
+        "2b0f57fbe625ae842c0b8decba8f756690510eb9be9d84168330e3b4910b52c9",
+    "g1_curvature.csv":
+        "d2ad1e27d455030da8495e32267ee2c999a0d90a424c9bf1284a217dbee3537d",
+    "g1_curvature.json":
+        "6d3701e7f095f702d3fb313d723dd8cddf717a8dd4845c2fb97cb518943dcd90",
+    "manifest.json":
+        "e6ae3ca28f48d7bb3d3c7f2a4619ce1e0a650d413cb3bb33d787029287198a18",
+}
+
+
+def _sha256s(directory, names):
+    return {n: hashlib.sha256((directory / n).read_bytes()).hexdigest()
+            for n in names}
+
+
 def test_assemble_g1_golden_sha256(tmp_path, monkeypatch):
-    # `nonembed assemble g1 --nmax 1` with the pocket solve on a 128-cell
-    # box: both grids, their sidecars and the manifest
     full_size = assembly.build_g1
     monkeypatch.setattr(assembly, "build_g1",
                         lambda n_max, grid_n: full_size(n_max, grid_n=128))
     assert cli.main(["assemble", "g1", "--nmax", "1",
                      "--out", str(tmp_path)]) == 0
-    names = ("g1_factor.csv", "g1_factor.json", "g1_curvature.csv",
-             "g1_curvature.json", "manifest.json")
-    digests = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
-               for n in names}
-    assert digests == {
-        "g1_factor.csv":
-            "724c467203e86d9722ce1ce8d74ea655594f55ea3067686e326c412317cb94de",
-        "g1_factor.json":
-            "2b0f57fbe625ae842c0b8decba8f756690510eb9be9d84168330e3b4910b52c9",
-        "g1_curvature.csv":
-            "d2ad1e27d455030da8495e32267ee2c999a0d90a424c9bf1284a217dbee3537d",
-        "g1_curvature.json":
-            "6d3701e7f095f702d3fb313d723dd8cddf717a8dd4845c2fb97cb518943dcd90",
-        "manifest.json":
-            "e6ae3ca28f48d7bb3d3c7f2a4619ce1e0a650d413cb3bb33d787029287198a18",
-    }
+    assert _sha256s(tmp_path, G1_GOLDEN_SHA256) == G1_GOLDEN_SHA256
 
 
 def test_assemble_manifest_does_not_depend_on_out_dir(ctx, tmp_path,
