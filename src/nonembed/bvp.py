@@ -52,7 +52,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -643,10 +643,11 @@ class PolygonProblem:
 
     def _fill_rim(self, values: np.ndarray, data: np.ndarray) -> None:
         """First-order extrapolation of the solution in `values` onto
-        exterior nodes adjacent to the boundary, so bilinear interpolation
-        of cells that straddle an edge honors the Dirichlet data instead of
-        blending with zeros.  A node reached by several arms gets their
-        mean."""
+        exterior nodes adjacent to the boundary, so that the glued field's
+        cubic spline, whose taps next to an edge reach these nodes, reads
+        the Dirichlet data continued instead of zeros.  The bilinear
+        samples of `normal_derivative` stay on interior cells and never
+        read them.  A node reached by several arms gets their mean."""
         c = self.geom["cuts"]
         ny = values.shape[1]
         q = c["node"] + np.array([di * ny + dj for di, dj in _DIRS])[c["dir"]]
@@ -672,15 +673,14 @@ class PolygonProblem:
 # ---------------------------------------------------------------------------
 
 def normal_derivative(f_interp: Callable, edge: Segment, normal: Point,
-                      h: float, n_samples: int = 40,
-                      boundary_value: Optional[Callable] = None) -> dict:
+                      h: float, n_samples: int,
+                      boundary_value: Callable) -> dict:
     """One-sided second-order normal derivative at sampled edge points.
 
     f_interp(xs, ys) evaluates the field on arrays of points strictly
-    inside the domain; boundary_value(xs, ys), when given, supplies the
-    exact edge values (otherwise f_interp is trusted on the edge).
-    Offsets are 2h and 4h so every interpolation cell stays interior for
-    convex domains.
+    inside the domain; boundary_value(xs, ys) supplies the exact edge
+    values.  Offsets are 2h and 4h so every interpolation cell stays
+    interior for convex domains.
 
         f_n ~ (-3 f(p) + 4 f(p + 2h n) - f(p + 4h n)) / (4h)
 
@@ -692,7 +692,7 @@ def normal_derivative(f_interp: Callable, edge: Segment, normal: Point,
         raise SolverError("edge shorter than twice the corner margin 3h")
     ts = np.linspace(t_lo, t_hi, n_samples)
     px, py = edge.at(ts)
-    f0 = (boundary_value or f_interp)(px, py)
+    f0 = boundary_value(px, py)
     f1 = f_interp(px + 2 * h * normal[0], py + 2 * h * normal[1])
     f2 = f_interp(px + 4 * h * normal[0], py + 4 * h * normal[1])
     deriv = (-3.0 * f0 + 4.0 * f1 - f2) / (4.0 * h)
@@ -705,6 +705,7 @@ def normal_derivative(f_interp: Callable, edge: Segment, normal: Point,
 
 RIGHT_X = 20.0     # the pentagon's right edge lies on x = RIGHT_X
 EDGE_SAMPLES = 40  # normal-derivative samples per edge in the N selection
+N_SWEEP = tuple(float(2 ** k) for k in range(260))  # the N tried, in order
 
 
 @dataclass
@@ -817,10 +818,8 @@ def edge_margins(geom: PentagonGeometry, w: ScalarField, h: float,
     return out
 
 
-def select_N(K: int, resolution: int,
-             schedule: Optional[Sequence[float]] = None,
-             margin_frac: float = 0.05) -> SelectedN:
-    """Smallest N in a geometric sweep for which, at the sampled edge
+def select_N(K: int, resolution: int, margin_frac: float) -> SelectedN:
+    """Smallest N in the sweep N_SWEEP for which, at the sampled edge
     points, the inward normal derivative of the pentagon solution exceeds
     that of the slit field on the legs (by margin_frac of the local slit
     gradient scale) and is positive on the top/bottom edges.
@@ -837,9 +836,7 @@ def select_N(K: int, resolution: int,
     w0, w1 = prob.solve([pentagon_edge_data(geom, 0.0), unit_right])
     h = prob.geom["h"]
 
-    if schedule is None:
-        schedule = [float(2 ** k) for k in range(0, 260)]
-    for N in schedule:
+    for N in N_SWEEP:
         w = ScalarField(grid=w0.grid, values=w0.values + N * w1.values)
         m = edge_margins(geom, w, h, EDGE_SAMPLES)
         ok_legs = all(

@@ -25,6 +25,7 @@ from nonembed.trees import Segment, SteinerTree, line_integral, tree_integral
 
 CURVATURE_TOL_FACTOR = 1e-8  # largest K > 0 allowed, relative to max |K|
 LENGTH_TOL = 1e-12           # quadrature tolerance of metric lengths
+DELTA_MAX = 0.05             # the largest amplitude find_delta0 scans
 
 
 def gaussian_curvature(f: ScalarField) -> ScalarField:
@@ -74,7 +75,7 @@ def curve_length(phi: Callable, curve: Union[Segment, SteinerTree]) -> float:
 # ---------------------------------------------------------------------------
 
 def length_derivative_check(tail: TailFunction, tree: SteinerTree,
-                            step: float = 1e-4) -> Tuple[float, float]:
+                            step: float) -> Tuple[float, float]:
     """Centered difference quotient (L(step) - L(-step)) / (2 step) of
     delta -> L(tree, e^{2 delta v} dx^2) at delta = 0 (left), against the
     tree integral of v (right).
@@ -88,8 +89,8 @@ def length_derivative_check(tail: TailFunction, tree: SteinerTree,
     stays in the linear regime of the exponential, the relative gap being
     about step^2 (int v^3) / (6 int v).  On the tail field max|v| over the
     tree is ~1.1e5 and the third moment is ~1.6e13 times the first, so at
-    the default step (step * max|v| ~ 11) the two values disagree; the
-    caller must judge the regime from the recorded values.
+    the report's step 1e-4 (step * max|v| ~ 11) the two values disagree;
+    the caller must judge the regime from the recorded values.
     """
     log_step = math.log(step)
 
@@ -118,16 +119,16 @@ class Delta0Scan:
 
 
 def find_delta0(tail: TailFunction, tree: SteinerTree,
-                delta_max: float = 0.05, n_scan: int = 16) -> Delta0Scan:
-    """Scan delta = delta_max * 2^{-k} upward; the threshold is the
-    largest scanned amplitude below the first failure of strict length
-    shortening.  If the smallest scanned amplitude already fails, the
-    threshold is reported as 0 (failure)."""
+                n_scan: int) -> Delta0Scan:
+    """Scan delta = DELTA_MAX * 2^{-k}, k = n_scan .. 0, upward; the
+    threshold is the largest scanned amplitude below the first failure of
+    strict length shortening.  If the smallest scanned amplitude already
+    fails, the threshold is reported as 0 (failure)."""
     L0 = curve_length(lambda x, y: np.zeros(np.shape(x)), tree)
     history = []
     best = 0.0
     for k in range(n_scan, -1, -1):
-        d = delta_max * 2.0 ** (-k)
+        d = DELTA_MAX * 2.0 ** (-k)
         Ld = curve_length(lambda x, y: d * np.asarray(tail.value(x, y)), tree)
         shortens = Ld < L0
         history.append((d, Ld, L0, bool(shortens)))

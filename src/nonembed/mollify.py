@@ -176,7 +176,7 @@ def _oscillation_unresolved(X, Y, h_upstream: float) -> np.ndarray:
 
 
 def build_tail_v(selected: SelectedN, delta: float,
-                 grid_n: int = 768) -> TailFunction:
+                 grid_n: int) -> TailFunction:
     """Sample the rescaled mollified glue on a grid covering the 1.1-disc,
     with the node masks of the sign certificates.
 
@@ -322,7 +322,7 @@ class DeltaSelection:
 
 
 def select_tail_delta(selected: SelectedN, schedule: Sequence[float],
-                      tol: float = 1e-10) -> DeltaSelection:
+                      tol: float) -> DeltaSelection:
     """First delta in a decreasing schedule for which the tree integral of
     the tail field is strictly negative (beyond the quadrature error).
 

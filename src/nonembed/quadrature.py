@@ -56,8 +56,8 @@ def _times_exp(x: float, m: float) -> float:
         return float(x * half * half)
 
 
-def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float = 1e-10,
-                            initial_panels: int = 16) -> QuadratureResult:
+def adaptive_log_quadrature(f_log, a: float, b: float, rtol: float,
+                            initial_panels: int) -> QuadratureResult:
     """Integrate a vectorized log-scaled integrand over [a, b].
 
     f_log(ts) must return (signs, logmags) arrays.  Refinement stops when

@@ -31,6 +31,8 @@ S_SPAN = 2.6      # generated rulings are labeled |s| <= S_SPAN * tau
 CHART_STEP = 1e-4  # step of the x2-differences f2 and f22 of a flat graph
 CMP_GRID = 61     # nodes per axis of the comparison grid
 CMP_STEP = 1e-3   # step of the competitor's Hessian stencil
+BUMP_SCALE = 0.4  # saddle_candidate's amplitude, relative to its bound
+PROJECT_ITERS = 60  # Gauss-Newton steps at most in project_point
 
 
 class RuledError(ValueError):
@@ -178,7 +180,7 @@ class GeneratedSurface:
         f22 = (g2p - g2m) / (2 * h)
         return f11, 0.5 * (f12 + f21), f22
 
-    def sample(self, n: int = 257) -> RuledSurface:
+    def sample(self, n: int) -> RuledSurface:
         s = np.linspace(-self.s_max, self.s_max, n)
         c, d = self.rulings(s)
         return RuledSurface(s=s, c=c, d=d)
@@ -372,8 +374,7 @@ def extract_rulings(f: FlatGraph) -> Tuple[RuledSurface, dict]:
 # extension, curvature form, concavity
 # ---------------------------------------------------------------------------
 
-def extend_ruled(r: RuledSurface, t_lo: float = -1.0,
-                 t_hi: float = 2.0) -> RuledSurface:
+def extend_ruled(r: RuledSurface, t_lo: float, t_hi: float) -> RuledSurface:
     """Extend the rulings to t in [t_lo, t_hi].
 
     Fails when the planar projections of consecutive rulings cross inside
@@ -505,8 +506,7 @@ def comparison_check(g: GeneratedSurface, offset: Callable) -> dict:
                 hypothesis_boundary=agrees <= 1e-12)
 
 
-def saddle_candidate(g: GeneratedSurface, seed: int,
-                     amplitude_scale: float = 0.4) -> Tuple[Callable, dict]:
+def saddle_candidate(g: GeneratedSurface, seed: int) -> Tuple[Callable, dict]:
     """A competing graph w = flat extension + bump supported strictly in
     the notch interior, returned as its offset w - f (the bump).
 
@@ -515,7 +515,7 @@ def saddle_candidate(g: GeneratedSurface, seed: int,
     from zero over the support (the cross term (f12 + b12)^2 is what pays
     for the bump's unavoidable convexity-defect zones), so candidate
     supports are redrawn until min |f12| clears a floor, and the
-    amplitude obeys  tau*|D^2 b| + 2*max|f12|*|D^2 b| <= scale*min f12^2.
+    amplitude obeys  tau*|D^2 b| + 2*max|f12|*|D^2 b| <= BUMP_SCALE*min f12^2.
     Both signs are drawn; the caller verifies the hypothesis nodewise and
     rejects candidates that fail it.
     """
@@ -540,7 +540,7 @@ def saddle_candidate(g: GeneratedSurface, seed: int,
         sign = 1.0 if rng.uniform() < 0.7 else -1.0
         # |D^2 bump| <= ~8 eta / r_min^2 for the exponential profile
         r_min = min(rx, ry)
-        eta = sign * amplitude_scale * c_min**2 * r_min**2 \
+        eta = sign * BUMP_SCALE * c_min**2 * r_min**2 \
             / (8.0 * (g.tau + 2.0 * c_max))
         break
     else:
@@ -550,7 +550,7 @@ def saddle_candidate(g: GeneratedSurface, seed: int,
 
 
 def hypothesis_instances(g: GeneratedSurface, count: int,
-                         seed0: int = 1) -> list:
+                         seed0: int) -> list:
     """Seeded competing graphs, as (offset, info, report) triples, that
     pass the nodewise hypothesis check.
 
@@ -624,33 +624,26 @@ def _surface_point_interp(r: RuledSurface, t, s) -> np.ndarray:
 
 def _solve_rows(A: np.ndarray, b: np.ndarray):
     """Solve each 2x2 system A[k] x = b[k]; rows whose matrix is singular
-    get no solution.  Returns (x, solved)."""
-    solved = np.ones(len(A), dtype=bool)
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0], solved
-    except np.linalg.LinAlgError:
-        pass
-    x = np.zeros_like(b)
-    for k in range(len(A)):
-        try:
-            x[k] = np.linalg.solve(A[k], b[k])
-        except np.linalg.LinAlgError:
-            solved[k] = False
-    return x, solved
+    get no solution.  Returns (x, solved), x only for the solved rows.
+    det reads the LU pivots of the same LAPACK getrf whose exact zero
+    pivot makes solve raise."""
+    solved = np.linalg.det(A) != 0.0
+    return np.linalg.solve(A[solved], b[solved][..., None])[..., 0], solved
 
 
 def project_point(r: RuledSurface, p: np.ndarray,
-                  seed_ts: Optional[np.ndarray] = None,
-                  iters: int = 60) -> Tuple[np.ndarray, np.ndarray]:
+                  seed_ts: Optional[np.ndarray]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest-point projections of the rows of p, shape (m, 3), onto the
     sampled surface by Gauss-Newton over (t, s) with linear interpolation
     of the ruling family.
 
-    Row k starts from seed_ts[k] = (t, s), shape (m, 2), or, without
-    seeds, from the first nearest node of a 16 x 16 (t, s) scan.  The rows
-    iterate in lockstep but independently: a row stops once its step is
-    below 1e-13, or when its 2x2 normal system is singular.  Returns the
-    footpoints (m, 3) and their parameters (m, 2).
+    Row k starts from seed_ts[k] = (t, s), shape (m, 2), or, for
+    seed_ts None, from the first nearest node of a 16 x 16 (t, s) scan.
+    The rows iterate in lockstep but independently, PROJECT_ITERS steps at
+    most: a row stops once its step is below 1e-13, or when its 2x2 normal
+    system is singular.  Returns the footpoints (m, 3) and their
+    parameters (m, 2).
     """
     p = np.asarray(p, dtype=float)
     t_lo, t_hi = r.t_range
@@ -666,7 +659,7 @@ def project_point(r: RuledSurface, p: np.ndarray,
         t, s = np.array(seed_ts, dtype=float).T
     ds = r.s[1] - r.s[0]
     live = np.arange(len(p))
-    for _ in range(iters):
+    for _ in range(PROJECT_ITERS):
         if live.size == 0:
             break
         tk, sk = t[live], s[live]
@@ -678,7 +671,6 @@ def project_point(r: RuledSurface, p: np.ndarray,
         JT = J.swapaxes(-1, -2)
         step, solved = _solve_rows(JT @ J, (-JT @ res[..., None])[..., 0])
         live = live[solved]
-        step = step[solved]
         t[live] = np.clip(t[live] + step[:, 0], t_lo, t_hi)
         s[live] = np.clip(s[live] + step[:, 1], s_lo, s_hi)
         live = live[np.max(np.abs(step), axis=1) >= 1e-13]

@@ -98,7 +98,7 @@ def moon_tree(K: int) -> SteinerTree:
 # ---------------------------------------------------------------------------
 
 def line_integral(f_log_xy: Callable, seg: Segment,
-                  tol: float = 1e-10) -> QuadratureResult:
+                  tol: float) -> QuadratureResult:
     """Adaptive Gauss-Legendre integral along seg of the field given in
     log scale by f_log_xy(xs, ys) -> (signs, logmags), with one exponent
     for the integral and the panels summed as doubles.  est_error <= tol *
@@ -115,7 +115,7 @@ def line_integral(f_log_xy: Callable, seg: Segment,
 
 
 def tree_integral(f_log_xy: Callable, tree: SteinerTree,
-                  tol: float = 1e-10) -> QuadratureResult:
+                  tol: float) -> QuadratureResult:
     """Sum of the three leg integrals of :func:`line_integral`."""
     total = 0.0
     err = 0.0
@@ -128,7 +128,7 @@ def tree_integral(f_log_xy: Callable, tree: SteinerTree,
     return QuadratureResult(total, err, evals)
 
 
-def aa2_integral_scaled(K: int, tol: float = 1e-12) -> QuadratureResult:
+def aa2_integral_scaled(K: int, tol: float) -> QuadratureResult:
     """Axis-leg integral of the slit-plane field via the substitution
     t = 2 pi log r:
 
@@ -197,7 +197,7 @@ def _identity_rhs(K: int, aa2: QuadratureResult, tol: float):
             2.0 * aa2.est_error + up.est_error + lo.est_error)
 
 
-def identity_right_side(K: int, tol: float = 1e-10) -> float:
+def identity_right_side(K: int, tol: float) -> float:
     """2 * (axis-leg integral) + both arc integrals."""
     return _identity_rhs(K, aa2_integral_scaled(K, tol=tol), tol)[0]
 
@@ -210,7 +210,7 @@ def _relative_discrepancy(left: float, right: float) -> float:
     return abs(diff) / max(abs(left), abs(right))
 
 
-def green_identity_residual(K: int, tol: float = 1e-10) -> float:
+def green_identity_residual(K: int, tol: float) -> float:
     """Relative discrepancy between the slanted-leg integrals and the
     axis-plus-arcs expression, each side by an independent quadrature:
 
@@ -242,8 +242,7 @@ def _leg_integral_over_rho(leg: Segment, tol: float) -> QuadratureResult:
                                    initial_panels=64)
 
 
-def weighted_identity_sides(K: int, tol: float = 1e-10
-                            ) -> Tuple[float, float]:
+def weighted_identity_sides(K: int, tol: float) -> Tuple[float, float]:
     """Both sides of Green's second identity for u and the vertex angle
     phi (measured from the upper leg) on the upper sector, bounded by the
     upper leg AA1, the arc from A1 to (-1, 0) and the axis leg AA2:
@@ -277,13 +276,13 @@ def weighted_identity_sides(K: int, tol: float = 1e-10
     return left, arc.value + dtheta.value
 
 
-def weighted_green_identity_residual(K: int, tol: float = 1e-10) -> float:
+def weighted_green_identity_residual(K: int, tol: float) -> float:
     """|left - right| / max(|left|, |right|) for the sides of
     :func:`weighted_identity_sides`."""
     return _relative_discrepancy(*weighted_identity_sides(K, tol=tol))
 
 
-def find_min_k(k_max: int, tol: float = 1e-10) -> Optional[int]:
+def find_min_k(k_max: int, tol: float) -> Optional[int]:
     """Smallest integer K <= k_max with (i) the axis-leg integral strictly
     negative and (ii) the axis-plus-arcs expression strictly negative, both
     beyond SIGN_MARGIN times the quadrature error estimate.  None if no K

@@ -31,16 +31,16 @@ def _defaulted_parameters():
     return out
 
 
-def _caller_nodes():
-    """Every AST node of every Python file under CALLER_DIRS."""
-    for d in CALLER_DIRS:
+def _caller_nodes(dirs=CALLER_DIRS):
+    """Every AST node of every Python file under dirs."""
+    for d in dirs:
         for path in sorted((ROOT / d).rglob("*.py")):
             yield from ast.walk(ast.parse(path.read_text()))
 
 
-def _calls_by_name():
+def _calls_by_name(dirs=CALLER_DIRS):
     calls = {}
-    for node in _caller_nodes():
+    for node in _caller_nodes(dirs):
         if not isinstance(node, ast.Call):
             continue
         f = node.func
@@ -68,6 +68,18 @@ def test_no_parameter_is_default_only():
         for mod, fn, param, index in _defaulted_parameters()
         if not any(_sets(c, param, index) for c in calls.get(fn, []))]
     assert default_only == []
+
+
+def test_no_default_is_overridden_by_every_package_call():
+    # a default that every call in the package overrides is a second
+    # source for a value the commands set elsewhere
+    calls = _calls_by_name(("src/nonembed",))
+    overridden = [
+        f"{mod}.{fn}({param})"
+        for mod, fn, param, index in _defaulted_parameters()
+        if all(_sets(c, param, index) for c in calls.get(fn, []))]
+    assert not overridden, ("no call in src/nonembed leaves out "
+                            + ", ".join(overridden))
 
 
 def _stored_fields():

@@ -265,14 +265,16 @@ def test_normal_derivative_linear_field():
     a = (2.0, -1.0)
     f = lambda x, y: a[0] * x + a[1] * y
     edge = Segment((0.0, 0.0), (0.0, 1.0))
-    nd = bvp.normal_derivative(f, edge, normal=(1.0, 0.0), h=1e-3)
+    nd = bvp.normal_derivative(f, edge, normal=(1.0, 0.0), h=1e-3,
+                               n_samples=40, boundary_value=f)
     assert np.allclose(nd["value"], a[0], atol=1e-9)
 
 
 def test_normal_derivative_quadratic_zero_at_edge():
     f = lambda x, y: x * x
     edge = Segment((0.0, -1.0), (0.0, 1.0))
-    nd = bvp.normal_derivative(f, edge, normal=(1.0, 0.0), h=1e-4)
+    nd = bvp.normal_derivative(f, edge, normal=(1.0, 0.0), h=1e-4,
+                               n_samples=40, boundary_value=f)
     assert np.allclose(nd["value"], 0.0, atol=1e-7)
 
 
@@ -625,7 +627,7 @@ def test_selected_margins_positive(selected4):
 
 def test_select_N_below_threshold_fails():
     # at K=2 the selected N is far above 1; small N must fail margins
-    sel = bvp.select_N(2, resolution=96)
+    sel = bvp.select_N(2, resolution=96, margin_frac=0.05)
     assert sel.N > 1e6
     w = bvp.ScalarField(grid=sel.w0.grid,
                         values=sel.w0.values + 1.0 * sel.w1.values)
@@ -634,9 +636,10 @@ def test_select_N_below_threshold_fails():
     assert bad < 0.0
 
 
-def test_sweep_exhaustion_raises():
+def test_sweep_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(bvp, "N_SWEEP", (1.0, 2.0))
     with pytest.raises(bvp.SolverError):
-        bvp.select_N(2, resolution=96, schedule=[1.0, 2.0])
+        bvp.select_N(2, resolution=96, margin_frac=0.05)
 
 
 def test_glued_field_regions(selected4):

@@ -105,13 +105,14 @@ def test_length_derivative_check_values(tail4):
     The matching identity itself is validated on a scaled tail where the
     step is inside the linear regime."""
     tree = mollify.tail_tree(K_STAR)
-    lhs, rhs = conformal.length_derivative_check(tail4, tree)
+    lhs, rhs = conformal.length_derivative_check(tail4, tree, step=1e-4)
     assert rhs == pytest.approx(0.010761347907, rel=1e-6)
     assert abs(lhs - rhs) > abs(rhs)  # nonlinearity dominates at 1e-4
 
     # scaled-down field: the same check passes in the linear regime
     small = FieldOf(lambda x, y: 1e-5 * np.asarray(tail4.value(x, y)))
-    lhs_s, rhs_s = conformal.length_derivative_check(small, tree)
+    lhs_s, rhs_s = conformal.length_derivative_check(small, tree,
+                                                     step=1e-4)
     # at this scaling step * max|v| ~ 1.1e-4, inside the linear regime
     assert lhs_s == pytest.approx(rhs_s, rel=2e-4)
 
@@ -126,7 +127,8 @@ def test_length_derivative_identity_on_bounded_field():
         Y = np.asarray(y, dtype=float)
         return np.sin(3 * X) * np.exp(-((X + 0.8) ** 2 + Y**2))
 
-    lhs, rhs = conformal.length_derivative_check(FieldOf(bump), tree)
+    lhs, rhs = conformal.length_derivative_check(FieldOf(bump), tree,
+                                                 step=1e-4)
     assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
@@ -134,7 +136,7 @@ def test_length_derivative_sign_flip(tail4):
     tree = mollify.tail_tree(K_STAR)
 
     neg = FieldOf(lambda x, y: -np.asarray(tail4.value(x, y)) * 1e-5)
-    lhs, rhs = conformal.length_derivative_check(neg, tree)
+    lhs, rhs = conformal.length_derivative_check(neg, tree, step=1e-4)
     assert rhs < 0.0 and lhs < 0.0  # both flip with the field
 
 
@@ -149,7 +151,7 @@ def test_find_delta0_reports_failure_for_this_tail(tail4):
     assert L0 > Lf and not shortens
 
 
-def test_find_delta0_succeeds_for_negative_field(tail4):
+def test_find_delta0_succeeds_for_negative_field(tail4, monkeypatch):
     # flipping the field sign makes the derivative negative: a positive
     # threshold must be found, and half of it strictly shortens
     tree = mollify.tail_tree(K_STAR)
@@ -157,7 +159,8 @@ def test_find_delta0_succeeds_for_negative_field(tail4):
     neg = FieldOf(lambda x, y: -np.asarray(tail4.value(x, y)))
     # amplitudes must sit below the second-order crossover
     # 2|int v| / int v^2 ~ 3e-9 for this field
-    scan = conformal.find_delta0(neg, tree, delta_max=1e-9, n_scan=5)
+    monkeypatch.setattr(conformal, "DELTA_MAX", 1e-9)
+    scan = conformal.find_delta0(neg, tree, n_scan=5)
     assert scan.succeeded and scan.delta0 > 0.0
     d = scan.delta0 / 2
     L_half = conformal.curve_length(

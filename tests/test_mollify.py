@@ -57,9 +57,10 @@ def test_mollifier_peak_scaling():
 
 def test_build_tail_rejects_bad_delta(selected4):
     with pytest.raises(mollify.MollifyError):
-        mollify.build_tail_v(selected4, math.exp(-2.0 * K_STAR) * 1.5)
+        mollify.build_tail_v(selected4, math.exp(-2.0 * K_STAR) * 1.5,
+                             grid_n=768)
     with pytest.raises(mollify.MollifyError):
-        mollify.build_tail_v(selected4, 0.0)
+        mollify.build_tail_v(selected4, 0.0, grid_n=768)
 
 
 def test_tail_support(tail4):
@@ -162,7 +163,8 @@ def test_select_tail_delta_reports_failure(selected4):
     # the tree integral of the tail field is positive (its sign follows
     # the slit-field tree integral, which the 50-digit oracle pins
     # positive), so no delta in any admissible schedule qualifies
-    sel = mollify.select_tail_delta(selected4, schedule=[DELTA, DELTA / 2])
+    sel = mollify.select_tail_delta(selected4, schedule=[DELTA, DELTA / 2],
+                                    tol=1e-10)
     assert not sel.succeeded
     assert sel.delta is None
     assert len(sel.history) == 2
@@ -174,7 +176,7 @@ def test_select_tail_delta_scan_convergence(selected4):
     # the delta-dependence enters only through the mollified zones at the
     # circle crossings: successive tree integrals differ by o(delta)
     sel = mollify.select_tail_delta(
-        selected4, schedule=[DELTA, DELTA / 2, DELTA / 4])
+        selected4, schedule=[DELTA, DELTA / 2, DELTA / 4], tol=1e-10)
     vals = [v for (_, v, _) in sel.history]
     assert abs(vals[1] - vals[0]) < 1e-5
     assert abs(vals[2] - vals[1]) <= abs(vals[1] - vals[0]) + 1e-12
@@ -196,4 +198,4 @@ def test_select_tail_delta_history_equals_sampled_tail_integrals(selected4):
 
 def test_select_tail_delta_validates_schedule(selected4):
     with pytest.raises(mollify.MollifyError):
-        mollify.select_tail_delta(selected4, schedule=[1.0])
+        mollify.select_tail_delta(selected4, schedule=[1.0], tol=1e-10)

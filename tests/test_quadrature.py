@@ -13,7 +13,8 @@ def test_integral_past_double_range_is_inf(sign):
     def f_log(ts):
         return np.full(ts.shape, sign), 705.0 + ts
 
-    r = adaptive_log_quadrature(f_log, 0.0, 10.0, rtol=1e-12)
+    r = adaptive_log_quadrature(f_log, 0.0, 10.0, rtol=1e-12,
+                                initial_panels=16)
     assert r.value == sign * math.inf
     assert math.isfinite(r.est_error)
 
@@ -24,7 +25,7 @@ def test_mixed_sign_total_matches_direct_sum():
     rng = np.random.default_rng(3)
     c = rng.normal(size=16) * rng.uniform(0.1, 5.0, size=16)
     r = adaptive_log_quadrature(lambda ts: float_to_log(c[ts.astype(int)]),
-                                0.0, 16.0)
+                                0.0, 16.0, rtol=1e-10, initial_panels=16)
     assert isinstance(r.value, float)
     assert r.value == pytest.approx(c.sum(), rel=1e-12)
 
@@ -39,7 +40,8 @@ def test_refinement_evaluates_no_node_twice():
         seen.append(ts)
         return float_to_log(np.abs(ts - 0.3))
 
-    r = adaptive_log_quadrature(f_log, 0.0, 1.0)
+    r = adaptive_log_quadrature(f_log, 0.0, 1.0, rtol=1e-10,
+                                initial_panels=16)
     ts = np.concatenate(seen)
     assert len(seen) > 3
     assert np.unique(ts).size == ts.size == r.n_evals
@@ -53,7 +55,8 @@ def test_zero_integrand_is_zero_without_warnings():
     def f_log(ts):
         return np.zeros(ts.shape, dtype=int), np.full(ts.shape, -np.inf)
 
-    r = adaptive_log_quadrature(f_log, 0.0, 1.0)
+    r = adaptive_log_quadrature(f_log, 0.0, 1.0, rtol=1e-10,
+                                initial_panels=16)
     assert r.value == 0.0 and r.est_error == 0.0
 
 
@@ -75,6 +78,7 @@ def test_narrow_peak_found_after_bisection_matches_closed_form(background):
         return (np.ones(ts.shape, dtype=int),
                 700.0 + np.logaddexp(-((ts - c) / 1e-3) ** 2, log_bg))
 
-    r = adaptive_log_quadrature(f_log, 0.0, 1.0)
+    r = adaptive_log_quadrature(f_log, 0.0, 1.0, rtol=1e-10,
+                                initial_panels=16)
     exact = (1e-3 * math.sqrt(math.pi) + background) * math.exp(700.0)
     assert abs(r.value - exact) <= 1e-12 * exact

@@ -296,8 +296,9 @@ def test_comparison_identity_margin_zero(gen_surface):
     assert rep["margin"] == 0.0
 
 
-def test_comparison_flags_violations(gen_surface):
-    w, _ = ruled.saddle_candidate(gen_surface, 3, amplitude_scale=5000.0)
+def test_comparison_flags_violations(gen_surface, monkeypatch):
+    monkeypatch.setattr(ruled, "BUMP_SCALE", 5000.0)
+    w, _ = ruled.saddle_candidate(gen_surface, 3)
     rep = ruled.comparison_check(gen_surface, w)
     assert not rep["hypothesis_det"]
 
@@ -337,7 +338,7 @@ def test_projection_plane_lift_preserves_length():
     assert lc == pytest.approx(lp, abs=1e-9)
 
 
-def test_project_point_batch_equals_single_rows(extended):
+def test_project_point_batch_equals_single_rows(extended, monkeypatch):
     curves = np.stack([ruled.random_curve_above(extended, seed=s)
                        for s in range(50)])
     p = curves[:, 7]
@@ -356,7 +357,8 @@ def test_project_point_batch_equals_single_rows(extended):
                 seed_ts=None if seed_ts is None else seed_ts[k:k + 1])
             assert np.array_equal(q[k:k + 1], qk), k
             assert np.array_equal(ts[k:k + 1], tsk), k
-    q, ts = ruled.project_point(extended, p[:1], seed_ts=seeds[:1], iters=1)
+    monkeypatch.setattr(ruled, "PROJECT_ITERS", 1)
+    q, ts = ruled.project_point(extended, p[:1], seed_ts=seeds[:1])
     assert np.array_equal(q[0], p[0]) and tuple(ts[0]) == (t0, s0)
 
 

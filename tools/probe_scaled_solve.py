@@ -1,17 +1,13 @@
-#!/usr/bin/env python3
-"""Probe: pointwise relative accuracy of sparse LU on a long-rectangle
-Laplace problem with data 1 on the far edge, with and without exponential
-diagonal scaling.
+"""60-digit oracle of the discrete Laplace problem on a long rectangle
+with data 1 on the far edge and 0 on the other three.
 
-The discrete 5-point problem on a rectangle separates exactly, so the
-discrete solution is computable in extended precision and serves as the
-reference.
+The discrete 5-point problem on a rectangle separates exactly, so its
+solution is computable in extended precision.  It is the reference of the
+polygon solver's pointwise relative accuracy in tests/test_bvp.py
+(test_polygon_solve_pointwise_accuracy_against_discrete_oracle).
 """
 
-import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from mpmath import mp, mpf, sinh, sin, pi
+from mpmath import mp, mpf, pi, sinh
 
 mp.dps = 60
 
@@ -24,7 +20,6 @@ def discrete_exact(nx, ny, Lx, Ly, xi, yj):
     three-term recurrence; S_k(i) = sinh(mu_k i h)/sinh(mu_k Lx) with
     cosh(mu_k h) = 2 - cos(k pi / ny).
     """
-    h = Lx / nx
     total = mpf(0)
     for k in range(1, ny):
         # discrete eigenvalue in y: 2 - 2cos(k pi/ny) over  h^2
@@ -40,62 +35,3 @@ def discrete_exact(nx, ny, Lx, Ly, xi, yj):
             continue
         total += a_k * sinh(mu * xi) / sinh(mu * nx) * mp.sin(mpf(k) * pi * yj / ny)
     return total
-
-
-def build_system(nx, ny, h, scale_alpha=0.0):
-    """5-point system for interior nodes (i=1..nx-1, j=1..ny-1); data 1 at
-    i=nx. Optional diagonal similarity D=exp(alpha*x): solve D^-1 A D w = D^-1 b."""
-    n_int = (nx - 1) * (ny - 1)
-    idx = lambda i, j: (i - 1) * (ny - 1) + (j - 1)
-    rows, cols, vals = [], [], []
-    b = np.zeros(n_int)
-    for i in range(1, nx):
-        for j in range(1, ny):
-            r = idx(i, j)
-            rows.append(r); cols.append(r); vals.append(4.0)
-            for (i2, j2) in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if i2 == nx:
-                    b[r] += 1.0 * np.exp(scale_alpha * (nx - i) * h)
-                elif 1 <= i2 <= nx - 1 and 1 <= j2 <= ny - 1:
-                    rows.append(r); cols.append(idx(i2, j2))
-                    vals.append(-1.0 * np.exp(scale_alpha * (i - i2) * h))
-                # else zero data
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n_int, n_int))
-    return A, b, idx
-
-
-def main():
-    Lx, Ly = 12.0, 1.732
-    ny = 40
-    h = Ly / ny
-    nx = int(round(Lx / h))
-    print(f"grid {nx}x{ny}, h={h:.4f}")
-
-    alpha = np.pi / Ly  # slowest-mode decay rate
-
-    A0, b0, idx = build_system(nx, ny, h, 0.0)
-    w_plain = spla.splu(A0.tocsc()).solve(b0)
-
-    As, bs, _ = build_system(nx, ny, h, alpha)
-    ws = spla.splu(As.tocsc()).solve(bs)
-    # undo scaling: w = exp(-alpha (Lx - x)) * w_tilde
-    w_scaled = np.empty_like(ws)
-    for i in range(1, nx):
-        f = np.exp(-alpha * (nx - i) * h)
-        for j in range(1, ny):
-            w_scaled[idx(i, j)] = ws[idx(i, j)] * f
-
-    for xfrac in (0.05, 0.1, 0.25, 0.5, 0.9):
-        i = max(1, int(round(xfrac * nx)))
-        j = ny // 2
-        exact = discrete_exact(nx, ny, Lx, Ly, i, j)
-        p = w_plain[idx(i, j)]
-        s = w_scaled[idx(i, j)]
-        rel_p = float(abs(p - exact) / abs(exact))
-        rel_s = float(abs(s - exact) / abs(exact))
-        print(f"x={xfrac * Lx:6.2f}  exact={mp.nstr(exact, 8):>14}  "
-              f"plain_rel={rel_p:.2e}  scaled_rel={rel_s:.2e}")
-
-
-if __name__ == "__main__":
-    main()
