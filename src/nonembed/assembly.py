@@ -74,7 +74,7 @@ class RotationSum:
         The image that can hold p is the one whose rotation takes p to the
         positive axis, index -atan2(p)/deg; the three nearest indices are
         tried, and the tail is evaluated once, on the points that land in a
-        support.
+        support, and not at all when none does.
         """
         px, py = np.broadcast_arrays(SCALE * np.asarray(x, dtype=float),
                                      SCALE * np.asarray(y, dtype=float))
@@ -90,8 +90,10 @@ class RotationSum:
             qxs.append(qx[hit])
             qys.append(qy[hit])
         out = np.zeros(px.shape)
-        np.add.at(out.reshape(-1), np.concatenate(idx),
-                  self.base.value(np.concatenate(qxs), np.concatenate(qys)))
+        idx = np.concatenate(idx)
+        if len(idx):  # the tail is read only when a point is in a support
+            np.add.at(out.reshape(-1), idx, self.base.value(
+                np.concatenate(qxs), np.concatenate(qys)))
         return out
 
 
@@ -221,6 +223,13 @@ def curvature_pockets_rhs(xs: np.ndarray, ys: np.ndarray, n_max: int) -> np.ndar
     return out
 
 
+def _max_abs(a: np.ndarray, where=True) -> float:
+    """max |a| over the entries where `where` holds, 0 if none, taken as
+    max(max a, -min a) so that no |a| array is made."""
+    return max(float(np.max(a, where=where, initial=0.0)),
+               -float(np.min(a, where=where, initial=0.0)))
+
+
 # Pocket samples are interior nodes where the source magnitude exceeds this
 # fraction of its maximum, and flat means max |K| outside the pockets is
 # at most this fraction of max |K|
@@ -249,13 +258,12 @@ class PocketMetric:
         holds every node within r + 2h of its center.
         """
         src = self.source[1:-1, 1:-1]
-        floor = POCKET_TOL_FACTOR * float(np.max(np.abs(src)))
+        floor = POCKET_TOL_FACTOR * _max_abs(src)
         K = self.curvature.values
-        absK = np.abs(K)
         xs, ys = (t[1:-1] for t in self.factor.grid.axes())
         inner = self.curvature.grid.mask == INTERIOR
         h = self.factor.grid.h
-        scale = float(np.max(absK, where=inner, initial=0.0))
+        scale = _max_abs(K, where=inner)
         per_pocket = []
         outside = inner.copy()
         for (cx, cy), r in pocket_centers_radii(self.n_max):
@@ -269,7 +277,7 @@ class PocketMetric:
                 max_K=float(np.max(K[box][sampled])) if np.any(sampled) else None,
             ))
             outside[box] &= d > r + 2.0 * h
-        max_outside = float(np.max(absK, where=outside, initial=0.0))
+        max_outside = _max_abs(K, where=outside)
         return dict(
             pockets=per_pocket,
             all_pockets_negative=all(p["n_sampled"] > 0 and p["max_K"] < 0.0

@@ -2,7 +2,9 @@
 
 Two solvers:
 
-* Poisson solves on node-aligned zero-data boxes, by sine transform;
+* Poisson solves on node-aligned zero-data boxes, by sine transform,
+  with the residual checked a block of rows at a time
+  (`laplacian_blocks`), so that no full-grid temporary is made;
 * convex polygon domains with non-grid-aligned edges: Shortley-Weller
   shortened arms with boundary data evaluated at the exact cut points.
   The polygon must end on the right in a rectangle whose rows are the
@@ -19,11 +21,13 @@ Two solvers:
   - Γ is solved through its dense Schur complement, the capacitance
     matrix of Buzbee, Dorr, George and Golub (SIAM J. Numer. Anal. 8,
     1971).
-  All data sets go as one stacked right-hand side.  The rectangle is
+  All data sets go as one stacked right-hand side, which the solve
+  consumes: it is overwritten with the solution.  The rectangle is
   taken as the exact 5-point stencil, so one step of iterative
   refinement against the true A follows, whose residual b - A x is
   summed in compensated float64 (TwoProduct and TwoSum over the 5-point
-  stencil); `PolygonProblem.residual` reads the same residual.
+  stencil) and written over b; `PolygonProblem.residual` reads the
+  same residual.
   Pointwise relative accuracy matters because the far-edge
   harmonic measure decays below 1e-15 here: against the exact separated
   solution of a discrete rectangle problem (60 digits) the refined solve
@@ -178,10 +182,13 @@ def solve_poisson(grid: MaskedGrid, rhs: np.ndarray) -> ScalarField:
     if not full_box:
         raise SolverError("solve_poisson needs a box grid")
     out = ScalarField(grid=grid, values=_poisson_dst(grid, rhs))
-    res = laplacian_grid(out)  # in place from here: no more full grids
-    res += np.asarray(rhs)[1:-1, 1:-1]
+    rhs = np.asarray(rhs)
+    peaks = []  # block by block: no more full grids
+    for rows, res in laplacian_blocks(out):
+        res += rhs[rows.start + 1:rows.stop + 1, 1:-1]
+        peaks.append(np.max(np.abs(res, out=res)))
     scale = max(float(np.max(rhs)), -float(np.min(rhs)), 1e-300)
-    worst = float(np.max(np.abs(res, out=res)))
+    worst = float(np.max(peaks))
     if worst > _POISSON_TOL * scale:
         raise SolverError(f"poisson residual {worst:.3e} exceeds "
                           f"{_POISSON_TOL:.1e} * {scale:.3e}")
@@ -238,11 +245,38 @@ def _reciprocal(N: int, root: bool = False) -> float:
     return float(1 / (np.sqrt(x) if root else x))
 
 
+# inner node rows per block of the grid Laplacian: a block and its one
+# temporary then take 0.8 MiB each on the 1537-squared g1 grid
+_LAP_ROWS = 64
+
+
+def laplacian_blocks(f: ScalarField):
+    """The 5-point Laplacian at inner nodes, _LAP_ROWS rows at a time:
+    yields (rows, block), rows a slice of the inner rows and block their
+    Laplacian, which the next block overwrites.  Each value is
+    ((v_E + v_W) + v_N) + v_S - 4 v, then / h^2, in the order of the
+    whole-array expression, and no full-grid temporary is made."""
+    v, h2 = f.values, f.grid.h**2
+    n = v.shape[0] - 2
+    buf = np.empty((min(_LAP_ROWS, n), v.shape[1] - 2))
+    for lo in range(0, n, _LAP_ROWS):
+        hi = min(lo + _LAP_ROWS, n)
+        out, c = buf[:hi - lo], v[lo + 1:hi + 1]
+        np.add(v[lo + 2:hi + 2, 1:-1], v[lo:hi, 1:-1], out=out)
+        out += c[:, 2:]
+        out += c[:, :-2]
+        out -= 4.0 * c[:, 1:-1]
+        out /= h2
+        yield slice(lo, hi), out
+
+
 def laplacian_grid(f: ScalarField) -> np.ndarray:
     """5-point Laplacian at inner nodes (shape (nx-2, ny-2))."""
     v = f.values
-    return (v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2]
-            - 4.0 * v[1:-1, 1:-1]) / f.grid.h**2
+    out = np.empty((v.shape[0] - 2, v.shape[1] - 2))
+    for rows, block in laplacian_blocks(f):
+        out[rows] = block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +317,13 @@ class ConvexPolygon:
     def inward_normal(self, k) -> Point:
         return self._normals[k]
 
-    def signed_distances(self, X, Y):
-        """Distance to each edge line, positive inside; stacked on axis 0."""
-        out = np.empty((self.n_edges,) + np.shape(X))
-        for k, (nrm, off) in enumerate(zip(self._normals, self._offsets)):
-            out[k] = nrm[0] * X + nrm[1] * Y - off
-        return out
-
     def contains(self, X, Y, pad: float = 0.0):
-        return np.all(self.signed_distances(X, Y) > pad, axis=0)
+        """Whether each point's distance to every edge line, positive
+        inside, exceeds pad."""
+        out = np.ones(np.shape(X), dtype=bool)
+        for nrm, off in zip(self._normals, self._offsets):
+            out &= nrm[0] * X + nrm[1] * Y - off > pad
+        return out
 
 
 _DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # E, W, N, S
@@ -326,8 +358,7 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
     nx, ny = shape
     xs = origin[0] + h * np.arange(nx)
     ys = origin[1] + h * np.arange(ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    interior = poly.contains(X, Y, pad=1e-9)
+    interior = poly.contains(*np.broadcast_arrays(xs[:, None], ys), pad=1e-9)
     interior[0, :] = interior[-1, :] = False
     interior[:, 0] = interior[:, -1] = False
 
@@ -348,11 +379,10 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
 
     aE, aW, aN, aS = alphas.reshape(4, nx, ny)
     diag = np.where(interior, (2.0 / (aE * aW) + 2.0 / (aN * aS)) / h**2, 0.0)
-    coefs = np.stack([2.0 / (aE * (aE + aW)) / h**2,
-                      2.0 / (aW * (aE + aW)) / h**2,
-                      2.0 / (aN * (aN + aS)) / h**2,
-                      2.0 / (aS * (aN + aS)) / h**2])
-    coefs *= interior
+    coefs = np.empty((4, nx, ny))
+    for c, (a, b) in zip(coefs, ((aE, aW), (aW, aE), (aN, aS), (aS, aN))):
+        c[:] = 2.0 / (a * (a + b)) / h**2
+        c *= interior
     return dict(interior=interior, diag=diag, coefs=coefs, cuts=cuts,
                 origin=origin, h=h, shape=shape)
 
@@ -433,11 +463,12 @@ def _stencil_residual(geom: dict, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """b - A x for data sets stacked on axis 0, x and b node arrays of
     shape (k, nx, ny) with x zero off the unknowns, summed over each row of
     A's five stencil terms as if in twice the working precision and
-    rounded once (Ogita, Rump and Oishi's Dot2).  Node columns are taken
-    _BLOCK at a time, each neighbour through a shifted slice; the grid's
-    edge nodes, which hold no unknown, get 0."""
+    rounded once (Ogita, Rump and Oishi's Dot2), written over b, which is
+    returned: a block of the sum reads b only where it writes.  Node
+    columns are taken _BLOCK at a time, each neighbour through a shifted
+    slice; the grid's edge nodes, which hold no unknown, get 0."""
     nx, ny = b.shape[1:]
-    out = np.zeros_like(b)
+    b[:, [0, -1]] = b[:, :, [0, -1]] = 0.0  # no block writes the edges
     for lo in range(1, nx - 1, _BLOCK):
         hi = min(lo + _BLOCK, nx - 1)
         s, err = _two_product(-geom["diag"][lo:hi, 1:-1], x[:, lo:hi, 1:-1])
@@ -450,8 +481,8 @@ def _stencil_residual(geom: dict, x: np.ndarray, b: np.ndarray) -> np.ndarray:
             err += e
             s, e = _two_sum(s, p)
             err += e
-        out[:, lo:hi, 1:-1] = s + err
-    return out
+        b[:, lo:hi, 1:-1] = s + err
+    return b
 
 
 # a row is plain when its four neighbour coefficients are 1/h^2 to this
@@ -465,7 +496,9 @@ def _plain_block(geom: dict) -> Tuple[int, int]:
     live rows of the last unknown column, which ends next to a Dirichlet
     node column, starts at unknown s and holds m unknowns per column."""
     inside = geom["interior"]
-    plain = np.all(np.abs(geom["coefs"] * geom["h"] ** 2 - 1.0) <= _PLAIN, axis=0)
+    plain = np.ones(inside.shape, dtype=bool)
+    for c in geom["coefs"]:  # a plane at a time: no temporary of all four
+        plain &= np.abs(c * geom["h"] ** 2 - 1.0) <= _PLAIN
     last = np.flatnonzero(np.any(inside, axis=1))[-1]
     ok = np.all(inside == inside[last], axis=1) & np.all(plain | ~inside, axis=1)
     p = int(last - np.flatnonzero(~ok[:last + 1])[-1])  # column 0 holds none
@@ -488,7 +521,7 @@ def _block_solver(geom: dict, s: int, m: int, n: int):
     Schur complement S = A_ΓΓ - A_ΓT A_TT^-1 A_TΓ - h^-2 Q diag(rho) Q;
     the rectangle by an orthonormal DST-I Q in y and a tridiagonal sweep
     in x per mode.  Returns (solve, the entries the tip's inverses
-    hold)."""
+    hold); solve(b) writes the solution over b."""
     # dense algebra runs in NumPy's BLAS, the process's one thread pool;
     # its threads still spin against the other `verify all` lane: with
     # OPENBLAS_NUM_THREADS=2 this setup took 0.17-0.53 s in 20 runs on 2
@@ -539,8 +572,7 @@ def _block_solver(geom: dict, s: int, m: int, n: int):
         z = Q(b[:, s + m:].reshape(k, p, m).transpose(1, 0, 2))
         z *= h**2
         sweep(z)
-        x = np.empty_like(b)
-        x[:, :s + m] = b[:, :s + m]
+        x = b  # b_R is in z now: the tip and Γ are solved in place
         x[:, g] += Q(z[0]) / h**2
         xc = [x[:, col.unknowns] for col in cols]
         # forward: x_c = D~_c^-1 (b_c - A_{c,c-1} x_{c-1}), down to Γ's
@@ -557,12 +589,23 @@ def _block_solver(geom: dict, s: int, m: int, n: int):
             xc[c] -= ((nxt.east * xc[c + 1][:, nxt.here])
                       @ inv[c][:, nxt.there].T)
         for zj, qj in zip(z.transpose(1, 0, 2), Q(x[:, g])):
-            zj += G * qj
+            for lo in range(0, p, _DST_LINES):  # no (p, m) temporary
+                zj[lo:lo + _DST_LINES] += G[lo:lo + _DST_LINES] * qj
         _dst1(z.reshape(-1, m), 1, ortho)  # Q z, in place
         x[:, s + m:].reshape(k, p, m)[:] = z.transpose(1, 0, 2)
         return x
 
     return solve, sum(Di.size for Di in inv)
+
+
+def _unknowns(a: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """The values at the unknowns of the node arrays stacked on axis 0 of
+    a, shape (k, n), one array at a time: a boolean subscript of the same
+    shape makes no index arrays."""
+    out = np.empty((len(a), np.count_nonzero(inside)))
+    for o, ai in zip(out, a):
+        o[:] = ai[inside]
+    return out
 
 
 class PolygonProblem:
@@ -589,11 +632,13 @@ class PolygonProblem:
         return data
 
     def _rhs(self, data: np.ndarray) -> np.ndarray:
-        """The right-hand side as a node array, zero off the unknowns."""
+        """The right-hand side of each data set's cut data (the last axis
+        of data) as a node array, zero off the unknowns."""
         c = self.geom["cuts"]
-        b = np.zeros(self.geom["shape"])
+        b = np.zeros(data.shape[:-1] + self.geom["shape"])
         coef = self.geom["coefs"].reshape(4, -1)[c["dir"], c["node"]]
-        np.add.at(b.reshape(-1), c["node"], coef * data)
+        np.add.at(b.reshape(data.shape[:-1] + (-1,)), (..., c["node"]),
+                  coef * data)
         return b
 
     def solve(self, edge_data_sets: Sequence[Sequence[Callable]]
@@ -603,8 +648,8 @@ class PolygonProblem:
         one step of iterative refinement whose residual is compensated;
         the factors are freed on return."""
         g = self.geom
-        data = [self._cut_data(ed) for ed in edge_data_sets]
-        x = self._refined_solve(np.stack([self._rhs(v) for v in data]))
+        data = np.stack([self._cut_data(ed) for ed in edge_data_sets])
+        x = self._refined_solve(data)
         mask = np.where(g["interior"], INTERIOR, EXTERIOR).astype(np.int8)
         grid = MaskedGrid(origin=g["origin"], h=g["h"], mask=mask,
                           subgrid_boundary=True)
@@ -615,23 +660,29 @@ class PolygonProblem:
             out.append(ScalarField(grid=grid, values=values))
         return out
 
-    def _refined_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solutions of A x = b for node arrays b of shape (k, nx, ny), zero
-        off the unknowns: the block solve, then one refinement step against
-        A; its sizes and stage times go to `stats`."""
+    def _refined_solve(self, data: np.ndarray) -> np.ndarray:
+        """Solutions x of A x = b, node arrays of shape (k, nx, ny) zero off
+        the unknowns, for the right-hand sides b of the k cut data sets
+        stacked in data: the block solve, then one refinement step against
+        A; its sizes and stage times go to `stats`.  The stacked b is made
+        here, for the solve and again for the residual, which is written
+        over it, so that the first solve holds only b's values at the
+        unknowns and the correction solve no b at all."""
         t0 = time.perf_counter()
         inside = self.geom["interior"]
         n = int(np.count_nonzero(inside))
         solve, fill = _block_solver(self.geom, self._tip, self._gamma, n)
         t1 = time.perf_counter()
-        on = np.broadcast_to(inside, b.shape)  # in the solver's order
-        x = np.zeros_like(b)
-        np.place(x, on, solve(np.extract(on, b).reshape(len(b), n)))
+        xs = solve(_unknowns(self._rhs(data), inside))
+        x = np.zeros((len(data),) + inside.shape)
+        on = np.broadcast_to(inside, x.shape)  # in the solver's order
+        np.place(x, on, xs)
+        del xs
         t2 = time.perf_counter()
-        r = np.extract(on, _stencil_residual(self.geom, x, b)).reshape(len(b), n)
+        r = _unknowns(_stencil_residual(self.geom, x, self._rhs(data)), inside)
         t3 = time.perf_counter()
         dx = solve(r)
-        dx += np.extract(on, x).reshape(dx.shape)
+        dx += _unknowns(x, inside)
         np.place(x, on, dx)
         t4 = time.perf_counter()
         self.stats = dict(
@@ -662,10 +713,11 @@ class PolygonProblem:
     def residual(self, f: ScalarField, edge_data: Sequence[Callable]) -> float:
         """max |b - A x| / max |b| for the values of f at the unknowns, with
         b - A x the compensated residual of the refinement."""
-        b = self._rhs(self._cut_data(edge_data))
+        b = self._rhs(self._cut_data(edge_data)[None])
+        scale = max(np.max(np.abs(b)), 1e-300)
         x = np.where(self.geom["interior"], f.values, 0.0)
-        r = _stencil_residual(self.geom, x[None], b[None])
-        return float(np.max(np.abs(r)) / max(np.max(np.abs(b)), 1e-300))
+        r = _stencil_residual(self.geom, x[None], b)
+        return float(np.max(np.abs(r)) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -876,6 +928,8 @@ def _spline_prefilter(c: np.ndarray) -> None:
     for i in range(1, n - 1):
         c0 += zi * (c[i] + zn * c[n - 1 - i])
         zi *= z
+        if zi == 0.0:  # z^i underflowed: every later term adds a zero
+            break
     c[0] = c0 / (1 - zn * zn)
     for i in range(1, n):
         c[i] += z * c[i - 1]

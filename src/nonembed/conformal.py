@@ -3,7 +3,8 @@ tail-metric family checks (curvature sign, length change in the bump
 amplitude, amplitude threshold scan).
 
 Gaussian curvature of a conformal factor phi is -e^{-2 phi} (Laplacian of
-phi); lengths are line integrals of e^{phi}.  The quadrature takes the
+phi), with the grid Laplacian multiplied in a block of rows at a time;
+lengths are line integrals of e^{phi}.  The quadrature takes the
 integrand's log, phi itself, and sums under one exponent per integral, so
 factors far beyond double range integrate safely; a length past double
 range is +inf.
@@ -18,7 +19,7 @@ from typing import Callable, Tuple, Union
 import numpy as np
 
 from nonembed.bvp import (EXTERIOR, INTERIOR, MaskedGrid, ScalarField,
-                          laplacian_grid, stencil_reduce)
+                          laplacian_blocks, stencil_reduce)
 from nonembed.mollify import MollifyError, TailFunction, tail_resolves
 from nonembed.trees import Segment, SteinerTree, line_integral, tree_integral
 
@@ -34,13 +35,12 @@ def gaussian_curvature(f: ScalarField) -> ScalarField:
     are INTERIOR where the stencil reads live nodes only (interior nodes
     alone, on grids with a subgrid boundary) and EXTERIOR elsewhere."""
     g = f.grid
-    lap = laplacian_grid(f)
     with np.errstate(over="ignore", under="ignore"):
         K = np.multiply(f.values[1:-1, 1:-1], -2.0)  # -2 phi, then K in place
         np.exp(K, out=K)
         np.negative(K, out=K)
-        K *= lap
-    del lap  # before the field's finiteness check allocates its masks
+        for rows, lap in laplacian_blocks(f):
+            K[rows] *= lap
     m = g.mask
     if g.subgrid_boundary:
         valid = stencil_reduce(m == INTERIOR, np.logical_and)

@@ -1,6 +1,7 @@
 import gc
 import importlib.util
 import math
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from nonembed import assembly, bvp
+from nonembed import assembly, bvp, conformal
 from nonembed.fields import u_float
 from nonembed.trees import Segment
 
@@ -359,12 +360,17 @@ def test_polygon_solve_pointwise_accuracy_against_discrete_oracle():
     assert worst <= 7e-14
 
 
-def _basis_rhs(prob, geom):
-    """Stacked right-hand sides of select_N's two basis data sets."""
+def _basis_data(prob, geom):
+    """Stacked cut data of select_N's two basis data sets."""
     unit_right = [bvp._zero] * 5
     unit_right[geom.RIGHT] = lambda x, y: np.ones(np.shape(x))
-    return np.stack([prob._rhs(prob._cut_data(d))
+    return np.stack([prob._cut_data(d)
                      for d in (bvp.pentagon_edge_data(geom, 0.0), unit_right)])
+
+
+def _basis_rhs(prob, geom):
+    """Stacked right-hand sides of select_N's two basis data sets."""
+    return np.stack([prob._rhs(d) for d in _basis_data(prob, geom)])
 
 
 def test_unrefined_block_solve_is_close_to_the_refined_solve(selected4,
@@ -399,7 +405,7 @@ def test_block_solve_equals_whole_matrix_lu_with_the_same_refinement():
     ref[:, inside] = lu.solve(b[:, inside].T).T
     ref[:, inside] += lu.solve(
         bvp._stencil_residual(prob.geom, ref, b)[:, inside].T).T
-    x = prob._refined_solve(b)
+    x = prob._refined_solve(_basis_data(prob, geom))
     assert np.all(np.abs(x - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
 
 
@@ -439,16 +445,56 @@ def test_stencil_residual_in_column_blocks_equals_one_block(monkeypatch):
     x, b = np.random.default_rng(3).standard_normal((2, 2) + shape)
     x *= inside
     monkeypatch.setattr(bvp, "_BLOCK", shape[0])
-    whole = bvp._stencil_residual(prob.geom, x, b)
+    whole = bvp._stencil_residual(prob.geom, x, b.copy())
     monkeypatch.setattr(bvp, "_BLOCK", 7)
     assert (shape[0] - 2) % 7 and shape[0] % 7
-    blocked = bvp._stencil_residual(prob.geom, x, b)
+    blocked = bvp._stencil_residual(prob.geom, x, b.copy())
     assert whole.tobytes() == blocked.tobytes()
     A = _assemble_per_node(geom.polygon, h, origin, shape)[0]
     plain = b[:, inside] - (A @ x[:, inside].T).T
     for r in (whole, blocked):
         assert np.allclose(r[:, inside], plain, rtol=0.0,
                            atol=1e-12 * np.abs(plain).max())
+
+
+@pytest.mark.parametrize("rows", [7, bvp._LAP_ROWS])
+def test_blocked_laplacian_equals_the_whole_array_expression(monkeypatch,
+                                                             rows):
+    """The grid Laplacian and the curvature, taken a block of rows at a
+    time, have the bits of the whole-array expressions, on grids whose
+    inner row count is no multiple of the block or less than one block."""
+    monkeypatch.setattr(bvp, "_LAP_ROWS", rows)
+    rng = np.random.default_rng(21)
+    for shape in ((2 * rows + 5, 37), (rows - 1, 11)):
+        assert (shape[0] - 2) % rows
+        mask = np.full(shape, bvp.INTERIOR, dtype=np.int8)
+        grid = bvp.MaskedGrid(origin=(-0.3, 0.2), h=0.03, mask=mask,
+                              subgrid_boundary=True)
+        f = bvp.ScalarField(grid=grid, values=rng.standard_normal(shape))
+        v, h = f.values, grid.h
+        whole = (v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2]
+                 - 4.0 * v[1:-1, 1:-1]) / h**2
+        assert bvp.laplacian_grid(f).tobytes() == whole.tobytes()
+        K = -np.exp(v[1:-1, 1:-1] * -2.0) * whole
+        assert conformal.gaussian_curvature(f).values.tobytes() == K.tobytes()
+
+
+@pytest.mark.parametrize("build, low, high", [
+    (lambda: assembly.build_g1(3, 1536).curvature_report(), 54.0, 69.5),
+    (lambda: bvp.select_N(4, 192, 0.05), 27.0, 55.0)])
+def test_traced_peaks_of_the_g1_report_and_select_N(build, low, high):
+    """tracemalloc peaks in MiB, measured 66.1 for the g1 report, which
+    holds the factor, the source and K (54.0 MiB), and 52.2 for select_N,
+    whose system and solver hold 29.5 while it solves: 81.5 and 68.2
+    while the grid Laplacians were whole-array expressions and the
+    pentagon solve copied its right-hand sides."""
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert low < peak <= high
 
 
 def test_polygon_residual_is_the_whole_matrix_residual():

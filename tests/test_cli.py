@@ -129,15 +129,31 @@ def test_annulus_claims_run_at_the_largest_annulus_nmax(ctx):
     assert len(recs[2]["values"]["worst_K_per_annulus"]) == 6
 
 
+def test_annulus_targets_solve_no_pentagon(ctx, tail4, tmp_path,
+                                           monkeypatch):
+    """The annulus claims evaluate their plantings' rotation sums only off
+    the supports, so `verify annulus` and `assemble annulus` build no
+    tail, and the records equal those of a context whose tail is built."""
+    def no_pentagon(*args, **kwargs):
+        raise AssertionError("the pentagon was solved")
+
+    monkeypatch.setattr(bvp, "select_N", no_pentagon)
+    fresh = cli.PipelineContext(cli.RunConfig())
+    assert cli.verify_annulus(fresh) == cli.verify_annulus(ctx)
+    assert "tail" not in vars(fresh)
+    assert cli.cmd_assemble("annulus", cli.RunConfig(out_dir=str(tmp_path))) == 0
+
+
 def test_readme_names_exactly_the_declared_keys_and_flags(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme.split("| Key | Flag | Must be |\n| --- | --- | --- |\n",
-                         1)[1].split("\n\n", 1)[0]
+    head = "| Key | Flag | Must be | Memory |\n| --- | --- | --- | --- |\n"
+    table = readme.split(head, 1)[1].split("\n\n", 1)[0]
     rows = [[c.strip().strip("`") for c in line.strip("|").split("|")]
             for line in table.splitlines()]
     declared = [f.metadata for f in dataclasses.fields(cli.RunConfig)]
-    assert rows == [[m["key"], m["flag"] or "", m["domain"] or ""]
-                    for m in declared]
+    assert all(len(r) == 4 for r in rows)  # the memory column is free text
+    assert [r[:3] for r in rows] == [
+        [m["key"], m["flag"] or "", m["domain"] or ""] for m in declared]
     with pytest.raises(SystemExit):
         cli.main(["verify", "--help"])
     usage = capsys.readouterr().out
@@ -836,11 +852,12 @@ def test_tail_grid_laplacian_computed_once(monkeypatch):
 
     def counted(f):
         fields.append(f)
-        return laplacian_grid(f)
+        return laplacian_blocks(f)
 
-    laplacian_grid = bvp.laplacian_grid
-    for mod in (bvp, mollify, conformal):
-        monkeypatch.setattr(mod, "laplacian_grid", counted)
+    # every grid Laplacian, `laplacian_grid`'s too, goes through its blocks
+    laplacian_blocks = bvp.laplacian_blocks
+    for mod in (bvp, conformal):
+        monkeypatch.setattr(mod, "laplacian_blocks", counted)
     fresh = cli.PipelineContext(cli.RunConfig(pentagon_resolution=64))
     cli.verify_tail(fresh)
     cli.verify_corollary(fresh)
