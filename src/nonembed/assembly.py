@@ -29,8 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from nonembed.bvp import INTERIOR, ScalarField, box_grid, solve_poisson
-from nonembed.conformal import gaussian_curvature
+from nonembed.bvp import ScalarField, box_grid, solve_poisson
+from nonembed.conformal import (curvature_blocks, curvature_support,
+                                gaussian_curvature)
 from nonembed.mollify import TailFunction
 
 DEG = math.pi / 180.0
@@ -238,6 +239,10 @@ POCKET_TOL_FACTOR = 1e-8
 
 @dataclass
 class PocketMetric:
+    """The pocket metric e^{2 u1} dx^2 of `build_g1`: the factor u1 on its
+    box grid and the source it solves for.  Its curvature grid is made
+    only when `curvature` is read (`assemble g1` writes it); the report
+    takes the curvature a block of rows at a time."""
     factor: ScalarField  # u1 of the metric e^{2 u1} dx^2
     source: np.ndarray
     n_max: int
@@ -255,29 +260,43 @@ class PocketMetric:
         all orders at the pocket rim, so rim nodes carry sub-roundoff
         source values whose curvature sign is not certifiable in doubles.
         Each pocket is examined on its box of nodes within r + 3h, which
-        holds every node within r + 2h of its center.
+        holds every node within r + 2h of its center.  K comes a block of
+        rows at a time from `curvature_blocks`, and each maximum is taken
+        block by block, so no K grid is made.
         """
         src = self.source[1:-1, 1:-1]
         floor = POCKET_TOL_FACTOR * _max_abs(src)
-        K = self.curvature.values
         xs, ys = (t[1:-1] for t in self.factor.grid.axes())
-        inner = self.curvature.grid.mask == INTERIOR
+        inner = curvature_support(self.factor.grid)
         h = self.factor.grid.h
-        scale = _max_abs(K, where=inner)
+        pockets = []  # (box, sampled, far: d > r + 2h) of each pocket
         per_pocket = []
-        outside = inner.copy()
         for (cx, cy), r in pocket_centers_radii(self.n_max):
             box = _node_box(xs, ys, (cx, cy), r + 3.0 * h)
             d = np.hypot(xs[box[0], None] - cx, ys[None, box[1]] - cy)
             ins = inner[box] & (d < r - 1e-12)
             sampled = ins & (np.abs(src[box]) > floor)
-            per_pocket.append(dict(
-                n_nodes=int(ins.sum()),
-                n_sampled=int(sampled.sum()),
-                max_K=float(np.max(K[box][sampled])) if np.any(sampled) else None,
-            ))
-            outside[box] &= d > r + 2.0 * h
-        max_outside = _max_abs(K, where=outside)
+            pockets.append((box, sampled, d > r + 2.0 * h))
+            per_pocket.append(dict(n_nodes=int(ins.sum()),
+                                   n_sampled=int(sampled.sum()), max_K=[]))
+        scales, outsides = [], []  # the blocks' maxima
+        for rows, K in curvature_blocks(self.factor):
+            scales.append(_max_abs(K, where=inner[rows]))
+            out = inner[rows].copy()
+            for (box, sampled, far), p in zip(pockets, per_pocket):
+                lo = max(rows.start, box[0].start)
+                hi = min(rows.stop, box[0].stop)
+                if lo >= hi:
+                    continue
+                here = slice(lo - rows.start, hi - rows.start), box[1]
+                there = slice(lo - box[0].start, hi - box[0].start)
+                if np.any(sampled[there]):
+                    p["max_K"].append(np.max(K[here][sampled[there]]))
+                out[here] &= far[there]
+            outsides.append(_max_abs(K, where=out))
+        for p in per_pocket:
+            p["max_K"] = float(np.max(p["max_K"])) if p["max_K"] else None
+        scale, max_outside = float(np.max(scales)), float(np.max(outsides))
         return dict(
             pockets=per_pocket,
             all_pockets_negative=all(p["n_sampled"] > 0 and p["max_K"] < 0.0

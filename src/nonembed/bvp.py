@@ -35,11 +35,13 @@ Two solvers:
   where an unrefined COLAMD-ordered LU was off by 2.1e-13
   (test_polygon_solve_pointwise_accuracy_against_discrete_oracle).
 
-The system is kept on the grid's node array: the unknowns' mask and each
-node's 5-point coefficients, zero off the unknowns.  The tip's and Γ's
-blocks are read from it, and no sparse matrix is built.  Every kernel is
-NumPy: the sine transforms, the dense block algebra and the glued
-field's cubic spline.
+The system is kept on the grid's node array: the unknowns' mask, and the
+5-point coefficients of the few nodes that have a cut arm (4,700 of the
+pentagon's 418,026 unknowns at resolution 192); every other unknown has
+the plain stencil.  The tip's and Γ's blocks and the residual's
+coefficients are laid out from it a few node columns at a time, and no
+sparse matrix is built.  Every kernel is NumPy: the sine transforms, the
+dense block algebra and the glued field's cubic spline.
 
 The pentagon pipeline solves the mixed problem (slit-field data on the two
 slanted legs, zero on top/bottom, a constant N on the far right edge),
@@ -200,14 +202,26 @@ def _poisson_dst(grid: MaskedGrid, rhs: np.ndarray) -> np.ndarray:
     f = values[1:-1, 1:-1]  # transformed in place
     np.multiply(np.asarray(rhs, dtype=float)[1:-1, 1:-1], grid.h**2, out=f)
     m, n = f.shape
-    _dst1(_dst1(f, 0), 1)
-    i = np.arange(1, m + 1)[:, None]
-    j = np.arange(1, n + 1)[None, :]
-    f /= (4.0 * np.sin(i * np.pi / (2 * (m + 1))) ** 2
-          + 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2)
+    _divide_by_eigenvalues(_dst1(_dst1(f, 0), 1))
     # the inverse is the same transform over 2(m+1) 2(n+1)
     _dst1(_dst1(f, 0, _reciprocal(4 * (m + 1) * (n + 1))), 1)
     return values
+
+
+def _divide_by_eigenvalues(f: np.ndarray) -> np.ndarray:
+    """f / (4 sin^2(i pi / 2(m+1)) + 4 sin^2(j pi / 2(n+1))), i = 1..m and
+    j = 1..n, the eigenvalues of minus the (m, n) box's 5-point Laplacian
+    times h^2, written over f, which is returned.  The sums are formed
+    _LAP_ROWS rows at a time, so no grid of them is made."""
+    m, n = f.shape
+    i = np.arange(1, m + 1)[:, None]
+    j = np.arange(1, n + 1)[None, :]
+    di = 4.0 * np.sin(i * np.pi / (2 * (m + 1))) ** 2
+    dj = 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
+    for lo in range(0, m, _LAP_ROWS):
+        rows = f[lo:lo + _LAP_ROWS]
+        np.divide(rows, di[lo:lo + _LAP_ROWS] + dj, out=rows)
+    return f
 
 
 # lines per block of the sine transform: a block's odd extension and its
@@ -352,9 +366,14 @@ def _cut_arms(poly: ConvexPolygon, px: np.ndarray, py: np.ndarray,
 def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
                       shape: Tuple[int, int]) -> dict:
     """The Shortley-Weller system on the (nx, ny) node array: the unknowns
-    `interior`, and per node `diag` and the four neighbour coefficients
-    `coefs` (E, W, N, S; A holds their negatives), zero off the unknowns.
-    Unknowns are numbered column by column, the order of the nodes."""
+    `interior`, the cut-arm records `cuts` and the stencils of the nodes
+    that have a cut arm, `stencil`: their flat indices `node`, ascending,
+    `diag` and the four neighbour coefficients `coefs` (E, W, N, S; A holds
+    their negatives).  Every other unknown has the plain 5-point stencil,
+    diag 4/h^2 and neighbours 1/h^2, so no coefficient array of the node
+    array's shape is kept; `_stencil_planes` lays them out on a block of
+    node columns.  Unknowns are numbered column by column, the order of
+    the nodes."""
     nx, ny = shape
     xs = origin[0] + h * np.arange(nx)
     ys = origin[1] + h * np.arange(ny)
@@ -362,7 +381,6 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
     interior[0, :] = interior[-1, :] = False
     interior[:, 0] = interior[:, -1] = False
 
-    alphas = np.ones((4, nx * ny))
     per_dir = []
     for d, (di, dj) in enumerate(_DIRS):
         # no unknown lies on the grid's edge, so the roll never wraps one
@@ -370,21 +388,40 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
         px, py = xs[node // ny], ys[node % ny]
         a, k = _cut_arms(poly, px, py, di, dj, h)
         a = np.maximum(a, 1e-6)
-        alphas[d, node] = a
         per_dir.append(dict(node=node, dir=np.full(len(node), d), alpha=a,
                             edge=k, x=px + a * h * di, y=py + a * h * dj))
     # cut-arm records (flat node index, direction, alpha, edge index, cut
     # point) in (direction, node) order
     cuts = {key: np.concatenate([c[key] for c in per_dir]) for key in per_dir[0]}
 
-    aE, aW, aN, aS = alphas.reshape(4, nx, ny)
-    diag = np.where(interior, (2.0 / (aE * aW) + 2.0 / (aN * aS)) / h**2, 0.0)
-    coefs = np.empty((4, nx, ny))
-    for c, (a, b) in zip(coefs, ((aE, aW), (aW, aE), (aN, aS), (aS, aN))):
-        c[:] = 2.0 / (a * (a + b)) / h**2
-        c *= interior
-    return dict(interior=interior, diag=diag, coefs=coefs, cuts=cuts,
+    node = np.unique(cuts["node"])
+    alphas = np.ones((4, len(node)))  # an uncut arm has alpha 1
+    alphas[cuts["dir"], np.searchsorted(node, cuts["node"])] = cuts["alpha"]
+    aE, aW, aN, aS = alphas
+    stencil = dict(node=node, diag=(2.0 / (aE * aW) + 2.0 / (aN * aS)) / h**2,
+                   coefs=np.stack([2.0 / (a * (a + b)) / h**2 for a, b in (
+                       (aE, aW), (aW, aE), (aN, aS), (aS, aN))]))
+    return dict(interior=interior, cuts=cuts, stencil=stencil,
                 origin=origin, h=h, shape=shape)
+
+
+def _stencil_planes(geom: dict, lo: int, hi: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """The diagonal and the four neighbour coefficients (E, W, N, S) of
+    node columns lo:hi, arrays of shape (hi - lo, ny) and (4, hi - lo, ny),
+    zero off the unknowns: the plain stencil's, then the cut nodes' from
+    `geom["stencil"]`.  An uncut unknown's values are those its alphas of
+    1 give, 2/(1 (1 + 1))/h^2 = 1/h^2 and (2/1 + 2/1)/h^2 = 4/h^2."""
+    inside, st, h = geom["interior"][lo:hi], geom["stencil"], geom["h"]
+    ny = inside.shape[1]
+    diag = np.where(inside, 4.0 / h**2, 0.0)
+    coefs = np.empty((4,) + inside.shape)
+    coefs[:] = np.where(inside, 1.0 / h**2, 0.0)
+    a, b = np.searchsorted(st["node"], (lo * ny, hi * ny))
+    at = st["node"][a:b] - lo * ny
+    diag.flat[at] = st["diag"][a:b]
+    coefs.reshape(4, -1)[:, at] = st["coefs"][:, a:b]
+    return diag, coefs
 
 
 class _Column(NamedTuple):
@@ -405,24 +442,25 @@ def _columns(geom: dict, k: int) -> Tuple[list, list]:
     fill whole columns, in order, and their diagonal blocks A_cc as dense
     matrices (tridiagonal in y).  A convex polygon's unknowns in a column
     are one run of rows."""
-    inside, diag, coefs = geom["interior"], geom["diag"], geom["coefs"]
+    inside = geom["interior"]
     cols, blocks, start, prev = [], [], 0, None
     for i in np.flatnonzero(np.any(inside, axis=1)):
         if start == k:
             break
+        diag, coefs = _stencil_planes(geom, i - 1, i + 1)  # columns i - 1, i
         rows = np.flatnonzero(inside[i])
         lo, hi = int(rows[0]), int(rows[-1]) + 1
         d = hi - lo
         D = np.zeros((d, d))
-        D.flat[::d + 1] = diag[i, lo:hi]
-        D.flat[1::d + 1] = -coefs[2, i, lo:hi - 1]  # N
-        D.flat[d::d + 1] = -coefs[3, i, lo + 1:hi]  # S
+        D.flat[::d + 1] = diag[1, lo:hi]
+        D.flat[1::d + 1] = -coefs[2, 1, lo:hi - 1]  # N
+        D.flat[d::d + 1] = -coefs[3, 1, lo + 1:hi]  # S
         blocks.append(D)
         plo, phi = prev or (lo, lo)  # the first column shares no row
         a = max(lo, plo)
         b = max(min(hi, phi), a)
         cols.append(_Column(slice(start, start + d),
-                            -coefs[1, i, a:b], -coefs[0, i - 1, a:b],
+                            -coefs[1, 1, a:b], -coefs[0, 0, a:b],
                             slice(a - lo, b - lo), slice(a - plo, b - plo)))
         start += d
         prev = (lo, hi)
@@ -471,12 +509,13 @@ def _stencil_residual(geom: dict, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     b[:, [0, -1]] = b[:, :, [0, -1]] = 0.0  # no block writes the edges
     for lo in range(1, nx - 1, _BLOCK):
         hi = min(lo + _BLOCK, nx - 1)
-        s, err = _two_product(-geom["diag"][lo:hi, 1:-1], x[:, lo:hi, 1:-1])
+        diag, coefs = _stencil_planes(geom, lo, hi)
+        s, err = _two_product(-diag[:, 1:-1], x[:, lo:hi, 1:-1])
         s, e = _two_sum(b[:, lo:hi, 1:-1], s)
         err += e
         for d, (di, dj) in enumerate(_DIRS):
             # a cut arm's neighbour is off the unknowns and adds c x 0
-            p, e = _two_product(geom["coefs"][d, lo:hi, 1:-1],
+            p, e = _two_product(coefs[d, :, 1:-1],
                                 x[:, lo + di:hi + di, 1 + dj:ny - 1 + dj])
             err += e
             s, e = _two_sum(s, p)
@@ -495,10 +534,10 @@ def _plain_block(geom: dict) -> Tuple[int, int]:
     """(s, m): the trailing block of plain node columns, each with the
     live rows of the last unknown column, which ends next to a Dirichlet
     node column, starts at unknown s and holds m unknowns per column."""
-    inside = geom["interior"]
-    plain = np.ones(inside.shape, dtype=bool)
-    for c in geom["coefs"]:  # a plane at a time: no temporary of all four
-        plain &= np.abs(c * geom["h"] ** 2 - 1.0) <= _PLAIN
+    inside, st = geom["interior"], geom["stencil"]
+    plain = np.ones(inside.shape, dtype=bool)  # 1/h^2 off the cut nodes
+    plain.flat[st["node"]] = np.all(
+        np.abs(st["coefs"] * geom["h"] ** 2 - 1.0) <= _PLAIN, axis=0)
     last = np.flatnonzero(np.any(inside, axis=1))[-1]
     ok = np.all(inside == inside[last], axis=1) & np.all(plain | ~inside, axis=1)
     p = int(last - np.flatnonzero(~ok[:last + 1])[-1])  # column 0 holds none
@@ -612,7 +651,7 @@ class PolygonProblem:
     """Shortley-Weller discretization of a convex polygon, solved for any
     number of Dirichlet data sets at once.  The polygon must end on the
     right in a block of plain 5-point columns (see `_plain_block`).
-    The system is kept on the grid's node array in `geom`.  `stats` holds
+    The system is kept in `geom` (see `_assemble_polygon`).  `stats` holds
     the sizes and stage times of the last solve."""
 
     def __init__(self, poly: ConvexPolygon, h: float, origin: Point,
@@ -634,9 +673,9 @@ class PolygonProblem:
     def _rhs(self, data: np.ndarray) -> np.ndarray:
         """The right-hand side of each data set's cut data (the last axis
         of data) as a node array, zero off the unknowns."""
-        c = self.geom["cuts"]
+        c, st = self.geom["cuts"], self.geom["stencil"]
         b = np.zeros(data.shape[:-1] + self.geom["shape"])
-        coef = self.geom["coefs"].reshape(4, -1)[c["dir"], c["node"]]
+        coef = st["coefs"][c["dir"], np.searchsorted(st["node"], c["node"])]
         np.add.at(b.reshape(data.shape[:-1] + (-1,)), (..., c["node"]),
                   coef * data)
         return b

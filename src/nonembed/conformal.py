@@ -32,26 +32,41 @@ DELTA_MAX = 0.05             # the largest amplitude find_delta0 scans
 def gaussian_curvature(f: ScalarField) -> ScalarField:
     """K = -e^{-2 phi} * (5-point Laplacian of phi) for the factor phi = f,
     on the inner nodes of its grid (the grid less its outer ring).  They
-    are INTERIOR where the stencil reads live nodes only (interior nodes
-    alone, on grids with a subgrid boundary) and EXTERIOR elsewhere."""
+    are INTERIOR where `curvature_support` holds and EXTERIOR elsewhere."""
     g = f.grid
-    with np.errstate(over="ignore", under="ignore"):
-        K = np.multiply(f.values[1:-1, 1:-1], -2.0)  # -2 phi, then K in place
-        np.exp(K, out=K)
-        np.negative(K, out=K)
-        for rows, lap in laplacian_blocks(f):
-            K[rows] *= lap
-    m = g.mask
-    if g.subgrid_boundary:
-        valid = stencil_reduce(m == INTERIOR, np.logical_and)
-    else:
-        valid = (m[1:-1, 1:-1] == INTERIOR) & stencil_reduce(m != EXTERIOR,
-                                                             np.logical_and)
-    mask = np.full(valid.shape, EXTERIOR, dtype=np.int8)
-    mask[valid] = INTERIOR
+    K = np.empty((g.shape[0] - 2, g.shape[1] - 2))
+    for rows, block in curvature_blocks(f):
+        K[rows] = block
+    mask = np.full(K.shape, EXTERIOR, dtype=np.int8)
+    mask[curvature_support(g)] = INTERIOR
     inner = MaskedGrid(origin=(g.origin[0] + g.h, g.origin[1] + g.h), h=g.h,
                        mask=mask, subgrid_boundary=True)
     return ScalarField(grid=inner, values=K)
+
+
+def curvature_blocks(f: ScalarField):
+    """The curvature of `gaussian_curvature` a block of inner rows at a
+    time, as `laplacian_blocks` yields the Laplacian: (rows, block).  Each
+    value is -e^{-2 phi} times the Laplacian, in that order."""
+    v = f.values
+    for rows, lap in laplacian_blocks(f):
+        with np.errstate(over="ignore", under="ignore"):
+            K = np.multiply(v[rows.start + 1:rows.stop + 1, 1:-1], -2.0)
+            np.exp(K, out=K)
+            np.negative(K, out=K)
+            K *= lap
+        yield rows, K
+
+
+def curvature_support(g: MaskedGrid) -> np.ndarray:
+    """Whether each inner node's 5-point stencil reads live nodes only:
+    interior nodes alone on grids with a subgrid boundary, else an
+    INTERIOR center with non-EXTERIOR neighbours."""
+    m = g.mask
+    if g.subgrid_boundary:
+        return stencil_reduce(m == INTERIOR, np.logical_and)
+    return (m[1:-1, 1:-1] == INTERIOR) & stencil_reduce(m != EXTERIOR,
+                                                        np.logical_and)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ import numpy as np
 
 from nonembed.bvp import BOUNDARY, EXTERIOR, INTERIOR, MaskedGrid, ScalarField
 
-# node rows formatted and written per block, so a large grid never holds
-# all of its lines as strings at once
+# nodes formatted and written per block, at most, unless one grid row
+# holds more: blocks are whole grid rows, so a large grid never holds all
+# of its lines as strings, or all of its live nodes' indices, at once
 _BLOCK = 1 << 16
 _CSV_ROW = "{},{},{}\n"
 # one node of the "nodes" list in the layout of json.dumps(indent=1),
@@ -119,16 +120,20 @@ def _header_dict(f: ScalarField) -> dict:
 def _node_blocks(f: ScalarField, row: str) -> Iterator[str]:
     """The live nodes, row-major, as the template `row` with its three
     `{}` filled by x, y and value, each in its shortest round-trip form,
-    joined per block of rows, with each distinct value formatted once."""
+    joined per block of grid rows that holds a live node, with each
+    distinct value formatted once."""
     head, x_y, y_v, tail = row.split("{}")
     g = f.grid
-    ii, jj = np.nonzero(g.mask != EXTERIOR)
     ax, ay = g.axes()
     xs = np.array([head + repr(x) + x_y for x in ax.tolist()], dtype=object)
     ys = np.array([repr(y) + y_v for y in ay.tolist()], dtype=object)
     values = np.asarray(f.values, dtype=float)
-    for s in range(0, len(ii), _BLOCK):
-        i, j = ii[s:s + _BLOCK], jj[s:s + _BLOCK]
+    step = max(1, _BLOCK // len(ay))  # grid rows per block
+    for lo in range(0, len(ax), step):
+        i, j = np.nonzero(g.mask[lo:lo + step] != EXTERIOR)
+        if not len(i):
+            continue
+        i += lo
         # keyed by bits, so that -0.0 and 0.0 keep their own strings
         bits, inverse = np.unique(values[i, j].view(np.int64),
                                   return_inverse=True)

@@ -121,6 +121,53 @@ def test_pocket_metric_curvature_signs(ctx):
     assert all(p["n_sampled"] > 0 for p in rep["pockets"])
 
 
+def _whole_grid_report(pm):
+    """The g1 report as taken from the whole `gaussian_curvature` grid,
+    with an `outside` mask of the whole grid."""
+    src = pm.source[1:-1, 1:-1]
+    floor = assembly.POCKET_TOL_FACTOR * np.max(np.abs(src))
+    curv = conformal.gaussian_curvature(pm.factor)
+    K, inner = curv.values, curv.grid.mask == bvp.INTERIOR
+    xs, ys = (t[1:-1] for t in pm.factor.grid.axes())
+    h = pm.factor.grid.h
+    pockets, outside = [], inner.copy()
+    for (cx, cy), r in assembly.pocket_centers_radii(pm.n_max):
+        box = assembly._node_box(xs, ys, (cx, cy), r + 3.0 * h)
+        d = np.hypot(xs[box[0], None] - cx, ys[None, box[1]] - cy)
+        ins = inner[box] & (d < r - 1e-12)
+        sampled = ins & (np.abs(src[box]) > floor)
+        pockets.append(dict(
+            n_nodes=int(ins.sum()), n_sampled=int(sampled.sum()),
+            max_K=float(np.max(K[box][sampled])) if np.any(sampled) else None))
+        outside[box] &= d > r + 2.0 * h
+    max_outside = float(np.max(np.abs(K[outside])))
+    scale = float(np.max(np.abs(K[inner])))
+    return dict(
+        pockets=pockets,
+        all_pockets_negative=all(p["n_sampled"] > 0 and p["max_K"] < 0.0
+                                 for p in pockets),
+        max_abs_K_outside=max_outside, scale=scale,
+        flat_outside=max_outside <= assembly.POCKET_TOL_FACTOR * scale)
+
+
+@pytest.mark.parametrize("n_max, grid_n, rows", [(3, 1536, bvp._LAP_ROWS),
+                                                 (2, 390, 7)])
+def test_blocked_g1_report_equals_the_whole_grid_report(monkeypatch, n_max,
+                                                        grid_n, rows):
+    """The report taken a block of curvature rows at a time has the bits
+    of the one taken from the whole K grid: on the default g1, and on a
+    box whose 389 inner rows are no multiple of a 7-row block, so that
+    pockets straddle blocks."""
+    monkeypatch.setattr(bvp, "_LAP_ROWS", rows)
+    pm = assembly.build_g1(n_max, grid_n)
+    blocked = pm.curvature_report()
+    assert "curvature" not in vars(pm)  # the report made no K grid
+    whole = _whole_grid_report(pm)
+    assert len(whole["pockets"]) == n_max
+    assert all(p["n_sampled"] > 0 for p in whole["pockets"])
+    assert repr(blocked) == repr(whole)
+
+
 def test_pocket_zero_source_gives_flat_metric():
     grid = bvp.box_grid((0.0, 0.0), 1.0, 64)
     u = bvp.solve_poisson(grid, np.zeros(grid.shape))

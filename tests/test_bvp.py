@@ -479,15 +479,34 @@ def test_blocked_laplacian_equals_the_whole_array_expression(monkeypatch,
         assert conformal.gaussian_curvature(f).values.tobytes() == K.tobytes()
 
 
+@pytest.mark.parametrize("rows", [7, bvp._LAP_ROWS])
+def test_blocked_sine_denominators_equal_the_whole_array_expression(
+        monkeypatch, rows):
+    """The Poisson solve's division by the sine denominators, a block of
+    rows at a time, has the bits of the whole-array division."""
+    monkeypatch.setattr(bvp, "_LAP_ROWS", rows)
+    rng = np.random.default_rng(22)
+    for m, n in ((2 * rows + 5, 37), (rows - 1, 11)):
+        assert m % rows
+        f = rng.standard_normal((m, n))
+        i = np.arange(1, m + 1)[:, None]
+        j = np.arange(1, n + 1)[None, :]
+        whole = f / (4.0 * np.sin(i * np.pi / (2 * (m + 1))) ** 2
+                     + 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2)
+        assert bvp._divide_by_eigenvalues(f).tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("build, low, high", [
-    (lambda: assembly.build_g1(3, 1536).curvature_report(), 54.0, 69.5),
-    (lambda: bvp.select_N(4, 192, 0.05), 27.0, 55.0)])
+    (lambda: assembly.build_g1(3, 1536).curvature_report(), 40.0, 48.5),
+    (lambda: bvp.select_N(4, 192, 0.05), 31.0, 40.0)])
 def test_traced_peaks_of_the_g1_report_and_select_N(build, low, high):
-    """tracemalloc peaks in MiB, measured 66.1 for the g1 report, which
-    holds the factor, the source and K (54.0 MiB), and 52.2 for select_N,
-    whose system and solver hold 29.5 while it solves: 81.5 and 68.2
-    while the grid Laplacians were whole-array expressions and the
-    pentagon solve copied its right-hand sides."""
+    """tracemalloc peaks in MiB, measured 45.2 for the g1 report, which
+    holds the factor and the source (36.0 MiB) and takes K a block of rows
+    at a time, and 36.8 for select_N, whose system keeps the stencils of
+    its cut nodes only.  They were 66.1 and 52.2 while the report held a
+    K grid and the system four coefficient planes and a diagonal one, and
+    81.5 and 68.2 while the grid Laplacians were whole-array expressions
+    and the pentagon solve copied its right-hand sides."""
     tracemalloc.start()
     try:
         build()
@@ -580,6 +599,17 @@ def _assemble_per_node(poly, h, origin, shape, snap=1e-9):
     return A, coefs, records
 
 
+def _holds_node_sized_floats(obj, nodes: int) -> bool:
+    """Whether obj, or a dict, list or tuple within it, holds a float
+    array of at least `nodes` entries."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return any(_holds_node_sized_floats(o, nodes) for o in obj)
+    return isinstance(obj, np.ndarray) and obj.dtype.kind == "f" \
+        and obj.size >= nodes
+
+
 def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4):
     """The pentagon's stencil, the tip and Γ blocks that the solver's
     elimination reads, both right-hand sides of select_N and the rim
@@ -593,10 +623,25 @@ def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4):
     assert len(records) == len(prob.geom["cuts"]["node"])
     assert np.array_equal(prob.geom["cuts"]["node"], np.ravel_multi_index(
         (ii[[r[0] for r in records]], jj[[r[0] for r in records]]), shape))
-    assert np.array_equal(prob.geom["coefs"][:, inside], coefs)
-    assert np.array_equal(prob.geom["diag"][inside], A.diagonal())
-    assert not np.any(prob.geom["coefs"][:, ~inside])
-    assert not np.any(prob.geom["diag"][~inside])
+    # the table holds each node with a cut arm, the plain scalars the rest
+    st = prob.geom["stencil"]
+    rank = np.searchsorted(np.flatnonzero(inside), st["node"])
+    assert np.array_equal(rank, np.unique([r[0] for r in records]))
+    assert np.array_equal(st["coefs"], coefs[:, rank])
+    assert np.array_equal(st["diag"], A.diagonal()[rank])
+    plain = np.ones(len(ii), dtype=bool)
+    plain[rank] = False
+    assert np.all(coefs[:, plain] == 1.0 / h**2)
+    assert np.all(A.diagonal()[plain] == 4.0 / h**2)
+    # and the planes laid out from them are those of the per-node loop
+    diag, planes = bvp._stencil_planes(prob.geom, 0, shape[0])
+    assert np.array_equal(planes[:, inside], coefs)
+    assert np.array_equal(diag[inside], A.diagonal())
+    assert not np.any(planes[:, ~inside])
+    assert not np.any(diag[~inside])
+    # no float array as large as the node array is kept
+    assert not _holds_node_sized_floats(prob.geom, inside.size)
+    assert _holds_node_sized_floats(dict(prob.geom, coefs=planes), inside.size)
     k = prob._tip + prob._gamma
     cols, blocks = bvp._columns(prob.geom, k)
     assert len(cols) == 57 and cols[-1].unknowns == slice(prob._tip, k)

@@ -408,6 +408,29 @@ def test_grid_writers_equal_the_per_node_reference(tmp_path, make):
                               f.values[live].view(np.int64))
 
 
+@pytest.mark.parametrize("block", [3, 10])
+def test_grid_writers_take_blocks_of_grid_rows(tmp_path, monkeypatch, block):
+    """The writers gather live nodes a block of whole grid rows at a time
+    (one row per block when a row holds more than `_BLOCK` nodes, else
+    two here), skipping blocks with no live node; the bytes stay those of
+    the per-node reference."""
+    monkeypatch.setattr(gridio, "_BLOCK", block)
+    mask = np.full((11, 5), bvp.BOUNDARY, dtype=np.int8)
+    mask[:4] = mask[6:8] = mask[9, 1:3] = bvp.EXTERIOR
+    values = np.random.default_rng(11).standard_normal(mask.shape)
+    values[4:] = np.where(values[4:] > 0, 0.5, -0.0)  # repeats across blocks
+    values[mask == bvp.EXTERIOR] = 0.0
+    f = bvp.ScalarField(grid=bvp.MaskedGrid(origin=(0.5, -2.0), h=0.25,
+                                            mask=mask), values=values)
+    rows = _reference_rows(f)
+    doc = {"header": gridio._header_dict(f), "nodes": rows}
+    full = gridio.write_grid_json(f, tmp_path / "full.json")
+    assert full.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    csv = gridio.write_grid_csv(f, tmp_path / "field.csv")
+    assert csv.read_text() == "".join(
+        ",".join(r) + "\n" for r in [["x", "y", "value"]] + rows)
+
+
 def test_json_number_cells_keep_their_bits(tmp_path):
     # 0 comes before -0.0, so a memo keyed by value would answer -0.0
     # with the 0.0 of the first cell
