@@ -180,15 +180,15 @@ class PipelineContext:
         """The surface generated at (ruled.tau, eps, seed) and its extended
         257-ruling sample, built once per run."""
         if (eps, seed) not in self._ruled:
-            g = ruled.generate_surface(self.cfg.ruled_tau, eps, seed=seed)
             try:
+                g = ruled.generate_surface(self.cfg.ruled_tau, eps, seed=seed)
                 ext = ruled.extend_ruled(g.sample(n=257), -1.0, 2.0)
             except ruled.RuledError as exc:
                 if eps != self.cfg.ruled_eps:
                     raise
                 raise ConfigError(f"ruled.eps must give a surface whose "
-                                  f"rulings extend as a graph, got {eps}: "
-                                  f"{exc}") from exc
+                                  f"rulings neither fold nor cross, got "
+                                  f"{eps}: {exc}") from exc
             self._ruled[eps, seed] = (g, ext)
         return self._ruled[eps, seed]
 

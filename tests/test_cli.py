@@ -87,13 +87,14 @@ def test_broken_tolerance_exits_2(tmp_path):
     ("annulus.nmax", "1"), ("k.max", "3.5"), ("k.max", "2"),
     ("grid.h", "0.05"), ("quad.tol", "inf"),
     ("truncation.nmax", "4"), ("truncation.nmax", "12"), ("ruled.eps", "5"),
+    ("ruled.eps", "1"),
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, value):
     # k.max = 2 is a valid value with no K that satisfies the sign
     # conditions, truncation.nmax = 4 one whose smallest pocket the g1
-    # grid cannot resolve, and ruled.eps = 5 one whose surface does not
-    # extend as a graph, found in the forked lane (which the autouse
-    # fixture checks is reaped): those outcomes also name their key
+    # grid cannot resolve, and ruled.eps = 1 and 5 ones whose generated
+    # rulings fold, found in the forked lane (which the autouse fixture
+    # checks is reaped): those outcomes also name their key
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
     out = tmp_path / "o"
@@ -681,8 +682,8 @@ def test_verify_ruled_generates_each_surface_once(monkeypatch):
 
 
 def test_ruled_eps_without_a_graph_extension_exits_2(tmp_path, capsys):
-    # at ruled.eps = 5 the projected rulings cross inside the extension
-    # range
+    # at ruled.eps = 5 the generated rulings fold, and the Newton that
+    # inverts x2(x1, s) does not converge
     cfg = tmp_path / "run.cfg"
     cfg.write_text("ruled.eps = 5\n")
     out = tmp_path / "o"
@@ -695,7 +696,7 @@ def test_ruled_eps_without_a_graph_extension_exits_2(tmp_path, capsys):
 def test_verify_all_checks_ruled_eps_before_any_target(tmp_path, capsys,
                                                       monkeypatch):
     # the surface at ruled.eps is built before the lanes start, so a value
-    # whose extension fails runs no target and forks no lane
+    # whose surface fails runs no target and forks no lane
     ran = []
     for t in cli._PIPELINES:
         monkeypatch.setitem(cli._PIPELINES, t,
@@ -711,11 +712,12 @@ def test_verify_all_checks_ruled_eps_before_any_target(tmp_path, capsys,
 
 def test_ruled_generation_error_keeps_the_pipeline_message(
         tmp_path, monkeypatch, capsys):
-    # only the extension check at the config's eps names ruled.eps
-    def broken(tau, eps, seed):
+    # only building the surface at the config's eps names ruled.eps; a
+    # later ruled stage that fails is a pipeline error
+    def broken(f):
         raise ruled.RuledError("chart degenerates")
 
-    monkeypatch.setattr(ruled, "generate_surface", broken)
+    monkeypatch.setattr(ruled, "legendre_coords", broken)
     out = tmp_path / "o"
     assert cli.main(["verify", "ruled", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
@@ -892,10 +894,10 @@ def test_verify_ruled_golden_values(ctx):
     # the digit: the batched projection and the cached comparison stencil
     # must follow the same iterates as one point and one grid at a time
     vals = {rec["name"]: rec["values"] for rec in cli.verify_ruled(ctx)}
-    assert vals["projection-lengths"]["worst_gap"] == 0.13643231542737766
-    assert vals["comparison-margins"]["min_margin"] == -4.450502490843666e-09
+    assert vals["projection-lengths"]["worst_gap"] == 0.13643231542740342
+    assert vals["comparison-margins"]["min_margin"] == -4.450502491711028e-09
     assert vals["concavity-epsilon-family"]["deviations"] == [
-        0.34987158164598586, 0.18074519106281173, 0.09255104905757339]
+        0.3498715816650524, 0.18074519104750486, 0.09255104908128642]
     flat = vals["extension-flatness"]
     assert 0.0 < flat["worst_offdiag"] <= 1e-8
     assert 0.0 < flat["worst_det_ratio"] <= 1e-8

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from nonembed import cli, ruled
 
 TAU = 0.5
+ORACLE_RULED_HESSIAN = (Path(__file__).resolve().parents[1] / "tools"
+                        / "oracle_ruled_hessian.json")
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +55,49 @@ def test_trig_poly_multi_order_equals_single_orders():
     assert len(multi) == len(orders)
     for order, value in zip(orders, multi):
         assert np.array_equal(value, tp(s, order)), order
+
+
+# ---------------------------------------------------------------------------
+# the generated surface
+# ---------------------------------------------------------------------------
+
+def test_s_of_batch_equals_single_points():
+    # each point's Newton stops on its own step, so a point's value does
+    # not depend on the points batched with it
+    g = ruled.generate_surface(TAU, 0.05, seed=cli.RunConfig().seed)
+    rng = np.random.default_rng(8)
+    x1 = rng.uniform(0.0, 2.0, 200)
+    x2 = rng.uniform(-2.0, 2.0, 200)
+    batch = g.s_of(x1, x2)
+    assert batch.shape == (200,)
+    for k in range(200):
+        assert np.array_equal(batch[k], g.s_of(x1[k], x2[k])), k
+
+
+def test_hessian_matches_the_40_digit_oracle():
+    # the default surface, rebuilt from its recorded parameters, against
+    # mpmath's Newton and mp.diff (tools/oracle_ruled_hessian.py)
+    data = json.loads(ORACLE_RULED_HESSIAN.read_text())
+    sf = data["surface"]
+
+    def poly(p):
+        return ruled.TrigPoly(omega=p["omega"], cos_coef=np.array(p["cos"]),
+                              sin_coef=np.array(p["sin"]))
+
+    g = ruled.GeneratedSurface(tau=sf["tau"], eps=sf["eps"], nu=poly(sf["nu"]),
+                               bq=poly(sf["bq"]), s_max=sf["s_max"])
+    pts = data["points"]
+    H = np.array(g.hessian_f(np.array([p["x1"] for p in pts]),
+                             np.array([p["x2"] for p in pts])))
+    ref = np.array([[float(p[k]) for p in pts] for k in ("f11", "f12", "f22")])
+    assert len(pts) >= 12
+    assert np.all(np.abs(H - ref) <= 1e-14 * np.abs(ref[2]))
+
+
+def test_folded_surface_rejected():
+    # at this amplitude the rulings fold and Newton for s(x1, x2) fails
+    with pytest.raises(ruled.RuledError, match="fold"):
+        ruled.generate_surface(TAU, 1.0, seed=42)
 
 
 # ---------------------------------------------------------------------------
