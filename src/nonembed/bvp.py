@@ -21,13 +21,15 @@ Two solvers:
   - Γ is solved through its dense Schur complement, the capacitance
     matrix of Buzbee, Dorr, George and Golub (SIAM J. Numer. Anal. 8,
     1971).
-  All data sets go as one stacked right-hand side, which the solve
-  consumes: it is overwritten with the solution.  The rectangle is
-  taken as the exact 5-point stencil, so one step of iterative
+  All data sets go as one stacked right-hand side at the unknowns,
+  which the solve consumes: it is overwritten with the solution, the
+  rectangle's part transformed and swept where it lies.  The rectangle
+  is taken as the exact 5-point stencil, so one step of iterative
   refinement against the true A follows, whose residual b - A x is
   summed in compensated float64 (TwoProduct and TwoSum over the 5-point
-  stencil) and written over b; `PolygonProblem.residual` reads the
-  same residual.
+  stencil) a block of node columns at a time and written into the same
+  vector, which the correction solve overwrites in turn;
+  `PolygonProblem.residual` reads the same residual.
   Pointwise relative accuracy matters because the far-edge
   harmonic measure decays below 1e-15 here: against the exact separated
   solution of a discrete rectangle problem (60 digits) the refined solve
@@ -47,9 +49,10 @@ The pentagon pipeline solves the mixed problem (slit-field data on the two
 slanted legs, zero on top/bottom, a constant N on the far right edge),
 selects N so that sampled inward normal derivatives dominate those of the
 slit field, and glues the solution to the slit field on the rest of the
-unit disc.  `select_N` keeps the two basis solutions, their sum, the
-margins and the pentagon residual at the selected N, and frees the
-system; the glued field of that sum is built once, on `SelectedN.glue`.
+unit disc.  `select_N` keeps the solution at the selected N, the sum
+of the two basis solutions, with its margins and pentagon residual,
+and frees the system and the basis solutions; the glued field of that
+sum is built once, on `SelectedN.glue`.
 """
 
 from __future__ import annotations
@@ -373,7 +376,7 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
     diag 4/h^2 and neighbours 1/h^2, so no coefficient array of the node
     array's shape is kept; `_stencil_planes` lays them out on a block of
     node columns.  Unknowns are numbered column by column, the order of
-    the nodes."""
+    the nodes; each record also holds its node's unknown, `unknown`."""
     nx, ny = shape
     xs = origin[0] + h * np.arange(nx)
     ys = origin[1] + h * np.arange(ny)
@@ -393,6 +396,12 @@ def _assemble_polygon(poly: ConvexPolygon, h: float, origin: Point,
     # cut-arm records (flat node index, direction, alpha, edge index, cut
     # point) in (direction, node) order
     cuts = {key: np.concatenate([c[key] for c in per_dir]) for key in per_dir[0]}
+    # and each record's unknown: its column's first unknown plus its row's
+    # offset from the column's first unknown row
+    i, j = np.divmod(cuts["node"], ny)
+    count = np.count_nonzero(interior, axis=1)
+    first = (np.cumsum(count) - count)[i]
+    cuts["unknown"] = first + j - np.argmax(interior, axis=1)[i]
 
     node = np.unique(cuts["node"])
     alphas = np.ones((4, len(node)))  # an uncut arm has alpha 1
@@ -497,30 +506,81 @@ def _two_product(a, b):
 _BLOCK = 16
 
 
-def _stencil_residual(geom: dict, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b - A x for data sets stacked on axis 0, x and b node arrays of
-    shape (k, nx, ny) with x zero off the unknowns, summed over each row of
-    A's five stencil terms as if in twice the working precision and
-    rounded once (Ogita, Rump and Oishi's Dot2), written over b, which is
-    returned: a block of the sum reads b only where it writes.  Node
-    columns are taken _BLOCK at a time, each neighbour through a shifted
-    slice; the grid's edge nodes, which hold no unknown, get 0."""
-    nx, ny = b.shape[1:]
-    b[:, [0, -1]] = b[:, :, [0, -1]] = 0.0  # no block writes the edges
+def _column_blocks(inside: np.ndarray):
+    """The node columns that hold unknowns, _BLOCK at a time from column
+    1: yields (cols, rows, run, mask), the block's columns, the rows that
+    hold its unknowns, the slice of the solver's vector that holds them
+    and their mask on those rows, None where they fill the rows.  The
+    unknowns are numbered column by column, and a convex polygon's in a
+    column are one run of rows, so a block's are one run of the vector;
+    right of the tip they fill the rows, and the run is a view of the
+    block's nodes in the solver's order."""
+    nx = inside.shape[0]
+    start = np.concatenate([[0], np.cumsum(np.count_nonzero(inside, axis=1))])
     for lo in range(1, nx - 1, _BLOCK):
         hi = min(lo + _BLOCK, nx - 1)
+        live = np.flatnonzero(np.any(inside[lo:hi], axis=0))
+        if live.size:
+            rows = slice(int(live[0]), int(live[-1]) + 1)
+            mask = inside[lo:hi, rows]
+            yield (slice(lo, hi), rows, slice(int(start[lo]), int(start[hi])),
+                   None if mask.all() else mask)
+
+
+def _at_nodes(x: np.ndarray, v: np.ndarray, inside: np.ndarray,
+              add: bool = False) -> None:
+    """Writes the values v at the unknowns, shape (k, n) in the solver's
+    order, into the node arrays x of shape (k, nx, ny), or adds them to
+    x's with add, a block of node columns at a time (`_column_blocks`)."""
+    for cols, rows, run, mask in _column_blocks(inside):
+        xb = x[:, cols, rows]
+        if mask is None:
+            vb = v[:, run].reshape(xb.shape)
+            if add:
+                xb += vb
+            else:
+                xb[...] = vb
+        elif add:
+            xb[:, mask] += v[:, run]
+        else:
+            xb[:, mask] = v[:, run]
+
+
+def _stencil_residual(geom: dict, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - A x for data sets stacked on axis 0, x node arrays of shape
+    (k, nx, ny) zero off the unknowns and b of shape (k, n) at the
+    unknowns in the solver's order, summed over each row of A's five
+    stencil terms as if in twice the working precision and rounded once
+    (Ogita, Rump and Oishi's Dot2), written over b, which is returned: a
+    block of the sum reads b only where it writes.  Node columns are
+    taken a block at a time (`_column_blocks`), on the rows that hold
+    their unknowns, each neighbour through a shifted slice; a block's b
+    is read and written through its run's view, or through its mask in
+    the tip."""
+    for cols, rows, run, mask in _column_blocks(geom["interior"]):
+        lo, hi, r0, r1 = cols.start, cols.stop, rows.start, rows.stop
         diag, coefs = _stencil_planes(geom, lo, hi)
-        s, err = _two_product(-diag[:, 1:-1], x[:, lo:hi, 1:-1])
-        s, e = _two_sum(b[:, lo:hi, 1:-1], s)
+        xb = x[:, cols, rows]
+        if mask is None:
+            bb = b[:, run].reshape(xb.shape)
+        else:
+            bb = np.zeros(xb.shape)
+            bb[:, mask] = b[:, run]
+        s, err = _two_product(-diag[:, rows], xb)
+        s, e = _two_sum(bb, s)
         err += e
         for d, (di, dj) in enumerate(_DIRS):
             # a cut arm's neighbour is off the unknowns and adds c x 0
-            p, e = _two_product(coefs[d, :, 1:-1],
-                                x[:, lo + di:hi + di, 1 + dj:ny - 1 + dj])
+            p, e = _two_product(coefs[d, :, rows],
+                                x[:, lo + di:hi + di, r0 + dj:r1 + dj])
             err += e
             s, e = _two_sum(s, p)
             err += e
-        b[:, lo:hi, 1:-1] = s + err
+        s += err
+        if mask is None:
+            bb[...] = s
+        else:
+            b[:, run] = s[:, mask]
     return b
 
 
@@ -560,7 +620,8 @@ def _block_solver(geom: dict, s: int, m: int, n: int):
     Schur complement S = A_ΓΓ - A_ΓT A_TT^-1 A_TΓ - h^-2 Q diag(rho) Q;
     the rectangle by an orthonormal DST-I Q in y and a tridiagonal sweep
     in x per mode.  Returns (solve, the entries the tip's inverses
-    hold); solve(b) writes the solution over b."""
+    hold); solve(b) writes the solution over b, a C-ordered (k, n)
+    array, rectangle included, and makes no copy of it."""
     # dense algebra runs in NumPy's BLAS, the process's one thread pool;
     # its threads still spin against the other `verify all` lane: with
     # OPENBLAS_NUM_THREADS=2 this setup took 0.17-0.53 s in 20 runs on 2
@@ -605,14 +666,16 @@ def _block_solver(geom: dict, s: int, m: int, n: int):
             col.west[:, None] * inv[c][col.there, col.there] * col.east)
     S = D[-1] - Q(Q(np.diag(G[0])).T) / h**2
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        k = len(b)
-        # rectangle with zero data on Γ, columns first: z = h^2 T^-1 Q b_R
-        z = Q(b[:, s + m:].reshape(k, p, m).transpose(1, 0, 2))
-        z *= h**2
-        sweep(z)
-        x = b  # b_R is in z now: the tip and Γ are solved in place
-        x[:, g] += Q(z[0]) / h**2
+    def solve(x: np.ndarray) -> np.ndarray:
+        # the rectangle with zero data on Γ, h^2 T^-1 Q b_R, over b_R's
+        # own values, one data set at a time (a product on all of them,
+        # strided, makes a temporary), and swept on its columns-first view
+        rect = x[:, s + m:].reshape(len(x), p, m)
+        for r in rect:
+            _dst1(r, 1, ortho)
+            r *= h**2
+        z = sweep(rect.transpose(1, 0, 2))
+        x[:, g] += Q(z[0]) / h**2  # then the tip and Γ, in place
         xc = [x[:, col.unknowns] for col in cols]
         # forward: x_c = D~_c^-1 (b_c - A_{c,c-1} x_{c-1}), down to Γ's
         # right-hand side
@@ -627,24 +690,13 @@ def _block_solver(geom: dict, s: int, m: int, n: int):
             nxt = cols[c + 1]
             xc[c] -= ((nxt.east * xc[c + 1][:, nxt.here])
                       @ inv[c][:, nxt.there].T)
-        for zj, qj in zip(z.transpose(1, 0, 2), Q(x[:, g])):
+        for r, qj in zip(rect, Q(x[:, g])):
             for lo in range(0, p, _DST_LINES):  # no (p, m) temporary
-                zj[lo:lo + _DST_LINES] += G[lo:lo + _DST_LINES] * qj
-        _dst1(z.reshape(-1, m), 1, ortho)  # Q z, in place
-        x[:, s + m:].reshape(k, p, m)[:] = z.transpose(1, 0, 2)
+                r[lo:lo + _DST_LINES] += G[lo:lo + _DST_LINES] * qj
+            _dst1(r, 1, ortho)  # Q z, in place
         return x
 
     return solve, sum(Di.size for Di in inv)
-
-
-def _unknowns(a: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """The values at the unknowns of the node arrays stacked on axis 0 of
-    a, shape (k, n), one array at a time: a boolean subscript of the same
-    shape makes no index arrays."""
-    out = np.empty((len(a), np.count_nonzero(inside)))
-    for o, ai in zip(out, a):
-        o[:] = ai[inside]
-    return out
 
 
 class PolygonProblem:
@@ -670,15 +722,19 @@ class PolygonProblem:
             data[on] = f(c["x"][on], c["y"][on])
         return data
 
-    def _rhs(self, data: np.ndarray) -> np.ndarray:
+    def _rhs(self, data: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """The right-hand side of each data set's cut data (the last axis
-        of data) as a node array, zero off the unknowns."""
+        of data) at the unknowns, in the solver's order, written over out
+        if given."""
         c, st = self.geom["cuts"], self.geom["stencil"]
-        b = np.zeros(data.shape[:-1] + self.geom["shape"])
+        if out is None:
+            n = np.count_nonzero(self.geom["interior"])
+            out = np.zeros(data.shape[:-1] + (n,))
+        else:
+            out[...] = 0.0
         coef = st["coefs"][c["dir"], np.searchsorted(st["node"], c["node"])]
-        np.add.at(b.reshape(data.shape[:-1] + (-1,)), (..., c["node"]),
-                  coef * data)
-        return b
+        np.add.at(out, (..., c["unknown"]), coef * data)
+        return out
 
     def solve(self, edge_data_sets: Sequence[Sequence[Callable]]
               ) -> list[ScalarField]:
@@ -703,26 +759,22 @@ class PolygonProblem:
         """Solutions x of A x = b, node arrays of shape (k, nx, ny) zero off
         the unknowns, for the right-hand sides b of the k cut data sets
         stacked in data: the block solve, then one refinement step against
-        A; its sizes and stage times go to `stats`.  The stacked b is made
-        here, for the solve and again for the residual, which is written
-        over it, so that the first solve holds only b's values at the
-        unknowns and the correction solve no b at all."""
+        A; its sizes and stage times go to `stats`.  One (k, n) vector at
+        the unknowns serves every stage: b, solved over; once x holds
+        that solution, b again and the residual, written over b; then the
+        correction, solved over it and added into x."""
         t0 = time.perf_counter()
         inside = self.geom["interior"]
         n = int(np.count_nonzero(inside))
         solve, fill = _block_solver(self.geom, self._tip, self._gamma, n)
         t1 = time.perf_counter()
-        xs = solve(_unknowns(self._rhs(data), inside))
+        v = solve(self._rhs(data))
         x = np.zeros((len(data),) + inside.shape)
-        on = np.broadcast_to(inside, x.shape)  # in the solver's order
-        np.place(x, on, xs)
-        del xs
+        _at_nodes(x, v, inside)
         t2 = time.perf_counter()
-        r = _unknowns(_stencil_residual(self.geom, x, self._rhs(data)), inside)
+        _stencil_residual(self.geom, x, self._rhs(data, out=v))
         t3 = time.perf_counter()
-        dx = solve(r)
-        dx += _unknowns(x, inside)
-        np.place(x, on, dx)
+        _at_nodes(x, solve(v), inside, add=True)
         t4 = time.perf_counter()
         self.stats = dict(
             tip_unknowns=self._tip, gamma_unknowns=self._gamma,
@@ -864,16 +916,14 @@ def pentagon_edge_data(geom: PentagonGeometry, N: float) -> list:
 
 @dataclass
 class SelectedN:
-    """The selected N with its edge margins, the two basis solutions w0,
-    w1 (data 0 on the right edge, and 1 there alone) and the solution
-    w = w0 + N w1 at N.  `h` is the grid spacing, `residual` the pentagon
-    residual of w against the data at N (`PolygonProblem.residual`) and
-    `stats` the solver's sizes and stage times.  The system itself is not
-    kept."""
+    """The selected N with its edge margins and the solution w = w0 + N w1
+    at N, where w0 and w1 are the basis solutions (data 0 on the right
+    edge, and 1 there alone).  `h` is the grid spacing, `residual` the
+    pentagon residual of w against the data at N
+    (`PolygonProblem.residual`) and `stats` the solver's sizes and stage
+    times.  Neither the system nor the basis solutions are kept."""
     N: float
     margins: dict
-    w0: ScalarField
-    w1: ScalarField
     w: ScalarField
     geom: PentagonGeometry
     h: float
@@ -918,7 +968,8 @@ def select_N(K: int, resolution: int, margin_frac: float) -> SelectedN:
     The solution at N is w0 + N*w1 by linearity, so the sweep costs one
     solver setup and one stacked solve of the two basis data sets (plus
     its refinement step); the factors are freed before the sweep, and the
-    system once the residual at the selected N is taken.
+    system and the basis solutions once the residual at the selected N is
+    taken.
     """
     geom = pentagon_geometry(K)
     prob = pentagon_problem(geom, resolution)
@@ -939,7 +990,7 @@ def select_N(K: int, resolution: int, margin_frac: float) -> SelectedN:
     else:
         worst = {e: float(np.min(v["margin"])) for e, v in m.items()}
         raise SolverError(f"N sweep exhausted; best margins {worst}")
-    return SelectedN(N=N, margins=m, w0=w0, w1=w1, w=w, geom=geom, h=h,
+    return SelectedN(N=N, margins=m, w=w, geom=geom, h=h,
                      residual=prob.residual(w, pentagon_edge_data(geom, N)),
                      stats=prob.stats)
 

@@ -14,7 +14,9 @@ of the pentagon selection (`SelectedN.glue`).  The radius scan
 (`select_tail_delta`) integrates v over the tail tree pointwise and samples
 no grid.  The sign certificates read one grid covering the 1.1-disc
 (`build_tail_v`), which also carries the node masks they share, all
-derived from one evaluation of the glue regions.
+derived from one evaluation of the glue regions.  The grid is sampled
+a block of node rows at a time, so no coordinate array of the whole
+grid is made.
 """
 
 from __future__ import annotations
@@ -175,10 +177,16 @@ def _oscillation_unresolved(X, Y, h_upstream: float) -> np.ndarray:
     return lam < 4.0 * h_upstream
 
 
+# node rows per block of the tail grid: a block's coordinates, its kernel
+# quadrature and its masks then take a few MiB
+_TAIL_ROWS = 64
+
+
 def build_tail_v(selected: SelectedN, delta: float,
                  grid_n: int) -> TailFunction:
     """Sample the rescaled mollified glue on a grid covering the 1.1-disc,
-    with the node masks of the sign certificates.
+    with the node masks of the sign certificates, _TAIL_ROWS node rows at
+    a time: no coordinate array of the whole grid is made.
 
     delta must respect the geometric bound e^{-2K} so the kernel never
     spans the reflex vertex sector.
@@ -191,12 +199,20 @@ def build_tail_v(selected: SelectedN, delta: float,
     moll = MollifiedGlue(glue, delta)
 
     grid = box_grid((0.0, 0.0), 1.1, grid_n)
-    X, Y = grid.nodes_xy()
-    YX, YY = pull_back(X, Y)
-    fld = ScalarField(grid=grid, values=moll.value(YX, YY))
+    xs, ys = grid.axes()
+    values = np.empty(grid.shape)
+    reg = np.empty(grid.shape, dtype=np.int8)
+    core = np.empty(grid.shape, dtype=bool)
+    disc = np.empty(grid.shape, dtype=bool)
+    for lo in range(0, len(xs), _TAIL_ROWS):
+        rows = slice(lo, lo + _TAIL_ROWS)
+        YX, YY = np.broadcast_arrays(*pull_back(xs[rows, None], ys))
+        values[rows] = moll.value(YX, YY)
+        reg[rows] = glue.region_of(YX, YY)
+        core[rows] = _oscillation_unresolved(YX, YY, RESCALE * grid.h)
+        disc[rows] = (xs[rows] * xs[rows])[:, None] + ys * ys < 1.0
+    fld = ScalarField(grid=grid, values=values)
 
-    core = _oscillation_unresolved(YX, YY, RESCALE * grid.h)
-    reg = glue.region_of(YX, YY).astype(np.int8)
     # nodes whose stencil touches the pentagon region: the grid Laplacian
     # there reads interpolation error, not the field; those interfaces are
     # certified by the edge-margin and solver-residual checks instead
@@ -204,7 +220,7 @@ def build_tail_v(selected: SelectedN, delta: float,
     band = pent.copy()
     band[1:-1, 1:-1] = stencil_reduce(pent, np.logical_or)
     in_disc = np.zeros_like(pent)
-    in_disc[1:-1, 1:-1] = stencil_reduce(X * X + Y * Y < 1.0, np.logical_and)
+    in_disc[1:-1, 1:-1] = stencil_reduce(disc, np.logical_and)
     # the grid sign check: the stencil lies in the disc, touches the glue
     # exterior and misses both excluded bands
     checked = ((in_disc & ~band & ~core)[1:-1, 1:-1]

@@ -33,6 +33,7 @@ CMP_GRID = 61     # nodes per axis of the comparison grid
 CMP_STEP = 1e-3   # step of the competitor's Hessian stencil
 BUMP_SCALE = 0.4  # saddle_candidate's amplitude, relative to its bound
 PROJECT_ITERS = 60  # Gauss-Newton steps at most in project_point
+FOLD_SAMPLES = 2049  # s samples of the fold check
 
 
 class RuledError(ValueError):
@@ -145,6 +146,22 @@ class GeneratedSurface:
         return (2 * e * nu1 - (s / self.tau + e * bq1) + (x1 - 2.0) * e * nu1,
                 2 * e * nu2 - (1.0 / self.tau + e * bq2) + (x1 - 2.0) * e * nu2)
 
+    def check_graph(self) -> None:
+        """Raises RuledError if the rulings fold over the strip: if g_s =
+        dx2/ds >= 0 on a ruling that meets it.  x2 and g_s are linear in
+        x1, so the strip's edges x1 = 0 and 2 decide, at FOLD_SAMPLES
+        values of s over [-s_max, s_max] whose rulings' x2 meets [-2, 2]
+        between them.  Newton in `s_of` can converge on a folded surface,
+        and its tolerance for a step gives no sign of g_s."""
+        (a, b), (c, d) = PI_RECT
+        s = np.linspace(-self.s_max, self.s_max, FOLD_SAMPLES)
+        x2, gs = self._x2_and_slope(np.array([[a], [b]]), s)
+        meets = (x2.min(axis=0) <= d) & (x2.max(axis=0) >= c)
+        worst = gs.max(axis=0)[meets]
+        if np.any(worst >= 0.0):
+            raise RuledError(f"rulings fold: dx2/ds reaches {worst.max():.3g} "
+                             f">= 0 on the strip at amplitude {self.eps:.6g}")
+
     def s_of(self, x1, x2):
         """Invert x2(x1, s) = x2 by Newton (the map is a perturbed -s/tau);
         each point stops once its own step is below 1e-14, so it does not
@@ -219,8 +236,13 @@ def cylinder(tau: float) -> GeneratedSurface:
 def generate_surface(tau: float, eps: float, seed: int) -> GeneratedSurface:
     """Random flat graph whose `measured_eps`, from the exact Hessian, is
     about eps: the perturbation is drawn at amplitude eps, then two secant
-    passes rescale it.  Raises RuledError when `s_of` fails on folded
-    rulings in a pass (at the default seed, from eps = 0.30004 on)."""
+    passes rescale it.  The deviation grows faster than the amplitude
+    near a fold, so two passes fall short as eps grows: at tau = 0.5 and
+    seed 20260809, measured/requested is 1.002 at eps = 0.025, 1.04 at
+    0.1, 1.18 at 0.2 and 1.26 at 0.25 (seed 42: 1.11 at 0.2, 1.32 at
+    0.3).  Raises RuledError when the rulings of any pass fold over the
+    strip (`check_graph`), at seed 20260809 from eps = 0.25041 on, where
+    the first pass's do, or where `s_of` fails."""
     rng = np.random.default_rng(seed)
     s_max = S_SPAN * tau
     omega = math.pi / (2.0 * s_max)
@@ -228,11 +250,13 @@ def generate_surface(tau: float, eps: float, seed: int) -> GeneratedSurface:
     bq = TrigPoly.random(rng, 3, omega, scale=1.0)
     g = GeneratedSurface(tau=tau, eps=eps, nu=nu, bq=bq, s_max=s_max)
     for _ in range(2):
+        g.check_graph()
         m = g.measured_eps()
         if m <= 0:
             break
         g = GeneratedSurface(tau=tau, eps=g.eps * eps / m, nu=nu, bq=bq,
                              s_max=s_max)
+    g.check_graph()
     return g
 
 

@@ -360,31 +360,44 @@ def test_polygon_solve_pointwise_accuracy_against_discrete_oracle():
     assert worst <= 7e-14
 
 
-def _basis_data(prob, geom):
-    """Stacked cut data of select_N's two basis data sets."""
+def _basis_edge_data(geom):
+    """The edge data of select_N's two basis solutions w0 and w1: its data
+    with 0 on the right edge, and 1 there alone."""
     unit_right = [bvp._zero] * 5
     unit_right[geom.RIGHT] = lambda x, y: np.ones(np.shape(x))
-    return np.stack([prob._cut_data(d)
-                     for d in (bvp.pentagon_edge_data(geom, 0.0), unit_right)])
+    return [bvp.pentagon_edge_data(geom, 0.0), unit_right]
+
+
+@pytest.fixture(scope="session")
+def basis4(selected4, pentagon4):
+    """The basis solutions w0 and w1 of `selected4`, w = w0 + N w1, which
+    select_N does not keep."""
+    return pentagon4.solve(_basis_edge_data(selected4.geom))
+
+
+def _basis_data(prob, geom):
+    """Stacked cut data of select_N's two basis data sets."""
+    return np.stack([prob._cut_data(d) for d in _basis_edge_data(geom)])
 
 
 def _basis_rhs(prob, geom):
-    """Stacked right-hand sides of select_N's two basis data sets."""
-    return np.stack([prob._rhs(d) for d in _basis_data(prob, geom)])
+    """Stacked right-hand sides of select_N's two basis data sets, at the
+    unknowns."""
+    return prob._rhs(_basis_data(prob, geom))
 
 
 def test_unrefined_block_solve_is_close_to_the_refined_solve(selected4,
-                                                            pentagon4):
+                                                            pentagon4, basis4):
     """Before its refinement step, the tip / interface / rectangle solve of
     the K = 4 pentagon is within 1e-10 relative of the refined solution at
     every node (measured 1.77e-11)."""
     prob = pentagon4
     inside = prob.geom["interior"]
-    b = _basis_rhs(prob, selected4.geom)[:, inside]
+    b = _basis_rhs(prob, selected4.geom)
     solve, fill = bvp._block_solver(prob.geom, prob._tip, prob._gamma,
                                     np.count_nonzero(inside))
     assert prob._tip == 5466 and prob._gamma == 191 and fill == 708_640
-    for x, w in zip(solve(b), (selected4.w0, selected4.w1)):
+    for x, w in zip(solve(b), basis4):
         refined = w.values[inside]
         assert np.max(np.abs(x - refined) / np.abs(refined)) < 1e-10
 
@@ -401,12 +414,27 @@ def test_block_solve_equals_whole_matrix_lu_with_the_same_refinement():
     b = _basis_rhs(prob, geom)
     A = _assemble_per_node(geom.polygon, h, origin, shape)[0]
     lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-    ref = np.zeros_like(b)
-    ref[:, inside] = lu.solve(b[:, inside].T).T
-    ref[:, inside] += lu.solve(
-        bvp._stencil_residual(prob.geom, ref, b)[:, inside].T).T
+    ref = np.zeros((len(b),) + shape)
+    ref[:, inside] = lu.solve(b.T).T
+    ref[:, inside] += lu.solve(bvp._stencil_residual(prob.geom, ref, b).T).T
     x = prob._refined_solve(_basis_data(prob, geom))
     assert np.all(np.abs(x - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+
+
+@pytest.mark.parametrize("block", [5, 16])
+def test_refined_solve_does_not_depend_on_the_column_block(
+        selected4, pentagon4, basis4, monkeypatch, block):
+    """The refined solve of the K = 4 pentagon, whose right-hand side,
+    residual and correction go a block of node columns at a time, has the
+    same bits at blocks of 5 and 16 columns: those of the basis
+    solutions at the unknowns."""
+    prob = pentagon4
+    inside = prob.geom["interior"]
+    monkeypatch.setattr(bvp, "_BLOCK", block)
+    x = prob._refined_solve(_basis_data(prob, selected4.geom))
+    for xi, w in zip(x, basis4):
+        assert xi[inside].tobytes() == w.values[inside].tobytes()
+        assert not np.any(xi[~inside])
 
 
 def test_polygon_without_a_trailing_plain_block_raises():
@@ -437,13 +465,16 @@ def test_selected_N_keeps_no_schur_matrix(selected4):
 def test_stencil_residual_in_column_blocks_equals_one_block(monkeypatch):
     """The compensated residual, taken a few node columns at a time, has
     the bits of the same residual over all columns at once, and both are
-    the per-node matrix's b - A x to rounding."""
+    the per-node matrix's b - A x to rounding.  One block of all columns
+    reads and writes b through the unknowns' mask, blocks of 7 right of
+    the tip through views of b."""
     geom = bvp.pentagon_geometry(2)
     origin, h, shape = bvp._pentagon_grid_params(geom, 16)
     prob = bvp.PolygonProblem(geom.polygon, h, origin, shape)
     inside = prob.geom["interior"]
     x, b = np.random.default_rng(3).standard_normal((2, 2) + shape)
     x *= inside
+    b = b[:, inside]
     monkeypatch.setattr(bvp, "_BLOCK", shape[0])
     whole = bvp._stencil_residual(prob.geom, x, b.copy())
     monkeypatch.setattr(bvp, "_BLOCK", 7)
@@ -451,9 +482,9 @@ def test_stencil_residual_in_column_blocks_equals_one_block(monkeypatch):
     blocked = bvp._stencil_residual(prob.geom, x, b.copy())
     assert whole.tobytes() == blocked.tobytes()
     A = _assemble_per_node(geom.polygon, h, origin, shape)[0]
-    plain = b[:, inside] - (A @ x[:, inside].T).T
+    plain = b - (A @ x[:, inside].T).T
     for r in (whole, blocked):
-        assert np.allclose(r[:, inside], plain, rtol=0.0,
+        assert np.allclose(r, plain, rtol=0.0,
                            atol=1e-12 * np.abs(plain).max())
 
 
@@ -498,15 +529,19 @@ def test_blocked_sine_denominators_equal_the_whole_array_expression(
 
 @pytest.mark.parametrize("build, low, high", [
     (lambda: assembly.build_g1(3, 1536).curvature_report(), 40.0, 48.5),
-    (lambda: bvp.select_N(4, 192, 0.05), 31.0, 40.0)])
+    (lambda: bvp.select_N(4, 192, 0.05), 25.0, 29.0)])
 def test_traced_peaks_of_the_g1_report_and_select_N(build, low, high):
     """tracemalloc peaks in MiB, measured 45.2 for the g1 report, which
     holds the factor and the source (36.0 MiB) and takes K a block of rows
-    at a time, and 36.8 for select_N, whose system keeps the stencils of
-    its cut nodes only.  They were 66.1 and 52.2 while the report held a
-    K grid and the system four coefficient planes and a diagonal one, and
-    81.5 and 68.2 while the grid Laplacians were whole-array expressions
-    and the pentagon solve copied its right-hand sides."""
+    at a time, and 26.8 for select_N, whose system keeps the stencils of
+    its cut nodes only and whose refinement holds the solver, the node
+    arrays x and one vector at the unknowns.  select_N's was 36.8 while
+    the refinement gathered a node-array residual at the unknowns and the
+    rectangle solve copied its part.  They were 66.1 and 52.2 while the
+    report held a K grid and the system four coefficient planes and a
+    diagonal one, and 81.5 and 68.2 while the grid Laplacians were
+    whole-array expressions and the pentagon solve copied its right-hand
+    sides."""
     tracemalloc.start()
     try:
         build()
@@ -526,7 +561,7 @@ def test_polygon_residual_is_the_whole_matrix_residual():
     A = _assemble_per_node(geom.polygon, h, origin, shape)[0]
     inside = prob.geom["interior"]
     data = bvp.pentagon_edge_data(geom, 1e3)
-    b = prob._rhs(prob._cut_data(data))[inside]
+    b = prob._rhs(prob._cut_data(data))
     (sol,) = prob.solve([data])
     rnd = bvp.ScalarField(grid=sol.grid, values=np.random.default_rng(5)
                           .standard_normal(sol.values.shape))
@@ -610,7 +645,8 @@ def _holds_node_sized_floats(obj, nodes: int) -> bool:
         and obj.size >= nodes
 
 
-def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4):
+def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4,
+                                                    basis4):
     """The pentagon's stencil, the tip and Γ blocks that the solver's
     elimination reads, both right-hand sides of select_N and the rim
     values equal those of the per-node loop bit for bit."""
@@ -665,13 +701,13 @@ def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4):
     unit_right = [bvp._zero] * 5
     unit_right[geom.RIGHT] = lambda x, y: 1.0
     dirs = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    for w, data in ((selected4.w0, bvp.pentagon_edge_data(geom, 0.0)),
-                    (selected4.w1, unit_right)):
+    for w, data in ((basis4[0], bvp.pentagon_edge_data(geom, 0.0)),
+                    (basis4[1], unit_right)):
         b = np.zeros(A.shape[0])
         for (r, d, a, k, cutpt) in records:
             b[r] += coefs[d][r] * data[k](*cutpt)
-        rhs = prob._rhs(prob._cut_data(data))
-        assert np.array_equal(rhs[inside], b) and not np.any(rhs[~inside])
+        rhs = prob._rhs(prob._cut_data(data))  # at the unknowns
+        assert rhs.shape == b.shape and np.array_equal(rhs, b)
         # rim: extrapolate each arm to its exterior node, mean per node
         x = w.values[inside]
         acc = {}
@@ -684,10 +720,12 @@ def test_cut_arms_on_arrays_equal_the_per_node_loop(selected4, pentagon4):
 
 
 def test_selected_N_keeps_no_factors(selected4):
-    """The tip's block factors and the system are released once select_N
-    returns: no square matrix (each inverse D~_c^-1 is one), SuperLU
-    object, PolygonProblem or sparse matrix is reachable from the
-    SelectedN."""
+    """The tip's block factors, the system and the basis solutions are
+    released once select_N returns: no square matrix (each inverse
+    D~_c^-1 is one), SuperLU object, PolygonProblem or sparse matrix is
+    reachable from the SelectedN, and no node array of floats but w's
+    values and the glued field's spline coefficients."""
+    nodes, fields = selected4.w.values.size, set()
     seen, stack = set(), [selected4]
     while stack:
         obj = stack.pop()
@@ -699,13 +737,18 @@ def test_selected_N_keeps_no_factors(selected4):
         assert not sp.issparse(obj)
         if isinstance(obj, np.ndarray) and obj.ndim == 2:
             assert obj.shape[0] != obj.shape[1], obj.shape
+            if obj.dtype.kind == "f" and obj.size >= nodes:
+                fields.add(id(obj))
         stack.extend(gc.get_referents(obj))
-    assert id(selected4.w0.values) in seen
+    assert id(selected4.w.values) in seen
+    glue = vars(selected4).get("glue")
+    assert fields == {id(selected4.w.values)} | (
+        {id(glue._coeffs)} if glue else set())
 
 
-def test_pentagon_max_principle(selected4):
+def test_pentagon_max_principle(basis4):
     # interior values of each basis solution stay within data range
-    w1 = selected4.w1
+    w1 = basis4[1]
     inner = w1.grid.mask == bvp.INTERIOR
     assert w1.values[inner].min() > 0.0
     assert w1.values[inner].max() < 1.0
@@ -720,8 +763,9 @@ def test_select_N_below_threshold_fails():
     # at K=2 the selected N is far above 1; small N must fail margins
     sel = bvp.select_N(2, resolution=96, margin_frac=0.05)
     assert sel.N > 1e6
-    w = bvp.ScalarField(grid=sel.w0.grid,
-                        values=sel.w0.values + 1.0 * sel.w1.values)
+    w0, w1 = bvp.pentagon_problem(sel.geom, 96).solve(
+        _basis_edge_data(sel.geom))
+    w = bvp.ScalarField(grid=w0.grid, values=w0.values + 1.0 * w1.values)
     m = bvp.edge_margins(sel.geom, w, sel.h, bvp.EDGE_SAMPLES)
     bad = min(float(np.min(v["margin"])) for v in m.values())
     assert bad < 0.0
@@ -733,7 +777,7 @@ def test_sweep_exhaustion_raises(monkeypatch):
         bvp.select_N(2, resolution=96, margin_frac=0.05)
 
 
-def test_glued_field_regions(selected4):
+def test_glued_field_regions(selected4, basis4):
     gf = selected4.glue
     # moon region value = slit field
     assert gf.value(-0.5, 0.2) == pytest.approx(u_float(-0.5, 0.2), rel=1e-12)
@@ -754,7 +798,7 @@ def test_glued_field_regions(selected4):
     eps = 5e-4
     outside = gf.value(px - eps * nrm[0], py - eps * nrm[1])
     assert outside == pytest.approx(data, rel=0.05)
-    h = selected4.w0.grid.h
+    h = basis4[0].grid.h
     w1h = gf.value(px + h * nrm[0], py + h * nrm[1])
     w2h = gf.value(px + 2 * h * nrm[0], py + 2 * h * nrm[1])
     extrap = 2.0 * w1h - w2h

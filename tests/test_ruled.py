@@ -100,6 +100,23 @@ def test_folded_surface_rejected():
         ruled.generate_surface(TAU, 1.0, seed=42)
 
 
+def test_fold_that_newton_survives_rejected():
+    """At amplitude 0.28 the default seed's rulings fold over the strip
+    (dx2/ds > 0 near x1 = 2), yet Newton for s(x1, x2) converges at every
+    point `measured_eps` reads, which measures 9.4 there; the scan of
+    dx2/ds catches the fold in the first secant pass.  Just below 0.25041
+    no pass folds."""
+    g = ruled.generate_surface(TAU, 0.25, seed=20260809)
+    folded = ruled.GeneratedSurface(tau=TAU, eps=0.28, nu=g.nu, bq=g.bq,
+                                    s_max=g.s_max)
+    assert folded.measured_eps() > 9.0
+    with pytest.raises(ruled.RuledError, match="fold"):
+        folded.check_graph()
+    with pytest.raises(ruled.RuledError, match="fold"):
+        ruled.generate_surface(TAU, 0.28, seed=20260809)
+    ruled.generate_surface(TAU, 0.2504, seed=20260809).check_graph()
+
+
 # ---------------------------------------------------------------------------
 # chart and recovery
 # ---------------------------------------------------------------------------
