@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from nonembed.bvp import ScalarField, box_grid, solve_poisson
-from nonembed.conformal import (curvature_blocks, curvature_support,
-                                gaussian_curvature)
+from nonembed.conformal import curvature_blocks, curvature_support
 from nonembed.mollify import TailFunction
 
 DEG = math.pi / 180.0
@@ -121,18 +119,19 @@ def _first_ball_value(w: RotationSum, x, y, balls) -> np.ndarray:
 def measured_derivative_maxima(values: np.ndarray, h: float,
                                max_order: int) -> list:
     """max |mixed partial| of each total order 0..max_order, by repeated
-    one-sided differencing of values sampled at spacing h (a proxy norm:
-    the grid is the resolution at which the artifact knows the field)."""
+    one-sided differencing along every axis of values sampled at spacing h
+    (a proxy norm: the grid is the resolution at which the artifact knows
+    the field).  Partials are keyed by their count per axis; one reached
+    along several paths keeps its last."""
     out = []
-    frontier = {(0, 0): values}
+    frontier = {(0,) * values.ndim: values}
     out.append(float(np.max(np.abs(values))))
     for order in range(1, max_order + 1):
         new = {}
-        for (ax, ay), arr in frontier.items():
-            dx = np.diff(arr, axis=0) / h
-            new[(ax + 1, ay)] = dx
-            dy = np.diff(arr, axis=1) / h
-            new[(ax, ay + 1)] = dy
+        for key, arr in frontier.items():
+            for ax in range(values.ndim):
+                up = key[:ax] + (key[ax] + 1,) + key[ax + 1:]
+                new[up] = np.diff(arr, axis=ax) / h
         frontier = new
         out.append(max(float(np.max(np.abs(a))) for a in frontier.values()))
     return out
@@ -240,16 +239,11 @@ POCKET_TOL_FACTOR = 1e-8
 @dataclass
 class PocketMetric:
     """The pocket metric e^{2 u1} dx^2 of `build_g1`: the factor u1 on its
-    box grid and the source it solves for.  Its curvature grid is made
-    only when `curvature` is read (`assemble g1` writes it); the report
-    takes the curvature a block of rows at a time."""
+    box grid and the source it solves for.  The report takes the
+    curvature a block of rows at a time."""
     factor: ScalarField  # u1 of the metric e^{2 u1} dx^2
     source: np.ndarray
     n_max: int
-
-    @cached_property
-    def curvature(self) -> ScalarField:
-        return gaussian_curvature(self.factor)
 
     def curvature_report(self) -> dict:
         """Curvature signs: negative at every sampled pocket node, flat
@@ -377,16 +371,6 @@ def _weighted_cutoffs(cutoff, eta: Sequence[float], mu: Sequence[float],
     return out
 
 
-def _c4_proxy(vals: np.ndarray) -> float:
-    """Largest magnitude of a radial profile and of its differences up to
-    order CUTOFF_ORDER at step CUTOFF_STEP."""
-    worst = float(np.max(np.abs(vals)))
-    for _ in range(CUTOFF_ORDER):
-        vals = np.diff(vals) / CUTOFF_STEP
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
-
-
 def measure_mu_schedule(n_max: int) -> list:
     """mu_n = 2^{-n} / (1 + max measured derivative magnitude of the n-th
     wall cutoff up to order CUTOFF_ORDER), measured by repeated
@@ -401,7 +385,8 @@ def cutoff_c4_norm(n: int, mu: float) -> float:
     """Largest measured magnitude of mu times the n-th wall cutoff and of
     its differences up to order CUTOFF_ORDER."""
     r = np.arange(1.0 / n - 10 * CUTOFF_STEP, CUTOFF_R_MAX, CUTOFF_STEP)
-    return _c4_proxy(mu * wall_cutoff(n, r))
+    return max(measured_derivative_maxima(mu * wall_cutoff(n, r),
+                                          CUTOFF_STEP, CUTOFF_ORDER))
 
 
 @dataclass
@@ -536,5 +521,7 @@ def cutoff_partial_sum_c4_distance(mu: Sequence[float], n_hi: int,
     """C^4-proxy distance between the partial sums at n_hi and n_lo terms
     of the unit-weight cutoff series (measured on a fine radial grid)."""
     r = np.arange(1e-6, CUTOFF_R_MAX, CUTOFF_STEP)
-    return _c4_proxy(_weighted_cutoffs(wall_cutoff, [1.0] * n_hi, mu,
-                                       range(n_lo + 1, n_hi + 1), r))
+    return max(measured_derivative_maxima(
+        _weighted_cutoffs(wall_cutoff, [1.0] * n_hi, mu,
+                          range(n_lo + 1, n_hi + 1), r),
+        CUTOFF_STEP, CUTOFF_ORDER))

@@ -736,7 +736,8 @@ def cmd_assemble(target: str, cfg: RunConfig) -> int:
     if target == "g1":
         pm = assembly.build_g1(cfg.n_max, grid_n=G1_GRID_N)
         write_grid_csv(pm.factor, out / "g1_factor.csv")
-        write_grid_csv(pm.curvature, out / "g1_curvature.csv")
+        write_grid_csv(conformal.gaussian_curvature(pm.factor),
+                       out / "g1_curvature.csv")
         manifest["pockets"] = _jsonable(pm.curvature_report()["pockets"])
         manifest["artifacts"] = ["g1_factor.csv", "g1_curvature.csv"]
     elif target == "gII":

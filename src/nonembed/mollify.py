@@ -5,9 +5,10 @@ delta and pulled back by x -> 10(x - C0) with C0 = (-0.8, 0) (`pull_back`).
 Mollification is evaluated pointwise: away from the glue interfaces a
 radial unit-mass kernel leaves a harmonic function unchanged (mean value
 property), so only points within delta of an interface need the local
-kernel quadrature.  This is what makes delta << grid spacing feasible; a
-grid-resolved convolution would need ~1e9 nodes at the mandated pentagon
-resolution.
+kernel quadrature.  Its weights are divided by their sum, which gives the
+discrete kernel its unit mass, so no normalizing constant is formed.
+This is what makes delta << grid spacing feasible; a grid-resolved
+convolution would need ~1e9 nodes at the mandated pentagon resolution.
 
 The claims read the tail in two ways, both through the one glued field
 of the pentagon selection (`SelectedN.glue`).  The radius scan
@@ -15,8 +16,8 @@ of the pentagon selection (`SelectedN.glue`).  The radius scan
 no grid.  The sign certificates read one grid covering the 1.1-disc
 (`build_tail_v`), which also carries the node masks they share, all
 derived from one evaluation of the glue regions.  The grid is sampled
-a block of node rows at a time, so no coordinate array of the whole
-grid is made.
+a block of node rows at a time (`bvp.row_blocks`), so no coordinate
+array of the whole grid is made.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from nonembed.bvp import (GluedField, ScalarField, SelectedN, box_grid,
-                          edge_margins, laplacian_grid, stencil_reduce)
+                          edge_margins, laplacian_grid, row_blocks,
+                          stencil_reduce)
 from nonembed.fields import laplacian_residual, u_float
 from nonembed.quadrature import float_to_log
 from nonembed.trees import (SteinerTree, build_steiner_tree,
@@ -47,12 +49,6 @@ MARGIN_SAMPLES = 200
 N_SPOTS = 40
 SPOT_SEED = 7
 
-# integral of exp(-1/(1-t^2)) t dt over [0, 1]; normalizes the 2D bump.
-# This is scipy.integrate.quad's result (epsabs=1e-15, epsrel=1e-14), one
-# ulp below the correctly rounded value; tests/test_mollify.py pins both.
-_PROFILE_MOMENT = 0.07424775338796101
-
-
 def pull_back(x, y):
     """The tail's change of variables x -> RESCALE (x - RECENTER)."""
     return (RESCALE * (np.asarray(x, dtype=float) - RECENTER[0]),
@@ -61,29 +57,6 @@ def pull_back(x, y):
 
 class MollifyError(ValueError):
     pass
-
-
-@dataclass
-class Mollifier:
-    """Smooth radial bump supported in the delta-disc with unit 2D mass."""
-
-    radius: float
-    amplitude: float
-
-    def density(self, s):
-        s = np.asarray(s, dtype=float)
-        t2 = (s / self.radius) ** 2
-        out = np.zeros(np.shape(s))
-        inside = t2 < 1.0
-        out[inside] = self.amplitude * np.exp(-1.0 / (1.0 - t2[inside]))
-        return out
-
-
-def make_mollifier(delta: float) -> Mollifier:
-    if delta <= 0:
-        raise MollifyError(f"mollifier radius must be positive, got {delta}")
-    amplitude = 1.0 / (2.0 * math.pi * delta * delta * _PROFILE_MOMENT)
-    return Mollifier(radius=delta, amplitude=amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +69,14 @@ class MollifiedGlue:
     Fast path (distance to every glue interface > delta): the regionwise
     value itself -- exact for the harmonic slit-field region by the mean
     value property, and at interpolation accuracy in the pentagon.  Near
-    interfaces: polar Gauss/trapezoid kernel quadrature with weights
-    normalized to unit sum.
+    interfaces: polar Gauss/trapezoid kernel quadrature of the bump
+    exp(-1/(1 - (s/delta)^2)), whose weights are divided by their sum:
+    that division gives the discrete kernel its unit mass.
     """
 
     def __init__(self, glue: GluedField, delta: float):
         self.glue = glue
         self.delta = delta
-        self.m = make_mollifier(delta)
         gl_nodes, gl_w = np.polynomial.legendre.leggauss(KERNEL_RADIAL)
         s = 0.5 * delta * (gl_nodes + 1.0)
         ws = 0.5 * delta * gl_w
@@ -111,7 +84,8 @@ class MollifiedGlue:
         S, B = np.meshgrid(s, beta, indexing="ij")
         self._dx = (S * np.cos(B)).ravel()
         self._dy = (S * np.sin(B)).ravel()
-        wgt = (self.m.density(S) * S * ws[:, None]).ravel()
+        wgt = (np.exp(-1.0 / (1.0 - (S / delta) ** 2))
+               * S * ws[:, None]).ravel()
         self._wgt = wgt / wgt.sum()
 
     def kernel_average(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -177,16 +151,11 @@ def _oscillation_unresolved(X, Y, h_upstream: float) -> np.ndarray:
     return lam < 4.0 * h_upstream
 
 
-# node rows per block of the tail grid: a block's coordinates, its kernel
-# quadrature and its masks then take a few MiB
-_TAIL_ROWS = 64
-
-
 def build_tail_v(selected: SelectedN, delta: float,
                  grid_n: int) -> TailFunction:
     """Sample the rescaled mollified glue on a grid covering the 1.1-disc,
-    with the node masks of the sign certificates, _TAIL_ROWS node rows at
-    a time: no coordinate array of the whole grid is made.
+    with the node masks of the sign certificates, a block of node rows at
+    a time (`row_blocks`): no coordinate array of the whole grid is made.
 
     delta must respect the geometric bound e^{-2K} so the kernel never
     spans the reflex vertex sector.
@@ -204,8 +173,7 @@ def build_tail_v(selected: SelectedN, delta: float,
     reg = np.empty(grid.shape, dtype=np.int8)
     core = np.empty(grid.shape, dtype=bool)
     disc = np.empty(grid.shape, dtype=bool)
-    for lo in range(0, len(xs), _TAIL_ROWS):
-        rows = slice(lo, lo + _TAIL_ROWS)
+    for rows in row_blocks(len(xs)):
         YX, YY = np.broadcast_arrays(*pull_back(xs[rows, None], ys))
         values[rows] = moll.value(YX, YY)
         reg[rows] = glue.region_of(YX, YY)

@@ -163,19 +163,38 @@ class GeneratedSurface:
                              f">= 0 on the strip at amplitude {self.eps:.6g}")
 
     def s_of(self, x1, x2):
-        """Invert x2(x1, s) = x2 by Newton (the map is a perturbed -s/tau);
-        each point stops once its own step is below 1e-14, so it does not
-        depend on the points batched with it.  A point still moving after
-        60 steps (a NaN step keeps it moving) raises: the rulings fold."""
+        """Invert x2(x1, s) = x2 by bracketed Newton (the map is a
+        perturbed -s/tau).  Each point keeps a bracket, open at first and
+        narrowed by the sign of x2(x1, s) - x2, since x2 falls as s grows
+        on a graph; once both ends are finite, a Newton step that leaves
+        it (a NaN step too) is replaced by bisection.  The bracket is not
+        confined to |s| <= s_max: the rulings' formulas hold for every s,
+        and a secant pass of `generate_surface` can read strip points
+        whose s lies beyond s_max.  Each point stops once its own step is
+        below 1e-14, so it does not depend on the points batched with it.
+        A point still moving after 60 steps raises: the rulings fold."""
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
         x1, x2 = (np.broadcast_to(a, shape).ravel() for a in (x1, x2))
         s = -self.tau * x2
         live = np.arange(s.size)
+        # the brackets of the live points
+        lo, hi = np.full(s.size, -np.inf), np.full(s.size, np.inf)
         for _ in range(60):
-            x2k, gs = self._x2_and_slope(x1[live], s[live])
-            step = (x2k - x2[live]) / gs
-            s[live] -= step
-            live = live[~(np.abs(step) < 1e-14)]
+            sk = s[live]
+            x2k, gs = self._x2_and_slope(x1[live], sk)
+            r = x2k - x2[live]
+            above = r > 0.0  # then the root lies above sk
+            lo = np.where(above, sk, lo)
+            hi = np.where(above, hi, sk)
+            step = r / gs
+            new = sk - step
+            out = ~((lo <= new) & (new <= hi)) & np.isfinite(hi - lo)
+            if out.any():
+                new[out] = 0.5 * (lo[out] + hi[out])
+                step[out] = hi[out] - lo[out]
+            s[live] = new
+            moving = ~(np.abs(step) < 1e-14)
+            live, lo, hi = live[moving], lo[moving], hi[moving]
             if not live.size:
                 return s.reshape(shape)
         raise RuledError(f"rulings fold: Newton for s(x1, x2) does not "
@@ -313,7 +332,9 @@ def legendre_coords(f: FlatGraph) -> dict:
     f22_probe = [f.f22(mid, y) for y in np.linspace(lo, hi, 9)]
     if max(f22_probe) > -0.2 * f.tau:
         raise RuledError("chart degenerates: f22 not bounded away from zero")
-    det_probe = _flatness_probe(f, mid, 0.3)
+    h = 0.3
+    det_probe = _hessian_det({(i, j): f.value(mid + i * h, j * h)
+                              for i in (-1, 0, 1) for j in (-1, 0, 1)}, h)
     if abs(det_probe) > 0.05 * f.tau**2:
         raise RuledError(f"graph is not flat: det D^2 f ~ {det_probe:.3e}")
 
@@ -333,12 +354,13 @@ def legendre_coords(f: FlatGraph) -> dict:
                 directions=Vt[:, 0], centers=center[:, 0])
 
 
-def _flatness_probe(f: FlatGraph, x1: float, h: float) -> float:
-    v = f.value
-    f11 = (v(x1 + h, 0.0) - 2 * v(x1, 0.0) + v(x1 - h, 0.0)) / h**2
-    f22 = (v(x1, h) - 2 * v(x1, 0.0) + v(x1, -h)) / h**2
-    f12 = (v(x1 + h, h) - v(x1 + h, -h) - v(x1 - h, h) + v(x1 - h, -h)) / (4 * h * h)
-    return f11 * f22 - f12 * f12
+def _hessian_det(W: dict, h: float):
+    """det D^2 of the values W keyed by their shift (i, j) in steps of h,
+    i, j in {-1, 0, 1}: second differences and the 4-point mixed one."""
+    w11 = (W[(1, 0)] - 2 * W[(0, 0)] + W[(-1, 0)]) / h**2
+    w22 = (W[(0, 1)] - 2 * W[(0, 0)] + W[(0, -1)]) / h**2
+    w12 = (W[(1, 1)] - W[(1, -1)] - W[(-1, 1)] + W[(-1, -1)]) / (4 * h * h)
+    return w11 * w22 - w12 * w12
 
 
 def _invert_monotone_vec(g: Callable, targets: np.ndarray, lo: float,
@@ -516,11 +538,7 @@ def comparison_check(g: GeneratedSurface, offset: Callable) -> dict:
     agrees = float(np.max(np.abs((W[(0, 0)] - F)[on_F]))) \
         if np.any(on_F) else 0.0
 
-    h = CMP_STEP
-    w11 = (W[(1, 0)] - 2 * W[(0, 0)] + W[(-1, 0)]) / h**2
-    w22 = (W[(0, 1)] - 2 * W[(0, 0)] + W[(0, -1)]) / h**2
-    w12 = (W[(1, 1)] - W[(1, -1)] - W[(-1, 1)] + W[(-1, -1)]) / (4 * h * h)
-    det = w11 * w22 - w12 * w12
+    det = _hessian_det(W, CMP_STEP)
     # the tolerance respects the estimator (inversion noise amplified by
     # 1/h^2 and O(h^2) truncation), well below any real violation scale
     det_tol = 1e-5 * g.tau**2

@@ -150,7 +150,7 @@ def _whole_grid_report(pm):
         flat_outside=max_outside <= assembly.POCKET_TOL_FACTOR * scale)
 
 
-@pytest.mark.parametrize("n_max, grid_n, rows", [(3, 1536, bvp._LAP_ROWS),
+@pytest.mark.parametrize("n_max, grid_n, rows", [(3, 1536, bvp.ROWS),
                                                  (2, 390, 7)])
 def test_blocked_g1_report_equals_the_whole_grid_report(monkeypatch, n_max,
                                                         grid_n, rows):
@@ -158,7 +158,7 @@ def test_blocked_g1_report_equals_the_whole_grid_report(monkeypatch, n_max,
     of the one taken from the whole K grid: on the default g1, and on a
     box whose 389 inner rows are no multiple of a 7-row block, so that
     pockets straddle blocks."""
-    monkeypatch.setattr(bvp, "_LAP_ROWS", rows)
+    monkeypatch.setattr(bvp, "ROWS", rows)
     pm = assembly.build_g1(n_max, grid_n)
     blocked = pm.curvature_report()
     assert "curvature" not in vars(pm)  # the report made no K grid

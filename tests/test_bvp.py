@@ -1,8 +1,10 @@
 import gc
 import importlib.util
+import json
 import math
 import tracemalloc
 import types
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +12,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from nonembed import assembly, bvp, conformal
+from nonembed import assembly, bvp, conformal, mollify
 from nonembed.fields import u_float
 from nonembed.trees import Segment
 
 from gridsolve import (disc_grid, interior_system, max_principle_violation,
                        solve_laplace_dirichlet)
+
+
+ORACLE_PENTAGON = (Path(__file__).resolve().parents[1] / "tools"
+                   / "oracle_pentagon_solve.json")
 
 
 def harmonic_poly(X, Y):
@@ -360,6 +366,33 @@ def test_polygon_solve_pointwise_accuracy_against_discrete_oracle():
     assert worst <= 7e-14
 
 
+def test_pentagon_solve_pointwise_accuracy_against_the_50_digit_oracle():
+    """README's pointwise figure on the pentagon.  select_N's two basis
+    solutions at K = 4 and resolution 32 match the exact solution of the
+    same float64 system (tools/oracle_pentagon_solve.py, 50 digits) to
+    2.3e-16 relative at nodes in the tip, on Γ, on cut arms and at the
+    smallest values, down to 4.4e-18.  Measured at every unknown: 1.1e-16
+    with the compensated refinement residual, 9.8e-15 with a plain
+    five-term one, 1.3e-13 unrefined."""
+    data = json.loads(ORACLE_PENTAGON.read_text())
+    cfg = data["config"]
+    geom = bvp.pentagon_geometry(cfg["K"])
+    prob = bvp.pentagon_problem(geom, cfg["resolution"])
+    assert np.count_nonzero(prob.geom["interior"]) == cfg["unknowns"]
+    w0, w1 = prob.solve(_basis_edge_data(geom))
+    worst, smallest = Decimal(0), math.inf
+    for p in data["points"]:
+        for f, key in ((w0, "w0"), (w1, "w1")):
+            exact = Decimal(p[key])
+            got = Decimal(float(f.values[p["i"], p["j"]]))
+            worst = max(worst, abs(got - exact) / abs(exact))
+            smallest = min(smallest, abs(float(exact)))
+    assert {p["where"] for p in data["points"]} == {
+        "tip", "gamma", "cut", "smallest"}
+    assert smallest < 5e-18
+    assert worst <= Decimal("2.3e-16")
+
+
 def _basis_edge_data(geom):
     """The edge data of select_N's two basis solutions w0 and w1: its data
     with 0 on the right edge, and 1 there alone."""
@@ -488,13 +521,13 @@ def test_stencil_residual_in_column_blocks_equals_one_block(monkeypatch):
                            atol=1e-12 * np.abs(plain).max())
 
 
-@pytest.mark.parametrize("rows", [7, bvp._LAP_ROWS])
+@pytest.mark.parametrize("rows", [7, bvp.ROWS])
 def test_blocked_laplacian_equals_the_whole_array_expression(monkeypatch,
                                                              rows):
     """The grid Laplacian and the curvature, taken a block of rows at a
     time, have the bits of the whole-array expressions, on grids whose
     inner row count is no multiple of the block or less than one block."""
-    monkeypatch.setattr(bvp, "_LAP_ROWS", rows)
+    monkeypatch.setattr(bvp, "ROWS", rows)
     rng = np.random.default_rng(21)
     for shape in ((2 * rows + 5, 37), (rows - 1, 11)):
         assert (shape[0] - 2) % rows
@@ -510,12 +543,12 @@ def test_blocked_laplacian_equals_the_whole_array_expression(monkeypatch,
         assert conformal.gaussian_curvature(f).values.tobytes() == K.tobytes()
 
 
-@pytest.mark.parametrize("rows", [7, bvp._LAP_ROWS])
+@pytest.mark.parametrize("rows", [7, bvp.ROWS])
 def test_blocked_sine_denominators_equal_the_whole_array_expression(
         monkeypatch, rows):
     """The Poisson solve's division by the sine denominators, a block of
     rows at a time, has the bits of the whole-array division."""
-    monkeypatch.setattr(bvp, "_LAP_ROWS", rows)
+    monkeypatch.setattr(bvp, "ROWS", rows)
     rng = np.random.default_rng(22)
     for m, n in ((2 * rows + 5, 37), (rows - 1, 11)):
         assert m % rows
@@ -525,6 +558,32 @@ def test_blocked_sine_denominators_equal_the_whole_array_expression(
         whole = f / (4.0 * np.sin(i * np.pi / (2 * (m + 1))) ** 2
                      + 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2)
         assert bvp._divide_by_eigenvalues(f).tobytes() == whole.tobytes()
+
+
+def _blocked_stage_arrays():
+    """The arrays of the three stages that `bvp.row_blocks` splits: the
+    Poisson solve of a g1 box (389 inner rows), select_N at resolution
+    32, whose rectangle solve transforms and updates its columns a block
+    at a time, and the 129-row tail grid sampled from that selection."""
+    g1 = assembly.build_g1(2, 390).factor.values
+    selected = bvp.select_N(4, 32, 0.05)
+    tail = mollify.build_tail_v(selected, math.exp(-8.0) / 2.0, grid_n=128)
+    return [g1, selected.w.values, tail.field.values, tail.region,
+            tail.u_core_excluded, tail.pentagon_band_excluded,
+            tail.stencil_in_disc, tail.sign_checked]
+
+
+@pytest.mark.parametrize("rows", [7, bvp.ROWS])
+def test_row_blocks_leave_the_blocked_stages_bit_identical(monkeypatch, rows):
+    """solve_poisson, select_N and build_tail_v give the bytes of one
+    block of all rows with blocks of 7 rows and of the default 64."""
+    monkeypatch.setattr(bvp, "ROWS", 1 << 20)
+    whole = _blocked_stage_arrays()
+    monkeypatch.setattr(bvp, "ROWS", rows)
+    blocked = _blocked_stage_arrays()
+    for a, b in zip(whole, blocked):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("build, low, high", [

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from nonembed import mollify
+from nonembed import bvp, mollify
 from nonembed.fields import u_float
 from nonembed.trees import tree_integral
 
@@ -14,42 +15,22 @@ DELTA = math.exp(-2.0 * K_STAR) / 2.0
 TREE_V_EXPECTED = 0.010761347907
 
 
-def test_mollifier_unit_mass_and_support():
-    from scipy.integrate import trapezoid
+def test_discrete_kernel_has_unit_mass_and_the_mean_value_property():
+    """The kernel quadrature's weights are positive and sum to 1 to a few
+    ulp, its nodes lie in the delta-disc, and on a harmonic polynomial its
+    average is the value at the centre (README: mean-value exactness)."""
+    def harmonic(x, y):
+        return x * x - y * y + 3.0 * x * y + x
 
-    for delta in (0.01, 0.3, 2.0):
-        m = mollify.make_mollifier(delta)
-        s = np.linspace(0.0, delta, 20001)
-        mass = 2.0 * math.pi * trapezoid(m.density(s) * s, s)
-        assert mass == pytest.approx(1.0, abs=1e-8)
-        assert m.density(delta) == 0.0
-        assert m.density(delta * 1.5) == 0.0
-        assert m.density(0.0) > m.density(delta / 2) > 0.0
-    with pytest.raises(mollify.MollifyError):
-        mollify.make_mollifier(0.0)
-
-
-def test_profile_moment_is_quads_value():
-    """The normalizing moment is the literal that scipy's quad returns for
-    it, and lies within 2 ulp of the 40-digit value (it is 1 ulp below the
-    correctly rounded double; rounding it would move the amplitude)."""
-    from mpmath import exp, mp, mpf, quad as mp_quad
-    from scipy.integrate import quad
-
-    got = mollify._PROFILE_MOMENT
-    assert got == quad(lambda t: math.exp(-1.0 / (1.0 - t * t)) * t, 0.0, 1.0,
-                       epsabs=1e-15, epsrel=1e-14)[0]
-    with mp.workdps(40):
-        exact = mp_quad(lambda t: exp(-1 / (1 - t * t)) * t, [0, 1])
-        assert abs(exact - mpf("0.0742477533879610239592")) < 1e-21
-        assert abs(mpf(got) - exact) <= 2 * math.ulp(got)
-
-
-def test_mollifier_peak_scaling():
-    # halving the radius quadruples the peak (2D mass preservation)
-    m1 = mollify.make_mollifier(0.2)
-    m2 = mollify.make_mollifier(0.1)
-    assert m2.density(0.0) / m1.density(0.0) == pytest.approx(4.0, rel=1e-12)
+    stub = types.SimpleNamespace(value=harmonic)
+    for delta in (1e-3, 0.05, 0.5):
+        mg = mollify.MollifiedGlue(stub, delta)
+        assert np.all(mg._wgt > 0.0)
+        assert abs(np.sum(mg._wgt) - 1.0) <= 4 * np.finfo(float).eps
+        assert np.all(np.hypot(mg._dx, mg._dy) < delta)
+        x, y = np.array([0.3, -1.2, 0.0]), np.array([-0.2, 0.7, 0.0])
+        got = mg.kernel_average(x, y)
+        assert np.max(np.abs(got - harmonic(x, y))) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +55,9 @@ def test_tail_rows_in_blocks_equal_one_block(selected4, monkeypatch):
     """The tail grid sampled 7 node rows at a time (513 is no multiple of
     7) has the field, region and masks of one block of all rows, to the
     bit."""
-    monkeypatch.setattr(mollify, "_TAIL_ROWS", 513)
+    monkeypatch.setattr(bvp, "ROWS", 513)
     whole = _tail_arrays(mollify.build_tail_v(selected4, DELTA, grid_n=512))
-    monkeypatch.setattr(mollify, "_TAIL_ROWS", 7)
+    monkeypatch.setattr(bvp, "ROWS", 7)
     blocked = _tail_arrays(mollify.build_tail_v(selected4, DELTA, grid_n=512))
     for a, b in zip(whole, blocked):
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -85,7 +66,7 @@ def test_tail_rows_in_blocks_equal_one_block(selected4, monkeypatch):
 
 def test_traced_peak_of_the_tail_sampling(selected4):
     """tracemalloc peak of sampling the default tail, in MiB, with the
-    glued field built: measured 5.4 with _TAIL_ROWS node rows at a time,
+    glued field built: measured 5.4 with bvp.ROWS node rows at a time,
     against 22.4 when the whole grid's coordinates, pulled-back points
     and interface distances were made at once."""
     selected4.glue

@@ -95,9 +95,19 @@ def test_hessian_matches_the_40_digit_oracle():
 
 
 def test_folded_surface_rejected():
-    # at this amplitude the rulings fold and Newton for s(x1, x2) fails
+    # at this amplitude the rulings of the first pass fold over the strip
     with pytest.raises(ruled.RuledError, match="fold"):
         ruled.generate_surface(TAU, 1.0, seed=42)
+
+
+@pytest.mark.parametrize("eps", [0.331, 0.335, 0.336, 0.345])
+def test_bracketed_newton_inverts_rulings_that_do_not_fold(eps):
+    """At seed 42 these amplitudes give graphs (no pass folds), but plain
+    Newton from s = -tau x2 left the rulings' s-range and did not
+    converge; with a bracket each point converges."""
+    g = ruled.generate_surface(TAU, eps, seed=42)
+    g.check_graph()
+    assert math.isfinite(g.measured_eps())
 
 
 def test_fold_that_newton_survives_rejected():
