@@ -15,8 +15,10 @@ Exit status: 0 all checks passed, 1 at least one verification failed, 2
 invalid configuration or input, or a pipeline error.  The runtime block
 is the only nondeterministic part of a report; everything else is
 reproducible bit for bit for a fixed config.  `verify all` runs the
-targets that do not read the tail in one forked child.  Unless the user
-has set it, OPENBLAS_NUM_THREADS is 1, so that no BLAS thread pool spins.
+targets that do not read the tail in one forked child, which checks
+ruled.eps before its first target while this process waits for that
+verdict.  Unless the user has set it, OPENBLAS_NUM_THREADS is 1, so that
+no BLAS thread pool spins.
 """
 
 from __future__ import annotations
@@ -632,9 +634,16 @@ def _check_g1_resolves(cfg: RunConfig) -> None:
             f"got {cfg.n_max}")
 
 
-def _run_lane(ctx: PipelineContext, targets: list) -> dict:
+def _run_lane(ctx: PipelineContext, targets: list,
+              checked=lambda: None) -> dict:
     """Each target's (records, seconds, process peak RSS in MB); a target
-    that raises ends the lane with its exception in place of the triple."""
+    that raises ends the lane with its exception in place of the triple.
+    The lane that holds ruled first builds the surface at ruled.eps, the
+    run's one check of that value, whose ConfigError it raises before any
+    target runs; then it calls `checked`."""
+    if "ruled" in targets:
+        ctx.ruled_surface(ctx.cfg.ruled_eps, ctx.cfg.seed)
+    checked()
     done = {}
     for t in targets:
         t0 = time.perf_counter()
@@ -647,8 +656,39 @@ def _run_lane(ctx: PipelineContext, targets: list) -> dict:
     return done
 
 
+def _send(pipe, obj) -> None:
+    """Writes a verdict (None or an exception) or a lane's results to the
+    pipe at once.  An exception that does not pickle crosses as its
+    message."""
+    def crossing(x):
+        if isinstance(x, Exception):
+            try:
+                pickle.loads(pickle.dumps(x))
+            except Exception:
+                return RuntimeError(str(x))
+        return x
+
+    if isinstance(obj, dict):
+        obj = {t: crossing(x) for t, x in obj.items()}
+    pickle.dump(crossing(obj), pipe)
+    pipe.flush()
+
+
+def _receive(pipe, away: list):
+    """The next object `_send` wrote, or the forked lane's failure to."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # died before or mid-write
+        raise RuntimeError(
+            f"the {'/'.join(away)} lane sent no results") from None
+
+
 def _run_lanes(ctx: PipelineContext, targets: list) -> dict:
-    """The tail lane here, the rest in a forked child reaped in any case."""
+    """The tail lane here, the rest in a forked child reaped in any case.
+    The child first sends its verdict on ruled.eps: None, or the exception,
+    which this process raises before its own lane starts.  It then sends
+    its lane's results.  So only the child builds the surface at ruled.eps
+    and loads the numpy.random that it draws with."""
     here = [t for t in targets if t in _TAIL_LANE] or targets
     away = [t for t in targets if t not in here]
     if not away:
@@ -657,29 +697,27 @@ def _run_lanes(ctx: PipelineContext, targets: list) -> dict:
     pid = os.fork()
     if pid == 0:  # the child, on its copy of the fresh ctx, never prints
         try:
-            done = _run_lane(ctx, away)
-            for t, x in done.items():
-                try:
-                    pickle.loads(pickle.dumps(x))
-                except Exception:  # an exception that does not pickle
-                    done[t] = RuntimeError(str(x))
             with open(w, "wb") as pipe:
-                pickle.dump(done, pipe)
+                try:
+                    done = _run_lane(ctx, away, lambda: _send(pipe, None))
+                except Exception as exc:  # the verdict on ruled.eps
+                    _send(pipe, exc)
+                else:
+                    _send(pipe, done)
         finally:  # the parent reads the pipe, not the exit status
             os._exit(0)
     os.close(w)
     try:
         with open(r, "rb") as pipe:
-            done = _run_lane(ctx, here)
-            payload = pipe.read()
-    except BaseException:  # interrupted: the child's results go unread
+            verdict = _receive(pipe, away)
+            if verdict is not None:
+                raise verdict
+            return _run_lane(ctx, here) | _receive(pipe, away)
+    except BaseException:  # the child's results go unread
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         os.waitpid(pid, 0)
-    if not payload:
-        raise RuntimeError(f"the {'/'.join(away)} lane sent no results")
-    return done | pickle.loads(payload)
 
 
 def cmd_verify(target: str, cfg: RunConfig) -> int:
@@ -688,8 +726,6 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
     if "g1" in targets:
         _check_g1_resolves(cfg)
     ctx = PipelineContext(cfg)
-    if "ruled" in targets:  # checks ruled.eps before any target runs
-        ctx.ruled_surface(cfg.ruled_eps, cfg.seed)
     out = Path(cfg.out_dir)
     report = {"config": _config_echo(cfg), "targets": targets, "checks": []}
     t_total = time.perf_counter()

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
@@ -695,21 +696,31 @@ def test_ruled_eps_without_a_graph_extension_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_verify_all_checks_ruled_eps_before_any_target(tmp_path, capsys,
-                                                      monkeypatch):
-    # the surface at ruled.eps is built before the lanes start, so a value
-    # whose surface fails runs no target and forks no lane
-    ran = []
+@pytest.fixture
+def ran(tmp_path, monkeypatch):
+    """Stubs every pipeline with one that touches a file named for its
+    target in the returned directory, so that a target run in either
+    process of `verify all` is seen."""
+    ran = tmp_path / "ran"
+    ran.mkdir()
     for t in cli._PIPELINES:
         monkeypatch.setitem(cli._PIPELINES, t,
-                            lambda ctx, t=t: ran.append(t) or [])
+                            lambda ctx, t=t: (ran / t).touch() or [])
+    return ran
+
+
+def test_verify_all_checks_ruled_eps_before_any_target(tmp_path, capsys,
+                                                      ran):
+    # the forked lane builds the surface at ruled.eps before its targets,
+    # and this process waits for that verdict before its own: a value
+    # whose surface fails runs no target in either process
     cfg = tmp_path / "run.cfg"
     cfg.write_text("ruled.eps = 5\n")
     out = tmp_path / "o"
     assert cli.main(["verify", "all", "--config", str(cfg),
                      "--out", str(out)]) == 2
     assert re.match(r"error: ruled\.eps\b", capsys.readouterr().err)
-    assert ran == [] and not out.exists()
+    assert not any(ran.iterdir()) and not out.exists()
 
 
 def test_ruled_generation_error_keeps_the_pipeline_message(
@@ -804,6 +815,102 @@ def test_interrupted_verify_all_kills_the_forked_lane(tmp_path, monkeypatch):
     assert time.perf_counter() - t0 < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_surface_at_ruled_eps_is_built_in_the_forked_lane(
+        tmp_path, monkeypatch, ran):
+    pids = tmp_path / "pids"
+    generate = ruled.generate_surface
+
+    def recorded(*args, **kwargs):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(ruled, "generate_surface", recorded)
+    assert cli.main(["verify", "all", "--out", str(tmp_path / "o")]) == 0
+    built_in = pids.read_text().split()
+    assert built_in and str(os.getpid()) not in built_in
+    assert sorted(p.name for p in ran.iterdir()) == sorted(cli._PIPELINES)
+
+
+def test_the_tail_lane_starts_without_numpy_random(tmp_path):
+    """The surface at ruled.eps draws with numpy.random, whose libraries
+    would stay mapped in the process that goes on to solve the pentagon."""
+    bare = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True)
+    assert bare.returncode == 0, bare.stderr
+    if bare.stdout.strip() == "True":
+        pytest.skip("this NumPy loads numpy.random at import")
+    code = ("import sys\n"
+            "from nonembed import cli\n"
+            "print('numpy.random' in sys.modules)\n"
+            "seen = []\n"
+            "for t in cli._PIPELINES:\n"
+            "    cli._PIPELINES[t] = lambda ctx: []\n"
+            "cli._PIPELINES['tail'] = lambda ctx: seen.append(\n"
+            "    'numpy.random' in sys.modules) or []\n"
+            "code = cli.main(['verify', 'all', '--out', sys.argv[1]])\n"
+            "print(code, seen)\n")
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "0 [False]", r.stdout
+
+
+_TEST_PID = os.getpid()
+
+
+def _dies(*args, **kwargs):
+    if os.getpid() == _TEST_PID:  # would end the test run
+        raise AssertionError("the surface was built in the CLI process")
+    os._exit(1)
+
+
+def _unpicklable(*args, **kwargs):
+    raise _Unpicklable("broke", "ruled")
+
+
+@pytest.mark.parametrize("generate, message", [
+    (_dies, "pipeline error: the moon/g1/ruled lane sent no results"),
+    (_unpicklable, "pipeline error: broke in ruled"),
+])
+def test_a_failed_verdict_runs_no_target(tmp_path, monkeypatch, capsys, ran,
+                                         generate, message):
+    # a child that dies before its verdict, and a verdict exception that
+    # does not pickle, which crosses as its message
+    monkeypatch.setattr(ruled, "generate_surface", generate)
+    out = tmp_path / "o"
+    assert cli.main(["verify", "all", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not any(ran.iterdir()) and not out.exists()
+
+
+def test_interrupt_while_waiting_for_the_verdict_kills_the_forked_lane(
+        tmp_path, monkeypatch, ran):
+    def slow(*args, **kwargs):
+        time.sleep(60)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ruled, "generate_surface", slow)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)  # not inherited by a fork
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["verify", "all", "--out", str(tmp_path / "o")])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not any(ran.iterdir())
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
