@@ -56,10 +56,11 @@ The pentagon pipeline solves the mixed problem (slit-field data on the two
 slanted legs, zero on top/bottom, a constant N on the far right edge),
 selects N so that sampled inward normal derivatives dominate those of the
 slit field, and glues the solution to the slit field on the rest of the
-unit disc.  `select_N` keeps the solution at the selected N, the sum
-of the two basis solutions, with its margins and pentagon residual,
-and frees the system and the basis solutions; the glued field of that
-sum is built once, on `SelectedN.glue`.
+unit disc.  The margins are affine in N, so `select_N` finds N in closed
+form.  It keeps the solution at N, the sum of the two basis solutions,
+with its margins and pentagon residual, and frees the system and the
+basis solutions; the glued field of that sum is built once, on
+`SelectedN.glue`.
 """
 
 from __future__ import annotations
@@ -863,8 +864,7 @@ def normal_derivative(f_interp: Callable, edge: Segment, normal: Point,
 # ---------------------------------------------------------------------------
 
 RIGHT_X = 20.0     # the pentagon's right edge lies on x = RIGHT_X
-EDGE_SAMPLES = 40  # normal-derivative samples per edge in the N selection
-N_SWEEP = tuple(float(2 ** k) for k in range(260))  # the N tried, in order
+EDGE_SAMPLES = 200  # normal-derivative samples per edge in the N selection
 
 
 @dataclass
@@ -932,10 +932,11 @@ def pentagon_edge_data(geom: PentagonGeometry, N: float) -> list:
 
 @dataclass
 class SelectedN:
-    """The selected N with its edge margins and the solution w = w0 + N w1
-    at N, where w0 and w1 are the basis solutions (data 0 on the right
-    edge, and 1 there alone).  `h` is the grid spacing, `residual` the
-    pentagon residual of w against the data at N
+    """The selected N with the edge margins at N, which the subharmonicity
+    certificate reads, and the solution w = w0 + N w1 at N, where w0 and
+    w1 are the basis solutions (data 0 on the right edge, and 1 there
+    alone).  `h` is the grid spacing, `residual` the pentagon residual of
+    w against the data at N
     (`PolygonProblem.residual`) and `stats` the solver's sizes and stage
     times.  Neither the system nor the basis solutions are kept."""
     N: float
@@ -953,39 +954,37 @@ class SelectedN:
 
 
 def edge_margins(geom: PentagonGeometry, w: ScalarField, h: float,
-                 n_samples: int) -> dict:
-    """Inward normal-derivative margins of the pentagon solution w on the
-    legs and side edges."""
+                 n_samples: int, leg_value: Callable) -> tuple:
+    """Rows leg_up, leg_lo, bottom, top of w's inward normal derivative
+    (data leg_value on the legs), its margin over the slit field's, and
+    the slit field's |derivative| >= 1e-300 as the scale (0 off the legs)."""
     poly = geom.polygon
-    interp = w.interp
-    out = {}
-    for k, name in ((geom.LEG_UP, "leg_up"), (geom.LEG_LO, "leg_lo")):
+    dw, margin, scale = np.zeros((3, 4, n_samples))
+    for row, k in enumerate((geom.LEG_UP, geom.LEG_LO, geom.BOTTOM, geom.TOP)):
         nrm = poly.inward_normal(k)
-        nd = normal_derivative(interp, poly.edge(k), nrm, h,
-                               n_samples=n_samples, boundary_value=u_float)
-        gx, gy = u_gradient_xy(nd["x"], nd["y"])
-        gvals = gx * nrm[0] + gy * nrm[1]
-        out[name] = dict(w_gamma=nd["value"], margin=nd["value"] - gvals,
-                         scale=np.abs(gvals))
-    for k, name in ((geom.BOTTOM, "bottom"), (geom.TOP, "top")):
-        nd = normal_derivative(interp, poly.edge(k), poly.inward_normal(k), h,
-                               n_samples=n_samples, boundary_value=_zero)
-        out[name] = dict(w_gamma=nd["value"], margin=nd["value"],
-                         scale=np.abs(nd["value"]))
-    return out
+        nd = normal_derivative(w.interp, poly.edge(k), nrm, h,
+                               n_samples=n_samples,
+                               boundary_value=leg_value if row < 2 else _zero)
+        dw[row] = margin[row] = nd["value"]
+        if row < 2:
+            gx, gy = u_gradient_xy(nd["x"], nd["y"])
+            gvals = gx * nrm[0] + gy * nrm[1]
+            margin[row] -= gvals
+            scale[row] = np.maximum(np.abs(gvals), 1e-300)
+    return dw, margin, scale
 
 
 def select_N(K: int, resolution: int, margin_frac: float) -> SelectedN:
-    """Smallest N in the sweep N_SWEEP for which, at the sampled edge
-    points, the inward normal derivative of the pentagon solution exceeds
-    that of the slit field on the legs (by margin_frac of the local slit
-    gradient scale) and is positive on the top/bottom edges.
+    """Smallest power of two N >= 1 for which, at the sampled edge points,
+    the inward normal derivative of the pentagon solution exceeds that of
+    the slit field on the legs (by margin_frac of the local slit gradient
+    scale) and is positive on the top/bottom edges.
 
-    The solution at N is w0 + N*w1 by linearity, so the sweep costs one
-    solver setup and one stacked solve of the two basis data sets (plus
-    its refinement step); the factors are freed before the sweep, and the
-    system and the basis solutions once the residual at the selected N is
-    taken.
+    The solution at N is w0 + N w1 by linearity, so each margin is
+    m0 + N d1, with m0 the margin of w0 and d1 the derivative of w1: one
+    stacked solve of the two basis data sets and one sample set of each
+    give N in closed form.  The system and the basis solutions are freed
+    once the residual at N is taken.
     """
     geom = pentagon_geometry(K)
     prob = pentagon_problem(geom, resolution)
@@ -993,20 +992,25 @@ def select_N(K: int, resolution: int, margin_frac: float) -> SelectedN:
     unit_right[geom.RIGHT] = lambda xs, ys: np.ones(np.shape(xs))
     w0, w1 = prob.solve([pentagon_edge_data(geom, 0.0), unit_right])
     h = prob.geom["h"]
-
-    for N in N_SWEEP:
-        w = ScalarField(grid=w0.grid, values=w0.values + N * w1.values)
-        m = edge_margins(geom, w, h, EDGE_SAMPLES)
-        ok_legs = all(
-            np.all(m[e]["margin"] > margin_frac * np.maximum(m[e]["scale"], 1e-300))
-            for e in ("leg_up", "leg_lo"))
-        ok_sides = all(np.all(m[e]["w_gamma"] > 0.0) for e in ("bottom", "top"))
-        if ok_legs and ok_sides:
-            break
-    else:
-        worst = {e: float(np.min(v["margin"])) for e, v in m.items()}
-        raise SolverError(f"N sweep exhausted; best margins {worst}")
-    return SelectedN(N=N, margins=m, w=w, geom=geom, h=h,
+    _, m0, scale = edge_margins(geom, w0, h, EDGE_SAMPLES, u_float)
+    d1 = edge_margins(geom, w1, h, EDGE_SAMPLES, _zero)[0]
+    # a bound or an N past double range is inf, which the checks refuse
+    with np.errstate(over="ignore"):
+        bound = margin_frac * scale
+        # the smallest power of two above every (bound - m0) / d1 of a
+        # short margin that grows with N; one that does not fails below
+        lift = (m0 <= bound) & (d1 > 0.0)
+        need = np.max((bound - m0)[lift] / d1[lift], initial=0.5)
+        if not need < 2.0 ** 1023:
+            raise SolverError(f"N > {need:.3g} is past double range")
+        N = float(np.ldexp(1.0, np.frexp(need)[1]))
+        margins = m0 + N * d1
+    if not np.all(margins > bound):
+        raise SolverError("no power of two N lifts every edge margin")
+    w = ScalarField(grid=w0.grid, values=w0.values + N * w1.values)
+    return SelectedN(N=N, w=w, geom=geom, h=h,
+                     margins=dict(zip(("leg_up", "leg_lo", "bottom", "top"),
+                                      margins)),
                      residual=prob.residual(w, pentagon_edge_data(geom, N)),
                      stats=prob.stats)
 

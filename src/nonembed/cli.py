@@ -353,7 +353,7 @@ def claim_chord_positivity(ctx: PipelineContext, n_chords: int,
 
 def claim_pentagon_margins(ctx: PipelineContext) -> dict:
     sel = ctx.selected
-    worst = {e: float(np.min(m["margin"])) for e, m in sel.margins.items()}
+    worst = {e: float(np.min(m)) for e, m in sel.margins.items()}
     return check("pentagon-N-selection", "edge-margins-positive",
                  all(v > 0 for v in worst.values()),
                  N=sel.N, worst_margins=worst,

@@ -30,8 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from nonembed.bvp import (GluedField, ScalarField, SelectedN, box_grid,
-                          edge_margins, laplacian_grid, row_blocks,
-                          stencil_reduce)
+                          laplacian_grid, row_blocks, stencil_reduce)
 from nonembed.fields import laplacian_residual, u_float
 from nonembed.quadrature import float_to_log
 from nonembed.trees import (SteinerTree, build_steiner_tree,
@@ -43,9 +42,8 @@ RECENTER = (-0.8, 0.0)
 KERNEL_RADIAL = 24
 KERNEL_ANGULAR = 48
 # the subharmonicity certificate: grid tolerance relative to the largest
-# |grid Laplacian|, margin samples per pentagon edge, slit-field spots, seed
+# |grid Laplacian|, slit-field spots, seed
 SUBHARMONIC_TOL_FACTOR = 1e-8
-MARGIN_SAMPLES = 200
 N_SPOTS = 40
 SPOT_SEED = 7
 
@@ -224,8 +222,8 @@ def tail_subharmonic_report(tail: TailFunction, selected: SelectedN) -> dict:
       the mollified field (kernel quadrature at each spot) and that it is
       harmonic (5-point residual ratio ~4 under step halving);
     * pentagon interior: solver residual certificate;
-    * pentagon edges: dense inward-margin minima of the pentagon solution
-      in `selected`, the one the tail was built from.
+    * pentagon edges: the inward-margin minima that the selection of the
+      tail's pentagon solution sampled (`SelectedN.margins`).
 
     Raw worst node over everything is reported, not asserted.
     """
@@ -263,9 +261,7 @@ def tail_subharmonic_report(tail: TailFunction, selected: SelectedN) -> dict:
     moon_certified = eq_err < 1e-8 and 3.0 <= ratio_lo and ratio_hi <= 5.0
 
     pent_resid = selected.residual
-    dense = edge_margins(selected.geom, selected.w, selected.h,
-                         MARGIN_SAMPLES)
-    worst_margin = min(float(np.min(m["margin"])) for m in dense.values())
+    worst_margin = min(float(np.min(m)) for m in selected.margins.values())
 
     grid_pass = grid_min >= -SUBHARMONIC_TOL_FACTOR * scale
     return dict(

@@ -189,12 +189,8 @@ def test_poisson_matches_newtonian_potential_oracle():
         assert got == pytest.approx(oracle, rel=1e-3), (px, py)
 
 
-# the sine transform and the spline equal SciPy's to the bit on NumPy 2,
-# whose FFT is the same pocketfft code as scipy.fft's; NumPy 1's C FFT
-# rounds differently
-_DST_RTOL = 0.0 if int(np.__version__.split(".")[0]) >= 2 else 1e-13
-
-
+# the sine transform and the spline equal SciPy's to the bit: NumPy's FFT
+# is the same pocketfft code as scipy.fft's
 @pytest.mark.parametrize("shape", [(1535, 70), (67, 130), (5, 1)])
 def test_dst1_equals_scipy_dstn_idstn_and_ortho(shape):
     from scipy.fft import dst, dstn, idstn
@@ -208,8 +204,7 @@ def test_dst1_equals_scipy_dstn_idstn_and_ortho(shape):
              bvp._dst1(f.copy(), 1, bvp._reciprocal(2 * (n + 1), root=True))),
             (dst(f, type=1, norm="ortho", axis=0),
              bvp._dst1(f.copy(), 0, bvp._reciprocal(2 * (m + 1), root=True)))):
-        assert np.allclose(got, ref, rtol=0.0,
-                           atol=_DST_RTOL * np.abs(ref).max())
+        assert np.array_equal(got, ref)
 
 
 def test_block_solver_transform_equals_scipy_on_stacked_data_sets():
@@ -219,7 +214,7 @@ def test_block_solver_transform_equals_scipy_on_stacked_data_sets():
     got = f.copy()
     bvp._dst1(got.reshape(-1, 191), 1, bvp._reciprocal(384, root=True))
     ref = dst(f, type=1, norm="ortho")
-    assert np.allclose(got, ref, rtol=0.0, atol=_DST_RTOL * np.abs(ref).max())
+    assert np.array_equal(got, ref)
 
 
 def test_glued_spline_equals_scipy_ndimage():
@@ -308,8 +303,8 @@ def test_pentagon_resolution_must_be_even_and_at_least_16():
     for bad in (14, 15, 17, 193, 0):
         with pytest.raises(bvp.SolverError, match="resolution"):
             bvp._pentagon_grid_params(geom, bad)
-        with pytest.raises(bvp.SolverError, match="resolution"):
-            bvp.pentagon_problem(geom, bad)
+        with pytest.raises(bvp.SolverError, match="even integer >= 16"):
+            bvp.select_N(2, bad, 0.05)
 
 
 def test_pentagon_solver_residual_and_superposition(selected4, pentagon4):
@@ -815,7 +810,28 @@ def test_pentagon_max_principle(basis4):
 
 def test_selected_margins_positive(selected4):
     for name, m in selected4.margins.items():
-        assert np.all(m["margin"] > 0.0), name
+        assert np.all(m > 0.0), name
+
+
+@pytest.mark.parametrize("K, resolution", [(4, 64), (4, 96), (4, 128),
+                                           (2, 96)])
+def test_select_N_equals_the_power_of_two_sweep(K, resolution):
+    """The closed form picks the N of a brute-force sweep over 2^0, 2^1,
+    ..., which builds w = w0 + N w1 node by node at each N and samples its
+    margins afresh.  At K = 4 the sweep ends at 2^84, 1 and 2^86."""
+    sel = bvp.select_N(K, resolution, 0.05)
+    w0, w1 = bvp.pentagon_problem(sel.geom, resolution).solve(
+        _basis_edge_data(sel.geom))
+    for k in range(260):
+        w = bvp.ScalarField(grid=w0.grid,
+                            values=w0.values + 2.0 ** k * w1.values)
+        _, margin, scale = bvp.edge_margins(sel.geom, w, sel.h,
+                                            bvp.EDGE_SAMPLES, u_float)
+        if np.all(margin > 0.05 * scale):
+            break
+    else:
+        pytest.fail("no N up to 2^259 passes")
+    assert sel.N == 2.0 ** k
 
 
 def test_select_N_below_threshold_fails():
@@ -824,16 +840,48 @@ def test_select_N_below_threshold_fails():
     assert sel.N > 1e6
     w0, w1 = bvp.pentagon_problem(sel.geom, 96).solve(
         _basis_edge_data(sel.geom))
-    w = bvp.ScalarField(grid=w0.grid, values=w0.values + 1.0 * w1.values)
-    m = bvp.edge_margins(sel.geom, w, sel.h, bvp.EDGE_SAMPLES)
-    bad = min(float(np.min(v["margin"])) for v in m.values())
-    assert bad < 0.0
+    _, m0, _ = bvp.edge_margins(sel.geom, w0, sel.h, bvp.EDGE_SAMPLES, u_float)
+    d1 = bvp.edge_margins(sel.geom, w1, sel.h, bvp.EDGE_SAMPLES, bvp._zero)[0]
+    assert np.min(m0 + 1.0 * d1) < 0.0
+    assert np.all(m0 + sel.N * d1 > 0.0)
 
 
-def test_sweep_exhaustion_raises(monkeypatch):
-    monkeypatch.setattr(bvp, "N_SWEEP", (1.0, 2.0))
-    with pytest.raises(bvp.SolverError):
-        bvp.select_N(2, resolution=96, margin_frac=0.05)
+def test_sweep_exhaustion_raises():
+    # no N in double range lifts the leg margins 1e300 times their scale
+    with pytest.raises(bvp.SolverError, match="past double range"):
+        bvp.select_N(2, resolution=96, margin_frac=1e300)
+
+
+@pytest.mark.parametrize("m0, d1, N", [
+    ((-3.0, 1.0), (1.0, 1.0), 4.0),      # N must exceed 3
+    ((-4.0, 1.0), (1.0, 1.0), 8.0),      # and 4 strictly
+    ((2.0, 1.0), (-1.0, 1.0), 1.0),      # falls with N but holds at N = 1
+    ((-1.0, 1.0), (0.0, 1.0), None),     # short and flat
+    ((-1.0, 1.0), (-1.0, 1.0), None),    # short and falling
+    ((3.0, -3.0), (-1.0, 1.0), None),    # falls below 0 at the top's N = 4
+])
+def test_select_N_closed_form_on_stated_margins(monkeypatch, m0, d1, N):
+    """select_N on stated basis margins m0 and derivatives d1 at the first
+    samples of the bottom and top edges; every other sample holds."""
+    def stated(geom, w, h, n_samples, leg_value):
+        dw, margin, scale = np.ones((3, 4, n_samples))
+        scale[2:] = 0.0
+        if leg_value is bvp._zero:  # w1
+            dw[2:, 0] = d1
+        else:  # w0
+            margin[2:, 0] = m0
+        return dw, margin, scale
+    monkeypatch.setattr(bvp, "edge_margins", stated)
+    if N is None:
+        with pytest.raises(bvp.SolverError, match="no power of two N"):
+            bvp.select_N(4, 16, 0.05)
+    else:
+        assert bvp.select_N(4, 16, 0.05).N == N
+
+
+def test_select_N_refuses_a_K_whose_slit_field_data_overflow():
+    with pytest.raises(bvp.SolverError, match="overflows doubles"):
+        bvp.select_N(13, 64, 0.05)
 
 
 def test_glued_field_regions(selected4, basis4):

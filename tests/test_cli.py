@@ -1012,12 +1012,16 @@ def test_verify_ruled_golden_values(ctx):
     assert 0.0 < flat["worst_det_ratio"] <= 1e-8
 
 
-# The tail's bytes go through the pentagon solve's sine transforms and
-# the glued field's spline, which equal SciPy's to the bit on NumPy 2
-# only (NumPy 1's C FFT rounds differently, test_bvp._DST_RTOL), and the
-# tail has never been written on NumPy 1 to compare with these digests
-@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
-                    reason="the tail's digests are pinned on NumPy 2")
+def test_the_certificate_reads_the_margins_of_the_N_selection(ctx):
+    """The edge-margin claim is sampled once, in select_N: the
+    subharmonicity certificate's worst margin is the smallest of the
+    selection's per-edge worst margins, bit for bit."""
+    worst = cli.claim_pentagon_margins(ctx)["values"]["worst_margins"]
+    sub = cli.claim_tail_subharmonicity(ctx)["values"]
+    assert min(worst.values()) == sub["min_edge_margin"]
+    assert sub["min_edge_margin"] == 1.1088088725266164e-04
+
+
 def test_tail_field_golden_sha256(ctx, tmp_path):
     # `verify all`'s tail_field.csv and its sidecar at the default config
     csv = gridio.write_grid_csv(ctx.tail.field, tmp_path / "tail_field.csv")
