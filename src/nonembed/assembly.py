@@ -119,21 +119,31 @@ def _first_ball_value(w: RotationSum, x, y, balls) -> np.ndarray:
 def measured_derivative_maxima(values: np.ndarray, h: float,
                                max_order: int) -> list:
     """max |mixed partial| of each total order 0..max_order, by repeated
-    one-sided differencing along every axis of values sampled at spacing h
-    (a proxy norm: the grid is the resolution at which the artifact knows
-    the field).  Partials are keyed by their count per axis; one reached
-    along several paths keeps its last."""
-    out = []
-    frontier = {(0,) * values.ndim: values}
-    out.append(float(np.max(np.abs(values))))
-    for order in range(1, max_order + 1):
-        new = {}
-        for key, arr in frontier.items():
-            for ax in range(values.ndim):
-                up = key[:ax] + (key[ax] + 1,) + key[ax + 1:]
-                new[up] = np.diff(arr, axis=ax) / h
-        frontier = new
-        out.append(max(float(np.max(np.abs(a))) for a in frontier.values()))
+    one-sided differencing of values sampled at spacing h (a proxy norm:
+    the grid is the resolution at which the artifact knows the field).
+    Each partial is taken once, along one path: the differences along the
+    last axis first, then along each axis before it, each divided by h as
+    it is taken.  Only the running maxima are kept, so at most one array
+    per axis is held.  An order's partials are visited with their counts
+    along the first axes in descending lexicographic order, and their
+    maxima combined by `max` in that order."""
+    out = [None] * (max_order + 1)
+
+    def walk(arr, axis, order):
+        while True:
+            if axis:
+                walk(arr, axis - 1, order)
+            else:  # max |arr| without an |arr| array; + 0.0 turns -0.0 to 0.0
+                m = max(float(np.max(arr)), -float(np.min(arr))) + 0.0
+                if out[order] is None or m > out[order]:
+                    out[order] = m
+            if order == max_order:
+                return
+            arr = np.diff(arr, axis=axis)
+            arr /= h
+            order += 1
+
+    walk(values, values.ndim - 1, 0)
     return out
 
 
@@ -256,27 +266,28 @@ class PocketMetric:
         Each pocket is examined on its box of nodes within r + 3h, which
         holds every node within r + 2h of its center.  K comes a block of
         rows at a time from `curvature_blocks`, and each maximum is taken
-        block by block, so no K grid is made.
+        block by block; `curvature_support` is taken per block and per
+        pocket box, so neither a K grid nor a support grid is made.
         """
         src = self.source[1:-1, 1:-1]
         floor = POCKET_TOL_FACTOR * _max_abs(src)
-        xs, ys = (t[1:-1] for t in self.factor.grid.axes())
-        inner = curvature_support(self.factor.grid)
-        h = self.factor.grid.h
+        grid = self.factor.grid
+        xs, ys = (t[1:-1] for t in grid.axes())
+        h = grid.h
         pockets = []  # (box, sampled, far: d > r + 2h) of each pocket
         per_pocket = []
         for (cx, cy), r in pocket_centers_radii(self.n_max):
             box = _node_box(xs, ys, (cx, cy), r + 3.0 * h)
             d = np.hypot(xs[box[0], None] - cx, ys[None, box[1]] - cy)
-            ins = inner[box] & (d < r - 1e-12)
+            ins = curvature_support(grid, box) & (d < r - 1e-12)
             sampled = ins & (np.abs(src[box]) > floor)
             pockets.append((box, sampled, d > r + 2.0 * h))
             per_pocket.append(dict(n_nodes=int(ins.sum()),
                                    n_sampled=int(sampled.sum()), max_K=[]))
         scales, outsides = [], []  # the blocks' maxima
         for rows, K in curvature_blocks(self.factor):
-            scales.append(_max_abs(K, where=inner[rows]))
-            out = inner[rows].copy()
+            out = curvature_support(grid, (rows, slice(None)))
+            scales.append(_max_abs(K, where=out))
             for (box, sampled, far), p in zip(pockets, per_pocket):
                 lo = max(rows.start, box[0].start)
                 hi = min(rows.stop, box[0].stop)

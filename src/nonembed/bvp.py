@@ -24,9 +24,10 @@ Two solvers:
   - Γ is solved through its dense Schur complement, the capacitance
     matrix of Buzbee, Dorr, George and Golub (SIAM J. Numer. Anal. 8,
     1971).
-  All data sets go as one stacked right-hand side at the unknowns,
-  which the solve consumes: it is overwritten with the solution, the
-  rectangle's part transformed and swept where it lies.  The rectangle
+  The data sets are solved one after the other on one setup, each
+  through one right-hand side at the unknowns, which the solve consumes:
+  it is overwritten with the solution, the rectangle's part transformed
+  and swept where it lies.  The rectangle
   is taken as the exact 5-point stencil, so one step of iterative
   refinement against the true A follows, whose residual b - A x is
   summed in compensated float64 (TwoProduct and TwoSum over the 5-point
@@ -149,9 +150,10 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)
-                      | (self.grid.mask == EXTERIOR)):
-            raise ValueError("non-finite values on live nodes")
+        v, m = self.values, self.grid.mask
+        for rows in row_blocks(len(v)):  # no full-grid temporary
+            if not np.all(np.isfinite(v[rows]) | (m[rows] == EXTERIOR)):
+                raise ValueError("non-finite values on live nodes")
 
     def interp(self, x, y):
         """Bilinear interpolation; caller keeps the query cell on live nodes."""
@@ -224,11 +226,12 @@ def _poisson_dst(grid: MaskedGrid, rhs: np.ndarray) -> np.ndarray:
 ROWS = 64
 
 
-def row_blocks(n: int):
-    """range(n) as consecutive slices of ROWS rows, the last one possibly
-    shorter."""
-    for lo in range(0, n, ROWS):
-        yield slice(lo, min(lo + ROWS, n))
+def row_blocks(n: int, size: int = 0):
+    """range(n) as consecutive slices of size rows, ROWS unless given, the
+    last one possibly shorter."""
+    size = size or ROWS
+    for lo in range(0, n, size):
+        yield slice(lo, min(lo + size, n))
 
 
 def _divide_by_eigenvalues(f: np.ndarray) -> np.ndarray:
@@ -254,12 +257,16 @@ def _dst1(a: np.ndarray, axis: int, scale: float = 1.0) -> np.ndarray:
     its odd extension (0, line, 0, -line reversed), of length 2(n+1).
     pocketfft computes it so, so the bits equal scipy.fft.dst(type=1)
     and, a pass per axis with the scale on the first, dstn and idstn.
-    Lines go a block at a time (`row_blocks`); along axis 0 a block of
-    columns is gathered transposed, so no copy of a is made."""
+    Lines go a block at a time (`row_blocks`), as many as make about
+    256 ROWS values of extension, so that a block's extensions and
+    spectra take 0.25 MiB at ROWS = 64 whatever the line length; along
+    axis 0 a block of columns is gathered transposed, so no copy of a is
+    made."""
     n = a.shape[axis]
     lines = a.shape[1 - axis]
-    buf = np.zeros((min(ROWS, lines), 2 * (n + 1)))
-    for rows in row_blocks(lines):
+    size = max(1, 256 * ROWS // (2 * (n + 1)))
+    buf = np.zeros((min(size, lines), 2 * (n + 1)))
+    for rows in row_blocks(lines, size):
         ext = buf[:rows.stop - rows.start]
         line = a[rows] if axis == 1 else a[:, rows].T
         ext[:, 1:n + 1] = line
@@ -514,7 +521,7 @@ def _two_product(a, b):
 
 # node columns per block of the residual: its ~125 elementwise operations
 # then run on cache-sized arrays
-_BLOCK = 16
+_BLOCK = 32
 
 
 def _column_blocks(inside: np.ndarray):
@@ -661,15 +668,21 @@ def _block_solver(geom: dict, s: int, m: int, n: int):
     for c in range(1, p):
         inv_piv[c] = 1.0 / (2.0 + lam - inv_piv[c - 1])
 
+    pivots = list(inv_piv)
+
     def sweep(y):
         """T_k^-1 y for every mode (last axis), columns on axis 0, in
-        place."""
-        y[0] *= inv_piv[0]
-        for c in range(1, p):
-            y[c] += y[c - 1]
-            y[c] *= inv_piv[c]
-        for c in range(p - 2, -1, -1):
-            y[c] += y[c + 1] * inv_piv[c]
+        place: y_c = (y_c + y_c-1) inv_piv_c forward, then
+        y_c += y_c+1 inv_piv_c back, on views made once per sweep."""
+        ys = list(y)
+        np.multiply(ys[0], pivots[0], out=ys[0])
+        for prev, cur, ip in zip(ys, ys[1:], pivots[1:]):
+            np.add(cur, prev, out=cur)
+            np.multiply(cur, ip, out=cur)
+        tmp = np.empty_like(ys[0])
+        for nxt, cur, ip in zip(ys[:0:-1], ys[-2::-1], pivots[-2::-1]):
+            np.multiply(nxt, ip, out=tmp)
+            np.add(cur, tmp, out=cur)
         return y
 
     first = np.zeros((p, m))
@@ -755,50 +768,56 @@ class PolygonProblem:
 
     def solve(self, edge_data_sets: Sequence[Sequence[Callable]]
               ) -> list[ScalarField]:
-        """One ScalarField per data set.  The stacked right-hand sides are
-        solved with one tip elimination, interface and rectangle solve and
-        one step of iterative refinement whose residual is compensated;
-        the factors are freed on return."""
+        """One ScalarField per data set, solved one after the other on one
+        tip elimination, interface and rectangle solve, each with one step
+        of iterative refinement whose residual is compensated; the factors
+        are freed on return."""
         g = self.geom
         data = np.stack([self._cut_data(ed) for ed in edge_data_sets])
-        x = self._refined_solve(data)
         mask = np.where(g["interior"], INTERIOR, EXTERIOR).astype(np.int8)
         grid = MaskedGrid(origin=g["origin"], h=g["h"], mask=mask,
                           subgrid_boundary=True)
         out = []
-        for values, v in zip(x, data):
-            values = values.copy()  # a kept field holds no other data set
+        for values, v in zip(self._refined_solve(data), data):
             self._fill_rim(values, v)
             out.append(ScalarField(grid=grid, values=values))
         return out
 
-    def _refined_solve(self, data: np.ndarray) -> np.ndarray:
-        """Solutions x of A x = b, node arrays of shape (k, nx, ny) zero off
-        the unknowns, for the right-hand sides b of the k cut data sets
-        stacked in data: the block solve, then one refinement step against
-        A; its sizes and stage times go to `stats`.  One (k, n) vector at
-        the unknowns serves every stage: b, solved over; once x holds
-        that solution, b again and the residual, written over b; then the
-        correction, solved over it and added into x."""
+    def _refined_solve(self, data: np.ndarray) -> list:
+        """Solutions x of A x = b, one node array of shape (nx, ny) per
+        data set, zero off the unknowns, for the right-hand sides b of the
+        k cut data sets stacked in data: one block solver, then per data
+        set its solve and one refinement step against A; the sizes and
+        stage times, summed over the sets, go to `stats`.  A data set's
+        one (1, n) vector at the unknowns serves every stage: b, solved
+        over; once x holds that solution, b again and the residual,
+        written over b; then the correction, solved over it and added into
+        x.  So the refinement holds one node array and one vector at a
+        time besides the sets it has finished."""
         t0 = time.perf_counter()
         inside = self.geom["interior"]
         n = int(np.count_nonzero(inside))
         solve, fill = _block_solver(self.geom, self._tip, self._gamma, n)
-        t1 = time.perf_counter()
-        v = solve(self._rhs(data))
-        x = np.zeros((len(data),) + inside.shape)
-        _at_nodes(x, v, inside)
-        t2 = time.perf_counter()
-        _stencil_residual(self.geom, x, self._rhs(data, out=v))
-        t3 = time.perf_counter()
-        _at_nodes(x, solve(v), inside, add=True)
-        t4 = time.perf_counter()
         self.stats = dict(
             tip_unknowns=self._tip, gamma_unknowns=self._gamma,
             rectangle_unknowns=n - self._tip - self._gamma, tip_lu_fill=fill,
-            setup_s=t1 - t0, solve_s=t2 - t1, residual_s=t3 - t2,
-            correction_s=t4 - t3)
-        return x
+            setup_s=time.perf_counter() - t0, solve_s=0.0, residual_s=0.0,
+            correction_s=0.0)
+        xs = []
+        for d in data[:, None]:
+            t1 = time.perf_counter()
+            v = solve(self._rhs(d))
+            x = np.zeros((1,) + inside.shape)
+            _at_nodes(x, v, inside)
+            t2 = time.perf_counter()
+            _stencil_residual(self.geom, x, self._rhs(d, out=v))
+            t3 = time.perf_counter()
+            _at_nodes(x, solve(v), inside, add=True)
+            self.stats["solve_s"] += t2 - t1
+            self.stats["residual_s"] += t3 - t2
+            self.stats["correction_s"] += time.perf_counter() - t3
+            xs.append(x[0])
+        return xs
 
     def _fill_rim(self, values: np.ndarray, data: np.ndarray) -> None:
         """First-order extrapolation of the solution in `values` onto
@@ -806,17 +825,17 @@ class PolygonProblem:
         cubic spline, whose taps next to an edge reach these nodes, reads
         the Dirichlet data continued instead of zeros.  The bilinear
         samples of `normal_derivative` stay on interior cells and never
-        read them.  A node reached by several arms gets their mean."""
+        read them.  A node reached by several arms gets their mean, summed
+        over the rim nodes only."""
         c = self.geom["cuts"]
         ny = values.shape[1]
         q = c["node"] + np.array([di * ny + dj for di, dj in _DIRS])[c["dir"]]
         xr = values.flat[c["node"]]
         v = np.where(c["alpha"] >= 0.2, xr + (data - xr) / c["alpha"], data)
-        total = np.full(values.size, -0.0)  # -0.0 + v == v, signed zeros too
-        np.add.at(total, q, v)
-        count = np.bincount(q, minlength=values.size)
-        hit = np.flatnonzero(count)
-        values.flat[hit] = total[hit] / count[hit]
+        hit, at = np.unique(q, return_inverse=True)
+        total = np.full(len(hit), -0.0)  # -0.0 + v == v, signed zeros too
+        np.add.at(total, at, v)
+        values.flat[hit] = total / np.bincount(at)
 
     def residual(self, f: ScalarField, edge_data: Sequence[Callable]) -> float:
         """max |b - A x| / max |b| for the values of f at the unknowns, with
@@ -982,8 +1001,8 @@ def select_N(K: int, resolution: int, margin_frac: float) -> SelectedN:
 
     The solution at N is w0 + N w1 by linearity, so each margin is
     m0 + N d1, with m0 the margin of w0 and d1 the derivative of w1: one
-    stacked solve of the two basis data sets and one sample set of each
-    give N in closed form.  The system and the basis solutions are freed
+    solve of the two basis data sets, one after the other on one setup,
+    and one sample set of each give N in closed form.  The system and the basis solutions are freed
     once the residual at N is taken.
     """
     geom = pentagon_geometry(K)

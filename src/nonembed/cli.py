@@ -362,8 +362,8 @@ def claim_pentagon_margins(ctx: PipelineContext) -> dict:
 
 def claim_tail_support(ctx: PipelineContext) -> dict:
     f = ctx.tail.field
-    X, Y = f.grid.nodes_xy()
-    outside = (X**2 + Y**2 > 1.0) & (X < 0.9)
+    xs, ys = f.grid.axes()
+    outside = ((xs**2)[:, None] + ys**2 > 1.0) & (xs < 0.9)[:, None]
     sup = float(np.max(np.abs(f.values[outside])))
     return check("tail-support", "tail-vanishes-left-of-0.9", sup == 0.0,
                  max_abs=sup, n_nodes=int(outside.sum()))
@@ -634,6 +634,13 @@ def _check_g1_resolves(cfg: RunConfig) -> None:
             f"got {cfg.n_max}")
 
 
+def _peak_rss_mb() -> float:
+    """The command's peak RSS in MB: the larger of this process's and that
+    of its largest reaped child, the forked lane (ru_maxrss is in KiB)."""
+    return max(resource.getrusage(who).ru_maxrss for who in (
+        resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0
+
+
 def _run_lane(ctx: PipelineContext, targets: list,
               checked=lambda: None) -> dict:
     """Each target's (records, seconds, process peak RSS in MB); a target
@@ -730,6 +737,7 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
     report = {"config": _config_echo(cfg), "targets": targets, "checks": []}
     t_total = time.perf_counter()
     done = _run_lanes(ctx, targets)
+    t_lanes = time.perf_counter()
     for t in targets:  # a target missing from `done` follows one that raised
         if isinstance(done[t], Exception):
             raise done[t]
@@ -751,9 +759,12 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
     }
     write_json(out / "report.json", report)
     # runtimes and solver sizes live apart from the reproducible report
-    timing = {"seconds_total": time.perf_counter() - t_total,
+    t_end = time.perf_counter()
+    timing = {"seconds_total": t_end - t_total,
               "per_target": {t: done[t][1] for t in targets},
-              "per_target_peak_rss_mb": {t: done[t][2] for t in targets}}
+              "per_target_peak_rss_mb": {t: done[t][2] for t in targets},
+              "writes_s": t_end - t_lanes,
+              "peak_rss_mb": _peak_rss_mb()}
     if "selected" in vars(ctx):
         timing["pentagon"] = ctx.selected.stats
     write_json(out / "runtime.json", timing)

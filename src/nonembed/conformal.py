@@ -19,7 +19,7 @@ from typing import Callable, Tuple, Union
 import numpy as np
 
 from nonembed.bvp import (EXTERIOR, INTERIOR, MaskedGrid, ScalarField,
-                          laplacian_blocks, stencil_reduce)
+                          laplacian_blocks, row_blocks, stencil_reduce)
 from nonembed.mollify import MollifyError, TailFunction, tail_resolves
 from nonembed.trees import Segment, SteinerTree, line_integral, tree_integral
 
@@ -58,11 +58,15 @@ def curvature_blocks(f: ScalarField):
         yield rows, K
 
 
-def curvature_support(g: MaskedGrid) -> np.ndarray:
+def curvature_support(g: MaskedGrid, box=(slice(None), slice(None))
+                       ) -> np.ndarray:
     """Whether each inner node's 5-point stencil reads live nodes only:
     interior nodes alone on grids with a subgrid boundary, else an
-    INTERIOR center with non-EXTERIOR neighbours."""
-    m = g.mask
+    INTERIOR center with non-EXTERIOR neighbours.  Taken on the inner
+    nodes of box, slices of the inner rows and columns (all of them by
+    default), from the mask around it only."""
+    (i0, i1, _), (j0, j1, _) = (s.indices(n - 2) for s, n in zip(box, g.shape))
+    m = g.mask[i0:i1 + 2, j0:j1 + 2]
     if g.subgrid_boundary:
         return stencil_reduce(m == INTERIOR, np.logical_and)
     return (m[1:-1, 1:-1] == INTERIOR) & stencil_reduce(m != EXTERIOR,
@@ -169,15 +173,19 @@ def tail_curvature_report(tail: TailFunction, delta: float) -> dict:
     """
     if not tail_resolves(tail):
         raise MollifyError("no grid-visible tail node has a nonzero Laplacian")
-    lap = tail.laplacian
-    vis = tail.sign_checked
-    phi_c = delta * tail.field.values[1:-1, 1:-1]
-    # log |K| = -2 phi + log(delta |lap|); sign(K) = -sign(lap)
-    with np.errstate(divide="ignore"):
-        logK = -2.0 * phi_c + np.log(np.abs(delta * lap))
-    pos = vis & (lap < 0.0)
-    max_pos_logK = float(np.max(logK[pos])) if np.any(pos) else -math.inf
-    scale_logK = float(np.max(logK[vis & (lap != 0.0)]))
+    v = tail.field.values
+    max_pos_logK = scale_logK = -math.inf
+    # a block of inner rows at a time: no full-grid temporary
+    for rows in row_blocks(len(tail.laplacian)):
+        lap, vis = tail.laplacian[rows], tail.sign_checked[rows]
+        phi_c = delta * v[rows.start + 1:rows.stop + 1, 1:-1]
+        # log |K| = -2 phi + log(delta |lap|); sign(K) = -sign(lap)
+        with np.errstate(divide="ignore"):
+            logK = -2.0 * phi_c + np.log(np.abs(delta * lap))
+        max_pos_logK = max(max_pos_logK, float(np.max(
+            logK, where=vis & (lap < 0.0), initial=-math.inf)))
+        scale_logK = max(scale_logK, float(np.max(
+            logK, where=vis & (lap != 0.0), initial=-math.inf)))
     ok = max_pos_logK <= scale_logK + math.log(CURVATURE_TOL_FACTOR) \
         if max_pos_logK > -math.inf else True
     return dict(max_positive_logK=max_pos_logK, scale_logK=scale_logK,

@@ -24,8 +24,9 @@ from nonembed.bvp import BOUNDARY, EXTERIOR, INTERIOR, MaskedGrid, ScalarField
 
 # nodes formatted and written per block, at most, unless one grid row
 # holds more: blocks are whole grid rows, so a large grid never holds all
-# of its lines as strings, or all of its live nodes' indices, at once
-_BLOCK = 1 << 16
+# of its lines as strings, or all of its live nodes' indices, at once.  A
+# block of the default tail's CSV traces 0.9 MiB (7.0 at 65,536 nodes)
+_BLOCK = 1 << 13
 _CSV_ROW = "{},{},{}\n"
 # one node of the "nodes" list in the layout of json.dumps(indent=1),
 # with the separating comma in front; the repr of a double needs no JSON

@@ -41,6 +41,9 @@ RECENTER = (-0.8, 0.0)
 # polar kernel quadrature: Gauss-Legendre nodes in s, trapezoid in angle
 KERNEL_RADIAL = 24
 KERNEL_ANGULAR = 48
+# points per block of the kernel quadrature: 8 points are 9,216 kernel
+# nodes, whose glue evaluation takes about 1 MiB
+KERNEL_POINTS = 8
 # the subharmonicity certificate: grid tolerance relative to the largest
 # |grid Laplacian|, slit-field spots, seed
 SUBHARMONIC_TOL_FACTOR = 1e-8
@@ -87,10 +90,15 @@ class MollifiedGlue:
         self._wgt = wgt / wgt.sum()
 
     def kernel_average(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Kernel quadrature at the points (x, y), 1-d arrays: one glue
-        evaluation on all kernel nodes, then per row the BLAS dot of np.dot."""
-        vals = self.glue.value(x[:, None] + self._dx, y[:, None] + self._dy)
-        return np.matmul(vals[:, None, :], self._wgt[:, None])[:, 0, 0]
+        """Kernel quadrature at the points (x, y), 1-d arrays, KERNEL_POINTS
+        points at a time (`row_blocks`): one glue evaluation on a block's
+        kernel nodes, then per row the BLAS dot of np.dot."""
+        out = np.empty(len(x))
+        for rows in row_blocks(len(x), KERNEL_POINTS):
+            vals = self.glue.value(x[rows, None] + self._dx,
+                                   y[rows, None] + self._dy)
+            out[rows] = np.matmul(vals[:, None, :], self._wgt[:, None])[:, 0, 0]
+        return out
 
     def value(self, x, y) -> np.ndarray:
         X = np.asarray(x, dtype=float).ravel()

@@ -212,6 +212,48 @@ def test_wall_cutoff_laplacian_positive_inside_disc():
         assert np.allclose(lap[sel], fd[sel], rtol=1e-4)
 
 
+def _derivative_maxima_every_path(values, h, max_order):
+    """The reference: every mixed partial of each order along every
+    path of one-sided differences, a partial reached along several paths
+    keeping the last, and max |partial| over an order's partials."""
+    out = [float(np.max(np.abs(values)))]
+    frontier = {(0,) * values.ndim: values}
+    for order in range(1, max_order + 1):
+        new = {}
+        for key, arr in frontier.items():
+            for ax in range(values.ndim):
+                up = key[:ax] + (key[ax] + 1,) + key[ax + 1:]
+                new[up] = np.diff(arr, axis=ax) / h
+        frontier = new
+        out.append(max(float(np.max(np.abs(a))) for a in frontier.values()))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(64,), (9, 9), (23, 19)])
+def test_derivative_maxima_equal_the_every_path_reference(shape):
+    """measured_derivative_maxima takes each partial once and keeps
+    running maxima; its values have the bits of the reference at orders
+    0..8, on 1-d inputs (the annulus cutoffs) and 2-d ones (the tail
+    grid, the origin-flatness stencil), signed zeros included."""
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal(shape)
+    zeros = np.zeros(shape)
+    zeros.flat[::3] = -0.0
+    for v in (values, zeros, np.round(values, 1)):
+        for order in range(9):
+            got = assembly.measured_derivative_maxima(v, 0.01, order)
+            ref = _derivative_maxima_every_path(v, 0.01, order)
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+def test_derivative_maxima_of_the_tail_equal_the_reference(tail4):
+    """On the default tail's 513-squared grid, at the orders the gII
+    bump schedule reads."""
+    f = tail4.field
+    assert (assembly.measured_derivative_maxima(f.values, f.grid.h, 6)
+            == _derivative_maxima_every_path(f.values, f.grid.h, 6))
+
+
 def test_mu_schedule_bound():
     # criterion 10 checks the bound on the context's schedule for n <= 8;
     # this checks the next four annuli on a schedule of its own

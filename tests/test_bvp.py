@@ -582,14 +582,18 @@ def test_row_blocks_leave_the_blocked_stages_bit_identical(monkeypatch, rows):
 
 
 @pytest.mark.parametrize("build, low, high", [
-    (lambda: assembly.build_g1(3, 1536).curvature_report(), 40.0, 48.5),
-    (lambda: bvp.select_N(4, 192, 0.05), 25.0, 29.0)])
+    (lambda: assembly.build_g1(3, 1536).curvature_report(), 38.0, 43.0),
+    (lambda: bvp.select_N(4, 192, 0.05), 23.0, 27.0)])
 def test_traced_peaks_of_the_g1_report_and_select_N(build, low, high):
-    """tracemalloc peaks in MiB, measured 45.2 for the g1 report, which
-    holds the factor and the source (36.0 MiB) and takes K a block of rows
-    at a time, and 26.8 for select_N, whose system keeps the stencils of
-    its cut nodes only and whose refinement holds the solver, the node
-    arrays x and one vector at the unknowns.  select_N's was 36.8 while
+    """tracemalloc peaks in MiB, measured 40.9 for the g1 report, which
+    holds the factor and the source (36.0 MiB) and takes K and the
+    curvature support a block of rows at a time, and 25.2 for select_N,
+    whose system keeps the stencils of its cut nodes only and whose
+    refinement holds the solver, the finished data sets' node arrays and
+    one node array and one vector at the unknowns.  They were 45.2 and
+    26.8 while the report built a whole-grid support mask and the
+    refinement held both data sets' node arrays and vectors at once.
+    select_N's was 36.8 while
     the refinement gathered a node-array residual at the unknowns and the
     rectangle solve copied its part.  They were 66.1 and 52.2 while the
     report held a K grid and the system four coefficient planes and a

@@ -64,6 +64,19 @@ def test_tail_rows_in_blocks_equal_one_block(selected4, monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
+def test_kernel_average_in_blocks_equals_one_block(selected4, monkeypatch):
+    """The kernel quadrature, taken KERNEL_POINTS points at a time, has
+    the bits of one block of all points."""
+    moll = mollify.MollifiedGlue(selected4.glue, DELTA)
+    t = np.linspace(0.1, 6.2, 40)
+    x, y = 1.0005 * np.cos(t), 1.0005 * np.sin(t)
+    monkeypatch.setattr(mollify, "KERNEL_POINTS", 1 << 20)
+    whole = moll.kernel_average(x, y)
+    for points in (mollify.KERNEL_POINTS, 8, 3):
+        monkeypatch.setattr(mollify, "KERNEL_POINTS", points)
+        assert moll.kernel_average(x, y).tobytes() == whole.tobytes()
+
+
 def test_traced_peak_of_the_tail_sampling(selected4):
     """tracemalloc peak of sampling the default tail, in MiB, with the
     glued field built: measured 5.4 with bvp.ROWS node rows at a time,
