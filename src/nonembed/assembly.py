@@ -30,6 +30,7 @@ import numpy as np
 
 from nonembed.bvp import ScalarField, box_grid, solve_poisson
 from nonembed.conformal import curvature_blocks, curvature_support
+from nonembed.fields import laplacian_residual
 from nonembed.mollify import TailFunction
 
 DEG = math.pi / 180.0
@@ -490,15 +491,11 @@ def annulus_curvature_samples(stack: AnnulusStack, n: int) -> list:
     if not np.any(clear):
         raise AssemblyError(f"no clear sample points found on annulus {n}")
     px, py = px[clear], py[clear]
-    # five-point stencils, one row per node: center, +x, -x, +y, -y
-    c, e, w, no, so = stack.factor(
-        np.stack([px, px + h_fd, px - h_fd, px, px]),
-        np.stack([py, py, py, py + h_fd, py - h_fd]))
-    lap = (e + w + no + so - 4.0 * c) / h_fd**2
-    lap_exact = stack.cutoff_sum_laplacian(np.hypot(px, py))
+    c = stack.factor(px, py)
+    lap = laplacian_residual(stack.factor, px, py, h_fd)
+    lap_exact = stack.cutoff_sum_laplacian(np.hypot(px, py)).tolist()
     return [dict(K=-math.exp(-2.0 * ci) * li, laplacian=li, laplacian_exact=le)
-            for ci, li, le in zip(c.tolist(), lap.tolist(),
-                                  lap_exact.tolist())]
+            for ci, li, le in zip(c.tolist(), lap.tolist(), lap_exact)]
 
 
 # derivative orders 0..FLATNESS_ORDER of the factor at the origin, by

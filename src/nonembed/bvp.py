@@ -234,16 +234,18 @@ def row_blocks(n: int, size: int = 0):
         yield slice(lo, min(lo + size, n))
 
 
+def _dst1_spectrum(m: int) -> np.ndarray:
+    """4 sin^2(k pi / 2(m+1)), k = 1..m: h^2 times the eigenvalues of minus
+    the 3-point second difference on m nodes, which the DST-I diagonalizes."""
+    return 4.0 * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1))) ** 2
+
+
 def _divide_by_eigenvalues(f: np.ndarray) -> np.ndarray:
-    """f / (4 sin^2(i pi / 2(m+1)) + 4 sin^2(j pi / 2(n+1))), i = 1..m and
-    j = 1..n, the eigenvalues of minus the (m, n) box's 5-point Laplacian
-    times h^2, written over f, which is returned.  The sums are formed a
+    """f / (lam_i + lam_j), `_dst1_spectrum` per axis: the (m, n) box's
+    eigenvalues, written over f, which is returned.  The sums are formed a
     block of rows at a time (`row_blocks`), so no grid of them is made."""
     m, n = f.shape
-    i = np.arange(1, m + 1)[:, None]
-    j = np.arange(1, n + 1)[None, :]
-    di = 4.0 * np.sin(i * np.pi / (2 * (m + 1))) ** 2
-    dj = 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
+    di, dj = _dst1_spectrum(m)[:, None], _dst1_spectrum(n)
     for rows in row_blocks(m):
         block = f[rows]
         np.divide(block, di[rows] + dj, out=block)
@@ -662,7 +664,7 @@ def _block_solver(geom: dict, s: int, m: int, n: int):
     g = slice(s, s + m)
     # mode k of h^2 A_RR is T_k = tridiag(-1, 2 + lam_k, -1) in x;
     # inv_piv[c] holds the reciprocal LU pivots of column c for every mode
-    lam = 4.0 * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1))) ** 2
+    lam = _dst1_spectrum(m)
     inv_piv = np.empty((p, m))
     inv_piv[0] = 1.0 / (2.0 + lam)
     for c in range(1, p):

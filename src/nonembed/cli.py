@@ -46,6 +46,11 @@ from nonembed.gridio import GridIOError, convert_grid, write_grid_csv, write_jso
 
 ASSEMBLE_TARGETS = ("gII", "g1", "annulus")
 G1_GRID_N = 1536  # cells across the pocket metric's box
+SLOPE_STEP = 1e-4  # the radial slope's difference step
+RATIO_POINTS = 100  # points of the harmonicity ratio
+SHORTENING_DEPTH = 12  # the shortening scan starts at DELTA_MAX 2^-12
+COMPARISONS = 20  # seeded competitors of the comparison margins
+PROJECTED_CURVES = 50  # seeded curves of the projection lengths
 
 
 class ConfigError(ValueError):
@@ -184,13 +189,14 @@ class PipelineContext:
         if (eps, seed) not in self._ruled:
             try:
                 g = ruled.generate_surface(self.cfg.ruled_tau, eps, seed=seed)
-                ext = ruled.extend_ruled(g.sample(n=257), -1.0, 2.0)
+                ext = ruled.extend_ruled(g.sample(n=257))
             except ruled.RuledError as exc:
                 if eps != self.cfg.ruled_eps:
                     raise
-                raise ConfigError(f"ruled.eps must give a surface whose "
-                                  f"rulings neither fold nor cross, got "
-                                  f"{eps}: {exc}") from exc
+                raise ConfigError(
+                    "ruled.eps and ruled.tau must give a surface whose rulings"
+                    f" neither fold nor cross, got ruled.eps = {eps} at "
+                    f"ruled.tau = {self.cfg.ruled_tau}: {exc}") from exc
             self._ruled[eps, seed] = (g, ext)
         return self._ruled[eps, seed]
 
@@ -272,12 +278,12 @@ def claim_circle_trace(ctx: PipelineContext, thetas) -> dict:
                  worst <= 1e-14, max_abs=worst, n_samples=len(thetas))
 
 
-def claim_radial_slope(ctx: PipelineContext, thetas, h: float = 1e-4) -> dict:
+def claim_radial_slope(ctx: PipelineContext, thetas) -> dict:
     """One-sided difference of u at the unit circle against u_r."""
     x0, y0 = np.cos(thetas), np.sin(thetas)
-    f1 = u_float((1 - h) * x0, (1 - h) * y0)
-    f2 = u_float((1 - 2 * h) * x0, (1 - 2 * h) * y0)
-    fd = (-4 * f1 + f2) / (2 * h)
+    f1 = u_float((1 - SLOPE_STEP) * x0, (1 - SLOPE_STEP) * y0)
+    f2 = u_float((1 - 2 * SLOPE_STEP) * x0, (1 - 2 * SLOPE_STEP) * y0)
+    fd = (-4 * f1 + f2) / (2 * SLOPE_STEP)
     exact = radial_derivative_u(thetas)
     all_neg = bool(np.all(exact < 0))
     worst_rel = float(np.max(np.abs(fd - exact) / np.abs(exact)))
@@ -286,10 +292,10 @@ def claim_radial_slope(ctx: PipelineContext, thetas, h: float = 1e-4) -> dict:
                  max_rel_error=worst_rel, negative_everywhere=all_neg)
 
 
-def claim_harmonicity_ratio(ctx: PipelineContext, rng: np.random.Generator,
-                            n_points: int = 100) -> dict:
+def claim_harmonicity_ratio(ctx: PipelineContext,
+                            rng: np.random.Generator) -> dict:
     """Five-point residual ratio of u between h = 1/128 and 1/256 at the
-    first n_points of 10,000 seeded candidates whose residual clears the
+    first RATIO_POINTS of 10,000 seeded candidates whose residual clears the
     degenerate case, in which the ratio would be noise."""
     r, th = rng.uniform((0.2, math.pi / 3 + 0.05),
                         (0.9, 5 * math.pi / 3 - 0.05), size=(10000, 2)).T
@@ -300,9 +306,9 @@ def claim_harmonicity_ratio(ctx: PipelineContext, rng: np.random.Generator,
     r2 = laplacian_residual(u_float, x, y, 1.0 / 256)
     scale = np.abs(u_float(x, y)) + 1e-30
     clear = np.abs(r1) >= 1e-8 * scale / (1.0 / 128) ** 2
-    ratios = np.abs(r1 / r2)[clear][:n_points]
+    ratios = np.abs(r1 / r2)[clear][:RATIO_POINTS]
     return check("harmonicity-residual-ratio", "laplacian-ratio-4",
-                 len(ratios) == n_points
+                 len(ratios) == RATIO_POINTS
                  and np.all((3.5 <= ratios) & (ratios <= 4.5)),
                  n_points=len(ratios), min_ratio=np.min(ratios),
                  max_ratio=np.max(ratios))
@@ -387,9 +393,9 @@ def claim_tail_tree_integral(ctx: PipelineContext, schedule,
                  selected_delta=sel.delta)
 
 
-def claim_curvature_sign(ctx: PipelineContext, delta: float) -> dict:
+def claim_curvature_sign(ctx: PipelineContext) -> dict:
     subharmonic = ctx.subharmonic  # first: it checks grid.h
-    rep = conformal.tail_curvature_report(ctx.tail, delta=delta)
+    rep = conformal.tail_curvature_report(ctx.tail)
     return check("bump-metric-curvature-sign", "curvature-nonpositive",
                  rep["curvature_sign_pass"] and subharmonic["passes"],
                  max_positive_logK=rep["max_positive_logK"],
@@ -408,10 +414,10 @@ def claim_length_derivative(ctx: PipelineContext, step: float) -> dict:
              "exponential on this field (step * max|v| ~ 11 on the tree)")
 
 
-def claim_shortening(ctx: PipelineContext, n_scan: int) -> dict:
+def claim_shortening(ctx: PipelineContext) -> dict:
     tail = ctx.tail
     tree = mollify.tail_tree(ctx.k_star)
-    scan = conformal.find_delta0(tail, tree, n_scan=n_scan)
+    scan = conformal.find_delta0(tail, tree, n_scan=SHORTENING_DEPTH)
     margin = None
     if scan.succeeded:
         d = scan.delta0 / 2
@@ -526,9 +532,8 @@ def claim_concavity_family(ctx: PipelineContext, seed: int) -> dict:
 
 
 def claim_comparison_margins(ctx: PipelineContext,
-                             gen: ruled.GeneratedSurface, seed0: int,
-                             count: int = 20) -> dict:
-    inst = ruled.hypothesis_instances(gen, count, seed0=seed0)
+                             gen: ruled.GeneratedSurface, seed0: int) -> dict:
+    inst = ruled.hypothesis_instances(gen, COMPARISONS, seed0=seed0)
     margins = [r["margin"] for (_, _, r) in inst]
     return check("comparison-margins", "competitor-stays-above",
                  min(margins) >= -1e-8, n_instances=len(inst),
@@ -536,9 +541,9 @@ def claim_comparison_margins(ctx: PipelineContext,
 
 
 def claim_projection_lengths(ctx: PipelineContext, ext: ruled.RuledSurface,
-                             seed0: int, n_curves: int = 50) -> dict:
+                             seed0: int) -> dict:
     curves = np.stack([ruled.random_curve_above(ext, seed=seed0 + sd)
-                       for sd in range(n_curves)])
+                       for sd in range(PROJECTED_CURVES)])
     lc, lp = ruled.project_and_compare(curves, ext)
     return check("projection-lengths", "projection-shortens",
                  bool(np.all(lc >= lp - 1e-8)), n_curves=len(lc),
@@ -573,9 +578,9 @@ def verify_tail(ctx: PipelineContext) -> list:
 
 
 def verify_corollary(ctx: PipelineContext) -> list:
-    return [claim_curvature_sign(ctx, delta=1e-6),
+    return [claim_curvature_sign(ctx),
             claim_length_derivative(ctx, step=1e-4),
-            claim_shortening(ctx, n_scan=12)]
+            claim_shortening(ctx)]
 
 
 def verify_g1(ctx: PipelineContext) -> list:
@@ -641,16 +646,9 @@ def _peak_rss_mb() -> float:
         resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0
 
 
-def _run_lane(ctx: PipelineContext, targets: list,
-              checked=lambda: None) -> dict:
+def _run_lane(ctx: PipelineContext, targets: list) -> dict:
     """Each target's (records, seconds, process peak RSS in MB); a target
-    that raises ends the lane with its exception in place of the triple.
-    The lane that holds ruled first builds the surface at ruled.eps, the
-    run's one check of that value, whose ConfigError it raises before any
-    target runs; then it calls `checked`."""
-    if "ruled" in targets:
-        ctx.ruled_surface(ctx.cfg.ruled_eps, ctx.cfg.seed)
-    checked()
+    that raises ends the lane with its exception in place of the triple."""
     done = {}
     for t in targets:
         t0 = time.perf_counter()
@@ -692,10 +690,10 @@ def _receive(pipe, away: list):
 
 def _run_lanes(ctx: PipelineContext, targets: list) -> dict:
     """The tail lane here, the rest in a forked child reaped in any case.
-    The child first sends its verdict on ruled.eps: None, or the exception,
-    which this process raises before its own lane starts.  It then sends
-    its lane's results.  So only the child builds the surface at ruled.eps
-    and loads the numpy.random that it draws with."""
+    The child first builds the surface at ruled.eps and sends its verdict:
+    None, or the exception, which this process raises before either lane
+    runs a target; then its lane's results.  So only the child loads the
+    numpy.random that the surface draws with."""
     here = [t for t in targets if t in _TAIL_LANE] or targets
     away = [t for t in targets if t not in here]
     if not away:
@@ -706,11 +704,12 @@ def _run_lanes(ctx: PipelineContext, targets: list) -> dict:
         try:
             with open(w, "wb") as pipe:
                 try:
-                    done = _run_lane(ctx, away, lambda: _send(pipe, None))
-                except Exception as exc:  # the verdict on ruled.eps
+                    ctx.ruled_surface(ctx.cfg.ruled_eps, ctx.cfg.seed)
+                except Exception as exc:
                     _send(pipe, exc)
                 else:
-                    _send(pipe, done)
+                    _send(pipe, None)
+                    _send(pipe, _run_lane(ctx, away))
         finally:  # the parent reads the pipe, not the exit status
             os._exit(0)
     os.close(w)

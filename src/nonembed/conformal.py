@@ -27,6 +27,7 @@ from nonembed.trees import Segment, SteinerTree, line_integral, tree_integral
 CURVATURE_TOL_FACTOR = 1e-8  # largest K > 0 allowed, relative to max |K|
 LENGTH_TOL = 1e-12           # quadrature tolerance of metric lengths
 DELTA_MAX = 0.05             # the largest amplitude find_delta0 scans
+CURVATURE_DELTA = 1e-6       # the amplitude of tail_curvature_report
 
 
 def gaussian_curvature(f: ScalarField) -> ScalarField:
@@ -158,10 +159,10 @@ def find_delta0(tail: TailFunction, tree: SteinerTree,
     return Delta0Scan(delta0=best, history=history)
 
 
-def tail_curvature_report(tail: TailFunction, delta: float) -> dict:
-    """Sign verification of K = -e^{-2 delta v} * delta * (Laplacian of v)
-    on the grid-visible set of the unit disc, to CURVATURE_TOL_FACTOR
-    times the largest |K| there.
+def tail_curvature_report(tail: TailFunction) -> dict:
+    """Sign verification of K = -e^{-2 delta v} * delta * (Laplacian of v),
+    delta = CURVATURE_DELTA, on the grid-visible set of the unit disc, to
+    CURVATURE_TOL_FACTOR times the largest |K| there.
 
     The reweighting e^{-2 delta v} is positive, so K <= 0 is equivalent to
     discrete subharmonicity of v.  The report gives the largest positive
@@ -178,10 +179,10 @@ def tail_curvature_report(tail: TailFunction, delta: float) -> dict:
     # a block of inner rows at a time: no full-grid temporary
     for rows in row_blocks(len(tail.laplacian)):
         lap, vis = tail.laplacian[rows], tail.sign_checked[rows]
-        phi_c = delta * v[rows.start + 1:rows.stop + 1, 1:-1]
+        phi_c = CURVATURE_DELTA * v[rows.start + 1:rows.stop + 1, 1:-1]
         # log |K| = -2 phi + log(delta |lap|); sign(K) = -sign(lap)
         with np.errstate(divide="ignore"):
-            logK = -2.0 * phi_c + np.log(np.abs(delta * lap))
+            logK = -2.0 * phi_c + np.log(np.abs(CURVATURE_DELTA * lap))
         max_pos_logK = max(max_pos_logK, float(np.max(
             logK, where=vis & (lap < 0.0), initial=-math.inf)))
         scale_logK = max(scale_logK, float(np.max(

@@ -34,6 +34,7 @@ CMP_STEP = 1e-3   # step of the competitor's Hessian stencil
 BUMP_SCALE = 0.4  # saddle_candidate's amplitude, relative to its bound
 PROJECT_ITERS = 60  # Gauss-Newton steps at most in project_point
 FOLD_SAMPLES = 2049  # s samples of the fold check
+EXTENSION = (-1.0, 2.0)  # the t-range that `extend_ruled` extends to
 
 
 class RuledError(ValueError):
@@ -419,17 +420,16 @@ def extract_rulings(f: FlatGraph) -> Tuple[RuledSurface, dict]:
 # extension, curvature form, concavity
 # ---------------------------------------------------------------------------
 
-def extend_ruled(r: RuledSurface, t_lo: float, t_hi: float) -> RuledSurface:
-    """Extend the rulings to t in [t_lo, t_hi].
+def extend_ruled(r: RuledSurface) -> RuledSurface:
+    """Extend the rulings to t in EXTENSION.
 
     Fails when the planar projections of consecutive rulings cross inside
     the extended slab (the extension would stop being a graph); on
     success, the strip's sample points are covered injectively since the
     per-t planar profile s -> x2(t, s) stays monotone.
     """
-    ext = RuledSurface(s=r.s, c=r.c, d=r.d, t_range=(t_lo, t_hi))
-    d_lo = np.diff(ext.points(t_lo)[:, 1])
-    d_hi = np.diff(ext.points(t_hi)[:, 1])
+    ext = RuledSurface(s=r.s, c=r.c, d=r.d, t_range=EXTENSION)
+    d_lo, d_hi = (np.diff(ext.points(t)[:, 1]) for t in EXTENSION)
     # per-pair separation is linear in t: a consistent sign at both ends
     # of the range rules out interior crossings; the sign must also be
     # shared by all pairs for the planar profile to stay monotone

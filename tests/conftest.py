@@ -52,7 +52,7 @@ def gen_surface():
 
 @pytest.fixture(scope="session")
 def extended(gen_surface):
-    return ruled.extend_ruled(gen_surface.sample(n=257), -1.0, 2.0)
+    return ruled.extend_ruled(gen_surface.sample(n=257))
 
 
 @pytest.fixture(scope="session")

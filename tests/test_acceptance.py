@@ -58,8 +58,8 @@ def report(num, name, subchecks):
 
 
 def test_criterion_01_harmonicity_ratio(ctx):
-    v = cli.claim_harmonicity_ratio(ctx, np.random.default_rng(SEED),
-                                    n_points=100)["values"]
+    v = cli.claim_harmonicity_ratio(ctx,
+                                    np.random.default_rng(SEED))["values"]
     report(1, "five-point residual ratio in [3.5, 4.5]",
            {"n=100": v["n_points"] == 100,
             "ratios": 3.5 <= v["min_ratio"] and v["max_ratio"] <= 4.5})
@@ -70,7 +70,7 @@ def test_criterion_02_boundary_behavior(ctx):
     report(2, "boundary trace and radial slope",
            {"circle-trace-zero": cli.claim_circle_trace(ctx, thetas)["pass"],
             "slope-matches-fd":
-                cli.claim_radial_slope(ctx, thetas, h=1e-4)["pass"]})
+                cli.claim_radial_slope(ctx, thetas)["pass"]})
 
 
 def test_criterion_03_minimal_K_and_tree_sign(ctx):
@@ -115,7 +115,7 @@ def test_criterion_05_tail_pipeline(ctx):
 
 
 def test_criterion_06_shortening(ctx):
-    scan = cli.claim_shortening(ctx, n_scan=12)["values"]
+    scan = cli.claim_shortening(ctx)["values"]
     # the first variation of the length is the tail's tree integral, one
     # tenth of the positive oracle value, and e^x >= 1 + x gives
     # L(d) - L0 >= d * (oracle / 10) > 0 at every amplitude d
@@ -134,7 +134,7 @@ def test_criterion_06_shortening(ctx):
                 and first["length"] - first["flat"]
                 >= first["delta"] * first_variation > 0.0,
             "curvature-max-1e-8-scale":
-                cli.claim_curvature_sign(ctx, delta=1e-6)["pass"],
+                cli.claim_curvature_sign(ctx)["pass"],
             "slope-match-1e-6":
                 abs(slope["lhs"] - slope["rhs"]) <= 1e-6 * abs(slope["rhs"])})
 
@@ -199,10 +199,8 @@ def test_criterion_08_pocket_metric(ctx):
 
 def test_criterion_09_ruled_surfaces(ctx, gen_surface, extended):
     flat = cli.claim_extension_flatness(ctx, extended)["values"]
-    margins = cli.claim_comparison_margins(ctx, gen_surface, seed0=100,
-                                           count=20)
-    lengths = cli.claim_projection_lengths(ctx, extended, seed0=1000,
-                                           n_curves=50)
+    margins = cli.claim_comparison_margins(ctx, gen_surface, seed0=100)
+    lengths = cli.claim_projection_lengths(ctx, extended, seed0=1000)
     report(9, "ruled round trip, flatness, curvature family, comparisons",
            {"cylinder-round-trip-1e-10":
                 cli.claim_cylinder_round_trip(ctx)["pass"],

@@ -108,6 +108,36 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, value):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("key, value, target", [
+    ("quad.tol", "1e-2", "moon"), ("k.max", "1", "moon"),
+    ("grid.h", repr(2.2 / 64), "tail"), ("pentagon.resolution", "16", "tail"),
+    ("delta.steps", "1", "tail"), ("margin.frac", "5e-324", "tail"),
+    ("seed", "0", "moon"), ("chords.count", "1", "moon"),
+    ("truncation.nmax", "1", "g1"), ("annulus.nmax", "2", "annulus"),
+    ("annulus.nmax", "16", "annulus"), ("ruled.tau", "1e-3", "ruled"),
+    ("ruled.tau", repr(math.nextafter(1.0, 0.0)), "ruled"),
+    ("ruled.eps", "5e-324", "ruled"),
+])
+def test_each_numeric_key_runs_at_its_cheap_ends(tmp_path, capsys, key, value,
+                                                 target):
+    """Each numeric key at each end of its domain that runs in about a
+    second, through the cheapest target that reads it: exit 0 or 1, or 2
+    with the key named before the message's first colon.  The ends not
+    run here: grid.h = 1e-4, 22,001^2 tail nodes at about 54 B each, some
+    26 GB by README's arithmetic; pentagon.resolution, k.max,
+    margin.frac, delta.steps, seed and chords.count, which have no upper
+    end (resolution 768 alone would take about 0.7 GB); and quad.tol near
+    its open end 0, where at 1e-16 the K scan runs 4 s and exits 2 with
+    a pipeline error that does not name quad.tol."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code = cli.main(["verify", target, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (0, 1) or code == 2 and re.match(
+        rf"error: [^:]*\b{re.escape(key)}\b", err), (code, err)
+
+
 def test_truncation_nmax_bounds_only_the_g1_targets(ctx, tmp_path, capsys,
                                                    monkeypatch):
     out = tmp_path / "g1"
@@ -711,7 +741,7 @@ def test_tail_certificate_computed_once_per_context(ctx, monkeypatch):
     fresh = cli.PipelineContext(ctx.cfg)
     fresh.tail = ctx.tail
     sub = cli.claim_tail_subharmonicity(fresh)
-    curv = cli.claim_curvature_sign(fresh, delta=1e-6)
+    curv = cli.claim_curvature_sign(fresh)
     assert len(calls) == 1
     assert sub["pass"] and curv["pass"]
 
@@ -1024,7 +1054,7 @@ def test_tail_reports_raise_on_a_grid_that_sees_no_laplacian():
     with pytest.raises(mollify.MollifyError, match="Laplacian"):
         mollify.tail_subharmonic_report(tail, sel)
     with pytest.raises(mollify.MollifyError, match="Laplacian"):
-        conformal.tail_curvature_report(tail, delta=1e-6)
+        conformal.tail_curvature_report(tail)
 
 
 def test_tail_grid_laplacian_computed_once(monkeypatch):
@@ -1057,6 +1087,14 @@ def test_verify_ruled_golden_values(ctx):
     flat = vals["extension-flatness"]
     assert 0.0 < flat["worst_offdiag"] <= 1e-8
     assert 0.0 < flat["worst_det_ratio"] <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_verify_ruled_passes_every_check_at_seeds_0_to_11(seed):
+    # the ruled generator's reference: all five claims hold at each seed
+    recs = cli.verify_ruled(cli.PipelineContext(cli.RunConfig(seed=seed)))
+    assert len(recs) == 5
+    assert [r["name"] for r in recs if not r["pass"]] == []
 
 
 def test_the_certificate_reads_the_margins_of_the_N_selection(ctx):

@@ -179,7 +179,7 @@ def test_find_delta0_fails_for_nonnegative_field(tail4):
 
 
 def test_tail_curvature_sign_certificate(ctx, tail4):
-    rep = conformal.tail_curvature_report(tail4, delta=1e-6)
+    rep = conformal.tail_curvature_report(tail4)
     assert rep["curvature_sign_pass"]
     assert ctx.subharmonic["passes"]
     # no positive curvature on the grid-visible set at all

@@ -262,7 +262,7 @@ def test_concavity_eps_family_trend():
     devs = []
     for eps in (0.1, 0.05, 0.025):
         g = ruled.generate_surface(TAU, eps, seed=42)
-        samp = ruled.extend_ruled(g.sample(n=257), -1.0, 2.0)
+        samp = ruled.extend_ruled(g.sample(n=257))
         cc = ruled.concavity_check(samp)
         assert cc["verdict"], eps
         dev = max(
@@ -285,7 +285,7 @@ def test_convex_case_fails_verdict(cyl):
 
 def test_near_cylinder_kappa_within_20_percent():
     g = ruled.generate_surface(TAU, 0.025, seed=11)
-    samp = ruled.extend_ruled(g.sample(n=257), -1.0, 2.0)
+    samp = ruled.extend_ruled(g.sample(n=257))
     rows = [60, 128, 190]
     target = -TAU / (1.0 + samp.s[rows] ** 2) ** 1.5
     for t in (0.0, 1.0, 2.0):
@@ -299,7 +299,7 @@ def test_near_cylinder_kappa_within_20_percent():
 
 def test_cylinder_extension_is_same_cylinder(cyl):
     samp = cyl.sample(n=129)
-    ext = ruled.extend_ruled(samp, -1.0, 2.0)
+    ext = ruled.extend_ruled(samp)
     assert ext.t_range == (-1.0, 2.0)
     assert np.array_equal(ext.c, samp.c) and np.array_equal(ext.d, samp.d)
 
@@ -346,12 +346,12 @@ def test_crossing_rulings_rejected():
     # dx2/ds = 1 + (t-2): flips sign inside [-1, 2]
     bad = ruled.RuledSurface(s=s, c=c, d=d)
     with pytest.raises(ruled.RuledError):
-        ruled.extend_ruled(bad, -1.0, 2.0)
+        ruled.extend_ruled(bad)
 
 
 def test_normal_stays_near_cylinder_normal():
     g = ruled.generate_surface(TAU, 0.05, seed=3)
-    samp = ruled.extend_ruled(g.sample(n=257), -1.0, 2.0)
+    samp = ruled.extend_ruled(g.sample(n=257))
     cyln = ruled.cylinder(TAU).sample(n=257)
     for i in (64, 128, 192):
         a = samp.normals[i]

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ ORACLE_WEIGHTED_LHS = {
     6: 467030487706.094,
 }
 K_STAR = 4
+ORACLE_JSON = (Path(__file__).resolve().parents[1] / "tools"
+               / "oracle_tree_integrals.json")
 
 
 def log_field(value):
@@ -182,6 +186,30 @@ def test_tree_integral_oracle_value_at_K_star():
     # stated for the construction does not hold, see the acceptance suite)
     r = tree_integral(u_log_xy, moon_tree(K_STAR), tol=1e-10)
     assert r.value == pytest.approx(ORACLE_TREE_K4, rel=1e-8)
+
+
+def test_oracle_tree_rows_equal_the_arc_form():
+    """Each checked-in `tree` row, K = 1..10, against the arc form at 40
+    digits.  u = -Im e^{(log z)^2} on the slit plane and the three leg
+    directions e^{i phi_k} sum to zero, so the tree integral is
+    -Im sum_k e^{-i phi_k} G(A_k), G(A_k) = i int_pi^{theta_k}
+    e^{-theta^2} e^{i theta} dtheta up the unit circle to the leg's end:
+    two smooth integrals, where the leg sum cancels legs of size up to
+    1e33 (K = 10) down to about 0.11."""
+    from mpmath import atan2, cos, exp, im, mp, mpc, mpf, pi, quad, sin, sqrt
+
+    rows = json.loads(ORACLE_JSON.read_text())["rows"]
+    assert [row["K"] for row in rows] == list(range(1, 11))
+    with mp.workdps(40):
+        for row in rows:
+            a = exp(-row["K"])  # the vertex (-a, 0); the upper leg at pi/3
+            t1 = a / 2 + sqrt(1 - 3 * a**2 / 4)
+            theta = atan2(t1 * sin(pi / 3), t1 * cos(pi / 3) - a)
+            G = [1j * quad(lambda th: exp(-th**2) * mpc(cos(th), sin(th)),
+                           [pi, end]) for end in (theta, 2 * pi - theta)]
+            arc = -im(mpc(cos(pi / 3), -sin(pi / 3)) * G[0]
+                      + mpc(cos(pi / 3), sin(pi / 3)) * G[1])
+            assert abs(mpf(row["tree"]) - arc) <= 1e-27 * arc, row["K"]
 
 
 def test_tree_integral_antisymmetry_under_field_flip():

@@ -11,20 +11,44 @@ Computes, at 50 decimal digits with mpmath:
     and (4 pi/3 - phi) * 2 theta e^{-theta^2}
   * the slanted-leg integrals (direct quadrature)
   * the identity residual  legs - (2*axis + arcs)   (should be ~0)
-  * the full tree integral and the smallest integer K for which both
-    I_axis(K) < 0 and 2*I_axis(K) + arcs < 0 hold
+  * the full tree integral, by the arc form below, and the smallest
+    integer K for which both I_axis(K) < 0 and 2*I_axis(K) + arcs < 0 hold
   * the third-moment integral int_T u^3 ds at the selected K (used to size
     finite-difference steps in downstream length-derivative checks)
 
-Run once before freezing golden values into the test suite:
+The tree integral has two derivations.  The leg sum, legs + axis, adds
+integrals of size up to 1e33 that cancel to about 0.11, so at 50 digits it
+misses the 30 that the JSON prints at K = 9 and 10, by 1.7e-25 and 7.3e-17
+relative.  The arc form has no cancellation: u = -Im F(z) with
+F = e^{(log z)^2} holomorphic on the slit plane, and the directions
+e^{i phi_k} of a 120-degree tree's legs sum to zero, so
 
-    python tools/oracle_tree_integrals.py
+    tree = -Im sum_k e^{-i phi_k} G(A_k),
+    G(A_k) = i int_pi^{theta_k} e^{-theta^2} e^{i theta} dtheta,
+
+an antiderivative of F along the unit circle from -1 to the leg's end A_k
+at angle theta_k (G = 0 on the axis leg).  The JSON's `tree` is the arc
+form; the run prints its gap to the leg sum, at most 2.7e-31 for K <= 8.
+
+Run from the repository root:
+
+    python tools/oracle_tree_integrals.py          # rewrite the JSON
+    python tools/oracle_tree_integrals.py --check  # compare
+
+With --check it writes nothing and exits 1 if the regenerated JSON
+differs from the checked-in file.
 """
 
 import json
-from mpmath import mp, mpf, sin, cos, exp, log, sqrt, atan2, pi, quad
+import sys
+from pathlib import Path
+
+from mpmath import (mp, mpc, mpf, sin, cos, exp, log, sqrt, atan2, im, pi,
+                    quad)
 
 mp.dps = 50
+
+OUT = Path(__file__).with_suffix(".json")
 
 
 def tree_geometry(K):
@@ -93,8 +117,21 @@ def arc_integrals(K):
     return arc_up, arc_lo
 
 
-def main():
-    rows = []
+def tree_arc_form(K):
+    """-Im sum_k e^{-i phi_k} G(A_k) over the two slanted legs, phi = +-pi/3
+    (the axis leg's G is 0)."""
+    theta_A1 = tree_geometry(K)[4]
+
+    def G(theta_k):
+        return 1j * quad(lambda th: exp(-th**2) * mpc(cos(th), sin(th)),
+                         [pi, theta_k])
+
+    up, lo = mpc(cos(pi / 3), -sin(pi / 3)), mpc(cos(pi / 3), sin(pi / 3))
+    return -im(up * G(theta_A1) + lo * G(2 * pi - theta_A1))
+
+
+def main(argv):
+    rows, gaps = [], {}
     for K in range(1, 11):
         ax_sub = axis_integral_subst(K)
         ax_dir = axis_integral_direct(K)
@@ -103,7 +140,8 @@ def main():
         leg_lo = slanted_leg_integral(K, lower=True)
         rhs = 2 * ax_sub + arc_up + arc_lo
         lhs = leg_up + leg_lo
-        tree = lhs + ax_sub
+        tree = tree_arc_form(K)
+        gaps[K] = abs(tree - (lhs + ax_sub)) / abs(tree)
         rows.append(
             dict(
                 K=K,
@@ -132,7 +170,8 @@ def main():
             f"arcs={mp.nstr(row['arc_up'] + row['arc_lo'], 12):>16}  "
             f"rhs={mp.nstr(row['rhs'], 12):>18}  "
             f"tree={mp.nstr(row['tree'], 12):>18}  "
-            f"id_res={mp.nstr(row['identity_residual'], 3)}"
+            f"id_res={mp.nstr(row['identity_residual'], 3)}  "
+            f"|arcs-legs|/tree={mp.nstr(gaps[row['K']], 3)}"
         )
     print(f"\nminimal K with axis<0 and rhs<0: {kstar}")
 
@@ -152,10 +191,17 @@ def main():
             for r in rows
         ],
     }
-    with open("tools/oracle_tree_integrals.json", "w") as fh:
-        json.dump(out, fh, indent=2)
-    print("\nwrote tools/oracle_tree_integrals.json")
+    text = json.dumps(out, indent=2)
+    if "--check" in argv:
+        if not OUT.exists() or OUT.read_text() != text:
+            print(f"\n{OUT.name} is stale: rerun without --check")
+            return 1
+        print(f"\n{OUT.name} is up to date")
+        return 0
+    OUT.write_text(text)
+    print(f"\nwrote {OUT}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
